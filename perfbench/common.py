@@ -24,8 +24,6 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 CACHE = os.path.join(HERE, '.cache')
 
-# How many times one run sets the system up; setup_s is their median.
-SETUP_REPEATS = 3
 # Every Ray operation runs under this wall-clock limit (seconds).
 OP_TIMEOUT_S = 60.0
 
@@ -141,6 +139,56 @@ class CalibratedClock:
 
     def calib_ms(self):
         return median(self.kernel_ms)
+
+
+_SAMPLER = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+from common import calib_kernel
+while True:
+    t = time.perf_counter()
+    calib_kernel()
+    print((time.perf_counter() - t) * 1e3, flush=True)
+    time.sleep(float(sys.argv[2]))
+"""
+
+
+class CalibSampler:
+    """Runs the calibration kernel in a separate process while a Ray pass
+    runs, once every ``every_s`` seconds (a few percent of one CPU), so
+    its times reflect the host speed during the pass; the driver itself
+    mostly waits then.  Use as a context manager; ``calib_ms()`` is the
+    median kernel time afterwards, without the first (cold) sample.  The
+    sampler exits by itself once nobody reads its output."""
+
+    def __init__(self, every_s=0.2):
+        self.every_s = every_s
+        self.samples = []
+        self._proc = None
+
+    def __enter__(self):
+        self._proc = subprocess.Popen(
+            [sys.executable, '-c', _SAMPLER, HERE, str(self.every_s)],
+            stdout=subprocess.PIPE, text=True)
+        return self
+
+    def __exit__(self, *exc):
+        lines = []
+        if exc[0] is None:
+            # At least one warm sample, however short the pass was.
+            while len(lines) < 2:
+                line = self._proc.stdout.readline()
+                if not line:
+                    break
+                lines.append(line)
+        self._proc.terminate()
+        out, _ = self._proc.communicate()
+        self.samples = [float(x) for x in
+                        ''.join(lines + [out]).split()][1:]
+        return False
+
+    def calib_ms(self):
+        return median(self.samples)
 
 
 def fingerprint():
@@ -322,6 +370,26 @@ def peak_rss_mb(parts=None):
     return total
 
 
+def adopt_orphans():
+    """Makes this process the reaper of its orphaned descendants (Linux
+    PR_SET_CHILD_SUBREAPER), so a process whose parent died, such as a Ray
+    agent whose raylet is gone, stays under this one and is stopped at the
+    end."""
+    import ctypes
+    with contextlib.suppress(Exception):
+        ctypes.CDLL(None).prctl(36, 1, 0, 0, 0)
+
+
+def stop_all(grace=10.0):
+    """SIGTERM every process still under this one, then wait until each has
+    ended (SIGKILL after ``grace`` seconds)."""
+    pids = descendants()
+    for p in pids:
+        with contextlib.suppress(OSError):
+            os.kill(p, signal.SIGTERM)
+    reap(pids, grace)
+
+
 def _alive(pid):
     """False once the process has exited; a zombie child is reaped."""
     try:
@@ -351,6 +419,20 @@ def reap(pids, grace=10.0):
     while alive and time.time() < end:
         time.sleep(0.05)
         alive = [p for p in alive if _alive(p)]
+
+
+def stop_process(proc, grace=30.0):
+    """Ends a child process (SIGTERM, then SIGKILL after ``grace``
+    seconds) and waits until it and every process under it have ended."""
+    pids = descendants(proc.pid)
+    if proc.poll() is None:
+        proc.terminate()
+        try:
+            proc.wait(grace)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+    reap(pids)
 
 
 # ---------------------------------------------------------------------------

@@ -55,13 +55,14 @@ def _mutates(schema):
 class ScalarCorpus:
     name = 'scalar_corpus'
     uses_ray = False
+    setup_samples = 9           # setup_s is their median
     unit_rows = 'documents'
 
     def __init__(self, seed, tracer):
         self.seed = seed
         self.tracer = tracer
 
-    def prepare(self):
+    def prepare(self, expected=True):
         # The corpus ships with the repository: nothing to generate.
         return {'generate_s': 0.0}
 
@@ -172,8 +173,10 @@ class ScalarCorpus:
                        .format(outputs['mismatches']))
         return bad
 
-    def schema_set(self):
-        return [s for _, s, _ in self.groups]
+    def ops_per_pass(self):
+        """Both routes compile every schema and validate every document
+        REPEATS times."""
+        return 2 * self.schemas + 2 * REPEATS * self.rows
 
     # -- traced-run replay ---------------------------------------------------
 

@@ -36,9 +36,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 
 import common  # noqa: E402
-from common import (ROOT, SETUP_REPEATS, CalibratedClock,  # noqa: E402
-                    OpTimeout, Tracer, calib_ms, fingerprint, log,
-                    median, summary)
+from common import (ROOT, CalibratedClock, OpTimeout, Tracer,  # noqa: E402
+                    calib_ms, fingerprint, log, median, summary)
 
 WORKLOADS = ('images_validate', 'lineitem_constraints', 'scalar_corpus')
 MIN_PASSES = 3
@@ -46,9 +45,11 @@ MIN_PASSES = 3
 # every workload) are scaled to a reference host speed: raw rate x
 # calibration kernel ms measured during the work / CALIB_REF_MS.
 CALIB_REF_MS = 15.0
-# Rounds of the schema-compile phase on the Ray workloads.
+# Rounds of the table-spec compile phase on the Ray workloads.
 COMPILE_ROUNDS = 3
-COMPILE_ROUND_S = 0.5
+COMPILE_ROUND_S = 1.5
+# Limit on one set-up in a fresh process.
+SETUP_CHILD_TIMEOUT_S = 90.0
 
 
 def _benchmark_spec():
@@ -56,37 +57,31 @@ def _benchmark_spec():
         return json.load(f)
 
 
-def _make(name, seed, tracer, probe):
-    if name == 'images_validate':
+def _make(args, tracer):
+    if args.workload == 'images_validate':
         from images import ImagesValidate
-        return ImagesValidate(seed, tracer)
-    if name == 'lineitem_constraints':
+        return ImagesValidate(args.seed, tracer)
+    if args.workload == 'lineitem_constraints':
         from lineitem import LineitemConstraints
-        return LineitemConstraints(seed, tracer, probe=probe)
+        return LineitemConstraints(args.seed, tracer, probe=args.probe,
+                                   data_dir=args.data_dir)
     from corpus import ScalarCorpus
-    return ScalarCorpus(seed, tracer)
+    return ScalarCorpus(args.seed, tracer)
 
 
-def _compile_both(engine, schema):
-    """Both public routes."""
-    engine.compile(copy.deepcopy(schema))
-    src = engine.compile_to_code(copy.deepcopy(schema))
-    exec(compile(src, '<compile_to_code>', 'exec'), {})
-
-
-def compile_rounds(engine, schemas):
-    """(raw, scaled) schemas/s through both routes, one sample per round
-    of at least COMPILE_ROUND_S seconds of compiling."""
+def compile_rounds(wl):
+    """(raw, scaled) schemas/s of the workload's own table spec compiled
+    the way its workers compile it, one sample per round of at least
+    COMPILE_ROUND_S seconds of compiling."""
     raw, scaled = [], []
     for _ in range(COMPILE_ROUNDS):
         n = 0
         clock = CalibratedClock()
         clock.start()
         while clock.work < COMPILE_ROUND_S:
-            for s in schemas:
-                _compile_both(engine, s)
-                n += 2
-                clock.tick()
+            wl.compile_validator()
+            n += 1
+            clock.tick()
         clock.stop()
         raw.append(n / clock.work)
         scaled.append(raw[-1] * clock.calib_ms() / CALIB_REF_MS)
@@ -148,20 +143,83 @@ def scalar_panel(engine, groups, value_exc):
     return out, detail
 
 
-def run_one(args):
-    fp = fingerprint()
-    spec = _benchmark_spec()
-    tracer = Tracer(args.trace == 1)
-    wl = _make(args.workload, args.seed, tracer, args.probe)
-
-    # Imports count towards set-up, from process start.
+def import_layers(wl):
+    """Imports what the workload uses.  Returns (package, its validation
+    exception, seconds from process start), the last being
+    setup.import_s."""
     import pyarrow  # noqa: F401
     import python_fastjsonschema_ray as engine
     from python_fastjsonschema_ray.exceptions import JsonSchemaValueException
     if wl.uses_ray:
         import ray  # noqa: F401
         import ray.data  # noqa: F401
-    import_s = time.perf_counter() - T_START
+    return engine, JsonSchemaValueException, time.perf_counter() - T_START
+
+
+def set_up(wl, import_s):
+    """One set-up, after imports that took ``import_s`` from process start:
+    starts Ray (Ray workloads), opens the input and runs the untimed
+    warm-up.  Returns its record, in seconds."""
+    t = time.perf_counter()
+    if wl.uses_ray:
+        common.start_ray(common.nproc())
+    t_init = time.perf_counter()
+    wl.load()
+    t_load = time.perf_counter()
+    wl.warmup()
+    t_end = time.perf_counter()
+    return {'setup_s': import_s + t_end - t, 'import_s': import_s,
+            'ray_init_s': t_init - t, 'warmup_s': t_end - t_load}
+
+
+def setup_child(args):
+    """--setup-child: one set-up in this fresh process, imports included;
+    prints its record as one JSON line."""
+    wl = _make(args, Tracer(False))
+    _, _, import_s = import_layers(wl)
+    wl.prepare(expected=False)
+    record = set_up(wl, import_s)
+    if wl.uses_ray:
+        common.stop_ray()
+    print(json.dumps(record))
+    return 0
+
+
+def fresh_setups(args, n):
+    """n set-ups, one after another, each in a fresh process so imports
+    are paid again.  Returns their time records; a set-up that fails or
+    exceeds SETUP_CHILD_TIMEOUT_S is logged and gives no sample."""
+    cmd = [sys.executable, os.path.abspath(__file__), '--setup-child',
+           '--workload', args.workload, '--seed', str(args.seed)]
+    if args.data_dir:
+        cmd += ['--data-dir', args.data_dir]
+    out = []
+    for _ in range(n):
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True,
+                                cwd=ROOT)
+        try:
+            stdout, _ = proc.communicate(timeout=SETUP_CHILD_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            log('set-up exceeded {:.0f} s'.format(SETUP_CHILD_TIMEOUT_S))
+            continue
+        finally:
+            common.stop_process(proc)
+        lines = stdout.strip().splitlines()
+        if proc.returncode != 0 or not lines:
+            log('set-up failed with exit code', proc.returncode)
+            continue
+        out.append(json.loads(lines[-1]))
+    return out
+
+
+def run_one(args):
+    fp = fingerprint()
+    spec = _benchmark_spec()
+    tracer = Tracer(args.trace == 1)
+    wl = _make(args, tracer)
+
+    # Imports count towards set-up, from process start.
+    engine, value_exc, import_s = import_layers(wl)
 
     # Seeded input generation and expected answers: outside set-up, and
     # outside the peak-memory figure (writing 5 to clear_refs resets
@@ -171,145 +229,154 @@ def run_one(args):
     prep['prepare_s'] = time.perf_counter() - t
     common.reset_peak_rss()
 
-    ncpu = fp['nproc']
-    setup, init_s, warm_s = [], [], []
-    for i in range(SETUP_REPEATS):
-        t = time.perf_counter()
-        if wl.uses_ray:
-            common.start_ray(ncpu)
-        t_init = time.perf_counter()
-        wl.load()
-        t_load = time.perf_counter()
-        wl.warmup()
-        t_end = time.perf_counter()
-        setup.append(import_s + t_end - t)
-        init_s.append(t_init - t)
-        warm_s.append(t_end - t_load)
-        if wl.uses_ray and i < SETUP_REPEATS - 1:
-            common.stop_ray()
+    t = time.perf_counter()
+    setups = [set_up(wl, import_s)]
+    phases = {'prepare_s': prep['prepare_s'],
+              'setup_s': time.perf_counter() - t}
 
     attempted = failed = 0
     wrong = []
-    rates, raw_rates, walls, wall_rates = [], [], [], []
+    rates, raw_rates, cpu_rates, walls = [], [], [], []
     schema_rates, raw_schema_rates = [], []
     calib = []
     measured = 0.0
     session_dead = False
     timeouts = 0
     passes = []
+    t_passes = time.perf_counter()
     while True:
-        c0 = calib_ms()
         cpu0 = time.process_time() + common.worker_cpu_seconds()
         try:
-            rows, wall, out = wl.run_pass()
-        except OpTimeout as exc:
-            # Only the Ray workloads run under a limit.
+            if wl.uses_ray:
+                with common.CalibSampler() as sampler:
+                    rows, wall, out = wl.run_pass()
+            else:
+                rows, wall, out = wl.run_pass()
+        except Exception as exc:
+            # A pass that raises or exceeds its limit fails every
+            # operation in it; the session is ended so nothing of it
+            # lingers, and what was measured before is reported.
             attempted += wl.ops_per_pass()
             failed += wl.ops_per_pass()
-            timeouts += 1
-            log('timeout:', exc)
-            common.stop_ray()
+            timeouts += isinstance(exc, OpTimeout)
+            log('pass failed:', repr(exc))
+            if wl.uses_ray:
+                common.stop_ray()
             session_dead = True
             break
         cpu = time.process_time() + common.worker_cpu_seconds() - cpu0
-        c1 = calib_ms()
         bad = wl.check(out)
         attempted += out['attempted'] if 'attempted' in out \
             else wl.ops_per_pass()
         failed += out.get('failed', len(bad))
         wrong.extend(bad)
         walls.append(wall)
-        wall_rates.append(rows / wall)
-        # Ray workloads: rows per CPU second of the driver and the Ray
-        # workers.  Waiting (for a descheduled vCPU or a busy neighbour)
-        # stretches the wall time of a pass by up to 2x here, while the
-        # CPU time of the same work stays within a few percent.
-        raw = rows / cpu if wl.uses_ray else rows / wall
+        raw = rows / wall
         raw_rates.append(raw)
-        if 'compile_s' in out:
+        if wl.uses_ray:
+            # Scaled by the kernel time a separate process saw during
+            # the pass.
+            cpu_rates.append(rows / cpu)
+            pass_calib = sampler.calib_ms()
+        else:
+            # Interleaved with the work in this process; see corpus.py.
             raw_s = out['schemas'] / out['compile_s']
             raw_schema_rates.append(raw_s)
-            calib.extend([out['calib_compile'], out['calib_validate']])
-            raw *= out['calib_validate'] / CALIB_REF_MS
             schema_rates.append(raw_s * out['calib_compile'] / CALIB_REF_MS)
+            calib.append(out['calib_compile'])
+            pass_calib = out['calib_validate']
             measured += out['compile_s']
+        rates.append(raw * pass_calib / CALIB_REF_MS)
+        calib.append(pass_calib)
         passes.append({'rows': rows, 'wall_s': wall, 'cpu_s': cpu,
-                       'calib_ms': (c0 + c1) / 2})
-        rates.append(raw)
-        calib.append((c0 + c1) / 2)
+                       'calib_ms': pass_calib})
         measured += wall
         if measured >= args.seconds and len(rates) >= MIN_PASSES:
             break
 
     if not rates:
         raise SystemExit('no pass completed: nothing was measured')
-    if not schema_rates:
-        raw_schema_rates, schema_rates = compile_rounds(engine,
-                                                        wl.schema_set())
-    if not calib:
-        calib.append(calib_ms())
 
-    detail = {
-        'workload': wl.name, 'seed': args.seed, 'seconds': args.seconds,
-        'trace': args.trace, 'prepare': prep,
-        'rows_per_pass': rows,
-        'rows_per_s': summary(rates, '{}/s'.format(wl.unit_rows)),
-        'rows_per_s_raw': summary(raw_rates, '{}/s'.format(wl.unit_rows)),
-        'rows_per_s_wall': summary(wall_rates,
-                                   '{}/s'.format(wl.unit_rows)),
-        'schemas_per_s': summary(schema_rates, 'schemas/s'),
-        'schemas_per_s_raw': summary(raw_schema_rates, 'schemas/s'),
-        'pass_wall_s': summary(walls, 's'),
-        'passes': passes,
-        'setup_s': summary(setup, 's'),
-        'setup.import_s': import_s,
-        'setup.ray_init_s': summary(init_s, 's') if wl.uses_ray else None,
-        'setup.warmup_s': summary(warm_s, 's'),
-        'fail_ratio': failed / attempted if attempted else None,
-        'timeouts': timeouts,
-        'attempted': attempted, 'failed': failed,
-        'wrong_answers': wrong[:10],
-    }
-
+    phases['passes_s'] = time.perf_counter() - t_passes
     parts = []
     peak = common.peak_rss_mb(parts)
-    detail['peak_rss_mb'] = peak
-    detail['peak_rss_parts'] = parts
 
     layers = {}
+    layer_detail = {}
     if args.trace == 1 and not session_dead:
-        layers = trace_layers(wl, engine, JsonSchemaValueException,
-                              detail, walls, rates, import_s, warm_s)
+        layers, layer_detail = trace_layers(wl, engine, value_exc, walls,
+                                            rates, setups[0])
 
+    probe_note = None
     if getattr(wl, 'probe', False) and not session_dead:
         attempted += 1
         try:
-            ok, note = wl.run_probe()
+            ok, probe_note = wl.run_probe()
         except OpTimeout as exc:
-            ok, note = False, 'referential_orders: {}'.format(exc)
-            detail['timeouts'] += 1
+            ok, probe_note = False, 'referential_orders: {}'.format(exc)
+            timeouts += 1
             common.stop_ray()
             session_dead = True
         except Exception as exc:
-            ok, note = False, 'referential_orders: {!r}'.format(exc)
+            ok, probe_note = False, 'referential_orders: {!r}'.format(exc)
         if not ok:
             failed += 1
-        detail['probe'] = note
-        detail['attempted'], detail['failed'] = attempted, failed
-        detail['fail_ratio'] = failed / attempted
 
     if wl.uses_ray and not session_dead:
         common.stop_ray()
 
+    # End-to-end extras, untraced run only: more set-ups, each in a
+    # fresh process, and the Ray workloads' table-spec compile rounds.
+    if args.trace == 0:
+        t = time.perf_counter()
+        setups += fresh_setups(args, wl.setup_samples - 1)
+        phases['fresh_setups_s'] = time.perf_counter() - t
+        if not schema_rates:
+            t = time.perf_counter()
+            raw_schema_rates, schema_rates = compile_rounds(wl)
+            phases['compile_rounds_s'] = time.perf_counter() - t
+
     fp['loadavg_end'] = list(os.getloadavg())
     fp['calib_ms'] = median(calib)
-    detail['host'] = fp
-    if args.trace == 1:
+
+    def setup_part(key):
+        return summary([r[key] for r in setups], 's')
+
+    unit = '{}/s'.format(wl.unit_rows)
+    detail = {
+        'workload': wl.name, 'seed': args.seed, 'seconds': args.seconds,
+        'trace': args.trace, 'prepare': prep,
+        'rows_per_pass': rows,
+        'rows_per_s': summary(rates, unit),
+        'rows_per_s_raw': summary(raw_rates, unit),
+        'rows_per_s_cpu': summary(cpu_rates, unit + ' per CPU-s'),
+        'schemas_per_s': summary(schema_rates, 'schemas/s'),
+        'schemas_per_s_raw': summary(raw_schema_rates, 'schemas/s'),
+        'pass_wall_s': summary(walls, 's'),
+        'passes': passes,
+        'setup_s': setup_part('setup_s'),
+        'setup.import_s': setup_part('import_s'),
+        'setup.ray_init_s': setup_part('ray_init_s') if wl.uses_ray
+        else None,
+        'setup.warmup_s': setup_part('warmup_s'),
+        'fail_ratio': failed / attempted,
+        'timeouts': timeouts,
+        'attempted': attempted, 'failed': failed,
+        'wrong_answers': wrong[:10],
+        'probe': probe_note,
+        'peak_rss_mb': peak,
+        'peak_rss_parts': parts,
+        'host': fp,
+        'phases': phases,
+        'run_s': time.perf_counter() - T_START,
+    }
+    if layers:
+        detail['layers'] = dict(layers, **layer_detail)
         tracer.dump(os.path.join(common.CACHE, 'trace-{}-s{}.json'.format(
             wl.name, args.seed)))
 
     values = {
-        'setup_s': median(setup),
+        'setup_s': median([r['setup_s'] for r in setups]),
         'rows_per_s': median(rates),
         'schemas_per_s': median(schema_rates),
         'peak_rss_mb': peak,
@@ -328,16 +395,16 @@ def run_one(args):
     return 0 if correct else 1
 
 
-def trace_layers(wl, engine, value_exc, detail, walls, rates, import_s,
-                 warm_s):
-    """Per-layer metrics of the traced run."""
+def trace_layers(wl, engine, value_exc, walls, rates, setup):
+    """Per-layer metrics of the traced run: (the BENCHMARK.json panel,
+    the numbers that exist on some workloads only)."""
     panel = {}
     layer_detail, self_s, groups = wl.replay(panel)
     scal, scal_detail = scalar_panel(engine, groups, value_exc)
     panel.update(scal)
     layer_detail.update(scal_detail)
-    panel['setup.import_s'] = import_s
-    panel['setup.warmup_s'] = median(warm_s)
+    panel['setup.import_s'] = setup['import_s']
+    panel['setup.warmup_s'] = setup['warmup_s']
     panel['host.calib_ms'] = calib_ms()
     panel['trace.rows_per_s'] = median(rates)
 
@@ -361,8 +428,7 @@ def trace_layers(wl, engine, value_exc, detail, walls, rates, import_s,
         layer_detail['layers.self_s'] = self_s
         layer_detail['ray.overhead_s'] = wall - sum(self_s.values())
         layer_detail['pass_wall_s'] = wall
-    detail['layers'] = dict(panel, **layer_detail)
-    return panel
+    return panel, layer_detail
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +472,11 @@ def run_all(args):
               .format(w, res0['correct'], det0['host']['nproc'],
                       det0['host']['affinity_cpus'],
                       det0['host']['calib_ms']))
-        for name in ('setup_s', 'rows_per_s', 'rows_per_s_wall',
+        for name in ('setup_s', 'rows_per_s', 'rows_per_s_cpu',
                      'schemas_per_s'):
             s = det0[name]
+            if not s['n']:
+                continue
             print('   {:<14} {:>12.4g} {:<12} q1 {:.4g}  q3 {:.4g}  n={}'
                   .format(name, s['median'], s['unit'], s['q1'], s['q3'],
                           s['n']))
@@ -444,6 +512,12 @@ def main(argv=None):
     ap.add_argument('--probe', action='store_true',
                     help='end lineitem_constraints with one run of the '
                          'driver query referential_orders')
+    ap.add_argument('--data-dir',
+                    help='lineitem_constraints: read lineitem, orders and '
+                         'customer parquet from this directory instead of '
+                         'generating them')
+    ap.add_argument('--setup-child', action='store_true',
+                    help=argparse.SUPPRESS)
     ap.add_argument('--all', action='store_true',
                     help='run every workload untraced and traced and print '
                          'one table')
@@ -453,14 +527,16 @@ def main(argv=None):
     if args.workload is None:
         ap.error('--workload is required without --all')
     sys.path.insert(1, ROOT)
-    # SIGTERM unwinds like an exception, so the Ray session below is
-    # still shut down and its processes reaped.
+    # SIGTERM unwinds like an exception (ray.init installs a handler that
+    # does the same), so everything started below is still stopped.
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(143))
+    common.adopt_orphans()
     try:
-        return run_one(args)
+        return setup_child(args) if args.setup_child else run_one(args)
     finally:
-        if 'ray' in sys.modules and sys.modules['ray'].is_initialized():
+        if 'ray' in sys.modules:
             common.stop_ray()
+        common.stop_all()
 
 
 if __name__ == '__main__':
