@@ -27,18 +27,34 @@ Key design points (vs the reference's per-document codegen,
 
 * **Per-rule row kernels as the escape hatch.**  Rules with no Arrow kernel
   (Decimal-exact float ``multipleOf``, deep enums, Python-``re`` patterns RE2
-  cannot run) fall back to a per-row kernel *for that rule only*; ordering,
-  messages and violation payloads stay uniform.  Constructs the vector model
-  cannot express at all raise :class:`Unsupported` and the owning column
-  falls back to the interpreted scalar validator (functions/scalar.py).
+  cannot run, callable ``formats``) fall back to a row kernel *for that rule
+  only*; ordering, messages and violation payloads stay uniform.  On string,
+  numeric, decimal and boolean views the kernel runs once per *distinct*
+  value: the view is dictionary-encoded, the Python predicate runs over the
+  dictionary and the fail mask is gathered back through the indices (null
+  rows pass).  A callable format is therefore called once per distinct
+  non-null value per batch, not once per row.  List and struct views (e.g.
+  ``uniqueItems`` over nested lists) stay per-row.  Constructs the vector
+  model cannot express at all raise :class:`Unsupported` and the owning
+  column falls back to the interpreted scalar validator
+  (functions/scalar.py).
 
 Emit contract: an :class:`Emit` is a batch of violations from one exc site.
 ``rows`` are view-local row indices *at the level the emit has bubbled to*,
-``key`` the absolute order keys, ``sel`` positional entry ids, and
-``records(sel)`` a frozen closure producing ``(name, message, rule,
-definition, value)`` payloads — wrappers remap ``rows``/``key`` only, filters
-slice all three, and payload generation stays bound to the view that
-produced it.
+``key`` the order key — one tuple shared by every entry of a plain site, or
+an object array of per-entry tuples once a list wrapper has expanded it —
+``sel`` positional entry ids, ``site`` the ``(rule, definition)`` pair
+shared by every entry (``None`` when they vary, as for scalar fallbacks),
+and ``records(sel)`` a frozen closure producing the payload *columns*
+``(names, messages, values, rules, definitions)`` (``rules`` and
+``definitions`` are ``None`` when ``site`` is set).  Wrappers remap
+``rows``/``key`` only, filters slice them, and payload generation stays
+bound to the view that produced it.  A view whose elements share one
+display name carries it as ``const_name`` (the root ``'data'``, and
+``parent + '.' + key`` for struct children below it), so names and the
+common ``<name><tail>`` messages are built by list multiplication.
+:func:`collect_violations` orders the entries with one ``np.lexsort`` and
+returns columnar :class:`Records`.
 """
 
 from __future__ import annotations
@@ -83,15 +99,26 @@ class UnsupportedNode(Unsupported):
 
 class View:
     """One nesting level of a column during evaluation: the Arrow array of
-    values at this level plus lazy per-element display names."""
+    values at this level plus per-element display names — ``const_name``
+    when every element shares one name, else the lazy ``name_fn``."""
 
-    __slots__ = ('arr', 'n', 'name_fn', '_cache')
+    __slots__ = ('arr', 'n', 'name_fn', 'const_name', '_cache')
 
-    def __init__(self, arr: pa.Array, name_fn):
+    def __init__(self, arr: pa.Array, name_fn=None, const_name=None):
         self.arr = arr
         self.n = len(arr)
+        self.const_name = const_name
+        if name_fn is None:
+            def name_fn(i):
+                return const_name
         self.name_fn = name_fn      # (local_idx: int) -> str
         self._cache = {}
+
+    def names(self, idx) -> list:
+        if self.const_name is not None:
+            return [self.const_name] * len(idx)
+        fn = self.name_fn
+        return [fn(int(j)) for j in idx]
 
     def valid_mask(self) -> np.ndarray:
         m = self._cache.get('valid')
@@ -121,20 +148,38 @@ class View:
             self.arr.take(pa.array(np.asarray(idx), type=pa.int64())))
 
 
-class Emit:
-    __slots__ = ('rows', 'key', 'sel', 'records')
+def tail_message(tail):
+    """message_fn for the common ``<name><tail>`` message."""
+    def message_fn(view, idx):
+        if view.const_name is not None:
+            return [view.const_name + tail] * len(idx)
+        return [name + tail for name in view.names(idx)]
+    return message_fn
 
-    def __init__(self, rows, key, sel, records):
+
+class Emit:
+    __slots__ = ('rows', 'key', 'sel', 'records', 'site')
+
+    def __init__(self, rows, key, sel, records, site=None):
         self.rows = rows
-        self.key = key
+        self.key = key              # tuple, or object array of tuples
         self.sel = sel
-        self.records = records      # callable(sel) -> list[(name, message, rule, definition, value)]
+        self.records = records      # callable(sel) -> payload columns
+        self.site = site            # (rule, definition) of every entry | None
+
+    def entry_keys(self):
+        """Per-entry order keys."""
+        if type(self.key) is tuple:
+            return [self.key] * len(self.rows)
+        return self.key
 
     def filtered(self, keep: np.ndarray) -> 'Emit':
-        return Emit(self.rows[keep], self.key[keep], self.sel[keep], self.records)
+        key = self.key if type(self.key) is tuple else self.key[keep]
+        return Emit(self.rows[keep], key, self.sel[keep], self.records,
+                    self.site)
 
     def remapped(self, rows, key) -> 'Emit':
-        return Emit(rows, key, self.sel, self.records)
+        return Emit(rows, key, self.sel, self.records, self.site)
 
 
 def make_emit(view: View, idx: np.ndarray, key, rule, definition, message_fn):
@@ -145,22 +190,14 @@ def make_emit(view: View, idx: np.ndarray, key, rule, definition, message_fn):
     so element-major traversal order holds at any nesting depth without a
     numeric key range overflowing into sibling sites."""
     idx = np.asarray(idx, dtype=np.int64)
-    if isinstance(key, int) or np.isscalar(key):
-        tup = (int(key),)
-        key = np.empty(len(idx), dtype=object)
-        key[:] = [tup] * len(idx)
 
     def records(sel):
         picked = idx[sel]
-        values = view.values_at(picked)
-        names = [view.name_fn(int(j)) for j in picked]
-        messages = message_fn(view, picked)
-        return [
-            (names[i], messages[i], rule, definition, values[i])
-            for i in range(len(picked))
-        ]
+        return (view.names(picked), message_fn(view, picked),
+                view.values_at(picked), None, None)
 
-    return Emit(idx.copy(), key, np.arange(len(idx), dtype=np.int64), records)
+    return Emit(idx.copy(), (int(key),), np.arange(len(idx), dtype=np.int64),
+                records, (rule, definition))
 
 
 class NodeResult:
@@ -216,6 +253,31 @@ def _np_bool(arrow_bool_arr, n) -> np.ndarray:
     return out
 
 
+def row_kernel_mask(arr: pa.Array, fn) -> np.ndarray:
+    """Fail mask of the Python predicate ``fn`` over the non-null elements
+    of ``arr`` (null elements pass).  Scalar views run ``fn`` once per
+    distinct value: dictionary-encode, evaluate the dictionary, gather the
+    result through the indices.  Nested views, and half floats (which
+    Arrow cannot dictionary-encode), run it per row."""
+    dt = arr.type
+    if not (_is_string(dt) or _is_number(dt) or pa.types.is_boolean(dt)) \
+            or pa.types.is_float16(dt):
+        from .arrowutil import pylist_json
+        return np.fromiter(
+            (v is not None and bool(fn(v)) for v in pylist_json(arr)),
+            dtype=bool, count=len(arr))
+    enc = arr.dictionary_encode()
+    uniq = enc.dictionary.to_pylist()
+    # One extra slot for null indices: they map to "pass".
+    fails = np.zeros(len(uniq) + 1, dtype=bool)
+    fails[:-1] = np.fromiter((bool(fn(v)) for v in uniq), dtype=bool,
+                             count=len(uniq))
+    idx = enc.indices
+    if idx.null_count:
+        idx = idx.fill_null(len(uniq))
+    return fails[np.asarray(idx)]
+
+
 # Regex constructs RE2 (Arrow's engine) cannot run or runs differently from
 # Python `re`; their presence forces the per-row Python kernel.
 _RE2_UNSUPPORTED = re.compile(
@@ -259,10 +321,7 @@ class SimpleRule(Rule):
         self.definition = definition
         self.mask_fn = mask_fn
         if message_fn is None:
-            tail = message_tail
-
-            def message_fn(view, idx, _tail=tail):
-                return [view.name_fn(int(j)) + _tail for j in idx]
+            message_fn = tail_message(message_tail)
         self.message_fn = message_fn
 
     def evaluate(self, view, collect):
@@ -287,10 +346,7 @@ class ConstantRule(Rule):
         self.fails = fails
         self.applies_to_null = applies_to_null
         if message_fn is None:
-            tail = message_tail
-
-            def message_fn(view, idx, _tail=tail):
-                return [view.name_fn(int(j)) + _tail for j in idx]
+            message_fn = tail_message(message_tail)
         self.message_fn = message_fn
 
     def evaluate(self, view, collect):
@@ -413,12 +469,8 @@ class AnyOfRule(Rule):
 
     def _own(self, view, fail):
         idx = np.nonzero(fail)[0]
-
-        def message_fn(v, i):
-            return [v.name_fn(int(j)) + ' cannot be validated by any definition'
-                    for j in i]
         return make_emit(view, idx, self._own_off, 'anyOf', self.definition,
-                         message_fn)
+                         tail_message(' cannot be validated by any definition'))
 
 
 class OneOfRule(Rule):
@@ -468,7 +520,7 @@ class OneOfRule(Rule):
 
         def message_fn(v, i, _c=counts):
             return ['{} must be valid exactly by one definition ({} matches found)'
-                    .format(v.name_fn(int(j)), int(_c[j])) for j in i]
+                    .format(name, int(_c[j])) for name, j in zip(v.names(i), i)]
         return make_emit(view, idx, self._own_off, 'oneOf', self.definition,
                          message_fn)
 
@@ -509,11 +561,8 @@ class NotRule(Rule):
 
     def _own(self, view, fail, tail):
         idx = np.nonzero(fail)[0]
-
-        def message_fn(v, i, _t=tail):
-            return [v.name_fn(int(j)) + _t for j in i]
         return make_emit(view, idx, self._own_off, 'not', self.definition,
-                         message_fn)
+                         tail_message(tail))
 
 
 class IfThenElseRule(Rule):
@@ -613,7 +662,7 @@ class ListItemsRule(Rule):
             new_key = np.empty(len(e.rows), dtype=object)
             new_key[:] = [
                 (base, int(positions[r])) + k
-                for r, k in zip(e.rows, e.key)
+                for r, k in zip(e.rows, e.entry_keys())
             ]
             emits.append(e.remapped(new_rows, new_key))
         return NodeResult(fail, emits)
@@ -677,12 +726,9 @@ class TupleItemsRule(Rule):
             over &= view.valid_mask()
             if over.any():
                 idx = np.nonzero(over)[0]
-
-                def message_fn(v, i):
-                    return [v.name_fn(int(j)) + ' must contain only specified items'
-                            for j in i]
-                emits.append(make_emit(view, idx, self._forbid_off, 'items',
-                                       self.defn, message_fn))
+                emits.append(make_emit(
+                    view, idx, self._forbid_off, 'items', self.defn,
+                    tail_message(' must contain only specified items')))
                 fail = _or(fail, over)
         elif self.add_plan is not None:
             extra = np.maximum(lens - self.n_tuple, 0)
@@ -710,7 +756,7 @@ class TupleItemsRule(Rule):
                     new_key = np.empty(len(e.rows), dtype=object)
                     new_key[:] = [
                         (base, int(pos_in_row[r])) + k
-                        for r, k in zip(e.rows, e.key)
+                        for r, k in zip(e.rows, e.entry_keys())
                     ]
                     emits.append(e.remapped(rows[e.rows], new_key))
         return NodeResult(fail, emits)
@@ -747,13 +793,9 @@ class ContainsRule(Rule):
         if not fail.any():
             return NodeResult(None, [])
         idx = np.nonzero(fail)[0]
-
-        def message_fn(v, i):
-            return [v.name_fn(int(j)) + ' must contain one of contains definition'
-                    for j in i]
-        return NodeResult(fail, [make_emit(view, idx, self._own_off,
-                                           'contains', self.definition,
-                                           message_fn)])
+        return NodeResult(fail, [make_emit(
+            view, idx, self._own_off, 'contains', self.definition,
+            tail_message(' must contain one of contains definition'))])
 
     def _evaluate_collect(self, view):
         # Reference collect-mode quirk (draft06.py:167-178): the per-element
@@ -775,7 +817,7 @@ class ContainsRule(Rule):
                 # The reference passes the parent variable_name unchanged.
                 return parent_name(int(_rows[i]))
 
-            sub_view = View(first, name_fn)
+            sub_view = View(first, name_fn, view.const_name)
             res = self.child.evaluate(sub_view, True)
             if res.fail is not None and res.fail.any():
                 f = _zeros(view.n)
@@ -786,12 +828,9 @@ class ContainsRule(Rule):
         empty = ~nonempty & view.valid_mask()
         if empty.any():
             idx = np.nonzero(empty)[0]
-
-            def message_fn(v, i):
-                return [v.name_fn(int(j))
-                        + ' must contain one of contains definition' for j in i]
-            emits.append(make_emit(view, idx, self._own_off, 'contains',
-                                   self.definition, message_fn))
+            emits.append(make_emit(
+                view, idx, self._own_off, 'contains', self.definition,
+                tail_message(' must contain one of contains definition')))
             fail = _or(fail, empty)
         return NodeResult(fail, emits)
 
@@ -824,11 +863,12 @@ class StructChildrenRule(Rule):
         emits = []
         for key, field_idx, plan in self.fields:
             child = view.arr.field(field_idx)
-
-            def name_fn(i, _key=key):
-                return '{}.{}'.format(parent_name(int(i)), _key)
-
-            child_view = View(child, name_fn)
+            if view.const_name is not None:
+                child_view = View(child, const_name=view.const_name + '.' + key)
+            else:
+                def name_fn(i, _key=key):
+                    return '{}.{}'.format(parent_name(int(i)), _key)
+                child_view = View(child, name_fn)
             res = plan.evaluate(child_view, collect)
             if res.fail is not None:
                 fail = _or(fail, res.fail if all_valid else res.fail & parent_valid)
@@ -852,14 +892,10 @@ class ForbidExtraColumnsRule(Rule):
         if not fail.any():
             return NodeResult(None, [])
         idx = np.nonzero(fail)[0]
-        leftover = self.leftover
-
-        def message_fn(v, i):
-            return ['{} must not contain {} properties'.format(
-                v.name_fn(int(j)), leftover) for j in i]
-        return NodeResult(fail, [make_emit(view, idx, self.offset,
-                                           'additionalProperties',
-                                           self.definition, message_fn)])
+        return NodeResult(fail, [make_emit(
+            view, idx, self.offset, 'additionalProperties', self.definition,
+            tail_message(' must not contain {} properties'.format(
+                self.leftover)))])
 
 
 class DependencyMessageRule(Rule):
@@ -878,7 +914,9 @@ class DependencyMessageRule(Rule):
         tpl = self.template_fn
 
         def message_fn(v, i):
-            return [tpl(v.name_fn(int(j))) for j in i]
+            if v.const_name is not None:
+                return [tpl(v.const_name)] * len(i)
+            return [tpl(name) for name in v.names(i)]
         return NodeResult(fail, [make_emit(view, idx, self.offset,
                                            'dependencies', self.definition,
                                            message_fn)])
@@ -905,38 +943,30 @@ class PropertyNamesRule(Rule):
             idx = np.nonzero(valid)[0].astype(np.int64)
             n_err = len(self.leaked)
             rows = np.repeat(idx, n_err)
-            key = np.empty(len(rows), dtype=object)
-            key[:] = [(self.offset,)] * len(rows)
             leaked, sentinel = self.leaked, self.sentinel
-            name_fn = view.name_fn
 
             def records(sel, _rows=rows):
-                out = []
-                for s in sel:
-                    exc = leaked[s % n_err]
-                    name = name_fn(int(_rows[s]))
-                    out.append((
-                        name,
-                        exc.message.replace(sentinel, name),
-                        exc.rule, exc.definition, exc.value))
-                return out
+                excs = [leaked[s % n_err] for s in sel]
+                names = view.names(_rows[sel])
+                return (names,
+                        [e.message.replace(sentinel, name)
+                         for e, name in zip(excs, names)],
+                        [e.value for e in excs], [e.rule for e in excs],
+                        [e.definition for e in excs])
 
             fail = valid.copy()
             return NodeResult(fail, [Emit(
-                rows, key, np.arange(len(rows), dtype=np.int64), records)])
+                rows, (self.offset,), np.arange(len(rows), dtype=np.int64),
+                records)])
         if self.ok:
             return NodeResult(None, [])
         fail = view.valid_mask().copy()
         if not fail.any():
             return NodeResult(None, [])
         idx = np.nonzero(fail)[0]
-
-        def message_fn(v, i):
-            return [v.name_fn(int(j))
-                    + ' must be named by propertyName definition' for j in i]
-        return NodeResult(fail, [make_emit(view, idx, self.offset,
-                                           'propertyNames', self.definition,
-                                           message_fn)])
+        return NodeResult(fail, [make_emit(
+            view, idx, self.offset, 'propertyNames', self.definition,
+            tail_message(' must be named by propertyName definition'))])
 
 
 class ContentSiteRule(Rule):
@@ -998,17 +1028,14 @@ class RowFallbackRule(Rule):
                 rows.append(i)
                 excs.append(exc)
         rows = np.asarray(rows, dtype=np.int64)
-        key = np.empty(len(rows), dtype=object)
-        key[:] = [(self.offset,)] * len(rows)
 
         def records(sel):
-            return [
-                (excs[s].name, excs[s].message, excs[s].rule,
-                 excs[s].definition, excs[s].value)
-                for s in sel
-            ]
+            picked = [excs[s] for s in sel]
+            return ([e.name for e in picked], [e.message for e in picked],
+                    [e.value for e in picked], [e.rule for e in picked],
+                    [e.definition for e in picked])
 
-        return NodeResult(fail, [Emit(rows, key,
+        return NodeResult(fail, [Emit(rows, (self.offset,),
                                       np.arange(len(rows), dtype=np.int64),
                                       records)])
 
@@ -1023,11 +1050,9 @@ class AlwaysFailRule(Rule):
     def evaluate(self, view, collect):
         fail = np.ones(view.n, dtype=bool)
         idx = np.arange(view.n, dtype=np.int64)
-
-        def message_fn(v, i):
-            return [v.name_fn(int(j)) + ' must not be there' for j in i]
         return NodeResult(fail, [make_emit(view, idx, self.offset, None,
-                                           self.definition, message_fn)])
+                                           self.definition,
+                                           tail_message(' must not be there'))])
 
 
 # ---------------------------------------------------------------------------
@@ -1146,9 +1171,9 @@ class VectorCompiler:
                  for v in values), dtype=bool, count=view.n)
 
         def message_fn(view, idx):
-            values = view.values_at(idx)
-            return [view.name_fn(int(j)) + (fn(values[i], definition) or '')
-                    for i, j in enumerate(idx)]
+            return [name + (fn(value, definition) or '')
+                    for name, value in zip(view.names(idx),
+                                           view.values_at(idx))]
 
         return SimpleRule(plugin.name, expanded, mask, message_fn=message_fn)
 
@@ -1192,13 +1217,8 @@ class VectorCompiler:
                           message_fn)
 
     def _row_kernel(self, definition, rule, fn, tail=None, message_fn=None):
-        from .arrowutil import pylist_json
-
         def mask(view):
-            values = pylist_json(view.arr)
-            return np.fromiter(
-                (v is not None and bool(fn(v)) for v in values),
-                dtype=bool, count=view.n)
+            return row_kernel_mask(view.arr, fn)
         return self._simple(definition, rule, mask, tail, message_fn)
 
     # -- scalar keywords -------------------------------------------------
@@ -1969,41 +1989,129 @@ class VectorCompiler:
 # Violation collection
 
 
+class Records:
+    """Columnar violation records of one batch, in document-traversal
+    order.  ``rows`` and ``site`` are int64 arrays, ``site`` indexing
+    ``sites`` (the distinct ``(rule, definition)`` pairs); ``names``,
+    ``messages`` and ``values`` are lists.  Entry ``i`` reads as
+    ``(row, (name, message, rule, definition, value))``."""
+
+    __slots__ = ('rows', 'names', 'messages', 'values', 'site', 'sites')
+
+    def __init__(self, rows, names, messages, values, site, sites):
+        self.rows = rows
+        self.names = names
+        self.messages = messages
+        self.values = values
+        self.site = site
+        self.sites = sites
+
+    @classmethod
+    def from_entries(cls, rows, names, messages, values, rules, definitions):
+        """Records from per-entry columns already in order."""
+        sites = _Sites()
+        site = np.fromiter(
+            (sites.index(r, d) for r, d in zip(rules, definitions)),
+            dtype=np.int64, count=len(rules))
+        return cls(np.asarray(rows, dtype=np.int64), names, messages, values,
+                   site, sites.pairs)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        rule, definition = self.sites[self.site[i]]
+        return (int(self.rows[i]), (self.names[i], self.messages[i], rule,
+                                    definition, self.values[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self.rows)))
+
+
+class _Sites:
+    """Distinct (rule, definition) pairs, definitions by identity."""
+
+    def __init__(self):
+        self.pairs = []
+        self._ix = {}
+
+    def index(self, rule, definition) -> int:
+        k = (rule, id(definition))
+        i = self._ix.get(k)
+        if i is None:
+            i = self._ix[k] = len(self.pairs)
+            self.pairs.append((rule, definition))
+        return i
+
+
+def _permute(items: list, perm: np.ndarray) -> list:
+    return [items[i] for i in perm.tolist()]
+
+
 def collect_violations(result: NodeResult, n_rows: int, fast_fail: bool):
     """Turn a root NodeResult into per-row first/all violation records.
 
-    Returns (valid_mask, records) where records is a list of
-    ``(row, name, message, rule, definition, value)`` sorted by
-    (row, order key, emit order) — i.e. document-traversal order."""
+    Returns (valid_mask, :class:`Records`) with the records sorted by
+    (row, order key, emit order) — i.e. document-traversal order.  The
+    distinct order-key tuples are ranked by Python tuple order, so one
+    ``np.lexsort`` over (row, rank, emit) gives that sort; in fast-fail mode
+    each row keeps the entries of its smallest key in the first emit holding
+    it.  Payloads are built only for the entries kept."""
     valid = np.ones(n_rows, dtype=bool)
     if result.fail is not None:
         valid &= ~result.fail
-    entries = []
+    emits = [e for e in result.emits if len(e.rows)]
+    if not emits:
+        return valid, Records.from_entries([], [], [], [], [], [])
+    distinct = set()
+    for e in emits:
+        if type(e.key) is tuple:
+            distinct.add(e.key)
+        else:
+            distinct.update(e.key)
+    rank_of = {k: r for r, k in enumerate(sorted(distinct))}
+    sizes = [len(e.rows) for e in emits]
+    rank = np.concatenate([
+        np.full(n, rank_of[e.key], dtype=np.int64) if type(e.key) is tuple
+        else np.fromiter((rank_of[k] for k in e.key), dtype=np.int64, count=n)
+        for e, n in zip(emits, sizes)])
+    rows = np.concatenate([e.rows for e in emits]).astype(np.int64,
+                                                          copy=False)
+    emit_id = np.repeat(np.arange(len(emits), dtype=np.int64), sizes)
+    order = np.lexsort((emit_id, rank, rows))
     if fast_fail:
-        minkey = {}
-        for e in result.emits:
-            for r, k in zip(e.rows, e.key):
-                r = int(r)
-                cur = minkey.get(r)
-                if cur is None or k < cur:
-                    minkey[r] = k
-        seen = set()
-        for e in result.emits:
-            if not len(e.rows):
-                continue
-            keep = np.fromiter(
-                (int(r) not in seen and minkey[int(r)] == k
-                 for r, k in zip(e.rows, e.key)),
-                dtype=bool, count=len(e.rows))
-            if keep.any():
-                seen.update(int(r) for r in e.rows[keep])
-                entries.append(e.filtered(keep))
-    else:
-        entries = [e for e in result.emits if len(e.rows)]
-    records = []
-    for order, e in enumerate(entries):
-        recs = e.records(e.sel)
-        for i in range(len(e.rows)):
-            records.append((int(e.rows[i]), tuple(e.key[i]), order, recs[i]))
-    records.sort(key=lambda r: (r[0], r[1], r[2]))
-    return valid, [(row, rec) for row, _k, _o, rec in records]
+        srows = rows[order]
+        head = np.ones(len(order), dtype=bool)
+        head[1:] = srows[1:] != srows[:-1]
+        first = np.maximum.accumulate(
+            np.where(head, np.arange(len(order)), 0))
+        srank, semit = rank[order], emit_id[order]
+        order = order[(srank == srank[first]) & (semit == semit[first])]
+
+    needed = np.zeros(len(rows), dtype=bool)
+    needed[order] = True
+    names, messages, values, site = [], [], [], []
+    sites = _Sites()
+    start = 0
+    for e, n in zip(emits, sizes):
+        local = needed[start:start + n]
+        start += n
+        if not local.any():
+            continue
+        sel = e.sel if local.all() else e.sel[local]
+        e_names, e_messages, e_values, rules, definitions = e.records(sel)
+        names.extend(e_names)
+        messages.extend(e_messages)
+        values.extend(e_values)
+        if e.site is not None:
+            site.append(np.full(len(sel), sites.index(*e.site),
+                                dtype=np.int64))
+        else:
+            site.append(np.fromiter(
+                (sites.index(r, d) for r, d in zip(rules, definitions)),
+                dtype=np.int64, count=len(sel)))
+    # Entry -> position in the payload lists, which hold kept entries only.
+    perm = (np.cumsum(needed) - 1)[order]
+    return valid, Records(rows[order], _permute(names, perm),
+                          _permute(messages, perm), _permute(values, perm),
+                          np.concatenate(site)[perm], sites.pairs)

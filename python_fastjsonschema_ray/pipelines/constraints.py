@@ -46,8 +46,8 @@ class ColumnStatsStage:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         rows = {k: [] for k in
-                ('column', 'count', 'nulls', 'min', 'max', 'sum',
-                 'hll', 'tdigest')}
+                ('column', 'count', 'nulls', 'minmax', 'sum', 'hll',
+                 'tdigest')}
         for col in self.columns:
             arr = batch.column(col).combine_chunks()
             n = len(arr)
@@ -58,15 +58,13 @@ class ColumnStatsStage:
             is_num = (pa.types.is_integer(arr.type)
                       or pa.types.is_floating(arr.type))
             if n > nulls:
-                mn = pc.min(arr).as_py()
-                mx = pc.max(arr).as_py()
-                rows['min'].append(str(mn))
-                rows['max'].append(str(mx))
+                # Typed (min, max): the driver merges values, not strings.
+                rows['minmax'].append(pickle.dumps(
+                    (pc.min(arr).as_py(), pc.max(arr).as_py())))
                 rows['sum'].append(
                     float(pc.sum(arr).as_py()) if is_num else None)
             else:
-                rows['min'].append(None)
-                rows['max'].append(None)
+                rows['minmax'].append(None)
                 rows['sum'].append(None)
             hll = HyperLogLog(self.hll_p)
             if n > nulls:
@@ -85,8 +83,7 @@ class ColumnStatsStage:
             'column': pa.array(rows['column'], type=pa.string()),
             'count': pa.array(rows['count'], type=pa.int64()),
             'nulls': pa.array(rows['nulls'], type=pa.int64()),
-            'min': pa.array(rows['min'], type=pa.string()),
-            'max': pa.array(rows['max'], type=pa.string()),
+            'minmax': pa.array(rows['minmax'], type=pa.binary()),
             'sum': pa.array(rows['sum'], type=pa.float64()),
             'hll': pa.array(rows['hll'], type=pa.binary()),
             'tdigest': pa.array(rows['tdigest'], type=pa.binary()),
@@ -123,11 +120,10 @@ def column_stats(ds, columns, quantiles=(0.5, 0.9, 0.99), concurrency=None,
             m = merged[col]
             m['count'] += row['count']
             m['nulls'] += row['nulls']
-            if row['min'] is not None:
-                m['min'] = row['min'] if m['min'] is None \
-                    else min(m['min'], row['min'])
-                m['max'] = row['max'] if m['max'] is None \
-                    else max(m['max'], row['max'])
+            if row['minmax'] is not None:
+                mn, mx = pickle.loads(row['minmax'])
+                m['min'] = mn if m['min'] is None else min(m['min'], mn)
+                m['max'] = mx if m['max'] is None else max(m['max'], mx)
             if row['sum'] is not None:
                 m['sum'] += row['sum']
                 m['has_sum'] = True
@@ -138,8 +134,8 @@ def column_stats(ds, columns, quantiles=(0.5, 0.9, 0.99), concurrency=None,
         stats = {
             'count': m['count'],
             'nulls': m['nulls'],
-            'min': m['min'],
-            'max': m['max'],
+            'min': None if m['min'] is None else str(m['min']),
+            'max': None if m['max'] is None else str(m['max']),
             'approx_distinct': round(m['hll'].estimate()),
         }
         if m['has_sum']:
@@ -208,15 +204,13 @@ def check_unique(ds, columns, concurrency=None, num_buckets=None,
 
     Two-level structure chosen for scale: (1) per-batch pre-aggregation
     collapses each block to (key → local count); (2) partials shuffle on a
-    COARSE hash bucket of the key and each bucket group sums counts with a
-    vectorized pandas groupby.  The bucket keeps the Ray-level group count
+    COARSE hash bucket of the key and each bucket group sums counts with an
+    Arrow ``group_by``.  The bucket keeps the Ray-level group count
     ~O(cluster), avoiding the sort-aggregate's per-distinct-key overhead
     while the exchange still moves at most one row per distinct key per
     block.  ``coalesce`` repartitions the partials to ~cpus/2 blocks
     first (sort cost scales with task count); disable at 10^9+ distinct
     keys.  Returns duplicate keys with counts (columns..., n)."""
-    import pandas as pd
-
     columns = list(columns)
     kwargs = {'batch_format': 'pyarrow'}
     if concurrency:
@@ -229,25 +223,17 @@ def check_unique(ds, columns, concurrency=None, num_buckets=None,
         batch_format='pyarrow')
 
     def dups(group: pa.Table) -> pa.Table:
-        # Arrow in/out with an explicit output schema: a pandas return
-        # leaves EMPTY results with object-dtype key columns, which
-        # Ray's block-size estimator chokes on ("cannot call vectorize
-        # on size 0 inputs") — the typed empty table is silent.
+        # Arrow in/out with an explicit output schema: key types survive
+        # as they are and empty results stay typed.
         if any(c not in group.schema.names for c in columns):
             return group            # schemaless empty block passthrough
         out_schema = pa.schema(
             [group.schema.field(c) for c in columns]
             + [pa.field('n', pa.int64())])
-        df = group.select(columns + ['partial_n']).to_pandas()
-        totals = df.groupby(columns, sort=False)['partial_n'].sum()
-        totals = totals[totals > 1]
-        out = totals.reset_index().rename(columns={'partial_n': 'n'})
-        # replace_schema_metadata(None): from_pandas attaches b'pandas'
-        # metadata even with schema=, and this pyarrow build's Schema
-        # hash chokes on it inside Ray's block-schema dedup.
-        return pa.Table.from_pandas(out, schema=out_schema,
-                                    preserve_index=False
-                                    ).replace_schema_metadata(None)
+        totals = group.group_by(columns).aggregate([('partial_n', 'sum')])
+        totals = totals.filter(pc.greater(totals['partial_n_sum'], 1))
+        return totals.select(columns + ['partial_n_sum']) \
+            .rename_columns(columns + ['n']).cast(out_schema)
 
     return bucketed.groupby('_bucket').map_groups(dups,
                                                   batch_format='pyarrow')
@@ -427,8 +413,6 @@ def check_referential_large(ds, column, ref_ds, ref_column, num_buckets=64):
     """Both-sides-large anti join: bucket both sides by key hash, co-group
     per bucket, emit left keys missing on the right.  num_buckets bounds
     per-group memory; raise it for bigger tables."""
-    import pandas as pd
-
     left_schema = ds.schema()
     if left_schema is None:
         return ds               # fully-empty left: no violations
@@ -479,17 +463,23 @@ def check_referential_large(ds, column, ref_ds, ref_column, num_buckets=64):
         lambda b: add_bucket(b, ref_column), batch_format='pyarrow') \
         .map_batches(tag_right, batch_format='pyarrow')
 
-    def anti(group: pd.DataFrame) -> pd.DataFrame:
-        right_keys = set(group.loc[group['_side'] == 'R', ref_column])
-        lhs = group[group['_side'] == 'L']
+    drop = ['_bucket', '_side'] + ([ref_column] if ref_column != column
+                                   else [])
+
+    def anti(group: pa.Table) -> pa.Table:
+        if '_side' not in group.schema.names:
+            return group            # schemaless empty block passthrough
+        is_right = pc.equal(group['_side'], 'R')
+        right_keys = group.filter(is_right)[ref_column].combine_chunks()
+        lhs = group.filter(pc.invert(is_right))
+        keys = lhs[column]
         # Null FKs are skipped (same policy as _AntiJoinStage).
-        out = lhs[~lhs[column].isin(right_keys) & lhs[column].notna()]
-        return out.drop(columns=['_bucket', '_side']
-                        + ([ref_column] if ref_column != column
-                           and ref_column in out.columns else []))
+        keep = pc.and_(pc.invert(pc.is_in(keys, value_set=right_keys)),
+                       pc.is_valid(keys))
+        return lhs.filter(keep).drop_columns(drop)
 
     return left.union(right).groupby('_bucket').map_groups(
-        anti, batch_format='pandas')
+        anti, batch_format='pyarrow')
 
 
 def _half_cpus():

@@ -31,12 +31,12 @@ from ..exceptions import (
 )
 from ..functions.scalar import ScalarCompiler, _MISSING
 from ..functions.vector import (
-    NodePlan,
+    Emit,
+    Records,
     Unsupported,
     VectorCompiler,
     View,
     collect_violations,
-    make_emit,
 )
 
 VIOLATION_FIELDS = [
@@ -96,12 +96,45 @@ def _scalar_dump(value) -> str:
     return json_dump(value)
 
 
+def _dump_values(values) -> list:
+    """``_scalar_dump`` of every value, memoized per distinct str, int and
+    nonzero float (0.0 and -0.0 compare equal but dump differently)."""
+    memo, float_memo = {}, {}
+    out = []
+    append = out.append
+    for v in values:
+        t = type(v)
+        if t is str or t is int:
+            d = memo.get(v)
+            if d is None:
+                d = memo[v] = _scalar_dump(v)
+        elif t is float and v != 0.0:
+            d = float_memo.get(v)
+            if d is None:
+                d = float_memo[v] = _scalar_dump(v)
+        else:
+            d = _scalar_dump(v)
+        append(d)
+    return out
+
+
+def _key_strings(keys: pa.Array) -> pa.Array:
+    """The violation ``key`` column: ``str()`` of each key value, by an
+    Arrow cast where that is byte-identical (integers and strings)."""
+    t = keys.type
+    if pa.types.is_integer(t) or pa.types.is_string(t) \
+            or pa.types.is_large_string(t):
+        return keys.cast(pa.string())
+    return pa.array([None if v is None else str(v) for v in keys.to_pylist()],
+                    type=pa.string())
+
+
 class BatchResult:
     __slots__ = ('valid', 'records', 'output')
 
     def __init__(self, valid, records, output):
         self.valid = valid          # np.bool_[n]
-        self.records = records      # [(row, (name, message, rule, definition, value))]
+        self.records = records      # Records
         self.output = output        # pa.Table with defaults/decodes applied
 
 
@@ -180,7 +213,7 @@ class TableValidator:
                   for f in self.schema]
         struct = pa.StructArray.from_arrays(arrays,
                                             names=self.schema.names)
-        view = View(struct, lambda i: 'data')
+        view = View(struct, const_name='data')
         result = self.plan.evaluate(view, collect=not self.fast_fail)
 
         output = table
@@ -251,20 +284,15 @@ class TableValidator:
                 if bad_rows:
                     rows = np.asarray(bad_rows, dtype=np.int64)
                     col_fail[rows] = True
-                    msgs = list(bad_msgs)
-                    vals = list(bad_vals)
-                    name = 'data.' + col
 
-                    def records(sel, _m=msgs, _v=vals, _name=name,
-                                _d=expanded):
-                        return [(_name, _m[s], None, _d, _v[s]) for s in sel]
+                    def records(sel, _m=bad_msgs, _v=bad_vals,
+                                _name='data.' + col):
+                        return ([_name] * len(sel), [_m[s] for s in sel],
+                                [_v[s] for s in sel], None, None)
 
-                    from ..functions.vector import Emit
-                    key = np.empty(len(rows), dtype=object)
-                    key[:] = [(site.offset,)] * len(rows)
-                    emits.append(Emit(rows, key,
+                    emits.append(Emit(rows, (site.offset,),
                                       np.arange(len(rows), dtype=np.int64),
-                                      records))
+                                      records, (None, expanded)))
             if col_fail.any():
                 fail = col_fail if fail is None else (fail | col_fail)
                 # Rows that failed decoding are invalid; null them so the
@@ -284,7 +312,7 @@ class TableValidator:
         n = table.num_rows
         rows = table.to_pylist()
         valid = np.ones(n, dtype=bool)
-        records = []
+        err_rows, errors = [], []
         out_rows = []
         for i, row in enumerate(rows):
             try:
@@ -292,42 +320,40 @@ class TableValidator:
             except JsonSchemaValueException as exc:
                 valid[i] = False
                 out_rows.append(row)
-                records.append((i, (exc.name, exc.message, exc.rule,
-                                    exc.definition, exc.value)))
+                err_rows.append(i)
+                errors.append(exc)
             except JsonSchemaValuesException as exc:
                 valid[i] = False
                 out_rows.append(row)
-                for e in exc.errors:
-                    records.append((i, (e.name, e.message, e.rule,
-                                        e.definition, e.value)))
+                err_rows.extend([i] * len(exc.errors))
+                errors.extend(exc.errors)
         try:
             output = pa.Table.from_pylist(out_rows)
         except Exception:
             output = table
+        records = Records.from_entries(
+            err_rows, [e.name for e in errors], [e.message for e in errors],
+            [e.value for e in errors], [e.rule for e in errors],
+            [e.definition for e in errors])
         return BatchResult(valid, records, output)
 
     # -- output builders -------------------------------------------------
 
     def violations_table(self, table: pa.Table, result: BatchResult) -> pa.Table:
-        rows = [r for r, _ in result.records]
-        keys = None
+        recs = result.records
+        n = len(recs)
+        rows = pa.array(recs.rows, type=pa.int64())
         if self.key_column and self.key_column in table.schema.names:
-            key_col = table.column(self.key_column)
-            taken = key_col.take(pa.array(rows, type=pa.int64())) if rows \
-                else key_col.slice(0, 0)
-            keys = [None if v is None else str(v) for v in taken.to_pylist()]
-        names, messages, rules, values, definitions, rule_defs = \
-            [], [], [], [], [], []
-        # Definition objects are per-emit-site constants of the compiled
-        # plan (a handful per schema), so their JSON dumps are memoized
-        # by identity — only the per-row `value` dump remains per
-        # violation, on the _scalar_dump fast path.
+            taken = table.column(self.key_column).take(rows)
+            keys = _key_strings(taken.combine_chunks())
+        else:
+            keys = pa.nulls(n, type=pa.string())
+        # Rule and definition are per-site constants of the compiled plan
+        # (a handful per schema): dump each site once — definitions
+        # memoized by identity across batches — and gather per record.
         def_cache = self._definition_dump_cache
-        for _, (name, message, rule, definition, value) in result.records:
-            names.append(name)
-            messages.append(message)
-            rules.append(rule)
-            values.append(_scalar_dump(value))
+        definitions, rule_defs = [], []
+        for rule, definition in recs.sites:
             if definition is not None and self.detailed:
                 ck = (id(definition), rule)
                 cached = def_cache.get(ck)
@@ -342,16 +368,20 @@ class TableValidator:
             else:
                 definitions.append(None)
                 rule_defs.append(None)
+        site = pa.array(recs.site, type=pa.int64())
+
+        def per_site(items):
+            return pa.array(items, type=pa.string()).take(site)
+
         return pa.table({
-            'row': pa.array(rows, type=pa.int64()),
-            'key': pa.array(keys if keys is not None else [None] * len(rows),
-                            type=pa.string()),
-            'name': pa.array(names, type=pa.string()),
-            'message': pa.array(messages, type=pa.string()),
-            'rule': pa.array(rules, type=pa.string()),
-            'value': pa.array(values, type=pa.string()),
-            'definition': pa.array(definitions, type=pa.string()),
-            'rule_definition': pa.array(rule_defs, type=pa.string()),
+            'row': rows,
+            'key': keys,
+            'name': pa.array(recs.names, type=pa.string()),
+            'message': pa.array(recs.messages, type=pa.string()),
+            'rule': per_site([rule for rule, _ in recs.sites]),
+            'value': pa.array(_dump_values(recs.values), type=pa.string()),
+            'definition': per_site(definitions),
+            'rule_definition': per_site(rule_defs),
         })
 
     def annotate_batch(self, table: pa.Table) -> pa.Table:

@@ -199,9 +199,7 @@ class MinHashBandStage:
             # schema dedup/union stay clean.
             data = {'band': pa.array([], type=pa.int64()),
                     'band_hash': pa.array([], type=pa.int64()),
-                    self.id_column: pa.array(
-                        [], type=pa.Array.from_pandas(
-                            batch[self.id_column]).type)}
+                    self.id_column: _empty_ids(ids.dtype)}
             if self.carry_text:
                 data[self.text_column] = pa.array([], type=pa.string())
             return pa.table(data)
@@ -224,6 +222,26 @@ class MinHashBandStage:
         # Arrow out from numpy — no pandas schema metadata (unhashable in
         # this pyarrow build, trips Ray's block-schema dedup).
         return pa.table(data)
+
+
+def _empty_ids(dtype) -> pa.Array:
+    """Zero-length id column typed like a non-empty block's: object
+    (string) ids are strings, where Arrow would infer the null type."""
+    if dtype == object:
+        return pa.array([], type=pa.string())
+    return pa.array(np.array([], dtype=dtype))
+
+
+def _pairs_table(out_a, out_b, id_dtype) -> pa.Table:
+    """(id_a, id_b) candidate pairs from per-bucket numpy chunks.  Arrow
+    out (from numpy, no pandas metadata): Ray's block-schema dedup can hash
+    the schema (pandas metadata makes pa.Schema unhashable in this pyarrow
+    build), and empty results keep the id type."""
+    if not out_a:
+        empty = _empty_ids(id_dtype)
+        return pa.table({'id_a': empty, 'id_b': empty})
+    return pa.table({'id_a': np.concatenate(out_a),
+                     'id_b': np.concatenate(out_b)})
 
 
 def jaccard(text_a: str, text_b: str, k: int = 5) -> float:
@@ -354,14 +372,7 @@ def minhash_duplicate_pairs(ds, id_column, text_column, *, threshold=0.8,
             ii, jj = np.triu_indices(n, k=1)
             out_a.append(bucket[ii])
             out_b.append(bucket[jj])
-        # Arrow out (from numpy, no pandas metadata): typed empties stay
-        # typed AND Ray's block-schema dedup can hash the schema (pandas
-        # metadata makes pa.Schema unhashable in this pyarrow build).
-        if not out_a:
-            empty = np.array([], dtype=ids.dtype)
-            return pa.table({'id_a': empty, 'id_b': empty})
-        return pa.table({'id_a': np.concatenate(out_a),
-                         'id_b': np.concatenate(out_b)})
+        return _pairs_table(out_a, out_b, ids.dtype)
 
     candidate_pairs = banded.groupby('band').map_groups(
         band_pairs, batch_format='pandas')
@@ -777,14 +788,7 @@ def ngram_jaccard_pairs(ds, id_column, text_column, *, threshold=0.8,
             if keep.any():
                 out_a.append(ids[s:e][ii[keep]])
                 out_b.append(ids[s:e][jj[keep]])
-        # Arrow out (from numpy, no pandas metadata): typed empties stay
-        # typed AND Ray's block-schema dedup can hash the schema (pandas
-        # metadata makes pa.Schema unhashable in this pyarrow build).
-        if not out_a:
-            empty = np.array([], dtype=ids.dtype)
-            return pa.table({'id_a': empty, 'id_b': empty})
-        return pa.table({'id_a': np.concatenate(out_a),
-                         'id_b': np.concatenate(out_b)})
+        return _pairs_table(out_a, out_b, ids.dtype)
 
     candidate_pairs = prefix_rows.map_batches(
         add_sh_bucket, batch_format='pyarrow') \

@@ -160,7 +160,11 @@ def global_rank(ds, order_columns, *, descending=False,
     @ray.remote
     def stamp(t, offset: int):
         if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t)
+            t = pa.Table.from_pandas(t, preserve_index=False)
+        # No b'pandas' metadata (to_arrow_refs keeps it on converted pandas
+        # blocks): it makes the schema unhashable in Ray's block-schema
+        # dedup.
+        t = t.replace_schema_metadata(None)
         ranks = np.arange(offset + 1, offset + 1 + t.num_rows,
                           dtype=np.int64)
         return t.append_column(rank_column,

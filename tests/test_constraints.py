@@ -420,3 +420,92 @@ def test_global_topk(ray_session):
     out = global_topk(ds, ['n', 'w'], 99,
                       descending=[True, False]).to_pandas()
     assert len(out) == 10 and out['n'].iloc[0] == 9
+
+
+def test_column_stats_merges_typed_min_max(ray_session):
+    """Per-batch min/max merge as values: as strings '9.5' > '10.0' and
+    '9' > '100'."""
+    import pyarrow as pa
+    import ray.data
+    from python_fastjsonschema_ray.pipelines.constraints import column_stats
+    blocks = [pa.table({'f': [9.5, 9.0], 'i': [9, 7], 's': ['b', 'a']}),
+              pa.table({'f': [10.0, 12.5], 'i': [100, 20], 's': ['c', None]})]
+    stats = column_stats(ray.data.from_arrow(blocks), ['f', 'i', 's'],
+                         batch_size=2)
+    assert (stats['f']['min'], stats['f']['max']) == ('9.0', '12.5')
+    assert (stats['i']['min'], stats['i']['max']) == ('7', '100')
+    assert (stats['s']['min'], stats['s']['max']) == ('a', 'c')
+    assert stats['s']['nulls'] == 1
+
+
+def _blocks(ds):
+    import ray
+    return [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+
+
+def _no_pandas_metadata(tables):
+    return all(b'pandas' not in (t.schema.metadata or {}) for t in tables)
+
+
+def test_check_unique_key_types_and_nulls(ray_session):
+    """Null keys are skipped, a nullable int64 key stays int64, string keys
+    group exactly, and the output carries no pandas metadata."""
+    import pyarrow as pa
+    import ray.data
+    from python_fastjsonschema_ray.pipelines.constraints import check_unique
+    t = pa.table({
+        'k': pa.array([1, 1, None, None, 2, 3, 3, 3], type=pa.int64()),
+        's': pa.array(['a', 'a', 'x', 'x', 'b', 'c', 'c', None])})
+    ds = ray.data.from_arrow([t.slice(0, 4), t.slice(4)])
+    out = _blocks(check_unique(ds, ['k', 's'], num_buckets=4))
+    assert out and _no_pandas_metadata(out)
+    assert all(b.schema.field('k').type == pa.int64() for b in out)
+    assert all(b.schema.field('s').type == pa.string() for b in out)
+    got = sorted(row for b in out for row in zip(
+        b['k'].to_pylist(), b['s'].to_pylist(), b['n'].to_pylist()))
+    assert got == [(1, 'a', 2), (3, 'c', 2)]
+    single = _blocks(check_unique(ds.select_columns(['s']), ['s'],
+                                  num_buckets=2))
+    assert sorted(r for b in single for r in zip(
+        b['s'].to_pylist(), b['n'].to_pylist())) == \
+        [('a', 2), ('c', 2), ('x', 2)]
+
+
+def test_check_referential_large_key_types(ray_session):
+    """int32 foreign keys against an int64 reference, string keys, null
+    FKs skipped, an empty reference, payload types kept (a nullable int64
+    column stays int64) and no pandas metadata."""
+    import pyarrow as pa
+    import ray.data
+    from python_fastjsonschema_ray.pipelines.constraints import (
+        check_referential_large)
+    left = ray.data.from_arrow(pa.table({
+        'fk': pa.array([10, None, 99, 20, 98], type=pa.int32()),
+        'payload': pa.array([1, None, 3, 4, None], type=pa.int64())}))
+    ref = ray.data.from_arrow(pa.table({
+        'k': pa.array([10, 20, 30], type=pa.int64())}))
+    out = _blocks(check_referential_large(left, 'fk', ref, 'k',
+                                          num_buckets=4))
+    assert _no_pandas_metadata(out)
+    assert all(b.schema.names == ['fk', 'payload'] for b in out)
+    assert all(b.schema.field('fk').type == pa.int32()
+               and b.schema.field('payload').type == pa.int64() for b in out)
+    assert sorted(r for b in out for r in zip(
+        b['fk'].to_pylist(), b['payload'].to_pylist())) == \
+        [(98, None), (99, 3)]
+
+    strings = ray.data.from_arrow(pa.table({
+        'name': pa.array(['a', 'b', None, 'zz', 'b'])}))
+    names = ray.data.from_arrow(pa.table({'name': pa.array(['b', 'c'])}))
+    got = _blocks(check_referential_large(strings, 'name', names, 'name',
+                                          num_buckets=3))
+    assert sorted(v for b in got for v in b['name'].to_pylist()) == \
+        ['a', 'zz']
+
+    empty_ref = ray.data.from_arrow(
+        pa.table({'k': pa.array([], type=pa.int64())}))
+    all_out = _blocks(check_referential_large(left, 'fk', empty_ref, 'k',
+                                              num_buckets=4))
+    assert _no_pandas_metadata(all_out)
+    assert sorted(v for b in all_out for v in b['fk'].to_pylist()) == \
+        [10, 20, 98, 99]

@@ -134,3 +134,51 @@ def test_every_query_tolerates_null_payloads(ray_session, null_payload_sf):
 def test_every_query_tolerates_nan_floats(ray_session, nan_sf):
     import __ray_entry__ as mod
     _sweep(mod, nan_sf, expect_estimator_errors=False)
+
+
+# Empty-batch schema cases: an empty block must carry the same column
+# types as a non-empty one (string ids stay strings, not Arrow's null
+# type) and no b'pandas' schema metadata.
+
+
+@pytest.mark.parametrize('ids, id_type', [
+    (['d1', 'd2'], pa.string()), ([7, 8], pa.int64())])
+def test_minhash_band_stage_empty_batch_keeps_id_type(ids, id_type):
+    import pandas as pd
+    from python_fastjsonschema_ray.stages.dedup import MinHashBandStage
+    stage = MinHashBandStage('doc_id', 'text', num_perm=16, bands=4)
+    full = pd.DataFrame({'doc_id': ids, 'text': ['some text', 'more text']})
+    out_full = stage(full)
+    out_empty = stage(full.iloc[:0])
+    assert out_full.schema.field('doc_id').type == id_type
+    assert out_empty.num_rows == 0
+    assert out_empty.schema == out_full.schema
+
+
+@pytest.mark.parametrize('ids, id_type', [
+    (['a', 'b', 'c'], pa.string()), ([3, 4, 5], pa.int64())])
+def test_candidate_pairs_empty_group_keeps_id_type(ids, id_type):
+    import numpy as np
+    from python_fastjsonschema_ray.stages.dedup import _pairs_table
+    arr = np.array(ids, dtype=object if isinstance(ids[0], str) else None)
+    full = _pairs_table([arr[:1]], [arr[1:2]], arr.dtype)
+    empty = _pairs_table([], [], arr.dtype)
+    assert full.schema.field('id_a').type == id_type
+    assert empty.num_rows == 0
+    assert empty.schema == full.schema
+    assert empty.schema.metadata is None
+
+
+def test_global_rank_pandas_blocks_carry_no_pandas_metadata(ray_session):
+    import pandas as pd
+    import ray
+    import ray.data
+    from python_fastjsonschema_ray.stages.scan import global_rank
+    df = pd.DataFrame({'x': [3, 1, 2], 's': ['c', 'a', 'b']})
+    for frame in (df, df.iloc[:0]):
+        ranked = global_rank(ray.data.from_pandas(frame), ['x'])
+        tables = ray.get(ranked.to_arrow_refs())
+        assert all(b'pandas' not in (t.schema.metadata or {})
+                   for t in tables)
+    got = global_rank(ray.data.from_pandas(df), ['x']).take_all()
+    assert [(r['x'], r['rank']) for r in got] == [(1, 1), (2, 2), (3, 3)]
