@@ -9,6 +9,11 @@ Prints ONE JSON line:
 ``--scaling`` runs the same bench twice in fresh processes
 (RAY_GRAFT_CPUS=8 then 32) and reports both headline times plus the
 scaling efficiency ((t_lo/t_hi)/(32/8)).
+
+``--sweep`` times the flagship ``validation_pass`` over a parquet copy of
+the GRAFT_FLAGSHIP_ROWS-row image table at several rows per Ray task,
+interleaved in one Ray session, and prints the median pass wall per
+setting as one JSON line.
 """
 
 import json
@@ -120,6 +125,67 @@ def run_scaling():
         'rows_per_s_lo': lo['flagship_rows_per_s'],
         'rows_per_s_hi': hi['flagship_rows_per_s'],
         'scaling_efficiency': round(eff, 3),
+    }))
+
+
+SWEEP_ROWS_PER_TASK = (2048, 8192, 16384, 32768)
+SWEEP_ROUNDS = 5
+
+
+def run_sweep():
+    """Median flagship pass wall per rows-per-task setting.  Rows per task
+    are ``_SLICES_PER_TASK`` stage slices of the default 2048-row
+    ``batch_size``; each round rotates the setting order by one, so host
+    drift does not favour one setting's slot."""
+    import shutil
+    import statistics
+    import tempfile
+
+    import ray
+    ray.init(address='local', num_cpus=NUM_CPUS, include_dashboard=False,
+             ignore_reinit_error=True, logging_level='ERROR')
+    from ray.data import DataContext
+    DataContext.get_current().enable_progress_bars = False
+    import logging
+    logging.getLogger('ray.data').setLevel(logging.ERROR)
+    from python_fastjsonschema_ray.pipelines import flagship
+    from python_fastjsonschema_ray.sources.images import write_image_table
+
+    batch_size = 2048
+    tmp = tempfile.mkdtemp(prefix='flagship_sweep_')
+    default_slices = flagship._SLICES_PER_TASK
+    walls = {r: [] for r in SWEEP_ROWS_PER_TASK}
+    try:
+        write_image_table(tmp, FLAGSHIP_ROWS, seed=42, violation_rate=0.01)
+
+        def one_pass(rows_per_task):
+            flagship._SLICES_PER_TASK = rows_per_task // batch_size
+            t0 = time.perf_counter()
+            ds = flagship.validation_pass(ray.data.read_parquet(tmp),
+                                          batch_size=batch_size)
+            for _ in ds.iter_batches(batch_format='pyarrow',
+                                     batch_size=None):
+                pass
+            return time.perf_counter() - t0
+
+        one_pass(SWEEP_ROWS_PER_TASK[0])          # warm workers, untimed
+        for k in range(SWEEP_ROUNDS):
+            order = SWEEP_ROWS_PER_TASK[k % len(SWEEP_ROWS_PER_TASK):] \
+                + SWEEP_ROWS_PER_TASK[:k % len(SWEEP_ROWS_PER_TASK)]
+            for r in order:
+                walls[r].append(one_pass(r))
+    finally:
+        flagship._SLICES_PER_TASK = default_slices
+        shutil.rmtree(tmp, ignore_errors=True)
+        ray.shutdown()
+    print(json.dumps({
+        'metric': 'flagship validation_pass wall (s), median of {}'.format(
+            SWEEP_ROUNDS),
+        'rows': FLAGSHIP_ROWS,
+        'num_cpus': NUM_CPUS,
+        'default_rows_per_task': default_slices * batch_size,
+        'rows_per_task': {str(r): round(statistics.median(w), 3)
+                          for r, w in walls.items()},
     }))
 
 
@@ -271,6 +337,8 @@ def main():
 if __name__ == '__main__':
     if '--scaling' in sys.argv:
         run_scaling()
+    elif '--sweep' in sys.argv:
+        run_sweep()
     elif '--compare' in sys.argv or '--save' in sys.argv:
         sys.exit(run_compare(save='--save' in sys.argv))
     else:

@@ -27,12 +27,18 @@ Key design points (vs the reference's per-document codegen,
 
 * **Per-rule row kernels as the escape hatch.**  Rules with no Arrow kernel
   (Decimal-exact float ``multipleOf``, deep enums, Python-``re`` patterns RE2
-  cannot run, callable ``formats``) fall back to a row kernel *for that rule
-  only*; ordering, messages and violation payloads stay uniform.  On string,
-  numeric, decimal and boolean views the kernel runs once per *distinct*
-  value: the view is dictionary-encoded, the Python predicate runs over the
-  dictionary and the fail mask is gathered back through the indices (null
-  rows pass).  A callable format is therefore called once per distinct
+  cannot run or runs differently, callable ``formats``) fall back to a row
+  kernel *for that rule only*; ordering, messages and violation payloads stay
+  uniform.  A ``pattern`` takes the reference's ``$``→``\\Z`` rewrite with
+  RE2's ``\\z`` instead (both mean end of text, never before a final
+  newline), so ``$``-anchored patterns run in RE2.  Python's Unicode
+  classes ``\\d \\D \\w \\W \\s \\S`` (ASCII-only in RE2), ``x{,n}``, ``[:``
+  and a ``$`` anchor the rewrite leaves in place (``\\\\$``, and every
+  ``$`` of a ``format`` regex, which is not rewritten) go to the row
+  kernel.  On string, numeric, decimal and boolean views the kernel runs
+  once per *distinct* value: the view is dictionary-encoded, the Python
+  predicate runs over the dictionary and the fail mask is gathered back
+  through the indices (null rows pass).  A callable format is therefore called once per distinct
   non-null value per batch, not once per row.  List and struct views (e.g.
   ``uniqueItems`` over nested lists) stay per-row.  Constructs the vector
   model cannot express at all raise :class:`Unsupported` and the owning
@@ -59,6 +65,7 @@ returns columnar :class:`Records`.
 
 from __future__ import annotations
 
+import functools
 import json as _json
 import re
 from decimal import Decimal
@@ -285,7 +292,33 @@ _RE2_UNSUPPORTED = re.compile(
     r'|\\[1-9]'       # backreferences
     r'|\(\?P'         # named groups
     r'|\\Z|\\A|\\G|\\b|\\B'
+    r'|\\[dDwWsS]'    # Unicode classes in `re`, ASCII-only in RE2
+    r'|\{,'           # `x{,n}` repeats in `re`, is literal text in RE2
+    r'|\[:'           # `[[:alpha:]]` is a POSIX class in RE2 only
+    # A `$` anchor (even backslash run before it): `re` also matches it
+    # before a final newline, RE2 only at the end of the text.
+    r'|(?<!\\)(?:\\\\)*\$'
 )
+
+
+@functools.lru_cache(maxsize=1024)
+def _re2_pattern(pattern, match_mode):
+    """The RE2 pattern with the same verdicts as the Python-``re`` regex
+    rule (see :meth:`VectorCompiler._regex_mask_rule`), or None when only
+    the row kernel is exact.  Memoized: the acceptance probe compiles the
+    pattern in Arrow, which costs as much as the rest of a table compile."""
+    if match_mode == 'search':
+        pattern = _DOLLAR_FINDER.sub(r'\\z', pattern)
+    else:
+        pattern = '^(?:' + pattern + ')'
+    if _RE2_UNSUPPORTED.search(pattern):
+        return None
+    try:
+        pc.match_substring_regex(pa.array([], type=pa.string()),
+                                 pattern=pattern)
+    except Exception:
+        return None
+    return pattern
 
 
 # ---------------------------------------------------------------------------
@@ -1395,29 +1428,18 @@ class VectorCompiler:
         return self._simple(definition, 'maxLength', mask, tail)
 
     def _regex_mask_rule(self, definition, rule, pattern, tail, match_mode):
-        """Build a regex rule: Arrow RE2 kernel when the pattern is in the
-        RE2-safe subset, else a Python-``re`` row kernel.
+        """Build a regex rule: Arrow RE2 kernel when RE2 gives the same
+        verdicts (:func:`_re2_pattern`), else a Python-``re`` row kernel.
 
         match_mode 'search': reference `pattern` semantics (re.search with
         `$`→`\\Z` rewrite, draft04.py:283-290); 'match': `format` semantics
         (re.match, draft04.py:328-333)."""
         if match_mode == 'search':
-            py_pattern = _DOLLAR_FINDER.sub(r'\\Z', pattern)
+            rx = re.compile(_DOLLAR_FINDER.sub(r'\\Z', pattern))
         else:
-            py_pattern = pattern
-        rx = re.compile(py_pattern)
-        re2_ok = not _RE2_UNSUPPORTED.search(py_pattern)
-        if re2_ok:
-            re2_pattern = py_pattern
-            if match_mode == 'match':
-                re2_pattern = '(?:' + re2_pattern + ')'
-                re2_pattern = '^' + re2_pattern
-            try:
-                pc.match_substring_regex(pa.array([], type=pa.string()),
-                                         pattern=re2_pattern)
-            except Exception:
-                re2_ok = False
-        if re2_ok:
+            rx = re.compile(pattern)
+        re2_pattern = _re2_pattern(pattern, match_mode)
+        if re2_pattern is not None:
             def mask(view, _p=re2_pattern):
                 hit = pc.match_substring_regex(view.arr, pattern=_p)
                 fail = ~_np_bool(hit, view.n)

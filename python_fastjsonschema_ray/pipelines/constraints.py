@@ -352,17 +352,36 @@ def check_referential(ds, column, ref_ds, ref_column, concurrency=None):
     Returns the violating rows (keys with no match in the reference table).
     The reference side is collected to the driver and broadcast — suitable
     for dimension-table-sized references; see ``check_referential_large``
-    for the both-sides-large case."""
+    for the both-sides-large case.  ``concurrency`` runs the filter as an
+    actor pool of that size instead of tasks."""
     import ray
 
     ref_keys = ref_ds.select_columns([ref_column]).unique(ref_column)
     # unique() reports None on a fully-empty reference; an empty key set
     # means every non-null foreign key violates (SQL anti-join).
     keys_ref = ray.put(pa.array(ref_keys if ref_keys is not None else []))
-    return ds.map_batches(
-        _AntiJoinStage, fn_constructor_args=(column, keys_ref),
-        batch_format='pyarrow',
-        concurrency=concurrency if concurrency is not None else _half_cpus())
+    return _broadcast_filter(ds, _AntiJoinStage, column, keys_ref,
+                             concurrency)
+
+
+def _broadcast_filter(ds, stage_cls, column, ref, concurrency,
+                      **pool_kwargs):
+    """Filter ``ds`` through ``stage_cls(column, ref)``, a stage holding a
+    broadcast object.  By default it runs as tasks that build the stage
+    once per worker process, so no actor holds a CPU the upstream read
+    tasks need (an actor pool deadlocks a ``num_cpus=1`` session).  An
+    explicit ``concurrency`` runs it as an actor pool of that size."""
+    if concurrency is not None:
+        return ds.map_batches(stage_cls, fn_constructor_args=(column, ref),
+                              batch_format='pyarrow',
+                              concurrency=concurrency, **pool_kwargs)
+    from ..stages.dedup import _worker_cached
+    key = (stage_cls.__name__, column, ref.hex())
+
+    def apply(batch: pa.Table) -> pa.Table:
+        return _worker_cached(key, lambda: stage_cls(column, ref))(batch)
+
+    return ds.map_batches(apply, batch_format='pyarrow')
 
 
 class _BloomAntiStage:
@@ -401,11 +420,8 @@ def check_referential_bloom(ds, column, ref_ds, ref_column,
     bloom.add_hashes(hash64_array(key_arr))
     fpr = bloom.fpr
     bloom_ref = ray.put(bloom.serialize())
-    out = ds.map_batches(
-        _BloomAntiStage, fn_constructor_args=(column, bloom_ref),
-        batch_format='pyarrow',
-        concurrency=concurrency if concurrency is not None else _half_cpus(),
-        num_cpus=0.5)
+    out = _broadcast_filter(ds, _BloomAntiStage, column, bloom_ref,
+                            concurrency, num_cpus=0.5)
     return out, fpr
 
 
@@ -429,9 +445,7 @@ def check_referential_large(ds, column, ref_ds, ref_column, num_buckets=64):
         # broadcast path's stage with an empty key set.
         import ray
         keys_ref = ray.put(pa.array([]))
-        return ds.map_batches(
-            _AntiJoinStage, fn_constructor_args=(column, keys_ref),
-            batch_format='pyarrow', concurrency=_half_cpus())
+        return _broadcast_filter(ds, _AntiJoinStage, column, keys_ref, None)
     ref_types = dict(zip(ref_schema.names, ref_schema.types))
     pad_types = dict(left_types)
     pad_types.setdefault(ref_column, ref_types[ref_column])
@@ -480,12 +494,6 @@ def check_referential_large(ds, column, ref_ds, ref_column, num_buckets=64):
 
     return left.union(right).groupby('_bucket').map_groups(
         anti, batch_format='pyarrow')
-
-
-def _half_cpus():
-    import ray
-    total = int(ray.cluster_resources().get('CPU', 2))
-    return max(1, total // 2)
 
 
 def salted_group_agg(ds, key_columns, value_column, num_salts=16,

@@ -44,15 +44,16 @@ class DecodeCheckStage:
     decoded pixels, and compute the lossy-PSNR invariant.
 
     Batch-vectorized: headers parse per row (a few string ops), but the
-    pixel work — the 8x8 phash gather — is ONE fancy-indexing read over
-    the batch's shared Arrow binary buffer (zero-copy), one channel-sum
-    and one packbits for the whole batch.  Two exact identities make this
-    possible: (a) phash bits are invariant under the lossy codec's affine
-    decode p = 4q+2 (block > mean is order-preserving), so the hash is
-    computed directly on the stored bytes; (b) re-quantizing a decoded
-    lossy image reproduces it exactly, so the PSNR-vs-requantized check is
-    +inf for every successfully decoded lossy row (the <40 dB violations
-    the north rule cares about surface as decode/dims/phash failures).
+    pixel work — the 8x8 phash gather — is three fancy-indexing reads
+    (one per channel) over the batch's shared Arrow binary buffer
+    (zero-copy) and one packbits for the whole batch.  Two exact
+    identities make this possible: (a) phash bits are invariant under the
+    lossy codec's affine decode p = 4q+2 (block > mean is
+    order-preserving), so the hash is computed directly on the stored
+    bytes; (b) re-quantizing a decoded lossy image reproduces it exactly,
+    so the PSNR-vs-requantized check is +inf for every successfully
+    decoded lossy row (the <40 dB violations the north rule cares about
+    surface as decode/dims/phash failures).
     Rows whose header the fast path can't parse fall back to the per-row
     reference decode so error strings stay byte-identical."""
 
@@ -225,8 +226,11 @@ class DecodeCheckStage:
                 slow_pixels[i] = pixels
                 dh[i], dw[i] = pixels.shape[:2]
 
-        # Vectorized 8x8 phash over every fast-path-decoded image: one
-        # gather from the shared buffer, one channel sum, one packbits.
+        # Vectorized 8x8 phash over every fast-path-decoded image: three
+        # uint8 gathers from the shared buffer (one per channel, summed in
+        # int32) and one packbits.  ``gray > sum / 64`` is tested as
+        # ``gray * 64 > sum``: the same bits, since sum / 64 (sum at most
+        # 64 * 765) is exact in float64.
         computed = np.zeros(n, dtype=np.int64)
         fast_ok = ok.copy()
         for i in slow_pixels:
@@ -239,10 +243,11 @@ class DecodeCheckStage:
             xs = np.minimum((wv[:, None] * k) // 8, wv[:, None] - 1)
             pos = (bs[:, None, None]
                    + (ys[:, :, None] * wv[:, None, None]
-                      + xs[:, None, :]) * 3)
-            rgb = data[pos[..., None] + np.arange(3, dtype=np.int64)]
-            gray = rgb.sum(axis=3, dtype=np.int32).reshape(len(vi), 64)
-            bits = gray > gray.mean(axis=1)[:, None]
+                      + xs[:, None, :]) * 3).reshape(len(vi), 64)
+            gray = data[pos].astype(np.int32)
+            gray += data[pos + 1]
+            gray += data[pos + 2]
+            bits = (gray << 6) > gray.sum(axis=1)[:, None]
             packed = np.packbits(bits, axis=1)
             computed[vi] = packed.view(np.dtype('>u8')).reshape(-1) \
                 .astype(np.uint64).view(np.int64)

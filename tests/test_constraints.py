@@ -509,3 +509,46 @@ def test_check_referential_large_key_types(ray_session):
     assert _no_pandas_metadata(all_out)
     assert sorted(v for b in all_out for v in b['fk'].to_pylist()) == \
         [10, 20, 98, 99]
+
+
+_SINGLE_CPU_REFERENTIAL = '''
+import sys
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
+import ray.data
+path = sys.argv[1] + '/left.parquet'
+pq.write_table(pa.table({'fk': pa.array([i % 130 for i in range(1000)])}),
+               path, row_group_size=100)
+ray.init(address='local', num_cpus=1, include_dashboard=False,
+         logging_level='ERROR')
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from python_fastjsonschema_ray.pipelines.constraints import check_referential
+ref = ray.data.from_items([{'k': i} for i in range(100)])
+out = check_referential(ray.data.read_parquet(path), 'fk', ref, 'k')
+print('orphans', out.count())
+ray.shutdown()
+'''
+
+
+def test_check_referential_single_cpu(tmp_path):
+    """With one CPU the broadcast anti-join over a parquet read still
+    finishes: its default task path holds no CPU the read tasks need."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, '-c', _SINGLE_CPU_REFERENTIAL, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=root), stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL, text=True, start_new_session=True)
+    try:
+        out, _ = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail('check_referential did not finish in 60 s at num_cpus=1')
+    # fk = i % 130 over i in 0..999: keys 100..129 occur 7 times each.
+    assert 'orphans 210' in out.splitlines()

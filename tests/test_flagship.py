@@ -63,3 +63,50 @@ def test_image_table_reference_parity(reference):
     for fast_fail in (True, False):
         assert_table_parity(reference, IMAGE_TABLE_SPEC, table,
                             fast_fail=fast_fail)
+
+
+def _planted_image_table(n_rows, boundaries):
+    """Clean synthetic rows with one schema or content defect planted at
+    each row index in ``boundaries``."""
+    from python_fastjsonschema_ray.sources.images import image_batch
+    cols = image_batch(0, n_rows, seed=7, violation_rate=0).to_pydict()
+    edits = [('image_id', 'bad-id'), ('caption', 'x'), ('fmt', 'jpeg'),
+             ('w', 4097), ('image_id', None), ('phash', 12345),
+             ('bytes', b'P6 1 1\n')]
+    for j, row in enumerate(boundaries):
+        column, value = edits[j % len(edits)]
+        cols[column][row] = value
+    import pyarrow as pa
+    return pa.table(cols, schema=image_batch(0, 1, seed=7).schema)
+
+
+def _violation_rows(table):
+    return sorted(zip(*(table.column(c).to_pylist()
+                        for c in ('key', 'source', 'rule', 'message'))),
+                  key=repr)
+
+
+def test_validation_pass_matches_stage_per_slice(ray_session):
+    """Tasks carry 8 * batch_size rows and run the stage per batch_size
+    slice; the violation rows equal the stage's over the same slices."""
+    import pyarrow as pa
+    import ray.data
+    from python_fastjsonschema_ray.pipelines.flagship import (
+        ValidateAndDecodeStage, validation_pass)
+    batch_size, n_rows = 32, 700           # 256-row tasks, 3 of them
+    boundaries = [0, 31, 32, 63, 255, 256, 257, 511, 512, 640, 699]
+    table = _planted_image_table(n_rows, boundaries)
+    stage = ValidateAndDecodeStage(table.schema)
+    expected = pa.concat_tables([stage(table.slice(i, batch_size))
+                                 for i in range(0, n_rows, batch_size)])
+    assert expected.num_rows > len(boundaries)
+    blocks = [table.slice(i, 100) for i in range(0, n_rows, 100)]
+    got = validation_pass(ray.data.from_arrow(blocks),
+                          batch_size=batch_size)
+    got = pa.concat_tables(got.iter_batches(batch_format='pyarrow',
+                                            batch_size=None))
+    assert _violation_rows(got) == _violation_rows(expected)
+
+    empty = validation_pass(ray.data.from_arrow(table.slice(0, 0)),
+                            batch_size=batch_size)
+    assert empty.take_all() == []
