@@ -1606,19 +1606,12 @@ def q_components_orders(sf_dir: str):
     the same customer, so each customer's orders form a chain and the
     closure must propagate the min orderkey across ~10 hops — a
     non-trivial transitive-closure exercise with an exact recursive-CTE
-    oracle.  Edge building is the bucketed-groupby pattern (partials
-    shuffle on a coarse hash of custkey, vectorized pandas shift per
-    bucket)."""
-    from python_fastjsonschema_ray.pipelines.constraints import (
-        _AddKeyBucket, _default_buckets)
+    oracle.  Edge building is one hash exchange on custkey (vectorized
+    pandas shift per bucket)."""
     from python_fastjsonschema_ray.stages.components import (
         connected_components)
+    from python_fastjsonschema_ray.stages.exchange import exchange
     ds = _read(sf_dir, 'orders', ['o_orderkey', 'o_custkey'])
-    # Two id columns per row: coalesce the many parquet split-blocks
-    # before the bucket shuffle (sort fixed cost is task-count-driven).
-    bucketed = ds.repartition(_default_buckets() // 8 or 1).map_batches(
-        _AddKeyBucket(['o_custkey'], _default_buckets()),
-        batch_format='pyarrow')
 
     def adjacent(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(['o_custkey', 'o_orderkey'])
@@ -1628,8 +1621,10 @@ def q_components_orders(sf_dir: str):
             'id_a': g.loc[mask, 'o_orderkey'].astype('int64'),
             'id_b': nxt[mask].astype('int64')})
 
-    pairs = bucketed.groupby('_bucket').map_groups(
-        adjacent, batch_format='pandas')
+    # Two id columns per row: coalesce the many parquet split-blocks
+    # before the exchange (sort fixed cost is task-count-driven).
+    pairs = exchange(ds, ['o_custkey'], adjacent, batch_format='pandas',
+                     coalesce=True)
     out = connected_components(pairs)
     return _df_with_columns(out, ['id', 'component_id'])
 

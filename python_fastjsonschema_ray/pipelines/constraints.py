@@ -15,7 +15,7 @@ Scale notes (designed for 100 TB / multi-node, tested single-node):
 * **Referential** broadcasts the reference key set via ``ray.put`` once and
   anti-filters inside ``map_batches`` — no shuffle join for dimension-sized
   reference sides (the common case).  For a large reference side, use
-  ``check_referential_large`` (hash-bucketed anti join).
+  ``check_referential_large`` (the shuffle anti join).
 * **Drift** uses fixed, driver-chosen bin edges so per-batch histograms are
   mergeable by vector addition; KS and PSI are computed on the merged
   profiles.
@@ -29,6 +29,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.exchange import exchange
 from ..state.sketches import HyperLogLog, TDigest, hash64_array
 
 
@@ -173,60 +174,25 @@ class _KeyCountStage:
         return grouped.rename_columns(list(self.columns) + ['partial_n'])
 
 
-class _AddKeyBucket:
-    """Coarse hash bucket over the key columns: the shuffle key for
-    bucketed aggregation (few buckets → few groups → vectorized pandas
-    inside each group, instead of Ray's sort aggregate paying per-group
-    overhead on millions of distinct keys)."""
-
-    def __init__(self, columns, num_buckets):
-        self.columns = columns
-        self.num_buckets = np.uint64(num_buckets)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        h = np.zeros(batch.num_rows, dtype=np.uint64)
-        for c in self.columns:
-            h ^= hash64_array(batch.column(c).combine_chunks())
-            with np.errstate(over='ignore'):
-                h *= np.uint64(0x9E3779B97F4A7C15)
-        return batch.append_column(
-            '_bucket', pa.array((h % self.num_buckets).astype(np.int64)))
-
-
-def _default_buckets():
-    import ray
-    return max(32, 4 * int(ray.cluster_resources().get('CPU', 8)))
-
-
-def check_unique(ds, columns, concurrency=None, num_buckets=None,
-                 coalesce=True):
+def check_unique(ds, columns, concurrency=None, num_buckets=None):
     """Duplicate-key detection.
 
     Two-level structure chosen for scale: (1) per-batch pre-aggregation
-    collapses each block to (key → local count); (2) partials shuffle on a
-    COARSE hash bucket of the key and each bucket group sums counts with an
-    Arrow ``group_by``.  The bucket keeps the Ray-level group count
-    ~O(cluster), avoiding the sort-aggregate's per-distinct-key overhead
-    while the exchange still moves at most one row per distinct key per
-    block.  ``coalesce`` repartitions the partials to ~cpus/2 blocks
-    first (sort cost scales with task count); disable at 10^9+ distinct
-    keys.  Returns duplicate keys with counts (columns..., n)."""
+    collapses each block to (key → local count); (2) the partials meet in
+    one hash exchange (see ``stages/exchange.py``) and each bucket group
+    sums counts with an Arrow ``group_by``.  The exchange moves at most
+    one row per distinct key per block, and the partials coalesce to a
+    few blocks first (the sort's fixed cost scales with task count).
+    Returns duplicate keys with counts (columns..., n)."""
     columns = list(columns)
     kwargs = {'batch_format': 'pyarrow'}
     if concurrency:
         kwargs['concurrency'] = concurrency
     partials = ds.map_batches(_KeyCountStage(columns), **kwargs)
-    if coalesce:
-        partials = partials.repartition(_default_buckets() // 8 or 1)
-    bucketed = partials.map_batches(
-        _AddKeyBucket(columns, num_buckets or _default_buckets()),
-        batch_format='pyarrow')
 
     def dups(group: pa.Table) -> pa.Table:
-        # Arrow in/out with an explicit output schema: key types survive
-        # as they are and empty results stay typed.
-        if any(c not in group.schema.names for c in columns):
-            return group            # schemaless empty block passthrough
+        # Explicit output schema: key types survive as they are and empty
+        # results stay typed.
         out_schema = pa.schema(
             [group.schema.field(c) for c in columns]
             + [pa.field('n', pa.int64())])
@@ -235,63 +201,44 @@ def check_unique(ds, columns, concurrency=None, num_buckets=None,
         return totals.select(columns + ['partial_n_sum']) \
             .rename_columns(columns + ['n']).cast(out_schema)
 
-    return bucketed.groupby('_bucket').map_groups(dups,
-                                                  batch_format='pyarrow')
+    return exchange(partials, columns, dups, num_buckets=num_buckets,
+                    coalesce=True)
 
 
-def dedup_exact(ds, columns, concurrency=None, num_buckets=None,
-                coalesce=True):
+def dedup_exact(ds, columns, concurrency=None, num_buckets=None):
     """Exact first-wins dedup: keep one row per distinct key, winner =
     lowest full-row sort order within the group (deterministic).
 
     Pre-aggregated like dedup_winner_ids — min-over-row-order is
     associative, so each block first collapses to ≤1 row per local
     distinct key (vectorized pandas sort+head), and only those local
-    winners shuffle, on a COARSE hash bucket of the key; each bucket then
-    folds with the same vectorized kernel.  The exchange moves at most
-    one full row per distinct key per block — never the raw input — and
-    the Ray-level group count stays ~O(cluster) instead of
-    O(distinct keys) (sort-aggregate costs ~0.5 ms per group)."""
+    winners go through the hash exchange; each bucket then folds with
+    the same vectorized kernel.  The exchange moves at most one full row
+    per distinct key per block — never the raw input — and the Ray-level
+    group count stays ~O(cluster) instead of O(distinct keys)
+    (sort-aggregate costs ~0.5 ms per group)."""
     import pandas as pd
 
     columns = list(columns)
 
-    def local_first(batch: pd.DataFrame) -> pd.DataFrame:
+    def first(batch: pd.DataFrame) -> pd.DataFrame:
         srt = batch.sort_values(list(batch.columns))
         return srt.groupby(columns, sort=False, dropna=False).head(1)
 
     kwargs = {'batch_format': 'pandas'}
     if concurrency:
         kwargs['concurrency'] = concurrency
-    partials = ds.map_batches(local_first, **kwargs)
-    if coalesce:
-        partials = partials.repartition(_default_buckets() // 8 or 1)
-    bucketed = partials.map_batches(
-        _AddKeyBucket(columns, num_buckets or _default_buckets()),
-        batch_format='pyarrow')
-
-    def winners(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.drop(columns=['_bucket'])
-        srt = g.sort_values(list(g.columns))
-        return srt.groupby(columns, sort=False, dropna=False).head(1)
-
-    return bucketed.groupby('_bucket').map_groups(
-        winners, batch_format='pandas')
+    partials = ds.map_batches(first, **kwargs)
+    return exchange(partials, columns, first, batch_format='pandas',
+                    num_buckets=num_buckets, coalesce=True)
 
 
-def dedup_winner_ids(ds, columns, id_column, num_buckets=None,
-                     coalesce=True):
+def dedup_winner_ids(ds, columns, id_column, num_buckets=None):
     """Winner ids of an exact dedup (min id per distinct key): per-batch
     pre-aggregation (local min id per distinct key) then the bucketed
     aggregation (see check_unique) — the shuffle moves at most one row per
     distinct key per block, never the raw rows.  At scale, filter the full
-    rows by broadcasting these ids (or semi-joining).
-
-    ``coalesce`` repartitions the pre-aggregated partials to ~cpus/2
-    blocks before the sort shuffle, whose fixed cost scales with task
-    count: right when partials are key-cardinality-bounded and modest.
-    At extreme distinct-key cardinality (10^9+) pass ``coalesce=False``
-    so block sizes stay bounded by the upstream layout."""
+    rows by broadcasting these ids (or semi-joining)."""
     import pandas as pd
 
     columns = list(columns)
@@ -302,18 +249,13 @@ def dedup_winner_ids(ds, columns, id_column, num_buckets=None,
         return grouped.rename_columns(columns + [id_column])
 
     partials = ds.map_batches(local_winners, batch_format='pyarrow')
-    if coalesce:
-        partials = partials.repartition(_default_buckets() // 8 or 1)
-    bucketed = partials.map_batches(
-        _AddKeyBucket(columns, num_buckets or _default_buckets()),
-        batch_format='pyarrow')
 
     def winners(group: pd.DataFrame) -> pd.DataFrame:
         return group.groupby(columns, sort=False, as_index=False) \
             .agg(**{id_column: (id_column, 'min')})[[id_column]]
 
-    return bucketed.groupby('_bucket').map_groups(winners,
-                                                  batch_format='pandas')
+    return exchange(partials, columns, winners, batch_format='pandas',
+                    num_buckets=num_buckets, coalesce=True)
 
 
 # ---------------------------------------------------------------------------
@@ -425,75 +367,18 @@ def check_referential_bloom(ds, column, ref_ds, ref_column,
     return out, fpr
 
 
-def check_referential_large(ds, column, ref_ds, ref_column, num_buckets=64):
-    """Both-sides-large anti join: bucket both sides by key hash, co-group
-    per bucket, emit left keys missing on the right.  num_buckets bounds
-    per-group memory; raise it for bigger tables."""
-    left_schema = ds.schema()
-    if left_schema is None:
-        return ds               # fully-empty left: no violations
-    left_names = list(left_schema.names)
-    left_types = dict(zip(left_schema.names, left_schema.types))
-    # Both union sides must carry the SAME columns or a single-sided
-    # bucket group (skewed key ranges, small tables) sees a partial
-    # schema and the per-group lookup crashes.
-    union_names = list(dict.fromkeys(left_names + [ref_column])) \
-        + ['_bucket']
-    ref_schema = ref_ds.schema()
-    if ref_schema is None:
-        # Fully-empty reference: every non-null FK violates; reuse the
-        # broadcast path's stage with an empty key set.
-        import ray
-        keys_ref = ray.put(pa.array([]))
-        return _broadcast_filter(ds, _AntiJoinStage, column, keys_ref, None)
-    ref_types = dict(zip(ref_schema.names, ref_schema.types))
-    pad_types = dict(left_types)
-    pad_types.setdefault(ref_column, ref_types[ref_column])
+def check_referential_large(ds, column, ref_ds, ref_column, num_buckets=None):
+    """Both-sides-large referential check: the shuffle anti join of
+    ``stages/join.py`` (right side collapsed to distinct keys per block,
+    one co-group exchange), with NULL foreign keys skipped like every
+    other referential variant."""
+    from ..stages.join import _shuffle_semi_anti
 
-    def add_bucket(batch: pa.Table, col) -> pa.Table:
-        h = hash64_array(batch.column(col).combine_chunks())
-        return batch.append_column(
-            '_bucket', pa.array((h % np.uint64(num_buckets)).astype(np.int64)))
-
-    def tag_left(b: pa.Table) -> pa.Table:
-        if ref_column not in b.schema.names:
-            b = b.append_column(
-                ref_column, pa.nulls(b.num_rows, type=pad_types[ref_column]))
-        return b.select(union_names).append_column(
-            '_side', pa.array(['L'] * b.num_rows))
-
-    def tag_right(b: pa.Table) -> pa.Table:
-        for c in left_names:
-            if c not in b.schema.names:
-                b = b.append_column(
-                    c, pa.nulls(b.num_rows, type=pad_types[c]))
-        return b.select(union_names).append_column(
-            '_side', pa.array(['R'] * b.num_rows))
-
-    left = ds.map_batches(lambda b: add_bucket(b, column),
-                          batch_format='pyarrow').map_batches(
-        tag_left, batch_format='pyarrow')
-    right = ref_ds.select_columns([ref_column]).map_batches(
-        lambda b: add_bucket(b, ref_column), batch_format='pyarrow') \
-        .map_batches(tag_right, batch_format='pyarrow')
-
-    drop = ['_bucket', '_side'] + ([ref_column] if ref_column != column
-                                   else [])
-
-    def anti(group: pa.Table) -> pa.Table:
-        if '_side' not in group.schema.names:
-            return group            # schemaless empty block passthrough
-        is_right = pc.equal(group['_side'], 'R')
-        right_keys = group.filter(is_right)[ref_column].combine_chunks()
-        lhs = group.filter(pc.invert(is_right))
-        keys = lhs[column]
-        # Null FKs are skipped (same policy as _AntiJoinStage).
-        keep = pc.and_(pc.invert(pc.is_in(keys, value_set=right_keys)),
-                       pc.is_valid(keys))
-        return lhs.filter(keep).drop_columns(drop)
-
-    return left.union(right).groupby('_bucket').map_groups(
-        anti, batch_format='pyarrow')
+    orphans = _shuffle_semi_anti(ds, ref_ds, column, ref_column,
+                                 num_buckets, 'anti')
+    return orphans.map_batches(
+        lambda b: b.filter(pc.is_valid(b.column(column))),
+        batch_format='pyarrow')
 
 
 def salted_group_agg(ds, key_columns, value_column, num_salts=16,
@@ -561,7 +446,7 @@ class _GroupedPartialStage:
 
 
 def grouped_agg(ds, key_columns, aggs, *, combine='bucket',
-                num_buckets=None, coalesce=True, concurrency=None):
+                num_buckets=None, concurrency=None):
     """Grouped aggregation with a map-side combiner (pre-aggregation).
 
     Ray's built-in ``groupby().aggregate()`` is a sort-based shuffle of
@@ -575,8 +460,8 @@ def grouped_agg(ds, key_columns, aggs, *, combine='bucket',
       with a single vectorized pandas groupby.  Right when key cardinality
       is small (≲1e6 groups): the exchange moves only partial rows and
       avoids the sort-shuffle's per-task fixed cost entirely.
-    * ``combine='bucket'`` — coarse hash-bucket shuffle then per-bucket
-      vectorized pandas combine (the check_unique pattern) — for large key
+    * ``combine='bucket'`` — hash exchange then per-bucket vectorized
+      pandas combine (the check_unique pattern) — for large key
       cardinality where one block of partials would not fit.
 
     ``aggs`` maps output_name -> (column, op) with op in
@@ -639,27 +524,18 @@ def grouped_agg(ds, key_columns, aggs, *, combine='bucket',
         one = partials.repartition(1)
         return one.map_batches(fold, batch_format='pandas',
                                batch_size=None)
-    if coalesce:
-        partials = partials.repartition(_default_buckets() // 8 or 1)
-    bucketed = partials.map_batches(
-        _AddKeyBucket(key_columns, num_buckets or _default_buckets()),
-        batch_format='pyarrow')
-
-    def fold_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        return fold(group.drop(columns=['_bucket']))
-
-    return bucketed.groupby('_bucket').map_groups(
-        fold_bucket, batch_format='pandas')
+    return exchange(partials, key_columns, fold, batch_format='pandas',
+                    num_buckets=num_buckets, coalesce=True)
 
 
 def grouped_topk(ds, group_columns, order_columns, k, descending=None,
-                 coalesce=True, num_buckets=None):
+                 num_buckets=None):
     """Top-k rows per group — the grouped sibling of ``sort().limit()``.
 
     Same two-level shape as dedup_exact: each block keeps its local
     top-k per group (vectorized pandas sort+head — top-k is
-    associative), so the shuffle moves at most k rows per group per
-    block; the coarse-bucket fold applies the identical kernel.  Make
+    associative), so the exchange moves at most k rows per group per
+    block; each bucket group applies the identical kernel.  Make
     ``order_columns`` a total order (append a tiebreak key) for a
     deterministic result."""
     import pandas as pd
@@ -670,24 +546,13 @@ def grouped_topk(ds, group_columns, order_columns, k, descending=None,
         descending = [True] * len(order_columns)
     ascending = [not d for d in descending]
 
-    def local_topk(batch: pd.DataFrame) -> pd.DataFrame:
+    def topk(batch: pd.DataFrame) -> pd.DataFrame:
         srt = batch.sort_values(order_columns, ascending=ascending)
         return srt.groupby(group_columns, sort=False, dropna=False).head(k)
 
-    partials = ds.map_batches(local_topk, batch_format='pandas')
-    if coalesce:
-        partials = partials.repartition(_default_buckets() // 8 or 1)
-    bucketed = partials.map_batches(
-        _AddKeyBucket(group_columns, num_buckets or _default_buckets()),
-        batch_format='pyarrow')
-
-    def fold(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.drop(columns=['_bucket'])
-        srt = g.sort_values(order_columns, ascending=ascending)
-        return srt.groupby(group_columns, sort=False, dropna=False).head(k)
-
-    return bucketed.groupby('_bucket').map_groups(fold,
-                                                  batch_format='pandas')
+    partials = ds.map_batches(topk, batch_format='pandas')
+    return exchange(partials, group_columns, topk, batch_format='pandas',
+                    num_buckets=num_buckets, coalesce=True)
 
 
 def global_topk(ds, order_columns, k, descending=None):
@@ -722,13 +587,12 @@ def global_topk(ds, order_columns, k, descending=None):
         local_topk, batch_format='pandas', batch_size=None)
 
 
-def distinct_count(ds, columns, concurrency=None, coalesce=True,
-                   num_buckets=None) -> int:
+def distinct_count(ds, columns, concurrency=None, num_buckets=None) -> int:
     """EXACT distinct count of a key tuple (HyperLogLog in column_stats
     is the approximate sibling).  Same shuffle discipline as
     check_unique: per-block Arrow group_by collapses to ≤1 row per
-    local distinct key, the coarse-bucket fold counts pandas-unique per
-    bucket, and only the per-bucket counts reach the driver."""
+    local distinct key, each bucket group counts pandas-unique keys,
+    and only the per-bucket counts reach the driver."""
     import pandas as pd
 
     columns = list(columns)
@@ -740,18 +604,13 @@ def distinct_count(ds, columns, concurrency=None, coalesce=True,
         return batch.select(columns).group_by(columns).aggregate([])
 
     partials = ds.map_batches(local_distinct, **kwargs)
-    if coalesce:
-        partials = partials.repartition(_default_buckets() // 8 or 1)
-    bucketed = partials.map_batches(
-        _AddKeyBucket(columns, num_buckets or _default_buckets()),
-        batch_format='pyarrow')
 
     def count_bucket(group: pd.DataFrame) -> pd.DataFrame:
         n = len(group[columns].drop_duplicates())
         return pd.DataFrame({'n': [n]})
 
-    counts = bucketed.groupby('_bucket').map_groups(
-        count_bucket, batch_format='pandas')
+    counts = exchange(partials, columns, count_bucket, batch_format='pandas',
+                      num_buckets=num_buckets, coalesce=True)
     return int(counts.sum('n') or 0)
 
 

@@ -19,7 +19,7 @@ to ``component_id`` = the minimum id in its component:
 * :func:`connected_components_distributed`: hash-to-min label
   propagation as Ray Data rounds (Rastogi et al., "Finding Connected
   Components in Map-Reduce") for beyond-gate edge volumes.  Each round
-  is one bucketed co-group (labels meet edges on the node key) plus one
+  is one hash co-group (labels meet edges on the node key) plus one
   bucketed min-fold; rounds ~ O(graph diameter), which for near-dup
   clusters is small.  Only (node, label) and edge endpoint rows ever
   shuffle.
@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from .exchange import cogroup, default_buckets, exchange
 
 
 def _components_numpy(ea: np.ndarray, eb: np.ndarray,
@@ -117,11 +119,10 @@ def connected_components_distributed(pairs, id_a='id_a', id_b='id_b', *,
     state is materialized once per round (pair-list-sized, never
     corpus-sized)."""
     import pandas as pd
+    import pyarrow.compute as pc
     import ray
-    import ray.data
-    from ..pipelines.constraints import _AddKeyBucket, _default_buckets
 
-    num_buckets = num_buckets or _default_buckets()
+    num_buckets = num_buckets or default_buckets()
     # Each bucketed co-group emits ~num_buckets blocks; feeding those
     # straight into the NEXT round's sort-groupby compounds (sort fixed
     # cost is task-count-driven), making round cost grow round over
@@ -142,83 +143,58 @@ def connected_components_distributed(pairs, id_a='id_a', id_b='id_b', *,
         sub = batch.group_by('u').aggregate([('v', 'min')])
         u = sub.column('u').combine_chunks()
         vmin = sub.column('v_min').combine_chunks()
-        lab = pa.compute.min_element_wise(u, vmin)
+        lab = pc.min_element_wise(u, vmin)
         return pa.table({'node': u, 'label': lab})
 
     # Local min per block, then bucketed min fold — partials only.
     labels = edges.map_batches(init_labels, batch_format='pyarrow')
     labels = _min_fold(labels, 'node', 'label', num_buckets) \
         .repartition(state_blocks).materialize()
-    id_type = edges.schema().types[0]
 
-    def tag_edges(b: pa.Table) -> pa.Table:
-        return b.rename_columns(['node', 'v']).append_column(
-            'label', pa.nulls(b.num_rows, type=id_type))
+    def forward(edge: pa.Table, lab: pa.Table) -> pa.Table:
+        # Messages: each edge (u, v) forwards its source's label to the
+        # target node.  Vectorized lookup (total: every edge source holds
+        # a label row in its bucket) — no per-row dict probes.
+        idx = pc.index_in(edge.column('u').combine_chunks(),
+                          value_set=lab.column('node').combine_chunks())
+        out_lab = lab.column('label').combine_chunks().take(idx)
+        # (target node, forwarded label) ++ the label rows themselves
+        # (tagged old=True) so the fold can detect change.
+        fwd = pa.table({
+            'node': edge.column('v').cast(lab.column('node').type),
+            'label': out_lab,
+            'old': pa.array(np.zeros(edge.num_rows, dtype=bool))})
+        keep = pa.table({
+            'node': lab.column('node'),
+            'label': lab.column('label'),
+            'old': pa.array(np.ones(lab.num_rows, dtype=bool))})
+        return pa.concat_tables([fwd, keep])
 
-    def tag_labels(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            'v', pa.nulls(b.num_rows, type=id_type)) \
-            .select(['node', 'v', 'label'])
+    def local_fold(batch: pa.Table) -> pa.Table:
+        # Min over all rows (messages + the old-label row) is the
+        # candidate new label; the old label rides along separately
+        # so the final fold can count changes.
+        g = batch.group_by('node').aggregate([('label', 'min')])
+        olds = batch.filter(batch.column('old'))
+        og = olds.group_by('node').aggregate([('label', 'min')])
+        return _join_old(g, og)
+
+    def final_fold(group: pd.DataFrame) -> pd.DataFrame:
+        merged = group.groupby('node', sort=False, as_index=False).agg(
+            label=('label_min', 'min'), old=('old_label', 'min'))
+        merged['changed'] = (
+            merged['label'] < merged['old']).astype('int64')
+        merged['label'] = merged['label'].astype('int64') \
+            if merged['label'].dtype.kind in 'iu' else merged['label']
+        return merged[['node', 'label', 'changed']]
 
     for _ in range(max_rounds):
-        # Messages: co-group edges (bucket of u) with labels (bucket of
-        # node); each edge forwards its source label to the target node.
-        tagged_edges = edges.map_batches(tag_edges, batch_format='pyarrow')
-        tagged_labels = labels.map_batches(tag_labels,
-                                           batch_format='pyarrow')
-        both = tagged_edges.union(tagged_labels).map_batches(
-            _AddKeyBucket(['node'], num_buckets), batch_format='pyarrow')
-
-        def forward(group: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-            is_lab = pc.is_valid(group.column('label'))
-            lab = group.filter(is_lab)
-            edge = group.filter(pc.invert(is_lab))
-            # Vectorized lookup (total: every edge source holds a label
-            # row in its bucket) — no per-row dict probes.
-            idx = pc.index_in(edge.column('node').combine_chunks(),
-                              value_set=lab.column('node')
-                              .combine_chunks())
-            out_lab = lab.column('label').combine_chunks().take(idx)
-            # (target node, forwarded label) ++ the label rows themselves
-            # (tagged old=True) so the fold can detect change.
-            fwd = pa.table({
-                'node': edge.column('v').cast(lab.column('node').type),
-                'label': out_lab,
-                'old': pa.array(np.zeros(edge.num_rows, dtype=bool))})
-            keep = pa.table({
-                'node': lab.column('node'),
-                'label': lab.column('label'),
-                'old': pa.array(np.ones(lab.num_rows, dtype=bool))})
-            return pa.concat_tables([fwd, keep])
-
-        msgs = both.groupby('_bucket').map_groups(
-            forward, batch_format='pyarrow')
-
-        def local_fold(batch: pa.Table) -> pa.Table:
-            # Min over all rows (messages + the old-label row) is the
-            # candidate new label; the old label rides along separately
-            # so the final fold can count changes.
-            g = batch.group_by('node').aggregate([('label', 'min')])
-            olds = batch.filter(batch.column('old'))
-            og = olds.group_by('node').aggregate([('label', 'min')])
-            return _join_old(g, og)
-
+        msgs = cogroup(edges, labels, 'u', 'node', forward,
+                       num_buckets=num_buckets)
         folded = msgs.map_batches(local_fold, batch_format='pyarrow')
-        bucketed = folded.map_batches(
-            _AddKeyBucket(['node'], num_buckets), batch_format='pyarrow')
-
-        def final_fold(group: pd.DataFrame) -> pd.DataFrame:
-            merged = group.groupby('node', sort=False, as_index=False).agg(
-                label=('label_min', 'min'), old=('old_label', 'min'))
-            merged['changed'] = (
-                merged['label'] < merged['old']).astype('int64')
-            merged['label'] = merged['label'].astype('int64') \
-                if merged['label'].dtype.kind in 'iu' else merged['label']
-            return merged[['node', 'label', 'changed']]
-
-        new_state = bucketed.groupby('_bucket').map_groups(
-            final_fold, batch_format='pandas') \
+        new_state = exchange(folded, ['node'], final_fold,
+                             batch_format='pandas',
+                             num_buckets=num_buckets) \
             .repartition(state_blocks).materialize()
         n_changed = new_state.sum('changed') or 0
         labels = new_state.drop_columns(['changed'])
@@ -234,60 +210,32 @@ def connected_components_distributed(pairs, id_a='id_a', id_b='id_b', *,
 
 def _pointer_jump(labels, num_buckets):
     """One label <- label[label] step: co-group each (node, label) row
-    (keyed on its LABEL) with the label rows themselves (keyed on node)
+    keyed on its LABEL with the label rows themselves keyed on node,
     and rewrite through the lookup.  Labels always point at real nodes
     (they are min-folded node ids), so the lookup is total."""
-    from ..pipelines.constraints import _AddKeyBucket
+    import pyarrow.compute as pc
 
-    def tag_ref(b: pa.Table) -> pa.Table:
-        # Row (n, l) keyed by l: asks "what is l's label?"
-        return pa.table({
-            'jkey': b.column('label'),
-            'node': b.column('node'),
-            'lab': pa.nulls(b.num_rows, type=b.column('label').type)})
+    def rewrite(ref: pa.Table, src: pa.Table) -> pa.Table:
+        # ref row (n, l) asks "what is l's label?"; src row (n, l)
+        # answers "n's label is l".
+        idx = pc.index_in(ref.column('label').combine_chunks(),
+                          value_set=src.column('node').combine_chunks())
+        jumped = src.column('label').combine_chunks().take(idx)
+        return pa.table({'node': ref.column('node'), 'label': jumped})
 
-    def tag_src(b: pa.Table) -> pa.Table:
-        # Row (n, l) keyed by n: answers "n's label is l".
-        return pa.table({
-            'jkey': b.column('node'),
-            'node': pa.nulls(b.num_rows, type=b.column('node').type),
-            'lab': b.column('label')})
-
-    both = labels.map_batches(tag_ref, batch_format='pyarrow').union(
-        labels.map_batches(tag_src, batch_format='pyarrow')).map_batches(
-        _AddKeyBucket(['jkey'], num_buckets), batch_format='pyarrow')
-
-    def rewrite(group: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        is_src = pc.is_valid(group.column('lab'))
-        src = group.filter(is_src)
-        ref = group.filter(pc.invert(is_src))
-        idx = pc.index_in(ref.column('jkey').combine_chunks(),
-                          value_set=src.column('jkey').combine_chunks())
-        jumped = src.column('lab').combine_chunks().take(idx)
-        return pa.table({
-            'node': ref.column('node'),
-            'label': jumped})
-
-    return both.groupby('_bucket').map_groups(rewrite,
-                                              batch_format='pyarrow')
+    return cogroup(labels, labels, 'label', 'node', rewrite,
+                   num_buckets=num_buckets)
 
 
 def _min_fold(partials, key, value, num_buckets):
-    """Bucketed distributed min: partials (≤1 row per key per block) meet
-    on a coarse hash bucket of the key; Arrow-native fold per bucket."""
-    from ..pipelines.constraints import _AddKeyBucket
-
-    bucketed = partials.map_batches(_AddKeyBucket([key], num_buckets),
-                                    batch_format='pyarrow')
-
+    """Distributed min: partials (≤1 row per key per block) meet in one
+    hash exchange; Arrow-native fold per bucket."""
     def fold(group: pa.Table) -> pa.Table:
         sub = group.select([key, value]).group_by(key) \
             .aggregate([(value, 'min')])
         return sub.rename_columns([key, value])
 
-    return bucketed.groupby('_bucket').map_groups(fold,
-                                                  batch_format='pyarrow')
+    return exchange(partials, [key], fold, num_buckets=num_buckets)
 
 
 def _join_old(g: pa.Table, og: pa.Table) -> pa.Table:

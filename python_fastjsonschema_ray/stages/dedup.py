@@ -27,6 +27,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..state.sketches import _hash_bytes_array, _splitmix64
+from .exchange import cogroup, default_buckets, exchange
 
 _MERSENNE = np.uint64((1 << 61) - 1)
 
@@ -301,17 +302,10 @@ def _textmap_from_refs(refs, id_column, text_column):
     return _worker_cached(('texts',) + tuple(r.hex() for r in refs), build)
 
 
-def _bucket_col(arr, num_buckets) -> pa.Array:
-    from ..state.sketches import hash64_array
-    h = hash64_array(arr.combine_chunks() if hasattr(arr, 'combine_chunks')
-                     else arr)
-    return pa.array((h % np.uint64(num_buckets)).astype(np.int64))
-
-
 def minhash_duplicate_pairs(ds, id_column, text_column, *, threshold=0.8,
                             num_perm=128, bands=16, shingle_k=5,
                             concurrency=None, num_buckets=None,
-                            broadcast_text_limit=1 << 30, coalesce=True):
+                            broadcast_text_limit=1 << 30):
     """Near-duplicate pairs via MinHash-LSH: returns a Dataset of
     (id_a, id_b, jaccard) with id_a < id_b and exact shingle-Jaccard ≥
     threshold.
@@ -342,14 +336,10 @@ def minhash_duplicate_pairs(ds, id_column, text_column, *, threshold=0.8,
         kwargs['concurrency'] = concurrency
     banded = ds.select_columns([id_column, text_column]).map_batches(
         stage, **kwargs)
-    if coalesce:
-        # The band triples are tiny ((id, band, band_hash) x bands rows per
-        # doc) while the LSH groupby's sort fixed cost is TASK-count-driven:
-        # merge the many signature blocks to ~cpus/4 before the shuffle.
-        # Disable at extreme corpus scale where a coalesced block would
-        # exceed the target block size.
-        from ..pipelines.constraints import _default_buckets
-        banded = banded.repartition(_default_buckets() // 8 or 1)
+    # The band triples are tiny ((id, band, band_hash) x bands rows per
+    # doc) while the LSH groupby's sort fixed cost is TASK-count-driven:
+    # merge the many signature blocks to a few before the shuffle.
+    banded = banded.repartition(default_buckets() // 8 or 1)
 
     def band_pairs(group: pd.DataFrame) -> pd.DataFrame:
         # One group = one whole band (32 groups total): bucket by band_hash
@@ -406,9 +396,6 @@ def _verify_candidate_pairs(ds, pairs_m, id_column, text_column, *,
     import ray
     import ray.data
 
-    if num_buckets is None:
-        num_buckets = max(
-            32, 2 * int(ray.cluster_resources().get('CPU', 8)))
     # The authoritative id type comes from a non-empty pairs block (empty
     # blocks from pandas map_groups carry a fake float64 schema; a
     # pandas-backed input Dataset reports numpy dtypes, not Arrow types).
@@ -487,20 +474,13 @@ def _verify_candidate_pairs(ds, pairs_m, id_column, text_column, *,
                 dedup_pairs, batch_format='pyarrow')
         else:
             # Large candidate sets (prefix filtering on low-entropy
-            # corpora): dedup distributed — bucket by id_a (all copies
+            # corpora): dedup distributed — exchange on id_a (all copies
             # of a pair share id_a, so per-bucket dedup is global) and
-            # collapse each bucket with one Arrow group_by.
-            def add_pair_bucket(batch: pa.Table) -> pa.Table:
-                t = dedup_pairs(batch)    # per-block pre-dedup + cast
-                return t.append_column(
-                    '_bucket', _bucket_col(t.column('id_a'), num_buckets))
-
-            unique_pairs = pairs_m.map_batches(
-                add_pair_bucket, batch_format='pyarrow') \
-                .groupby('_bucket').map_groups(
-                    lambda g: g.select(['id_a', 'id_b'])
-                    .group_by(['id_a', 'id_b']).aggregate([]),
-                    batch_format='pyarrow')
+            # collapse each bucket with one Arrow group_by, after a
+            # per-block pre-dedup + cast.
+            unique_pairs = exchange(
+                pairs_m.map_batches(dedup_pairs, batch_format='pyarrow'),
+                ['id_a'], dedup_pairs, num_buckets=num_buckets)
 
         def broadcast_verify(batch: pa.Table) -> pa.Table:
             text_of, cache = _textmap_from_refs(text_refs, id_column,
@@ -536,86 +516,32 @@ def _verify_candidate_pairs(ds, pairs_m, id_column, text_column, *,
         return unique_pairs.map_batches(
             broadcast_verify, batch_format='pyarrow', batch_size=8192)
 
-    # Two-phase bucketed co-group join: attach text_a (bucket by id_a),
-    # then text_b (bucket by id_b) + exact-Jaccard verify.  Union schema:
-    # (_bucket, _side, id_a, id_b, text_a?, text).
-    def tag_pairs_a(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        id_a = batch.column('id_a').combine_chunks().cast(id_type)
-        id_b = batch.column('id_b').combine_chunks().cast(id_type)
+    # Two-phase co-group join: attach text_a (co-group on id_a), then
+    # text_b (co-group on id_b) + exact-Jaccard verify.
+    def cast_pairs(batch: pa.Table) -> pa.Table:
         return pa.table({
-            '_bucket': _bucket_col(id_a, num_buckets),
-            '_side': pa.array(['P'] * n, type=pa.string()),
-            'id_a': id_a,
-            'id_b': id_b,
-            'text': pa.nulls(n, type=pa.string()),
-        })
+            'id_a': batch.column('id_a').combine_chunks().cast(id_type),
+            'id_b': batch.column('id_b').combine_chunks().cast(id_type)})
 
-    def tag_texts(batch: pa.Table, join_col) -> pa.Table:
-        n = batch.num_rows
-        ids = batch.column(id_column)
-        cols = {
-            '_bucket': _bucket_col(ids, num_buckets),
-            '_side': pa.array(['T'] * n, type=pa.string()),
-            'id_a': ids if join_col == 'id_a' else pa.nulls(n, type=ids.type),
-            'id_b': ids if join_col == 'id_b' else pa.nulls(n, type=ids.type),
-            'text': batch.column(text_column).cast(pa.string()),
-        }
-        return pa.table(cols)
-
-    phase1 = pairs_m.map_batches(tag_pairs_a, batch_format='pyarrow').union(
-        texts_cand.map_batches(lambda b: tag_texts(b, 'id_a'),
-                               batch_format='pyarrow'))
-
-    def join_a(group: pa.Table) -> pa.Table:
-        # Arrow end to end: a pandas group would coerce the nullable int id
-        # columns to float64, silently changing the bucket hashes.
-        import pyarrow.compute as pc
-        tmask = pc.equal(group.column('_side'), 'T')
-        t = group.filter(tmask)
-        p = group.filter(pc.invert(tmask))
-        p = p.select(['id_a', 'id_b']).group_by(['id_a', 'id_b']) \
-            .aggregate([])  # cross-band pair dedup
-        text_of = dict(zip(t.column('id_a').to_pylist(),
-                           t.column('text').to_pylist()))
+    def join_a(p: pa.Table, t: pa.Table) -> pa.Table:
+        p = p.group_by(['id_a', 'id_b']).aggregate([])  # cross-band dedup
+        text_of = dict(zip(t.column(id_column).to_pylist(),
+                           t.column(text_column).to_pylist()))
         texts = [text_of.get(i) for i in p.column('id_a').to_pylist()]
         return pa.table({'id_a': p.column('id_a'),
                          'id_b': p.column('id_b'),
                          'text_a': pa.array(texts, type=pa.string())})
 
-    with_text_a = phase1.groupby('_bucket').map_groups(
-        join_a, batch_format='pyarrow')
+    # Materialized (∝ candidate pairs) so phase 2 reads its schema
+    # without re-running phase 1.
+    with_text_a = cogroup(
+        pairs_m.map_batches(cast_pairs, batch_format='pyarrow'),
+        texts_cand, 'id_a', id_column, join_a,
+        num_buckets=num_buckets).materialize()
 
-    def tag_pairs_b(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        id_a = batch.column('id_a').combine_chunks().cast(id_type)
-        id_b = batch.column('id_b').combine_chunks().cast(id_type)
-        return pa.table({
-            '_bucket': _bucket_col(id_b, num_buckets),
-            '_side': pa.array(['P'] * n, type=pa.string()),
-            'id_a': id_a,
-            'id_b': id_b,
-            'text_a': batch.column('text_a').combine_chunks()
-            .cast(pa.string()),
-            'text': pa.nulls(n, type=pa.string()),
-        })
-
-    def tag_texts_b(batch: pa.Table) -> pa.Table:
-        t = tag_texts(batch, 'id_b')
-        return t.add_column(4, 'text_a',
-                            pa.nulls(t.num_rows, type=pa.string()))
-
-    phase2 = with_text_a.map_batches(
-        tag_pairs_b, batch_format='pyarrow').union(
-        texts_cand.map_batches(tag_texts_b, batch_format='pyarrow'))
-
-    def verify(group: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        tmask = pc.equal(group.column('_side'), 'T')
-        t = group.filter(tmask)
-        p = group.filter(pc.invert(tmask))
-        text_of = dict(zip(t.column('id_b').to_pylist(),
-                           t.column('text').to_pylist()))
+    def verify(p: pa.Table, t: pa.Table) -> pa.Table:
+        text_of = dict(zip(t.column(id_column).to_pylist(),
+                           t.column(text_column).to_pylist()))
         cache = {}
 
         def shingles(doc_id, text):
@@ -642,7 +568,8 @@ def _verify_candidate_pairs(ds, pairs_m, id_column, text_column, *,
                          'id_b': taken.column('id_b'),
                          'jaccard': pa.array(out_j, type=pa.float64())})
 
-    return phase2.groupby('_bucket').map_groups(verify, batch_format='pyarrow')
+    return cogroup(with_text_a, texts_cand, 'id_b', id_column, verify,
+                   num_buckets=num_buckets)
 
 
 class ShingleExplodeStage:
@@ -684,7 +611,7 @@ class ShingleExplodeStage:
 
 def ngram_jaccard_pairs(ds, id_column, text_column, *, threshold=0.8,
                         shingle_k=5, num_buckets=None, concurrency=None,
-                        coalesce=True, broadcast_text_limit=1 << 30):
+                        broadcast_text_limit=1 << 30):
     """EXACT character-n-gram Jaccard near-duplicate pairs: every
     (id_a, id_b, jaccard) with id_a < id_b and distinct-shingle Jaccard
     ≥ ``threshold`` — no LSH approximation, exact recall.
@@ -708,25 +635,11 @@ def ngram_jaccard_pairs(ds, id_column, text_column, *, threshold=0.8,
     with ``minhash_duplicate_pairs``.  Cost grows with (1-t): below
     t≈0.5 prefixes stop excluding much — use MinHash-LSH there.
     """
-    import ray
-
-    if num_buckets is None:
-        num_buckets = max(
-            32, 2 * int(ray.cluster_resources().get('CPU', 8)))
     kwargs = {'batch_format': 'pandas'}
     if concurrency:
         kwargs['concurrency'] = concurrency
     exploded = ds.select_columns([id_column, text_column]).map_batches(
         ShingleExplodeStage(id_column, text_column, shingle_k), **kwargs)
-    if coalesce:
-        # Sort-shuffle fixed cost is task-count-driven; merge the many
-        # explode blocks before the first bucket groupby.
-        from ..pipelines.constraints import _default_buckets
-        exploded = exploded.repartition(_default_buckets() // 8 or 1)
-
-    def add_sh_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            '_bucket', _bucket_col(batch.column('sh'), num_buckets))
 
     def with_df(group: pd.DataFrame) -> pd.DataFrame:
         out = group[[id_column, 'sh', 'n']].copy()
@@ -734,12 +647,10 @@ def ngram_jaccard_pairs(ds, id_column, text_column, *, threshold=0.8,
             .transform('size').to_numpy()
         return out
 
-    withdf = exploded.map_batches(add_sh_bucket, batch_format='pyarrow') \
-        .groupby('_bucket').map_groups(with_df, batch_format='pandas')
-
-    def add_id_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            '_bucket', _bucket_col(batch.column(id_column), num_buckets))
+    # Sort-shuffle fixed cost is task-count-driven; merge the many
+    # explode blocks before the first exchange.
+    withdf = exchange(exploded, ['sh'], with_df, batch_format='pandas',
+                      num_buckets=num_buckets, coalesce=True)
 
     def prefixes(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values([id_column, 'df', 'sh'])
@@ -752,8 +663,8 @@ def ngram_jaccard_pairs(ds, id_column, text_column, *, threshold=0.8,
         out['rank'] = rank[rank < p]
         return out
 
-    prefix_rows = withdf.map_batches(add_id_bucket, batch_format='pyarrow') \
-        .groupby('_bucket').map_groups(prefixes, batch_format='pandas')
+    prefix_rows = exchange(withdf, [id_column], prefixes,
+                           batch_format='pandas', num_buckets=num_buckets)
 
     def token_pairs(group: pd.DataFrame) -> pd.DataFrame:
         # One group = one bucket of prefix tokens: runs of equal sh give
@@ -790,9 +701,9 @@ def ngram_jaccard_pairs(ds, id_column, text_column, *, threshold=0.8,
                 out_b.append(ids[s:e][jj[keep]])
         return _pairs_table(out_a, out_b, ids.dtype)
 
-    candidate_pairs = prefix_rows.map_batches(
-        add_sh_bucket, batch_format='pyarrow') \
-        .groupby('_bucket').map_groups(token_pairs, batch_format='pandas')
+    candidate_pairs = exchange(prefix_rows, ['sh'], token_pairs,
+                               batch_format='pandas',
+                               num_buckets=num_buckets)
     pairs_m = candidate_pairs.materialize()
     return _verify_candidate_pairs(
         ds, pairs_m, id_column, text_column, threshold=threshold,
@@ -1210,20 +1121,11 @@ def hamming_near_dup(ds, id_column, hash_column, *, max_dist=3, bands=None):
     pairs = exploded.groupby('band').map_groups(band_pairs,
                                                 batch_format='pandas')
 
-    # Cross-band dedup: coarse bucket on the pair hash, vectorized
-    # drop_duplicates per bucket (pairs ∝ dup rate, not corpus).
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        from ..state.sketches import hash64_array
-        a = hash64_array(batch.column('id_a').combine_chunks())
-        b = hash64_array(batch.column('id_b').combine_chunks())
-        with np.errstate(over='ignore'):
-            h = (a * np.uint64(0x9E3779B97F4A7C15)) ^ b
-        return batch.append_column(
-            '_bucket', pa.array((h % np.uint64(64)).astype(np.int64)))
-
+    # Cross-band dedup: exchange on the pair, vectorized drop_duplicates
+    # per bucket (pairs ∝ dup rate, not corpus).
     def dedup_bucket(group: pd.DataFrame) -> pd.DataFrame:
         return group.drop_duplicates(['id_a', 'id_b'])[
             ['id_a', 'id_b', 'dist']]
 
-    return pairs.map_batches(add_bucket, batch_format='pyarrow') \
-        .groupby('_bucket').map_groups(dedup_bucket, batch_format='pandas')
+    return exchange(pairs, ['id_a', 'id_b'], dedup_bucket,
+                    batch_format='pandas')

@@ -1,0 +1,191 @@
+"""Hash exchange: the one place rows are bucketed and co-grouped.
+
+Every engine-level key operator (uniqueness, dedup, grouped folds and
+scans, joins, connected components) moves rows through one of two calls:
+
+* :func:`exchange` runs ``fn`` once per bucket group of one Dataset;
+  rows with equal key tuples share a group.
+* :func:`cogroup` runs ``fn(l, r)`` once per bucket over two Datasets
+  keyed on one column each; ``l`` and ``r`` hold the rows of each side
+  that landed in the bucket.
+
+Buckets are COARSE (:func:`default_buckets`, a few per CPU): a group
+holds many keys, so Ray's sort-based ``groupby().map_groups()`` pays its
+per-group overhead O(cluster) times instead of once per distinct key,
+and ``fn`` folds every key of its group in one vectorized pass.  One
+hash decides the bucket everywhere: each key column is hashed with
+``hash64_array`` and mixed into a running 64-bit value, modulo the
+bucket count.  Equal keys of different types hash differently (int 2
+vs float 2.0), so ``cogroup`` casts the right key to the left key's
+type first, with Arrow's checked cast.
+
+Output blocks are Arrow without schema metadata, whatever ``fn``
+returns: pandas metadata (``b'pandas'``) makes a schema unhashable in
+Ray's block-schema dedup, which then logs a warning per block merge.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
+from ..state.sketches import hash64_array
+
+_BUCKET = '_bucket'
+_SIDE = '_side'          # True on left rows, False on right rows
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def default_buckets():
+    """Bucket count of every exchange: four per cluster CPU, at least 32."""
+    import ray
+    return max(32, 4 * int(ray.cluster_resources().get('CPU', 8)))
+
+
+def _bucket_of(table: pa.Table, columns, num_buckets) -> pa.Array:
+    h = np.zeros(table.num_rows, dtype=np.uint64)
+    for c in columns:
+        h ^= hash64_array(table.column(c).combine_chunks())
+        with np.errstate(over='ignore'):
+            h *= _MIX
+    return pa.array((h % np.uint64(num_buckets)).astype(np.int64))
+
+
+def _arrow(out) -> pa.Table:
+    if not isinstance(out, pa.Table):
+        out = pa.Table.from_pandas(out, preserve_index=False)
+    return out.replace_schema_metadata(None)
+
+
+def _reduce(tagged, body, name):
+    """Group ``tagged`` on its bucket column and run ``body`` on each
+    group (Arrow, bucket column dropped)."""
+    def per_bucket(group: pa.Table) -> pa.Table:
+        if _BUCKET not in group.column_names:
+            return group            # schemaless empty block passthrough
+        return _arrow(body(group.drop_columns([_BUCKET])))
+
+    per_bucket.__name__ = name
+    return tagged.groupby(_BUCKET).map_groups(per_bucket,
+                                              batch_format='pyarrow')
+
+
+def exchange(ds, keys, fn, *, batch_format='pyarrow', num_buckets=None,
+             coalesce=False):
+    """Run ``fn`` once per bucket group of ``ds``; rows with equal
+    ``keys`` share a group.  ``fn`` receives the group in
+    ``batch_format`` (never the bucket column) and returns an Arrow
+    table or a pandas frame.
+
+    ``coalesce=True`` repartitions ``ds`` to ``default_buckets() // 8``
+    blocks before the shuffle, whose fixed cost grows with the task
+    count: right for many small blocks of modest total size, such as
+    pre-aggregated partials (at most one row per key per block); at
+    extreme sizes a coalesced block outgrows the target block size."""
+    from ray.data.block import BlockAccessor
+
+    keys = list(keys)
+    num_buckets = num_buckets or default_buckets()
+
+    def add_bucket(batch: pa.Table) -> pa.Table:
+        batch = batch.replace_schema_metadata(None)
+        if not batch.num_rows and not set(keys) <= set(batch.column_names):
+            return batch            # schemaless empty block passthrough
+        return batch.append_column(
+            _BUCKET, _bucket_of(batch, keys, num_buckets))
+
+    if coalesce:
+        ds = ds.map_batches(_arrow, batch_format='pyarrow') \
+            .repartition(max(default_buckets() // 8, 1))
+    tagged = ds.map_batches(add_bucket, batch_format='pyarrow')
+
+    def body(group: pa.Table):
+        return fn(BlockAccessor.for_block(group)
+                  .to_batch_format(batch_format))
+
+    return _reduce(tagged, body, getattr(fn, '__name__', 'exchange'))
+
+
+def _arrow_schema(ds):
+    """(ds, its Arrow schema); pandas-block datasets report some types
+    as None, so those route through an Arrow conversion first."""
+    schema = ds.schema()
+    if schema is None:
+        raise ValueError('cogroup needs a schema on both sides; '
+                         'short-circuit fully-empty inputs first')
+    if any(t is None for t in schema.types):
+        ds = ds.map_batches(_arrow, batch_format='pyarrow')
+        schema = ds.schema()
+    return ds, pa.schema(list(zip(schema.names, schema.types)))
+
+
+def cogroup(left, right, left_key, right_key, fn, *, num_buckets=None):
+    """Run ``fn(l, r)`` once per bucket: ``l`` holds exactly ``left``'s
+    columns, ``r`` exactly ``right``'s, for the rows whose key
+    (``left[left_key]`` / ``right[right_key]``) hashes to the bucket.
+    Either may be empty; both are Arrow tables typed like their side.
+
+    Both sides travel in one union exchange: each row carries a side
+    tag and typed nulls for the other side's columns.  The right key is
+    cast to the left key's type before hashing (equal keys of different
+    types would land in different buckets); a value that does not
+    survive Arrow's checked cast raises ``TypeError``."""
+    num_buckets = num_buckets or default_buckets()
+    left, lschema = _arrow_schema(left)
+    right, rschema = _arrow_schema(right)
+    key_type = lschema.field(left_key).type
+    rschema = rschema.set(rschema.get_field_index(right_key),
+                          pa.field(right_key, key_type))
+    lnames = ['l.' + c for c in lschema.names]
+    rnames = ['r.' + c for c in rschema.names]
+    union = pa.schema(
+        [pa.field(_BUCKET, pa.int64()), pa.field(_SIDE, pa.bool_())]
+        + [f.with_name(n) for f, n in zip(lschema, lnames)]
+        + [f.with_name(n) for f, n in zip(rschema, rnames)])
+
+    def align(batch: pa.Table) -> pa.Table:
+        col = batch.column(right_key)
+        if col.type == key_type:
+            return batch
+        try:
+            cast = col.cast(key_type)
+        except (pa.ArrowInvalid, pa.ArrowNotImplementedError) as exc:
+            raise TypeError(
+                'right key {!r} ({}) cannot be cast losslessly to the type '
+                'of left key {!r} ({}); cast the key columns explicitly '
+                'before joining: {}'.format(right_key, col.type, left_key,
+                                            key_type, exc)) from exc
+        return batch.set_column(batch.schema.get_field_index(right_key),
+                                right_key, cast)
+
+    def tagger(own, key, is_left):
+        def tag(batch: pa.Table) -> pa.Table:
+            if not batch.num_rows and key not in batch.column_names:
+                return union.empty_table()  # schemaless empty block
+            if not is_left:
+                batch = align(batch)
+            batch = batch.select(own.names).cast(own)
+            n = batch.num_rows
+            side = pa.array(np.full(n, is_left))
+            pads = [pa.nulls(n, type=f.type)
+                    for f in (rschema if is_left else lschema)]
+            cols = batch.columns
+            arrays = ([_bucket_of(batch, [key], num_buckets), side]
+                      + (cols + pads if is_left else pads + cols))
+            return pa.Table.from_arrays(arrays, schema=union)
+        return tag
+
+    tagged = left.map_batches(tagger(lschema, left_key, True),
+                              batch_format='pyarrow').union(
+        right.map_batches(tagger(rschema, right_key, False),
+                          batch_format='pyarrow'))
+
+    def body(group: pa.Table):
+        is_l = group.column(_SIDE)
+        l = group.filter(is_l).select(lnames).rename_columns(lschema.names)
+        r = group.filter(pc.invert(is_l)).select(rnames) \
+            .rename_columns(rschema.names)
+        return fn(l, r)
+
+    return _reduce(tagged, body, getattr(fn, '__name__', 'cogroup'))

@@ -19,17 +19,19 @@ Scale notes:
   (dimension semantics — duplicate keys would silently pick one match);
   pass ``check_unique=True`` to verify (one extra pass over the small
   side).
-* ``shuffle_join`` hash-buckets BOTH sides on the key (the
-  check_referential_large pattern) and merges per bucket with a
-  vectorized pandas merge — one all-to-all exchange of each side, the
-  honest cost when neither side broadcasts.  Duplicate keys produce the
-  full SQL inner-join cross product within the key.
+* ``shuffle_join`` co-groups BOTH sides on the key (one hash exchange,
+  ``stages/exchange.py``) and merges per bucket with a vectorized
+  pandas merge — the honest cost when neither side broadcasts.
+  Duplicate keys produce the full SQL inner-join cross product within
+  the key.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from .exchange import cogroup
 
 
 def _as_arrow(t):
@@ -136,34 +138,54 @@ def broadcast_lookup_join(ds, key, ref_ds, ref_key, ref_columns=None,
     return ds.map_batches(join, batch_format='pyarrow')
 
 
+def _checked(src, dtype):
+    """``src.astype(dtype)``, raising ``TypeError`` when any non-null
+    value changes (a silent float -> int truncation would fabricate
+    matches SQL rejects)."""
+    cast = src.astype(dtype)
+    if not bool(((cast == src) | src.isna()).all()):
+        raise TypeError(
+            'lossy key cast {} -> {}; cast the key columns explicitly '
+            'before joining'.format(src.dtype, dtype))
+    return cast
+
+
+def _aligned(a, b):
+    """Pandas key Series ``a`` and ``b`` with one dtype: ``b`` cast to
+    ``a``'s dtype, else ``a`` to ``b``'s, never through a lossy cast."""
+    if a.dtype == b.dtype:
+        return a, b
+    try:
+        return a, _checked(b, a.dtype)
+    except (TypeError, ValueError):
+        return _checked(a, b.dtype), b
+
+
 def shuffle_join(left, right, left_key, right_key, right_columns,
                  num_buckets=None, how='inner'):
-    """Equi-join of two large Datasets via one coarse hash-bucket
-    co-group per side; per-bucket vectorized pandas merge (full SQL
-    semantics including duplicate-key cross products).  ``how`` is
+    """Equi-join of two large Datasets via one hash co-group
+    (``stages/exchange.py``); per-bucket vectorized pandas merge (full
+    SQL semantics including duplicate-key cross products).  ``how`` is
     ``'inner'`` or ``'left'`` — every left row lands in exactly one
     bucket, so unmatched left rows survive the per-bucket left merge
-    with typed-null right columns (pandas' float coercion of
-    null-padded int columns is undone by rebuilding each column with
-    its declared Arrow type).  Output columns: all of ``left`` plus
-    ``right_columns``."""
+    with typed-null right columns.  Output columns: all of ``left`` plus
+    ``right_columns``.  The right key is cast to the left key's type
+    first; a key that does not cast losslessly raises ``TypeError``."""
     import pandas as pd
-
-    from ..pipelines.constraints import _AddKeyBucket, _default_buckets
+    import pyarrow.compute as pc
 
     if how not in ('inner', 'left', 'semi', 'anti'):
         raise ValueError("how must be 'inner', 'left', 'semi' or 'anti'")
     if how in ('semi', 'anti'):
         return _shuffle_semi_anti(left, right, left_key, right_key,
                                   num_buckets, how)
-    num_buckets = num_buckets or _default_buckets()
     right_columns = [c for c in right_columns if c != right_key]
 
     left_schema = left.schema()
     if left_schema is None:
         return left            # fully-empty left: nothing to join
-    right_schema_probe = right.schema()
-    if right_schema_probe is None:
+    right = right.select_columns([right_key] + right_columns)
+    if right.schema() is None:
         # Fully-empty right side (no schema at all): inner yields
         # nothing; left keeps every left row with null-typed padding
         # for the requested right columns.
@@ -178,88 +200,20 @@ def shuffle_join(left, right, left_key, right_key, right_columns,
             return b
 
         return left.map_batches(pad_left, batch_format='pyarrow')
-    left_names = list(left_schema.names)
     overlap = ({right_key} | set(right_columns)) & set(left_schema.names)
     if overlap:
         raise ValueError(
             'right-side columns {} collide with left column names; rename '
             'before joining'.format(sorted(overlap)))
-    left_types = dict(zip(left_schema.names, left_schema.types))
-    right_schema = right.schema()
-    right_types = dict(zip(right_schema.names, right_schema.types))
-    lk_t, rk_t = left_types.get(left_key), right_types.get(right_key)
-    if lk_t is not None and rk_t is not None and lk_t != rk_t:
-        # Mismatched key dtypes hash to DIFFERENT buckets upstream
-        # (int 2 vs float 2.0), so the join would mostly return empty
-        # silently; a naive pandas astype in the merge would also
-        # truncate float keys to int (2.5 -> 2) and fabricate matches.
-        # Align at the boundary with Arrow's checked cast (safe=True
-        # raises on any lossy value: 2.5 -> int, 2^53+1 -> float).
-        def align_key(b: pa.Table, _k=right_key, _t=lk_t) -> pa.Table:
-            try:
-                cast = b.column(_k).cast(_t)
-            except (pa.ArrowInvalid, pa.ArrowNotImplementedError) as exc:
-                raise TypeError(
-                    'shuffle_join: right key {!r} ({}) cannot be cast '
-                    'losslessly to the left key type {}; cast the key '
-                    'columns explicitly before joining: {}'.format(
-                        _k, b.column(_k).type, _t, exc)) from exc
-            return b.set_column(b.schema.get_field_index(_k), _k, cast)
 
-        right = right.map_batches(align_key, batch_format='pyarrow')
-        right_types = dict(right_types, **{right_key: lk_t})
-    out_names = left_names + ['_side', right_key] + right_columns
-    # Null padding must carry the REAL column types or the union's
-    # schemas diverge (null-typed vs int64 columns).
-    pad_types = dict(left_types)
-    for c in [right_key] + right_columns:
-        pad_types.setdefault(c, right_types[c])
-
-    def tag_left(b: pa.Table) -> pa.Table:
-        b = b.append_column('_side', pa.array(['L'] * b.num_rows))
-        for c in [right_key] + right_columns:
-            if c not in b.schema.names:
-                b = b.append_column(c, pa.nulls(b.num_rows,
-                                                type=pad_types[c]))
-        return b.select(out_names)
-
-    def tag_right(b: pa.Table) -> pa.Table:
-        cols = {right_key: b.column(right_key)}
-        for c in right_columns:
-            cols[c] = b.column(c)
-        t = pa.table(cols)
-        t = t.append_column('_side', pa.array(['R'] * t.num_rows))
-        for c in left_names:
-            if c not in t.schema.names:
-                t = t.append_column(c, pa.nulls(t.num_rows,
-                                                type=pad_types[c]))
-        return t.select(out_names)
-
-    lt = left.map_batches(tag_left, batch_format='pyarrow').map_batches(
-        _AddKeyBucket([left_key], num_buckets), batch_format='pyarrow')
-    rt = right.select_columns([right_key] + right_columns).map_batches(
-        tag_right, batch_format='pyarrow').map_batches(
-        _AddKeyBucket([right_key], num_buckets), batch_format='pyarrow')
-    # Left rows bucket on left_key, right rows on right_key: equal keys
-    # land in the same bucket (same hash of the same value).
-
-    def merge(group: pa.Table) -> pa.Table:
-        # Arrow group end-to-end: slicing each SIDE as arrow before any
-        # pandas conversion keeps int64 key/value types intact (a pandas
-        # group would see the other side's null padding and coerce the
-        # whole column to float64, silently changing values and schema).
-        import pyarrow.compute as pc
-
-        is_l = pc.equal(group.column('_side'), 'L')
-        l = group.filter(is_l).select(left_names)
-        r = group.filter(pc.invert(is_l)).select([right_key] + right_columns)
+    def merge(l: pa.Table, r: pa.Table) -> pa.Table:
         # SQL semantics: null keys never match — but a LEFT join keeps
         # the null-key left rows (pandas would wrongly match NaN keys,
         # so they are split off and re-appended padded below).
         l_null = (l.filter(pc.is_null(l.column(left_key)))
                   if how == 'left' else None)
-        l = l.filter(pc.is_valid(l.column(left_key)))
-        r = r.filter(pc.is_valid(r.column(right_key)))
+        l = l.filter(pc.is_valid(l.column(left_key))).combine_chunks()
+        r = r.filter(pc.is_valid(r.column(right_key))).combine_chunks()
         # Merge POSITIONS, not payloads: only (key, row position) pass
         # through pandas, and every output column is gathered from the
         # Arrow sides by position — a pandas left merge would null-pad
@@ -271,42 +225,25 @@ def shuffle_join(left, right, left_key, right_key, right_columns,
         rhs = pd.DataFrame({
             '__k': r.column(right_key).to_pandas(),
             '__rpos': np.arange(r.num_rows, dtype=np.int64)})
-        if lhs['__k'].dtype != rhs['__k'].dtype:
-            # Defensive only (keys are Arrow-aligned at the API
-            # boundary above): reconcile residual pandas dtype drift,
-            # but never through a lossy cast — silent float->int
-            # truncation would fabricate matches SQL rejects.
-            def _checked(src, dtype):
-                cast = src.astype(dtype)
-                if not bool(((cast == src) | src.isna()).all()):
-                    raise TypeError(
-                        'shuffle_join: lossy key cast {} -> {}; cast '
-                        'the key columns explicitly before '
-                        'joining'.format(src.dtype, dtype))
-                return cast
-            try:
-                rhs['__k'] = _checked(rhs['__k'], lhs['__k'].dtype)
-            except (TypeError, ValueError):
-                lhs['__k'] = _checked(lhs['__k'], rhs['__k'].dtype)
+        # The Arrow key types already agree; pandas can still drift
+        # (e.g. an empty side converts to another dtype).
+        lhs['__k'], rhs['__k'] = _aligned(lhs['__k'], rhs['__k'])
         out = lhs.merge(rhs, on='__k', how=how)
         lpos = pa.array(out['__lpos'].to_numpy(dtype=np.int64))
         rpos = pa.array(out['__rpos'], type=pa.int64(), from_pandas=True)
-        result = l.combine_chunks().take(lpos)
-        r = r.combine_chunks()
+        result = l.take(lpos)
         for c in right_columns:
             result = result.append_column(c, r.column(c).take(rpos))
         if l_null is not None and l_null.num_rows:
             pad = l_null
-            for c in result.column_names:
-                if c not in pad.column_names:
-                    pad = pad.append_column(
-                        c, pa.nulls(pad.num_rows, type=pad_types[c]))
-            result = pa.concat_tables(
-                [result, pad.select(result.column_names)])
+            for c in right_columns:
+                pad = pad.append_column(c, pa.nulls(
+                    pad.num_rows, type=r.schema.field(c).type))
+            result = pa.concat_tables([result, pad])
         return result
 
-    return lt.union(rt).groupby('_bucket').map_groups(
-        merge, batch_format='pyarrow')
+    return cogroup(left, right, left_key, right_key, merge,
+                   num_buckets=num_buckets)
 
 
 def _shuffle_semi_anti(left, right, left_key, right_key, num_buckets, how):
@@ -316,62 +253,32 @@ def _shuffle_semi_anti(left, right, left_key, right_key, num_buckets, how):
 
     The right side collapses to per-block DISTINCT keys BEFORE the
     exchange (an Arrow group_by combiner, the dedup_exact discipline),
-    so the shuffle moves full left rows plus at most one key row per
+    so the co-group moves full left rows plus at most one key row per
     distinct right key per block — never right payload columns.  Null
     left keys never match: semi drops them, anti keeps them."""
-    from ..pipelines.constraints import _AddKeyBucket, _default_buckets
+    import pyarrow.compute as pc
 
-    num_buckets = num_buckets or _default_buckets()
-    left_schema = left.schema()
-    if left_schema is None:
+    def distinct_keys(b: pa.Table) -> pa.Table:
+        return b.group_by([right_key]).aggregate([])
+
+    if left.schema() is None:
         return left            # fully-empty left: nothing to filter
-    if right.schema() is None:
+    keys = right.select_columns([right_key]).map_batches(
+        distinct_keys, batch_format='pyarrow')
+    if keys.schema() is None:
         # Empty right key set: EXISTS is false everywhere — semi drops
         # every row, anti keeps every row (incl. null keys, per policy).
         return left.limit(0) if how == 'semi' else left
-    if any(t is None for t in left_schema.types):
-        # pandas-block datasets report extension dtypes as None; route
-        # through an Arrow conversion so the pad types are real.
-        left = left.map_batches(lambda t: t, batch_format='pyarrow')
-        left_schema = left.schema()
-    left_names = list(left_schema.names)
-    key_type = dict(zip(left_schema.names, left_schema.types))[left_key]
-    pad_types = dict(zip(left_schema.names, left_schema.types))
 
-    def tag_left(b: pa.Table) -> pa.Table:
-        return b.append_column('_side', pa.array(['L'] * b.num_rows))
-
-    def tag_right(b: pa.Table) -> pa.Table:
-        keys = (b.select([right_key]).group_by([right_key]).aggregate([])
-                .column(right_key).combine_chunks().cast(key_type))
-        t = pa.table({left_key: keys})
-        for c in left_names:
-            if c != left_key:
-                t = t.append_column(c, pa.nulls(t.num_rows,
-                                                type=pad_types[c]))
-        t = t.append_column('_side', pa.array(['R'] * t.num_rows))
-        return t.select(left_names + ['_side'])
-
-    lt = left.map_batches(tag_left, batch_format='pyarrow').map_batches(
-        _AddKeyBucket([left_key], num_buckets), batch_format='pyarrow')
-    rt = right.select_columns([right_key]).map_batches(
-        tag_right, batch_format='pyarrow').map_batches(
-        _AddKeyBucket([left_key], num_buckets), batch_format='pyarrow')
-
-    def filt(group: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        is_l = pc.equal(group.column('_side'), 'L')
-        l = group.filter(is_l).select(left_names)
-        rkeys = group.filter(pc.invert(is_l)).column(left_key) \
-            .combine_chunks()
+    def filt(l: pa.Table, r: pa.Table) -> pa.Table:
         k = l.column(left_key)
+        rkeys = r.column(right_key).combine_chunks()
         hit = pc.and_(pc.fill_null(pc.is_in(k, value_set=rkeys), False),
                       pc.is_valid(k))
         return l.filter(hit if how == 'semi' else pc.invert(hit))
 
-    return lt.union(rt).groupby('_bucket').map_groups(
-        filt, batch_format='pyarrow')
+    return cogroup(left, keys, left_key, right_key, filt,
+                   num_buckets=num_buckets)
 
 
 def broadcast_interval_join(ds, point_column, intervals, start_column,
@@ -533,28 +440,28 @@ def asof_join(left, right, left_on, right_on, left_by, right_by,
     * ``tolerance`` bounds the time gap: seconds when ``left_on`` is a
       timestamp, same units as the column otherwise.
 
-    Scale: both sides exchange ONCE on a coarse hash bucket of the
-    by-key (all rows of a key co-locate; ~4x-CPUs Ray groups keep the
-    sort-aggregate overhead off the per-key cardinality).  Each bucket
-    runs one vectorized ``pandas.merge_asof`` over time-sorted sides —
-    O(n log n) per bucket, no per-key Python.  Skewed by-keys
-    concentrate in one bucket; salt upstream if one key dominates."""
+    Scale: both sides meet in ONE hash co-group on the by-key
+    (``stages/exchange.py``: all rows of a key co-locate, and coarse
+    buckets keep the sort-aggregate overhead off the per-key
+    cardinality).  Each bucket runs one vectorized ``pandas.merge_asof``
+    over time-sorted sides — O(n log n) per bucket, no per-key Python.
+    Skewed by-keys concentrate in one bucket; salt upstream if one key
+    dominates."""
     import pandas as pd
     import pyarrow.compute as pc
-
-    from ..pipelines.constraints import _AddKeyBucket, _default_buckets
 
     if how not in ('inner', 'left'):
         raise ValueError("how must be 'inner' or 'left'")
     if direction not in ('backward', 'forward', 'nearest'):
         raise ValueError("direction must be backward|forward|nearest")
-    num_buckets = num_buckets or _default_buckets()
     right_columns = list(right_columns)
     tiebreak = list(tiebreak if tiebreak is not None else right_columns)
 
     left_schema = left.schema()
     if left_schema is None:
         return left            # fully-empty left: nothing to join
+    right = right.select_columns(list(dict.fromkeys(
+        [right_on, right_by] + right_columns + tiebreak)))
     if right.schema() is None:
         # Fully-empty right side: inner yields nothing; left keeps every
         # left row with null-typed padding for the requested columns.
@@ -577,62 +484,25 @@ def asof_join(left, right, left_on, right_on, left_by, right_by,
     left_types = dict(zip(left_schema.names, left_schema.types))
     right_schema = right.schema()
     right_types = dict(zip(right_schema.names, right_schema.types))
-    right_need = list(dict.fromkeys(
-        [right_on, right_by] + right_columns + tiebreak))
-    # Internal names for the right on/by so they never collide with left
-    # columns (pandas merge_asof suffixing would be name-dependent).
-    R_ON, R_BY = '__r_on', '__r_by'
-    union_names = left_names + ['_side', R_ON, R_BY] + right_columns
-    pad_types = dict(left_types)
-    pad_types[R_ON] = right_types[right_on]
-    pad_types[R_BY] = right_types[right_by]
-    for c in right_columns:
-        pad_types.setdefault(c, right_types[c])
-
-    out_fields = [pa.field(n, left_types[n]) for n in left_names] + \
-        [pa.field(c, right_types[c]) for c in right_columns]
-    out_schema = pa.schema(out_fields)
+    out_schema = pa.schema(
+        [pa.field(n, left_types[n]) for n in left_names] +
+        [pa.field(c, right_types[c]) for c in right_columns])
 
     tol = tolerance
     if tol is not None and pa.types.is_timestamp(right_types[right_on]):
         tol = pd.Timedelta(seconds=tolerance)
+    # Internal names for the right on/by inside pandas, so they never
+    # collide with the left's (merge_asof suffixing is name-dependent).
+    R_ON, R_BY = '__r_on', '__r_by'
 
-    def tag_left(b: pa.Table) -> pa.Table:
-        b = b.append_column('_side', pa.array(['L'] * b.num_rows))
-        for c in [R_ON, R_BY] + right_columns:
-            b = b.append_column(c, pa.nulls(b.num_rows, type=pad_types[c]))
-        return b.select(union_names)
-
-    def tag_right(b: pa.Table) -> pa.Table:
-        cols = {R_ON: b.column(right_on), R_BY: b.column(right_by)}
-        for c in right_columns:
-            cols[c] = b.column(c)
-        t = pa.table(cols)
-        t = t.append_column('_side', pa.array(['R'] * t.num_rows))
-        for c in left_names:
-            t = t.append_column(c, pa.nulls(t.num_rows, type=pad_types[c]))
-        return t.select(union_names)
-
-    lt = left.map_batches(tag_left, batch_format='pyarrow').map_batches(
-        _AddKeyBucket([left_by], num_buckets), batch_format='pyarrow')
-    rt = right.select_columns(right_need).map_batches(
-        tag_right, batch_format='pyarrow').map_batches(
-        _AddKeyBucket([R_BY], num_buckets), batch_format='pyarrow')
-
-    def merge(group: pa.Table) -> pa.Table:
-        # Arrow-filter each side BEFORE pandas: padded null columns are
-        # selected away per side, so int64 keys never see the other
-        # side's nulls and degrade to float64.
-        is_l = pc.equal(group.column('_side'), 'L')
-        l = group.filter(is_l).select(left_names).combine_chunks()
-        r = group.filter(pc.invert(is_l)).select(
-            [R_ON, R_BY] + right_columns)
-        r = r.filter(pc.and_kleene(pc.is_valid(r.column(R_ON)),
-                                   pc.is_valid(r.column(R_BY))))
-        # Ties on R_ON break on the GREATEST tiebreak for 'backward'
+    def merge(l: pa.Table, r: pa.Table) -> pa.Table:
+        l = l.combine_chunks()
+        r = r.filter(pc.and_kleene(pc.is_valid(r.column(right_on)),
+                                   pc.is_valid(r.column(right_by))))
+        # Ties on right_on break on the GREATEST tiebreak for 'backward'
         # (merge_asof picks the last of equal on-keys); sorting in
         # Arrow keeps int64 tiebreak values exact.
-        r = r.sort_by([(c, 'ascending') for c in [R_ON] + tiebreak]) \
+        r = r.sort_by([(c, 'ascending') for c in [right_on] + tiebreak]) \
              .combine_chunks()
         # Only (on, by, position) pass through pandas; every output
         # column is gathered from the Arrow sides by position, so
@@ -646,18 +516,14 @@ def asof_join(left, right, left_on, right_on, left_by, right_by,
         lhs_v = lhs[match_ok].sort_values('__on', kind='mergesort')
         if r.num_rows:
             rhs = pd.DataFrame({
-                R_ON: r.column(R_ON).to_pandas(),
-                R_BY: r.column(R_BY).to_pandas(),
+                R_ON: r.column(right_on).to_pandas(),
+                R_BY: r.column(right_by).to_pandas(),
                 '__rpos': np.arange(r.num_rows, dtype=np.int64)})
-            # A left block that carried null keys converts to float64 in
-            # pandas even after the nulls are filtered; re-align key
-            # dtypes (merge_asof requires exact matches).
+            # merge_asof needs equal key dtypes: the on-keys may differ
+            # (float vs int), and a left block that carried null keys
+            # converts to float64 even after the nulls are filtered.
             for lc, rc in (('__on', R_ON), ('__by', R_BY)):
-                if lhs_v[lc].dtype != rhs[rc].dtype:
-                    try:
-                        lhs_v[lc] = lhs_v[lc].astype(rhs[rc].dtype)
-                    except (TypeError, ValueError):
-                        rhs[rc] = rhs[rc].astype(lhs_v[lc].dtype)
+                lhs_v[lc], rhs[rc] = _aligned(lhs_v[lc], rhs[rc])
             out = pd.merge_asof(
                 lhs_v, rhs, left_on='__on', right_on=R_ON,
                 left_by='__by', right_by=R_BY,
@@ -680,5 +546,5 @@ def asof_join(left, right, left_on, right_on, left_by, right_by,
                 r.column(c).take(rpos).cast(right_types[c]))
         return result.cast(out_schema)
 
-    return lt.union(rt).groupby('_bucket').map_groups(
-        merge, batch_format='pyarrow')
+    return cogroup(left, right, left_by, right_by, merge,
+                   num_buckets=num_buckets)

@@ -220,15 +220,15 @@ def exact_quantile(ds, column, q, **kwargs):
 
 
 def grouped_quantile(ds, keys, value_column, qs, *, num_buckets=None,
-                     coalesce=True, out_column='value'):
+                     out_column='value'):
     """Exact per-group discrete quantiles (``quantile_disc`` rank rule:
     0-indexed ``max(ceil(n*q)-1, 0)`` among each group's sorted non-null
     values).  Output: one row per (group, q) with columns
     ``keys + ['q', out_column]``; groups whose values are ALL null emit
     a null quantile (SQL aggregate convention).
 
-    Scale: rows exchange ONCE as (key, value) pairs on a coarse hash
-    bucket of the key — the minimum data movement any exact per-group
+    Scale: rows exchange ONCE as (key, value) pairs in one hash
+    exchange on the key — the minimum data movement any exact per-group
     order statistic needs when group count is large — and each bucket
     ranks all its groups with ONE vectorized sort + cumcount pass (no
     per-group Python).  For a FEW huge groups the transpose is cheaper:
@@ -237,11 +237,10 @@ def grouped_quantile(ds, keys, value_column, qs, *, num_buckets=None,
     10^9+ rows per hot key prefer the per-group narrowing path."""
     import pandas as pd
 
-    from ..pipelines.constraints import _AddKeyBucket, _default_buckets
+    from .exchange import exchange
 
     keys = list(keys)
     qs = [float(q) for q in qs]
-    num_buckets = num_buckets or _default_buckets()
 
     ds_schema = ds.schema()
     if ds_schema is None:
@@ -252,16 +251,7 @@ def grouped_quantile(ds, keys, value_column, qs, *, num_buckets=None,
         [pa.field('q', pa.float64()),
          pa.field(out_column, ds_types[value_column])])
 
-    narrow = ds.select_columns(keys + [value_column])
-    if coalesce:
-        # Sort-shuffle fixed cost is task-count-driven; collapse the
-        # many small read blocks before the bucket exchange.
-        narrow = narrow.repartition(max(num_buckets // 8, 1))
-    bucketed = narrow.map_batches(_AddKeyBucket(keys, num_buckets),
-                                  batch_format='pyarrow')
-
-    def bucket_quantiles(group: pa.Table) -> pa.Table:
-        df = group.select(keys + [value_column]).to_pandas()
+    def bucket_quantiles(df: pd.DataFrame) -> pa.Table:
         all_groups = df[keys].drop_duplicates()
         vals = df.dropna(subset=[value_column])
         out_parts = []
@@ -296,12 +286,11 @@ def grouped_quantile(ds, keys, value_column, qs, *, num_buckets=None,
             out = pd.concat([out] + pads, ignore_index=True, sort=False)
         out = out[keys + ['q', value_column]].rename(
             columns={value_column: out_column})
-        # replace_schema_metadata(None): from_pandas attaches b'pandas'
-        # metadata even with schema=, and this pyarrow build's Schema
-        # hash chokes on it inside Ray's block-schema dedup.
         return pa.Table.from_pandas(out, schema=out_schema,
-                                    preserve_index=False
-                                    ).replace_schema_metadata(None)
+                                    preserve_index=False)
 
-    return bucketed.groupby('_bucket').map_groups(
-        bucket_quantiles, batch_format='pyarrow')
+    # Sort-shuffle fixed cost is task-count-driven: coalesce the many
+    # small read blocks before the exchange.
+    return exchange(ds.select_columns(keys + [value_column]), keys,
+                    bucket_quantiles, batch_format='pandas',
+                    num_buckets=num_buckets, coalesce=True)

@@ -85,8 +85,7 @@ def mixture_quotas(weights, total):
 
 
 def mixture_sample_exact(ds, group_column, key_column, quotas, *, salt=0,
-                         modulus=1_000_000_000, coalesce=True,
-                         num_buckets=None):
+                         modulus=1_000_000_000, num_buckets=None):
     """Domain-mixture resampling: exactly ``quotas[g]`` rows from each
     group ``g`` (fewer when the group is smaller), deterministically
     chosen by hash order of the key — the curation step that rebalances
@@ -97,12 +96,12 @@ def mixture_sample_exact(ds, group_column, key_column, quotas, *, salt=0,
     Same two-level shape as ``grouped_topk`` but with a PER-GROUP k:
     each block keeps its local quota-prefix per group (per-group
     top-quota by rank is associative), so the shuffle moves at most
-    ``quotas[g]`` rows per group per block; the coarse-bucket fold
-    applies the identical vectorized cumcount cut.  The quota dict
+    ``quotas[g]`` rows per group per block; each bucket group of the
+    exchange applies the identical vectorized cumcount cut.  The quota dict
     rides in the task closure — broadcast once, never per batch."""
     import pandas as pd
 
-    from ..pipelines.constraints import _AddKeyBucket, _default_buckets
+    from .exchange import exchange
 
     quotas = dict(quotas)
 
@@ -123,16 +122,8 @@ def mixture_sample_exact(ds, group_column, key_column, quotas, *, salt=0,
 
     ranked = ds.map_batches(rank, batch_format='pyarrow')
     partials = ranked.map_batches(cut, batch_format='pandas')
-    if coalesce:
-        partials = partials.repartition(_default_buckets() // 8 or 1)
-    bucketed = partials.map_batches(
-        _AddKeyBucket([group_column], num_buckets or _default_buckets()),
-        batch_format='pyarrow')
-
-    def fold(group: pd.DataFrame) -> pd.DataFrame:
-        return cut(group.drop(columns=['_bucket']))
-
-    out = bucketed.groupby('_bucket').map_groups(fold, batch_format='pandas')
+    out = exchange(partials, [group_column], cut, batch_format='pandas',
+                   num_buckets=num_buckets, coalesce=True)
     return out.drop_columns(['_sample_rank'])
 
 

@@ -38,7 +38,7 @@ SCAN_OPS = ('row_number', 'cumsum', 'lag', 'delta', 'rolling_mean')
 
 def grouped_scan(ds, keys, order_by, value_column,
                  ops=('row_number', 'cumsum'), *, window=None,
-                 num_buckets=None, coalesce=True):
+                 num_buckets=None):
     """Per-key ordered scans over ``value_column``.
 
     Output: the input rows (columns ``keys + order_by + [value_column]``)
@@ -59,7 +59,7 @@ def grouped_scan(ds, keys, order_by, value_column,
     """
     import pandas as pd
 
-    from ..pipelines.constraints import _AddKeyBucket, _default_buckets
+    from .exchange import exchange
 
     keys = list(keys)
     order_by = list(order_by)
@@ -69,7 +69,6 @@ def grouped_scan(ds, keys, order_by, value_column,
             raise ValueError('unknown scan op {!r}'.format(op))
     if 'rolling_mean' in ops and not (window and window >= 1):
         raise ValueError('rolling_mean requires window >= 1')
-    num_buckets = num_buckets or _default_buckets()
 
     in_cols = keys + order_by + [value_column]
     ds_schema = ds.schema()
@@ -81,16 +80,7 @@ def grouped_scan(ds, keys, order_by, value_column,
     out_schema = pa.schema(
         [pa.field(c, ds_types[c]) for c in in_cols] + op_fields)
 
-    narrow = ds.select_columns(in_cols)
-    if coalesce:
-        # Sort-shuffle fixed cost is task-count-driven; collapse the
-        # many small read blocks before the bucket exchange.
-        narrow = narrow.repartition(max(num_buckets // 8, 1))
-    bucketed = narrow.map_batches(_AddKeyBucket(keys, num_buckets),
-                                  batch_format='pyarrow')
-
-    def bucket_scan(group: pa.Table) -> pa.Table:
-        df = group.select(in_cols).to_pandas()
+    def bucket_scan(df: pd.DataFrame) -> pa.Table:
         if not len(df):
             return out_schema.empty_table()
         srt = df.sort_values(keys + order_by, kind='mergesort')
@@ -122,11 +112,13 @@ def grouped_scan(ds, keys, order_by, value_column,
                 srt[op] = rsum / np.minimum(pos + 1, w)
         return pa.Table.from_pandas(srt[in_cols + list(ops)],
                                     schema=out_schema,
-                                    preserve_index=False
-                                    ).replace_schema_metadata(None)
+                                    preserve_index=False)
 
-    return bucketed.groupby('_bucket').map_groups(
-        bucket_scan, batch_format='pyarrow')
+    # Sort-shuffle fixed cost is task-count-driven: coalesce the many
+    # small read blocks before the exchange.
+    return exchange(ds.select_columns(in_cols), keys, bucket_scan,
+                    batch_format='pandas', num_buckets=num_buckets,
+                    coalesce=True)
 
 
 def global_rank(ds, order_columns, *, descending=False,

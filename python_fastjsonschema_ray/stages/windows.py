@@ -134,7 +134,7 @@ def session_windows(ds, ts_column, key_column, gap_s, concurrency=None,
     than the whole-history bound.  ``time_block_s`` must exceed
     ``gap_s`` (enforced) so events in non-adjacent blocks can never
     belong to one session."""
-    from ..pipelines.constraints import _AddKeyBucket, _default_buckets
+    from .exchange import exchange
 
     gap_us = int(gap_s * 1_000_000)
     if time_block_s is None:
@@ -181,27 +181,18 @@ def session_windows(ds, ts_column, key_column, gap_s, concurrency=None,
         return batch.append_column(
             '_tblock', pa.array(ts // block_us, type=pa.int64()))
 
-    bucketed = ds.map_batches(add_time_block, batch_format='pyarrow') \
-        .map_batches(
-            _AddKeyBucket([key_column, '_tblock'],
-                          num_buckets or _default_buckets()),
-            batch_format='pyarrow')
-
     def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        return sessions(group.drop(columns=['_bucket', '_tblock']))
+        return sessions(group.drop(columns=['_tblock']))
 
-    block_sessions = bucketed.groupby('_bucket').map_groups(
-        per_bucket, batch_format='pandas')
+    block_sessions = exchange(
+        ds.map_batches(add_time_block, batch_format='pyarrow'),
+        [key_column, '_tblock'], per_bucket, batch_format='pandas',
+        num_buckets=num_buckets)
 
     # Merge pass over SESSION rows (∝ sessions, not events): re-bucket
     # on the key alone and stitch block-boundary sessions.
-    merged_buckets = block_sessions.map_batches(
-        _AddKeyBucket([key_column], num_buckets or _default_buckets()),
-        batch_format='pyarrow')
-
     def merge_sessions(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.drop(columns=['_bucket']) \
-            .sort_values([key_column, 'session_start'])
+        g = group.sort_values([key_column, 'session_start'])
         keys = g[key_column].to_numpy()
         starts = g['session_start'].to_numpy()
         ends = g['session_end'].to_numpy()
@@ -222,5 +213,5 @@ def session_windows(ds, ts_column, key_column, gap_s, concurrency=None,
             'n': csum[seg_end] - csum[seg],
         })
 
-    return merged_buckets.groupby('_bucket').map_groups(
-        merge_sessions, batch_format='pandas')
+    return exchange(block_sessions, [key_column], merge_sessions,
+                    batch_format='pandas', num_buckets=num_buckets)

@@ -1,0 +1,402 @@
+"""The hash-exchange module (``stages/exchange.py``): ``exchange`` and
+``cogroup`` semantics, key-type alignment in the co-group operators,
+metadata-free output of every operator built on them, and a scan that
+keeps the bucketing decision inside the one module."""
+
+import logging
+import os
+import re
+
+import numpy as np
+import pyarrow as pa
+import pytest
+
+PKG = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                   'python_fastjsonschema_ray')
+ENTRY = os.path.join(os.path.dirname(PKG), '__ray_entry__.py')
+
+
+def _blocks(ds):
+    import ray
+    return [t if isinstance(t, pa.Table) else pa.Table.from_pandas(t)
+            for t in ray.get(ds.to_arrow_refs())]
+
+
+def _rows(ds, columns):
+    return sorted(r for b in _blocks(ds) if b.num_rows
+                  for r in zip(*(b.column(c).to_pylist() for c in columns)))
+
+
+def _keyed(n=200, blocks=4):
+    import ray.data
+    rng = np.random.default_rng(7)
+    t = pa.table({'a': pa.array(rng.integers(0, 13, n), type=pa.int64()),
+                  'b': pa.array([['x', 'y', 'z'][i % 3] for i in range(n)]),
+                  'v': pa.array(rng.random(n))})
+    step = n // blocks
+    return ray.data.from_arrow([t.slice(i * step, step)
+                                for i in range(blocks)])
+
+
+# ---------------------------------------------------------------------------
+# exchange
+
+
+def test_exchange_empty_inputs(ray_session):
+    """A zero-row input and a schemaless empty block never reach ``fn``."""
+    import ray.data
+    from python_fastjsonschema_ray.stages.exchange import exchange
+
+    def boom(group):
+        raise AssertionError('fn called on an empty input')
+
+    empty = ray.data.from_arrow(pa.table({'k': pa.array([], pa.int64())}))
+    assert exchange(empty, ['k'], boom).count() == 0
+    assert exchange(empty, ['k'], boom, batch_format='pandas',
+                    coalesce=True).count() == 0
+
+    schemaless = ray.data.from_arrow(
+        [pa.table({}), pa.table({'k': pa.array([1, 1, 2], pa.int64())})])
+
+    def count(group: pa.Table) -> pa.Table:
+        assert group.column_names == ['k']
+        return group.group_by('k').aggregate([([], 'count_all')])
+
+    got = _rows(exchange(schemaless, ['k'], count), ['k', 'count_all'])
+    assert got == [(1, 2), (2, 1)]
+
+
+def test_exchange_pandas_empty_result_stays_typed(ray_session):
+    """A pandas ``fn`` that returns an empty frame still yields typed
+    Arrow blocks, without pandas schema metadata."""
+    from python_fastjsonschema_ray.stages.exchange import exchange
+
+    out = _blocks(exchange(_keyed(), ['a'], lambda df: df.iloc[:0],
+                           batch_format='pandas'))
+    assert out
+    for b in out:
+        assert b.num_rows == 0
+        assert b.schema.field('a').type == pa.int64()
+        assert b.schema.field('v').type == pa.float64()
+        assert b'pandas' not in (b.schema.metadata or {})
+
+
+def test_exchange_bucket_count_does_not_change_the_result(ray_session):
+    """One bucket or many: the same multiset of rows comes out, and the
+    bucket column never reaches ``fn``."""
+    from python_fastjsonschema_ray.stages.exchange import exchange
+
+    def passthrough(group: pa.Table) -> pa.Table:
+        assert '_bucket' not in group.column_names
+        return group
+
+    ds = _keyed()
+    want = _rows(ds, ['a', 'b', 'v'])
+    for n in (1, 7, 64):
+        got = _rows(exchange(ds, ['a'], passthrough, num_buckets=n),
+                    ['a', 'b', 'v'])
+        assert got == want
+    coalesced = exchange(ds, ['a'], passthrough, coalesce=True)
+    assert _rows(coalesced, ['a', 'b', 'v']) == want
+
+
+def test_exchange_multi_key_groups_hold_whole_keys(ray_session):
+    """Rows with equal (a, b) tuples share one group: per-group counts
+    summed nowhere else equal the true counts."""
+    import collections
+    from python_fastjsonschema_ray.stages.exchange import exchange
+
+    ds = _keyed()
+    want = collections.Counter(
+        (a, b) for a, b, _ in _rows(ds, ['a', 'b', 'v']))
+
+    def count(group):
+        return group.groupby(['a', 'b'], as_index=False).size()
+
+    got = _rows(exchange(ds, ['a', 'b'], count, batch_format='pandas',
+                         num_buckets=5), ['a', 'b', 'size'])
+    assert got == sorted((a, b, n) for (a, b), n in want.items())
+
+
+# ---------------------------------------------------------------------------
+# cogroup
+
+
+def _bucket_report(l: pa.Table, r: pa.Table) -> pa.Table:
+    return pa.table({
+        'l_rows': [l.num_rows], 'r_rows': [r.num_rows],
+        'l_schema': [str(l.schema)], 'r_schema': [str(r.schema)],
+        'l_keys': [sorted(l.column('k').to_pylist())],
+        'r_keys': [sorted(r.column('rk').to_pylist())]})
+
+
+def test_cogroup_one_sided_buckets_keep_both_schemas(ray_session):
+    """Buckets that hold only one side still hand ``fn`` both sides with
+    exactly their own columns and types; equal keys share a bucket."""
+    import ray.data
+    from python_fastjsonschema_ray.stages.exchange import cogroup
+
+    left_t = pa.table({'k': pa.array([1, 2, 3, 4], pa.int64()),
+                       'lv': pa.array(['a', 'b', 'c', 'd'])})
+    right_t = pa.table({'rk': pa.array([3, 4, 5, 6], pa.int32()),
+                        'rv': pa.array([0.5, 1.5, 2.5, 3.5])})
+    out = _blocks(cogroup(ray.data.from_arrow(left_t),
+                          ray.data.from_arrow(right_t), 'k', 'rk',
+                          _bucket_report, num_buckets=64))
+    rows = [r for b in out for r in b.to_pylist()]
+    assert sum(r['l_rows'] for r in rows) == 4
+    assert sum(r['r_rows'] for r in rows) == 4
+    assert any(r['l_rows'] == 0 for r in rows)
+    assert any(r['r_rows'] == 0 for r in rows)
+    right_schema = str(pa.schema([pa.field('rk', pa.int64()),
+                                  pa.field('rv', pa.float64())]))
+    for r in rows:
+        assert r['l_schema'] == str(left_t.schema)
+        assert r['r_schema'] == right_schema
+        for k in (3, 4):       # shared keys meet in one bucket
+            assert (k in r['l_keys']) == (k in r['r_keys'])
+
+
+def test_cogroup_empty_right_side(ray_session):
+    """A zero-row right side: every bucket sees its left rows and an
+    empty, typed right table."""
+    import ray.data
+    from python_fastjsonschema_ray.stages.exchange import cogroup
+
+    left = ray.data.from_arrow(pa.table({'k': pa.array([1, 2, 3])}))
+    right = ray.data.from_arrow(pa.table({
+        'rk': pa.array([], pa.int64()), 'rv': pa.array([], pa.string())}))
+    rows = [r for b in _blocks(cogroup(left, right, 'k', 'rk',
+                                       _bucket_report))
+            for r in b.to_pylist()]
+    assert sum(r['l_rows'] for r in rows) == 3
+    assert all(r['r_rows'] == 0 for r in rows)
+    assert all(r['r_schema'] == 'rk: int64\nrv: string' for r in rows)
+
+
+def test_cogroup_lossy_key_cast_raises_type_error(ray_session):
+    """A right key value that does not survive the checked cast to the
+    left key's type raises TypeError naming both key columns (Ray Data
+    re-raises it on the driver wrapped, with the worker traceback)."""
+    import ray.data
+    from python_fastjsonschema_ray.stages.exchange import cogroup
+
+    left = ray.data.from_arrow(pa.table({'lk': pa.array([1, 2])}))
+    right = ray.data.from_arrow(pa.table({'rk': pa.array([2.5, 1.0])}))
+    with pytest.raises(Exception, match=r"TypeError: right key 'rk' "
+                       r"\(double\) .* left key 'lk' \(int64\)"):
+        cogroup(left, right, 'lk', 'rk', _bucket_report).materialize()
+
+
+# ---------------------------------------------------------------------------
+# Key-type alignment in the co-group operators
+
+
+def _int_float_sides(n=40):
+    import ray.data
+    left = ray.data.from_arrow(pa.table({
+        'id': pa.array(range(n), pa.int64()),
+        'g': pa.array(range(n), pa.int64()),
+        't': pa.array([10.0] * n)})).repartition(3)
+    right = ray.data.from_arrow(pa.table({
+        'g2': pa.array([float(i) for i in range(n)], pa.float64()),
+        't2': pa.array([5.0] * n),
+        'val': pa.array(range(100, 100 + n), pa.int64())})).repartition(2)
+    return left, right
+
+
+def test_asof_join_int_left_by_float_right_by(ray_session):
+    """int64 left_by against float64 right_by holding the same values:
+    every left row finds its right row."""
+    from python_fastjsonschema_ray.stages.join import asof_join
+
+    left, right = _int_float_sides()
+    got = _rows(asof_join(left, right, 't', 't2', 'g', 'g2', ['val'],
+                          how='inner'), ['g', 'val'])
+    assert got == [(i, 100 + i) for i in range(40)]
+
+
+def test_check_referential_large_int_fk_float_reference(ray_session):
+    """An int64 foreign key against a float64 reference key holding the
+    same values has no orphans."""
+    from python_fastjsonschema_ray.pipelines.constraints import (
+        check_referential_large)
+
+    left, right = _int_float_sides()
+    assert check_referential_large(left, 'g', right, 'g2').count() == 0
+
+
+def test_shuffle_join_int_float_keys(ray_session):
+    from python_fastjsonschema_ray.stages.join import shuffle_join
+
+    left, right = _int_float_sides()
+    got = _rows(shuffle_join(left, right, 'g', 'g2', ['val']), ['g', 'val'])
+    assert got == [(i, 100 + i) for i in range(40)]
+
+
+def test_asof_join_float_on_key_is_not_truncated(ray_session):
+    """A float left_on of 2.5 against int right_on [2, 3], forward: the
+    match is 3 (truncating 2.5 to 2 would pick the row at 2)."""
+    import ray.data
+    from python_fastjsonschema_ray.stages.join import asof_join
+
+    left = ray.data.from_arrow(pa.table({
+        'g': pa.array([1], pa.int64()), 't': pa.array([2.5])}))
+    right = ray.data.from_arrow(pa.table({
+        'g2': pa.array([1, 1], pa.int64()),
+        't2': pa.array([2, 3], pa.int64()),
+        'val': pa.array(['at2', 'at3'])}))
+    out = asof_join(left, right, 't', 't2', 'g', 'g2', ['val'],
+                    direction='forward')
+    assert _rows(out, ['t', 'val']) == [(2.5, 'at3')]
+
+
+# ---------------------------------------------------------------------------
+# Every exchange-backed operator: metadata-free blocks, no schema-hash
+# warning
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _operator_outputs():
+    import pandas as pd
+    import ray.data
+    from python_fastjsonschema_ray.pipelines import constraints as C
+    from python_fastjsonschema_ray.stages import (
+        components, dedup, join, quantile, sample, scan, windows)
+
+    rng = np.random.default_rng(3)
+    n = 120
+    facts = ray.data.from_pandas([pd.DataFrame({
+        'k': rng.integers(0, 9, n // 3), 'g': rng.integers(0, 4, n // 3),
+        'v': rng.random(n // 3), 'id': np.arange(i, n, 3)})
+        for i in range(3)])
+    dims = ray.data.from_arrow(pa.table({
+        'dk': pa.array(range(0, 9, 2), pa.int64()),
+        'dv': pa.array(['p', 'q', 'r', 's', 't']),
+        'dt': pa.array(rng.random(5))}))
+    ts = pd.Timestamp('2024-01-01')
+    events = ray.data.from_pandas(pd.DataFrame({
+        'user': ['u%d' % (i % 5) for i in range(40)],
+        'ts': [ts + pd.Timedelta(minutes=7 * i) for i in range(40)]}))
+    texts = ['the quick brown fox jumps over the lazy dog %d' % (i % 6)
+             for i in range(24)]
+    docs = ray.data.from_pandas(pd.DataFrame({
+        'doc_id': np.arange(24, dtype=np.int64), 'text': texts}))
+    pairs = ray.data.from_arrow(pa.table({
+        'id_a': pa.array([1, 2, 5, 7], pa.int64()),
+        'id_b': pa.array([2, 3, 6, 8], pa.int64())}))
+    hashes = ray.data.from_arrow(pa.table({
+        'id': pa.array(range(8), pa.int64()),
+        'h': pa.array([5, 5, 7, 7, 9, 9, 11, 11], pa.int64())}))
+    return {
+        'check_unique': C.check_unique(facts, ['k']),
+        'dedup_exact': C.dedup_exact(facts, ['k']),
+        'dedup_winner_ids': C.dedup_winner_ids(facts, ['k'], 'id'),
+        'grouped_agg': C.grouped_agg(facts, ['k'], {'s': ('v', 'sum')}),
+        'grouped_topk': C.grouped_topk(facts, ['g'], ['v', 'id'], 2),
+        'check_referential_large': C.check_referential_large(
+            facts, 'k', dims, 'dk'),
+        'shuffle_join': join.shuffle_join(facts, dims, 'k', 'dk', ['dv']),
+        'shuffle_join_left': join.shuffle_join(facts, dims, 'k', 'dk',
+                                               ['dv'], how='left'),
+        'semi_join': join.shuffle_join(facts, dims, 'k', 'dk', [],
+                                       how='semi'),
+        'asof_join': join.asof_join(facts, dims, 'v', 'dt', 'k', 'dk',
+                                    ['dv']),
+        'grouped_quantile': quantile.grouped_quantile(facts, ['g'], 'v',
+                                                      [0.5]),
+        'grouped_scan': scan.grouped_scan(facts, ['g'], ['id'], 'v'),
+        'mixture_sample_exact': sample.mixture_sample_exact(
+            facts, 'g', 'id', {0: 3, 1: 3, 2: 3, 3: 3}),
+        'session_windows': windows.session_windows(events, 'ts', 'user',
+                                                   600),
+        'connected_components_distributed':
+            components.connected_components_distributed(pairs),
+        'minhash_duplicate_pairs': dedup.minhash_duplicate_pairs(
+            docs, 'doc_id', 'text', broadcast_text_limit=0),
+        'ngram_jaccard_pairs': dedup.ngram_jaccard_pairs(
+            docs, 'doc_id', 'text', broadcast_text_limit=0),
+        'hamming_near_dup': dedup.hamming_near_dup(hashes, 'id', 'h'),
+        'distinct_count': C.distinct_count(facts, ['k']),
+    }
+
+
+def test_operators_emit_metadata_free_blocks_without_hash_warnings(
+        ray_session):
+    """No operator built on the exchange leaves pandas schema metadata on
+    its blocks, and none makes Ray Data log 'Failed to hash the schemas'
+    on the driver (pandas metadata is unhashable in its schema dedup)."""
+    logger = logging.getLogger(
+        'ray.data._internal.arrow_ops.transform_pyarrow')
+    handler = _Records()
+    logger.addHandler(handler)
+    with_metadata, nonempty = [], set()
+    try:
+        for name, ds in _operator_outputs().items():
+            if isinstance(ds, int):
+                assert ds == 9, name
+                continue
+            for b in _blocks(ds):
+                if b'pandas' in (b.schema.metadata or {}):
+                    with_metadata.append(name)
+                if b.num_rows:
+                    nonempty.add(name)
+    finally:
+        logger.removeHandler(handler)
+    assert not with_metadata
+    assert not [m for m in handler.messages
+                if 'Failed to hash the schemas' in m]
+    # The metadata check saw real blocks of every operator.
+    assert nonempty == {
+        'check_unique', 'dedup_exact', 'dedup_winner_ids', 'grouped_agg',
+        'grouped_topk', 'check_referential_large', 'shuffle_join',
+        'shuffle_join_left', 'semi_join', 'asof_join', 'grouped_quantile',
+        'grouped_scan', 'mixture_sample_exact', 'session_windows',
+        'connected_components_distributed', 'minhash_duplicate_pairs',
+        'ngram_jaccard_pairs', 'hamming_near_dup'}
+
+
+# ---------------------------------------------------------------------------
+# One owner for the bucketing decision
+
+
+def _sources():
+    for root, _, files in os.walk(PKG):
+        for f in files:
+            if f.endswith('.py'):
+                yield os.path.join(root, f)
+    yield ENTRY
+
+
+def test_bucketing_lives_only_in_the_exchange_module():
+    """Outside stages/exchange.py no code names the '_bucket' column,
+    groups on it, or derives a bucket from hash64_array(...) modulo a
+    count — the bucketing decision has exactly one owner."""
+    owner = os.path.join(PKG, 'stages', 'exchange.py')
+    patterns = [
+        re.compile(r"""['"]_bucket['"]"""),
+        re.compile(r"""groupby\(\s*['"]_bucket['"]\s*\)\s*\.map_groups\("""),
+        re.compile(r"hash64_array\([^)]*\)[^\n]*%"),
+        re.compile(r"\b_AddKeyBucket\b|\b_bucket_col\b|\b_default_buckets\b"),
+    ]
+    offenders = []
+    for path in _sources():
+        if os.path.abspath(path) == os.path.abspath(owner):
+            continue
+        with open(path, encoding='utf-8') as fh:
+            src = fh.read()
+        for pat in patterns:
+            for m in pat.finditer(src):
+                line = src.count('\n', 0, m.start()) + 1
+                offenders.append('{}:{}: {}'.format(
+                    os.path.relpath(path, os.path.dirname(PKG)), line,
+                    m.group(0)))
+    assert not offenders, offenders
