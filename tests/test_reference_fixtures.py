@@ -90,7 +90,8 @@ EXAMPLE_GROUPS = [
 ]
 
 
-@pytest.mark.parametrize('group', EXAMPLE_GROUPS, ids=os.path.basename)
+@pytest.mark.parametrize('group', EXAMPLE_GROUPS,
+                         ids=[os.path.basename(g) for g in EXAMPLE_GROUPS])
 def test_golden_examples(group):
     """schema.json + valid.json / invalid.json + .error substring
     (reference model: tests/test_examples.py:29-45)."""
