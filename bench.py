@@ -3,8 +3,12 @@
 
 Prints ONE JSON line:
   {"metric": "...", "value": <total sec>, "unit": "sec",
-   "queries": {name: sec, ...}, "sf": ..., "num_cpus": N,
+   "queries": {name: sec, ...}, "sf": ..., "num_cpus": N, "host": {...},
    "flagship_rows": N, "flagship_rows_per_s": ...}
+
+``num_cpus`` is what Ray was asked for (RAY_GRAFT_CPUS); ``host`` is the
+machine the run had: usable CPUs (sched_getaffinity), CPU model and
+memory.  ``--compare`` refuses a baseline saved on a different host.
 
 ``--scaling`` runs the same bench twice in fresh processes
 (RAY_GRAFT_CPUS=8 then 32) and reports both headline times plus the
@@ -18,6 +22,7 @@ setting as one JSON line.
 
 import json
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -35,6 +40,29 @@ BASELINE_PATH = os.environ.get(
 TOLERANCE = float(os.environ.get('GRAFT_BENCH_TOLERANCE', '1.3'))
 
 
+def _proc_field(path, prefix):
+    try:
+        with open(path) as f:
+            for line in f:
+                if line.startswith(prefix):
+                    return line.split(':', 1)[1].strip()
+    except OSError:
+        pass
+    return None
+
+
+def host_fingerprint():
+    """Usable CPUs, CPU model and memory of this machine: two results
+    compare only when these are equal."""
+    mem = _proc_field('/proc/meminfo', 'MemTotal')
+    return {
+        'affinity_cpus': len(os.sched_getaffinity(0)),
+        'cpu_model': (_proc_field('/proc/cpuinfo', 'model name')
+                      or platform.processor()),
+        'mem_total_mb': int(mem.split()[0]) // 1024 if mem else None,
+    }
+
+
 def run_compare(save: bool):
     """Regression gate (reference analog: pytest-benchmark
     --benchmark-compare-fail, Makefile:37-45): run the bench in a fresh
@@ -46,6 +74,16 @@ def run_compare(save: bool):
                              text=True, check=True).stdout
         return json.loads(out.strip().splitlines()[-1])
 
+    host = host_fingerprint()
+    if not save and os.path.exists(BASELINE_PATH):
+        with open(BASELINE_PATH) as f:
+            base_host = json.load(f).get('host')
+        if base_host != host:
+            print(json.dumps({
+                'ok': False, 'baseline_host': base_host, 'host': host,
+                'refused': 'the baseline was saved on another host (or '
+                           'records none); re-save it here with --save'}))
+            return 2
     result = one_run()
     if save:
         # Best-of-2: transient host contention inflates a whole run 2-5x
@@ -120,6 +158,7 @@ def run_scaling():
     print(json.dumps({
         'flagship_rows': rows,
         'num_cpus_lo': n_lo, 'num_cpus_hi': n_hi,
+        'host': host_fingerprint(),
         'sec_lo': lo['queries']['image_flagship'],
         'sec_hi': hi['queries']['image_flagship'],
         'rows_per_s_lo': lo['flagship_rows_per_s'],
@@ -183,6 +222,7 @@ def run_sweep():
             SWEEP_ROUNDS),
         'rows': FLAGSHIP_ROWS,
         'num_cpus': NUM_CPUS,
+        'host': host_fingerprint(),
         'default_rows_per_task': default_slices * batch_size,
         'rows_per_task': {str(r): round(statistics.median(w), 3)
                           for r, w in walls.items()},
@@ -274,8 +314,10 @@ def main():
         try:
             with open(BASELINE_PATH) as f:
                 _b = json.load(f)
-            # Only comparable at the baseline's own scale + parallelism.
-            if _b.get('sf') == sf and _b.get('num_cpus') == NUM_CPUS:
+            # Only comparable at the baseline's own scale + parallelism,
+            # on the same host.
+            if (_b.get('sf') == sf and _b.get('num_cpus') == NUM_CPUS
+                    and _b.get('host') == host_fingerprint()):
                 base_q = _b.get('queries', {})
         except (ValueError, OSError):
             pass
@@ -322,6 +364,7 @@ def main():
         'queries': timings,
         'sf': sf,
         'num_cpus': NUM_CPUS,
+        'host': host_fingerprint(),
         'flagship_rows': FLAGSHIP_ROWS,
         'flagship_rows_per_s': round(FLAGSHIP_ROWS / flag_sec, 1),
         'load_avg': [load_avg_start, round(os.getloadavg()[0], 2)],

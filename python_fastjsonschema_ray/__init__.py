@@ -19,7 +19,7 @@ from .exceptions import (
     SchemaViolation,
     SchemaViolations,
 )
-from .functions.scalar import (  # noqa: A001 (API parity)
+from .functions.codegen import (  # noqa: A001 (API parity)
     compile,
     compile_to_code,
     validate,

@@ -1,6 +1,7 @@
 """CLI entry point (reference analog: ``python -m fastjsonschema``,
-``fastjsonschema/__main__.py:7-19``, which emits generated code; this engine
-has no codegen, so ``compile`` emits the compiled-plan manifest instead).
+``fastjsonschema/__main__.py:7-19``, which emits generated code; here
+``compile`` checks the schema and prints a plan summary instead — the
+generated module comes from ``compile_to_code()``).
 
 Subcommands:
   compile   <schema.json>                  → plan summary + plan hash (stdout)
@@ -33,11 +34,12 @@ def _load_schema(path):
 
 
 def cmd_compile(args):
+    from .functions.codegen import compile_validator
     from .functions.scalar import ScalarCompiler
     from .pipelines.manifest import plan_hash
     definition = _load_schema(args.schema)
     compiler = ScalarCompiler(definition)
-    compiler.compile_root()      # raises JsonSchemaDefinitionException on bad spec
+    compile_validator(compiler)  # raises JsonSchemaDefinitionException on bad spec
     print(json.dumps({
         'plan_hash': plan_hash(definition),
         'draft': compiler.draft,

@@ -1,56 +1,63 @@
-"""Readable straight-line source emitter for ``compile_to_code``.
+"""The scalar back-end: straight-line Python source for one schema.
 
-The reference ships generated Python source as its deployment artifact
-(``fastjsonschema/__init__.py:294-341`` + ``generator.py``); this engine's
-primary validators are closure trees (``functions/scalar.py``) and Arrow
-plans (``functions/vector.py``), so the artifact needs its own emitter.
-This module walks the schema with the SAME keyword-order tables and the
-same cell-passing convention as :class:`ScalarCompiler` — one emitted
-function per subschema scope, ``vN(cell, name)``, sharing or forking the
-one-element ``cell`` exactly where the closure tree shares or forks it —
-so the emitted module reproduces the interpreter's behavior (and therefore
-the reference's, which the interpreter is differentially tested against)
-by construction.
+Like the reference (``fastjsonschema/generator.py``), this engine turns a
+schema into Python source and runs it.  :class:`SourceEmitter` walks the
+schema with the keyword-order tables and registry of a
+:class:`~.scalar.ScalarCompiler` and emits one function per subschema,
+``vN(cell, name)`` in fast-fail mode or ``vN(cell, name, errors)`` in
+collect mode.  ``cell`` is a one-element list holding the (possibly
+transformed) value: a subschema that validates the same value shares the
+cell, one that validates an element or property gets a fresh cell, so
+``default`` insertion and ``contentEncoding``/``contentMediaType``
+replacement land exactly where the reference's temp variables put them.
 
-The artifact is fully self-contained and dependency-free: a short readable
-prologue inlines the exception classes (preferring the installed package's
-classes when available, so ``except engine.JsonSchemaValueException``
-keeps catching) and the two value-semantics helpers (``_enum_match``,
-``_freeze``).  No string-template machinery is shared with the reference's
-``CodeGenerator``; the emission is driven by the interpreter's own
-compile-time analysis.
+Collect mode appends to ``errors`` instead of raising.  Every ``$ref``
+scope (and the root) owns its own list and raises
+:class:`JsonSchemaValuesException` when it is not empty, as the
+reference's per-function ``errors = []`` does (``generator.py:147-153``);
+``anyOf``, ``oneOf``, ``not``, ``if``, ``contains`` and ``propertyNames``
+catch only :class:`JsonSchemaValueException`, so their sub-schemas'
+errors leak into the enclosing list as they do in the reference.
 
-Coverage: fast-fail mode, detailed or plain exceptions, regex custom
-formats, all draft-04/06/07 keywords including transforms (``default``
-fill, ``contentEncoding``/``contentMediaType`` replacement) and local or
-handler-resolved ``$ref``.  Out of scope (the caller falls back to the
-vendored-runtime artifact): collect mode, callable custom formats, and
-plugin keywords.
+Schema content reaches the source only as names or as ``repr`` literals
+of ``str``, ``int``, ``bool``, ``None`` and finite floats.  Every other
+constant (expanded definitions at raise sites, regexes, callable formats,
+plugin callables, enum/const/default values) is referred to by name:
+
+* :func:`compile` binds the names to the objects themselves (parameters
+  of a factory around the functions) and ``exec``s the functions against
+  a prologue (exception classes, ``_enum_match``, ``_freeze``) that runs
+  once per process;
+* :func:`compile_to_code` writes the same names as ``repr`` literals after
+  an inline prologue, so the artifact imports with no dependency.
+  Callable formats cannot be serialized: the artifact looks them up in
+  its ``CUSTOM_FORMATS`` when it validates.  Plugin keywords are looked
+  up in the installed package's registry.
 """
 
 from __future__ import annotations
 
+import builtins
+import functools
+import math
 import re
 from decimal import Decimal
 
+from .. import exceptions as _exceptions
 from ..exceptions import JsonSchemaDefinitionException
 from .scalar import (
     _JSON_TYPES,
     _MISSING,
+    ScalarCompiler,
     _embed_in_source,
     _strip_key,
 )
-
-
-class Unemittable(Exception):
-    """Schema/flags combination the straight-line emitter does not cover;
-    the caller falls back to the vendored-runtime artifact."""
-
 
 _PROLOGUE = '''\
 import base64
 import json
 import re
+from copy import deepcopy
 from decimal import Decimal
 
 try:
@@ -59,6 +66,7 @@ try:
     from python_fastjsonschema_ray.exceptions import (
         JsonSchemaException,
         JsonSchemaValueException,
+        JsonSchemaValuesException,
         JsonSchemaDefinitionException,
     )
 except ImportError:
@@ -85,10 +93,17 @@ except ImportError:
                 return None
             return self.definition.get(self.rule)
 
+    class JsonSchemaValuesException(JsonSchemaException):
+        def __init__(self, errors):
+            super().__init__()
+            self.errors = errors
+
     class JsonSchemaDefinitionException(JsonSchemaException):
         pass
+'''
 
-
+_HELPERS = {
+    '_enum_match': '''\
 def _enum_match(value, target):
     """Type-strict deep equality for enum/const (bool is not 1/0;
     int and float cross-match; containers compare element-wise)."""
@@ -119,8 +134,8 @@ def _enum_match(value, target):
             return False
         return all(_enum_match(value[i], v) for i, v in enumerate(target))
     return value == target
-
-
+''',
+    '_freeze': '''\
 def _freeze(var):
     """Deep-hashable form for uniqueItems; bools stringified so True is
     distinct from 1."""
@@ -131,62 +146,127 @@ def _freeze(var):
     if isinstance(var, bool):
         return str(var)
     return var
-'''
+''',
+}
+
+_LITERAL_TYPES = (str, int, bool, type(None))
+
+
+@functools.lru_cache(maxsize=None)
+def _base_namespace():
+    """The prologue and helpers, run once per process.  The package's own
+    exception classes are bound over the prologue's import so validators
+    raise exactly the classes callers catch."""
+    ns = {}
+    source = '\n\n'.join([_PROLOGUE] + list(_HELPERS.values()))
+    exec(builtins.compile(source, '<validator prologue>', 'exec'), ns)
+    for cls in (_exceptions.JsonSchemaException,
+                _exceptions.JsonSchemaValueException,
+                _exceptions.JsonSchemaValuesException,
+                _exceptions.JsonSchemaDefinitionException):
+        ns[cls.__name__] = cls
+    return ns
 
 
 class SourceEmitter:
-    """Emit a standalone module's source for one compiled schema.
+    """Emits the functions of one compiled schema.
 
-    Construction takes an already-validated :class:`ScalarCompiler`
-    (whose registry holds the $ref-rewritten schema); ``emit_module()``
-    returns the artifact source or raises :class:`Unemittable`.
+    ``emit()`` returns their source (ending with ``validate``) and raises
+    :class:`JsonSchemaDefinitionException` for a malformed schema.  The
+    names it refers to are in ``constants`` (name -> object) and, as
+    artifact source, in ``constant_sources()``.
     """
 
-    def __init__(self, compiler):
-        if not compiler.fast_fail:
-            raise Unemittable('collect mode (fast_fail=False) is not '
-                              'straight-line emittable')
-        if any(not isinstance(v, str)
-               for v in compiler.custom_formats.values()):
-            raise Unemittable('callable custom formats cannot be '
-                              'serialized')
-        from .plugins import REGISTRY as _PLUGINS
-        self._plugin_names = set(_PLUGINS)
+    def __init__(self, compiler: ScalarCompiler):
+        from .plugins import REGISTRY
         self.c = compiler
         self.registry = compiler.registry
-        self._funcs = []            # emitted function sources, in order
+        self.fast = compiler.fast_fail
+        self.plugins = [(name, p) for name, p in REGISTRY.items()
+                        if p.check_value is not None]
+        # Trailing argument of every call to an emitted function.
+        self.tail = '' if self.fast else ', errors'
+        self.functions = []         # emitted function sources, in order
+        self.constants = {}         # name -> object
+        self._templates = {}        # name -> artifact source template
+        self._const_by_key = {}
+        self._expanded_by_key = {}
         self._fn_by_uri = {}        # resolved $ref uri -> function name
         self._ref_worklist = []
-        self._regexes = {}          # (pattern, dollar_fix) -> const name
         self._counter = 0
 
-    # -- naming ----------------------------------------------------------
+    # -- constants ---------------------------------------------------------
+
+    def _const(self, prefix, key, obj, template=None):
+        """Name bound to ``obj``.  ``template`` is its artifact source with
+        a '{name}' placeholder; without one the artifact assigns
+        ``repr(obj)``."""
+        name = self._const_by_key.get((prefix, key))
+        if name is None:
+            name = '{}{}'.format(prefix, len(self.constants))
+            self._const_by_key[(prefix, key)] = name
+            self.constants[name] = obj
+            self._templates[name] = template
+        return name
+
+    def _value(self, obj):
+        """Source for a constant: a literal for plain scalars, otherwise a
+        name bound to ``obj`` (kept alive by ``constants``, so ids stay
+        unique)."""
+        if type(obj) in _LITERAL_TYPES or (
+                type(obj) is float and math.isfinite(obj)):
+            return repr(obj)
+        return self._const('K', id(obj), obj)
+
+    def _fresh(self, obj):
+        """Source for a new copy of ``obj`` on every evaluation."""
+        source = self._value(obj)
+        return ('deepcopy({})'.format(source) if source in self.constants
+                else source)
+
+    def _regex(self, pattern, dollar_fix=False):
+        rx = self.c._regex(pattern, dollar_fix=dollar_fix)
+        return self._const('RE', id(rx), rx,
+                           '{name} = re.compile(' + repr(rx.pattern) + ')')
+
+    def _expanded(self, definition):
+        """``definition`` with one level of ``$ref`` expanded, as raise
+        sites report it; computed once per node and scope."""
+        key = (id(definition), self.registry.scope, self.registry.base_uri)
+        hit = self._expanded_by_key.get(key)
+        if hit is None:
+            hit = self._expanded_by_key[key] = (
+                self.registry.expand_refs(definition), definition)
+        return hit[0]
+
+    def _touch(self, definition):
+        """Expand ``definition`` now: expansion resolves ``$ref``s and can
+        raise, so it runs at the same point as in the reference."""
+        if self.c.detailed:
+            self._expanded(definition)
+
+    # -- raise sites ---------------------------------------------------------
+
+    def _site(self, message, definition, rule):
+        """Source for one violation: raise in fast-fail mode, append in
+        collect mode.  ``message`` is a source expression."""
+        if self.c.detailed:
+            expanded = self._expanded(definition)
+            ref = self._const('D', id(expanded), expanded)
+            exc = 'JsonSchemaValueException({}, cell[0], name, {}, {!r})' \
+                .format(message, ref, rule)
+        else:
+            exc = 'JsonSchemaValueException({})'.format(message)
+        return 'raise ' + exc if self.fast else 'errors.append({})'.format(exc)
+
+    def _tail_site(self, tail, definition, rule):
+        return self._site('name + ' + repr(tail), definition, rule)
+
+    # -- functions -----------------------------------------------------------
 
     def _new_fn(self, hint):
         self._counter += 1
         return 'v{}_{}'.format(self._counter, _strip_key(hint)[:30] or 'x')
-
-    def _regex_const(self, pattern, *, dollar_fix=False):
-        key = (pattern, dollar_fix)
-        name = self._regexes.get(key)
-        if name is None:
-            name = 'RE_{}'.format(len(self._regexes))
-            self._regexes[key] = name
-        return name
-
-    # -- exception sites --------------------------------------------------
-
-    def _raise(self, message_expr, definition, rule, value_expr='cell[0]'):
-        """Source for one raise site.  ``message_expr`` is a source
-        expression (usually ``name + <tail literal>``)."""
-        if not self.c.detailed:
-            return ('raise JsonSchemaValueException({})'
-                    .format(message_expr))
-        expanded = self.registry.expand_refs(definition)
-        return ('raise JsonSchemaValueException({}, {}, name, {!r}, {!r})'
-                .format(message_expr, value_expr, expanded, rule))
-
-    # -- function emission -------------------------------------------------
 
     def _fn_for_uri(self, uri):
         name = self._fn_by_uri.get(uri)
@@ -195,76 +275,93 @@ class SourceEmitter:
             self._ref_worklist.append(uri)
         return name
 
-    def _emit_node(self, definition, hint):
-        """Emit a function for one subschema; returns its name."""
-        fn = self._new_fn(hint)
-        body = self._node_body(definition)
-        src = ['def {}(cell, name):'.format(fn)]
-        if _needs_keys(definition):
-            src.append('    keys = None')
-        src.extend('    ' + line for line in body)
-        self._funcs.append('\n'.join(src))
-        return fn
+    def _ref_fn(self, ref):
+        with self.registry.in_scope(ref):
+            return self._fn_for_uri(self.registry.current_uri())
 
-    def _node_body(self, definition):
+    def _call(self, fn, cell='cell', name='name'):
+        return '{}({}, {}{})'.format(fn, cell, name, self.tail)
+
+    def _sub_fn(self, definition, var, fn=None, scope=None):
+        """Name of the function validating ``definition``: the shared
+        per-URI function for a ``$ref`` node, else a new one.  ``fn`` and
+        ``scope`` emit the function of a ``$ref`` target, which owns its
+        error list in collect mode.  ``var`` names the value in definition
+        errors, as in the reference."""
+        is_ref = isinstance(definition, dict) and '$ref' in definition
+        if is_ref and fn is None:
+            return self._ref_fn(definition['$ref'])
+        fn = fn or self._new_fn(var)
+        body = []
+        state = {'keys': False}
         if isinstance(definition, bool):
             if self.c.draft <= 4:
                 raise JsonSchemaDefinitionException(
                     'definition must be an object')
-            if definition:
-                return ['pass']
-            return [self._raise("name + ' must not be there'",
-                                definition, None)]
-        if not isinstance(definition, dict):
+            if not definition:
+                body.append(self._tail_site(' must not be there', definition,
+                                            None))
+        elif not isinstance(definition, dict):
             raise JsonSchemaDefinitionException('definition must be an object')
-        if '$ref' in definition:
-            ref = definition['$ref']
-            with self.registry.in_scope(ref):
-                uri = self.registry.current_uri()
-            return ['{}(cell, name)'.format(self._fn_for_uri(uri))]
+        elif is_ref:
+            body.append(self._call(self._ref_fn(definition['$ref'])))
+        else:
+            for keyword in self.c.order:
+                if keyword in definition:
+                    block = getattr(self, '_e_' + _strip_key(keyword))(
+                        definition, var, state)
+                    if block:
+                        body.append('# ' + keyword)
+                        body.extend(block)
+            # Plugin keywords run after the built-ins (functions/plugins).
+            for plug_name, plugin in self.plugins:
+                if plug_name in definition:
+                    body.append('# keyword {!r}'.format(plug_name))
+                    body.extend(self._plugin_block(plugin, definition))
+        src = ['def {}(cell, name{}):'.format(fn, self.tail)]
+        if scope is not None:
+            src.append('    # schema scope: {!r}'.format(scope))
+            if not self.fast:
+                src.append('    errors = []')
+        if state['keys']:
+            src.append('    keys = None')
+        src.extend('    ' + line for line in body or ['pass'])
+        if scope is not None and not self.fast:
+            src.extend(['    if errors:',
+                        '        raise JsonSchemaValuesException(errors)'])
+        self.functions.append('\n'.join(src))
+        return fn
 
-        if self._plugin_names & set(definition):
-            raise Unemittable('plugin keywords cannot be serialized')
+    def _plugin_block(self, plugin, definition):
+        fn = self._const('P', id(plugin), plugin.check_value, (
+            'def {name}(value, definition):\n'
+            '    from python_fastjsonschema_ray.functions.plugins import '
+            'REGISTRY\n'
+            '    return REGISTRY[' + repr(plugin.name)
+            + '].check_value(value, definition)'))
+        return ['tail = {}(cell[0], {})'.format(fn, self._value(definition)),
+                'if tail is not None:',
+                '    ' + self._site('name + tail', definition, plugin.name)]
 
-        lines = []
-        state = {'keys_done': False}
-        for keyword in self.c.order:
-            if keyword in definition:
-                block = getattr(self, '_e_' + _strip_key(keyword))(
-                    definition, state)
-                if block:
-                    lines.append('# ' + keyword)
-                    lines.extend(block)
-        return lines or ['pass']
+    # -- per-keyword emitters ------------------------------------------------
+    # Each returns source lines reading the current value from ``cell[0]``
+    # (transforms write back to the cell).  Definition errors, regex
+    # compiles and ``$ref`` expansion happen in the reference's order.
 
-    def _sub_fn(self, sub_definition, hint):
-        """Function name validating ``sub_definition`` (dedicated function,
-        or the shared per-URI function for a $ref node)."""
-        if isinstance(sub_definition, dict) and '$ref' in sub_definition:
-            ref = sub_definition['$ref']
-            with self.registry.in_scope(ref):
-                uri = self.registry.current_uri()
-            return self._fn_for_uri(uri)
-        return self._emit_node(sub_definition, hint)
-
-    # -- per-keyword emitters ----------------------------------------------
-    # Each returns a list of source lines; every block reads the current
-    # value directly from ``cell[0]`` (transform keywords write back to the
-    # cell, matching the interpreter's shared-cell convention).
-
-    def _e_type(self, definition, state):
+    def _e_type(self, definition, var, state):
         types = definition['type']
         types = types if isinstance(types, list) else [types]
         try:
-            pytuple = tuple(t for jt in types for t in _JSON_TYPES[jt])
+            pytypes = tuple(t for jt in types for t in _JSON_TYPES[jt])
         except KeyError as exc:
             raise JsonSchemaDefinitionException('Unknown type') from exc
         names = []
-        for t in pytuple:
-            if t.__name__ not in names:
-                names.append(t.__name__)
-        iso = 'isinstance(cell[0], ({},))'.format(', '.join(
-            'type(None)' if n == 'NoneType' else n for n in names))
+        for t in pytypes:
+            n = 'type(None)' if t is type(None) else t.__name__
+            if n not in names:
+                names.append(n)
+        iso = 'isinstance(cell[0], {})'.format(
+            names[0] if len(names) == 1 else '({})'.format(', '.join(names)))
         cond = 'not ' + iso
         if self.c.draft >= 6 and 'integer' in types:
             cond = ('not ({} or (isinstance(cell[0], float) '
@@ -272,135 +369,138 @@ class SourceEmitter:
         if (('number' in types or 'integer' in types)
                 and 'boolean' not in types):
             cond = '({}) or isinstance(cell[0], bool)'.format(cond)
-        tail = ' must be {}'.format(' or '.join(types))
         return ['if {}:'.format(cond),
-                '    ' + self._raise('name + {!r}'.format(tail),
-                                     definition, 'type')]
+                '    ' + self._tail_site(
+                    ' must be {}'.format(' or '.join(types)),
+                    definition, 'type')]
 
-    def _e_enum(self, definition, state):
+    def _e_enum(self, definition, var, state):
         enum = definition['enum']
         if not isinstance(enum, (list, tuple)):
             raise JsonSchemaDefinitionException('enum must be an array')
         tail = ' must be one of ' + _embed_in_source(str(enum))
-        return ['if not any(_enum_match(cell[0], o) for o in {!r}):'
-                .format(list(enum)),
-                '    ' + self._raise('name + {!r}'.format(tail),
-                                     definition, 'enum')]
+        return ['if not any(_enum_match(cell[0], o) for o in {}):'
+                .format(self._value(enum)),
+                '    ' + self._tail_site(tail, definition, 'enum')]
 
-    def _e_allOf(self, definition, state):
-        return ['{}(cell, name)'.format(
-            self._sub_fn(item, 'allof'))
-            for item in definition['allOf']]
+    def _e_allOf(self, definition, var, state):
+        return [self._call(self._sub_fn(item, var))
+                for item in definition['allOf']]
 
-    def _e_anyOf(self, definition, state):
-        lines = ['for sub in ({},):'.format(', '.join(
-                    self._sub_fn(item, 'anyof')
-                    for item in definition['anyOf'])),
-                 '    try:',
-                 '        sub(cell, name)',
-                 '        break',
-                 '    except JsonSchemaValueException:',
-                 '        pass',
-                 'else:',
-                 '    ' + self._raise(
-                     "name + ' cannot be validated by any definition'",
-                     definition, 'anyOf')]
-        return lines
+    @staticmethod
+    def _tuple(names):
+        return '({})'.format(''.join(n + ', ' for n in names))
 
-    def _e_oneOf(self, definition, state):
-        lines = ['count = 0',
-                 'for sub in ({},):'.format(', '.join(
-                     self._sub_fn(item, 'oneof')
-                     for item in definition['oneOf'])),
-                 '    if count < 2:',
-                 '        try:',
-                 '            sub(cell, name)',
-                 '            count += 1',
-                 '        except JsonSchemaValueException:',
-                 '            pass',
-                 'if count != 1:',
-                 '    ' + self._raise(
-                     "name + ' must be valid exactly by one definition'"
-                     " + ' ({} matches found)'.format(count)",
-                     definition, 'oneOf')]
-        return lines
+    def _e_anyOf(self, definition, var, state):
+        fns = [self._sub_fn(item, var) for item in definition['anyOf']]
+        return ['for sub in {}:'.format(self._tuple(fns)),
+                '    try:',
+                '        ' + self._call('sub'),
+                '        break',
+                '    except JsonSchemaValueException:',
+                '        pass',
+                'else:',
+                '    ' + self._tail_site(
+                    ' cannot be validated by any definition',
+                    definition, 'anyOf')]
 
-    def _e_not(self, definition, state):
+    def _e_oneOf(self, definition, var, state):
+        fns = [self._sub_fn(item, var) for item in definition['oneOf']]
+        return ['count = 0',
+                'for sub in {}:'.format(self._tuple(fns)),
+                '    if count < 2:',
+                '        try:',
+                '            ' + self._call('sub'),
+                '            count += 1',
+                '        except JsonSchemaValueException:',
+                '            pass',
+                'if count != 1:',
+                '    ' + self._site(
+                    "name + ' must be valid exactly by one definition'"
+                    " + ' ({} matches found)'.format(count)",
+                    definition, 'oneOf')]
+
+    def _e_not(self, definition, var, state):
         nd = definition['not']
+        self._touch(definition)
         if nd is True:
-            return [self._raise("name + ' must not be there'",
-                                definition, 'not')]
+            return [self._tail_site(' must not be there', definition, 'not')]
         if nd is False:
             return []
+        site = self._tail_site(' must NOT match a disallowed definition',
+                               definition, 'not')
         if not nd:
-            return [self._raise(
-                "name + ' must NOT match a disallowed definition'",
-                definition, 'not')]
-        fn = self._sub_fn(nd, 'not')
+            return [site]
+        fn = self._sub_fn(nd, var)
         return ['try:',
-                '    {}(cell, name)'.format(fn),
+                '    ' + self._call(fn),
                 'except JsonSchemaValueException:',
                 '    pass',
                 'else:',
-                '    ' + self._raise(
-                    "name + ' must NOT match a disallowed definition'",
-                    definition, 'not')]
+                '    ' + site]
 
-    def _len_check(self, definition, keyword, pytype, op, tail, state):
+    def _len_check(self, definition, keyword, pytype, op, tail):
         n = definition[keyword]
         if not isinstance(n, (int, float)):
             raise JsonSchemaDefinitionException(
                 '{} must be a number'.format(keyword))
-        return ['if isinstance(cell[0], {}) and len(cell[0]) {} {!r}:'
-                .format(pytype, op, n),
-                '    ' + self._raise('name + {!r}'.format(tail.format(n)),
-                                     definition, keyword)]
+        return ['if isinstance(cell[0], {}) and len(cell[0]) {} {}:'
+                .format(pytype, op, self._value(n)),
+                '    ' + self._tail_site(tail.format(n), definition, keyword)]
 
-    def _e_minLength(self, definition, state):
+    def _e_minLength(self, definition, var, state):
         return self._len_check(
             definition, 'minLength', 'str', '<',
-            ' must be longer than or equal to {} characters', state)
+            ' must be longer than or equal to {} characters')
 
-    def _e_maxLength(self, definition, state):
+    def _e_maxLength(self, definition, var, state):
         return self._len_check(
             definition, 'maxLength', 'str', '>',
-            ' must be shorter than or equal to {} characters', state)
+            ' must be shorter than or equal to {} characters')
 
-    def _e_pattern(self, definition, state):
+    def _e_pattern(self, definition, var, state):
         pattern = definition['pattern']
-        self.c._regex(pattern, dollar_fix=True)   # validate it compiles
-        const = self._regex_const(pattern, dollar_fix=True)
-        tail = ' must match pattern {}'.format(pattern)
+        rx = self._regex(pattern, dollar_fix=True)
         return ['if isinstance(cell[0], str) and not {}.search(cell[0]):'
-                .format(const),
-                '    ' + self._raise('name + {!r}'.format(tail),
-                                     definition, 'pattern')]
+                .format(rx),
+                '    ' + self._tail_site(' must match pattern ' + pattern,
+                                         definition, 'pattern')]
 
-    def _e_format(self, definition, state):
+    def _e_format(self, definition, var, state):
         if not self.c.use_formats:
             return []
         format_ = definition['format']
-        tail = ' must be ' + format_
+        self._touch(definition)
         if format_ in self.c.custom_formats:
-            const = self._regex_const(self.c.custom_formats[format_])
-            method = 'match'
+            custom = self.c.custom_formats[format_]
+            if isinstance(custom, str):
+                test = '{}.match'.format(self._regex(custom))
+            else:
+                test = self._const('F', format_, custom, (
+                    'def {name}(value):\n'
+                    '    return CUSTOM_FORMATS[' + repr(format_)
+                    + '](value)'))
         elif format_ in self.c.format_regexs:
-            const = self._regex_const(self.c.format_regexs[format_])
-            method = 'match'
+            test = '{}.match'.format(self._regex(self.c.format_regexs[format_]))
         elif format_ == 'regex':
             return ['if isinstance(cell[0], str):',
                     '    try:',
                     '        re.compile(cell[0])',
                     '    except Exception:',
-                    '        ' + self._raise(
-                        "name + ' must be a valid regex'",
-                        definition, 'format')]
+                    '        ' + self._tail_site(' must be a valid regex',
+                                                 definition, 'format')]
         else:
-            return []   # unknown formats are ignored
-        return ['if isinstance(cell[0], str) and not {}.{}(cell[0]):'
-                .format(const, method),
-                '    ' + self._raise('name + {!r}'.format(tail),
-                                     definition, 'format')]
+            return []   # unknown formats are ignored (draft04.py:305-306)
+        return ['if isinstance(cell[0], str) and not {}(cell[0]):'
+                .format(test),
+                '    ' + self._tail_site(' must be ' + format_, definition,
+                                         'format')]
+
+    @staticmethod
+    def _runtime_bound(bound):
+        # The reference interpolates the bound into source with str(), so
+        # a Decimal bound becomes a float literal in generated code.
+        return float(str(bound)) if isinstance(bound, Decimal) else bound
 
     def _bound_lines(self, definition, keyword):
         bound = definition[keyword]
@@ -412,8 +512,6 @@ class SourceEmitter:
         exclusive = (definition.get(
             'exclusive' + keyword[0].upper() + keyword[1:], False)
             if keyword in ('minimum', 'maximum') else True)
-        runtime = (float(str(bound)) if isinstance(bound, Decimal)
-                   else bound)
         lo = 'inimum' in keyword
         op = ('<=' if exclusive else '<') if lo else \
              ('>=' if exclusive else '>')
@@ -421,122 +519,131 @@ class SourceEmitter:
         tail = (' must be {} than {}'.format(word, bound) if exclusive
                 else ' must be {} than or equal to {}'.format(word, bound))
         return ['if isinstance(cell[0], (int, float, Decimal)) '
-                'and cell[0] {} {!r}:'.format(op, runtime),
-                '    ' + self._raise('name + {!r}'.format(tail),
-                                     definition, keyword)]
+                'and cell[0] {} {}:'.format(
+                    op, self._value(self._runtime_bound(bound))),
+                '    ' + self._tail_site(tail, definition, keyword)]
 
-    def _e_minimum(self, definition, state):
+    def _e_minimum(self, definition, var, state):
         return self._bound_lines(definition, 'minimum')
 
-    def _e_maximum(self, definition, state):
+    def _e_maximum(self, definition, var, state):
         return self._bound_lines(definition, 'maximum')
 
-    def _e_exclusiveMinimum(self, definition, state):
+    def _e_exclusiveMinimum(self, definition, var, state):
         return self._bound_lines(definition, 'exclusiveMinimum')
 
-    def _e_exclusiveMaximum(self, definition, state):
+    def _e_exclusiveMaximum(self, definition, var, state):
         return self._bound_lines(definition, 'exclusiveMaximum')
 
-    def _e_multipleOf(self, definition, state):
+    def _e_multipleOf(self, definition, var, state):
         mo = definition['multipleOf']
         if not isinstance(mo, (int, float, Decimal)):
             raise JsonSchemaDefinitionException('multipleOf must be a number')
-        use_decimal = isinstance(mo, float)
-        runtime = float(str(mo)) if isinstance(mo, Decimal) else mo
-        tail = ' must be multiple of {}'.format(mo)
-        quotient = ('Decimal(repr(cell[0])) / Decimal(repr({!r}))'
-                    .format(runtime) if use_decimal
-                    else 'cell[0] / {!r}'.format(runtime))
-        raise_site = self._raise('name + {!r}'.format(tail),
-                                 definition, 'multipleOf')
+        runtime = self._runtime_bound(mo)
+        divisor = self._value(runtime)
+        # Float divisors divide exactly in Decimal: 19.01 / 0.01 is 1901
+        # (draft04.py:361-364).
+        quotient = ('Decimal(repr(cell[0])) / {}'.format(
+            self._value(Decimal(repr(runtime))))
+            if isinstance(mo, float) else 'cell[0] / ' + divisor)
+        # NaN/inf are never an exact multiple: a clean violation where the
+        # reference crashes in int(quotient) (documented divergence,
+        # tests/test_reference_divergences.py).
         return [
             'if isinstance(cell[0], (int, float, Decimal)):',
             '    if isinstance(cell[0], float) and (cell[0] != cell[0] '
             "or cell[0] in (float('inf'), float('-inf'))):",
-            '        ' + raise_site,
-            '    quotient = ' + quotient,
-            '    if int(quotient) != quotient:',
-            '        ' + raise_site,
-            "    if cell[0] / {!r} == float('inf'):".format(runtime),
-            '        ' + self._raise("'inifinity reached'", definition,
-                                     'multipleOf'),
+            '        bad = True',
+            '    else:',
+            '        quotient = ' + quotient,
+            '        bad = int(quotient) != quotient',
+            '    if bad:',
+            '        ' + self._tail_site(' must be multiple of {}'.format(mo),
+                                         definition, 'multipleOf'),
+            "    if cell[0] / {} == float('inf'):".format(divisor),
+            '        ' + self._site("'inifinity reached'", definition,
+                                    'multipleOf'),
         ]
 
-    def _e_minItems(self, definition, state):
+    def _e_minItems(self, definition, var, state):
         return self._len_check(
             definition, 'minItems', '(list, tuple)', '<',
-            ' must contain at least {} items', state)
+            ' must contain at least {} items')
 
-    def _e_maxItems(self, definition, state):
+    def _e_maxItems(self, definition, var, state):
         return self._len_check(
             definition, 'maxItems', '(list, tuple)', '>',
-            ' must contain less than or equal to {} items', state)
+            ' must contain less than or equal to {} items')
 
-    def _e_uniqueItems(self, definition, state):
+    def _e_uniqueItems(self, definition, var, state):
         if not definition['uniqueItems']:
             return []
         return ['if isinstance(cell[0], (list, tuple)) and '
                 'len(cell[0]) > len({_freeze(x) for x in cell[0]}):',
-                '    ' + self._raise(
-                    "name + ' must contain unique items'",
-                    definition, 'uniqueItems')]
+                '    ' + self._tail_site(' must contain unique items',
+                                         definition, 'uniqueItems')]
 
-    def _e_items(self, definition, state):
+    def _e_items(self, definition, var, state):
         items_definition = definition['items']
         if items_definition is True:
             return []
+        self._touch(definition)
         if items_definition is False:
             return ['if isinstance(cell[0], (list, tuple)) and cell[0]:',
-                    '    ' + self._raise("name + ' must not be there'",
-                                         definition, 'items')]
+                    '    ' + self._tail_site(' must not be there',
+                                             definition, 'items')]
         if isinstance(items_definition, list):
+            fns = [self._sub_fn(d, '{}__{}'.format(var, i))
+                   for i, d in enumerate(items_definition)]
+            additional = definition.get('additionalItems', _MISSING)
+            add_fn = None
+            if additional is not _MISSING and additional is not False:
+                add_fn = self._sub_fn(additional, var + '_item')
+            # Elements validate through a temp cell: whole-value transforms
+            # do not write back into the list (draft04.py:455-459).
             lines = ['if isinstance(cell[0], (list, tuple)):',
                      '    orig_len = len(cell[0])']
-            for idx, d in enumerate(items_definition):
-                fn = self._sub_fn(d, 'item{}'.format(idx))
-                lines.append('    if orig_len > {}:'.format(idx))
-                lines.append(
-                    "        {}([cell[0][{}]], '{{}}[{}]'.format(name))"
-                    .format(fn, idx, idx))
+            for idx, (fn, d) in enumerate(zip(fns, items_definition)):
+                lines += ['    if orig_len > {}:'.format(idx),
+                          '        ' + self._call(
+                              fn, '[cell[0][{}]]'.format(idx),
+                              'name + ' + repr('[{}]'.format(idx)))]
                 if (self.c.use_default and isinstance(d, dict)
                         and 'default' in d):
-                    lines.append('    elif isinstance(cell[0], list):')
-                    lines.append('        cell[0].append({!r})'
-                                 .format(d['default']))
-            additional = definition.get('additionalItems', _MISSING)
+                    lines += ['    elif isinstance(cell[0], list):',
+                              '        cell[0].append({})'.format(
+                                  self._fresh(d['default']))]
             if additional is False:
-                lines.append('    if orig_len > {}:'
-                             .format(len(items_definition)))
-                lines.append('        ' + self._raise(
-                    "name + ' must contain only specified items'",
-                    definition, 'items'))
-            elif additional is not _MISSING:
-                fn = self._sub_fn(additional, 'additem')
-                lines.append('    for pos in range({}, len(cell[0])):'
-                             .format(len(items_definition)))
-                lines.append(
-                    "        {}([cell[0][pos]], '{{}}[{{}}]'"
-                    '.format(name, pos))'.format(fn))
+                lines += ['    if orig_len > {}:'.format(len(fns)),
+                          '        ' + self._tail_site(
+                              ' must contain only specified items',
+                              definition, 'items')]
+            elif add_fn is not None:
+                lines += ['    for pos in range({}, len(cell[0])):'
+                          .format(len(fns)),
+                          '        ' + self._call(
+                              add_fn, '[cell[0][pos]]',
+                              "'{}[{}]'.format(name, pos)")]
             return lines
         if not items_definition:
             return []
-        fn = self._sub_fn(items_definition, 'item')
+        fn = self._sub_fn(items_definition, var + '_item')
         return ['if isinstance(cell[0], (list, tuple)):',
                 '    for pos, item in enumerate(cell[0]):',
-                "        {}([item], '{{}}[{{}}]'.format(name, pos))"
-                .format(fn)]
+                '        ' + self._call(fn, '[item]',
+                                        "'{}[{}]'.format(name, pos)")]
 
-    def _e_minProperties(self, definition, state):
+    def _e_minProperties(self, definition, var, state):
         return self._len_check(
             definition, 'minProperties', 'dict', '<',
-            ' must contain at least {} properties', state)
+            ' must contain at least {} properties')
 
-    def _e_maxProperties(self, definition, state):
+    def _e_maxProperties(self, definition, var, state):
         return self._len_check(
             definition, 'maxProperties', 'dict', '>',
-            ' must contain less than or equal to {} properties', state)
+            ' must contain less than or equal to {} properties')
 
-    def _e_required(self, definition, state):
+    def _e_required(self, definition, var, state):
         required = definition['required']
         if not isinstance(required, (list, tuple)):
             raise JsonSchemaDefinitionException('required must be an array')
@@ -553,259 +660,319 @@ class SourceEmitter:
             ]
             if not_possible:
                 raise JsonSchemaDefinitionException(
-                    'data: items {} are required but not allowed'
-                    .format(not_possible))
+                    '{}: items {} are required but not allowed'
+                    .format(var, not_possible))
         return ['if isinstance(cell[0], dict):',
-                '    missing = {!r} - cell[0].keys()'.format(set(required)),
+                '    missing = {} - cell[0].keys()'.format(
+                    self._value(set(required))),
                 '    if missing:',
-                '        ' + self._raise(
+                '        ' + self._site(
                     "'{} must contain {} properties'"
                     '.format(name, sorted(missing))',
                     definition, 'required')]
 
-    def _e_dependencies(self, definition, state):
-        lines = ['if isinstance(cell[0], dict):']
-        n = 0
+    def _e_dependencies(self, definition, var, state):
+        entries = []
         for key, values in definition['dependencies'].items():
             if values == [] or values is True:
                 continue
-            n += 1
-            lines.append('    if {!r} in cell[0]:'.format(key))
-            if values is False:
-                lines.append('        ' + self._raise(
-                    "{!r} + name + ' must not be there'"
-                    .format(key + ' in '),
-                    definition, 'dependencies'))
-            elif isinstance(values, list):
-                for dep in values:
-                    lines.append('        if {!r} not in cell[0]:'
-                                 .format(dep))
-                    tail = ' missing dependency {} for {}'.format(dep, key)
-                    lines.append('            ' + self._raise(
-                        'name + {!r}'.format(tail),
-                        definition, 'dependencies'))
+            if values is False or isinstance(values, list):
+                entries.append((key, values))
             else:
-                fn = self._sub_fn(values, 'dep')
-                lines.append('        {}(cell, name)'.format(fn))
-        return lines if n else []
-
-    def _keys_init(self, state):
-        """Lazy shared consumed-keys set (properties / patternProperties /
-        additionalProperties / propertyNames-False all share it, matching
-        the interpreter's per-node ``local['keys']``)."""
-        if state['keys_done']:
+                # Schema-form dependencies validate the same cell, so
+                # transforms propagate (draft04.py:666-668).
+                entries.append((key, self._sub_fn(values, var)))
+        if not entries:
             return []
-        state['keys_done'] = True
+        lines = ['if isinstance(cell[0], dict):']
+        for key, payload in entries:
+            lines.append('    if {} in cell[0]:'.format(self._value(key)))
+            if payload is False:
+                lines.append('        ' + self._site(
+                    '{!r} + name + {!r}'.format(
+                        '{} in '.format(key), ' must not be there'),
+                    definition, 'dependencies'))
+            elif isinstance(payload, list):
+                for dep in payload:
+                    lines += ['        if {} not in cell[0]:'.format(
+                                  self._value(dep)),
+                              '            ' + self._tail_site(
+                                  ' missing dependency {} for {}'.format(
+                                      dep, key),
+                                  definition, 'dependencies')]
+            else:
+                lines.append('        ' + self._call(payload))
+        return lines
+
+    @staticmethod
+    def _keys(state):
+        """The node's consumed-keys set, shared by properties,
+        patternProperties, additionalProperties and propertyNames."""
+        state['keys'] = True
         return ['    if keys is None:',
                 '        keys = set(cell[0].keys())']
 
-    def _e_properties(self, definition, state):
-        lines = ['if isinstance(cell[0], dict):']
-        lines += self._keys_init(state)
+    def _e_properties(self, definition, var, state):
+        props = []
         for key, prop_definition in definition['properties'].items():
             key_name = _strip_key(key)
             if not isinstance(prop_definition, (dict, bool)):
                 raise JsonSchemaDefinitionException(
-                    'data[{}] must be object'.format(key_name))
-            fn = self._sub_fn(prop_definition, 'prop_' + key_name)
-            lines.append('    if {!r} in keys:'.format(key))
-            lines.append('        keys.remove({!r})'.format(key))
-            lines.append("        {}([cell[0][{!r}]], name + {!r})"
-                         .format(fn, key, '.' + key))
+                    '{}[{}] must be object'.format(var, key_name))
+            props.append((key, prop_definition, self._sub_fn(
+                prop_definition, '{}__{}'.format(var, key_name))))
+        lines = ['if isinstance(cell[0], dict):'] + self._keys(state)
+        for key, prop_definition, fn in props:
+            k = self._value(key)
+            # Temp-cell semantics: nested containers mutate in place but
+            # whole-value replacement is dropped (draft04.py:553-559).
+            lines += ['    if {} in keys:'.format(k),
+                      '        keys.remove({})'.format(k),
+                      '        ' + self._call(
+                          fn, '[cell[0][{}]]'.format(k),
+                          'name + ' + repr('.{}'.format(key)))]
             if (self.c.use_default and isinstance(prop_definition, dict)
                     and 'default' in prop_definition):
-                lines.append('    else:')
-                lines.append('        cell[0][{!r}] = {!r}'
-                             .format(key, prop_definition['default']))
+                lines += ['    else:',
+                          '        cell[0][{}] = {}'.format(
+                              k, self._fresh(prop_definition['default']))]
         return lines
 
-    def _e_patternProperties(self, definition, state):
-        pattern_definition = definition['patternProperties']
-        lines = ['if isinstance(cell[0], dict):']
-        lines += self._keys_init(state)
-        if not pattern_definition:
-            return lines if len(lines) > 1 else []
-        pairs = []
-        for pattern, sub_definition in pattern_definition.items():
-            const = self._regex_const(pattern)
-            fn = self._sub_fn(sub_definition, 'patprop')
-            pairs.append('({}, {})'.format(const, fn))
-        lines.append('    for key, val in cell[0].items():')
-        lines.append('        for regex, sub in ({},):'
-                     .format(', '.join(pairs)))
-        lines.append('            if regex.search(key):')
-        lines.append('                keys.discard(key)')
-        lines.append("                sub([val], '{}.{}'.format(name, key))")
-        return lines
+    def _e_patternProperties(self, definition, var, state):
+        pairs = ['({}, {})'.format(self._regex(pattern),
+                                   self._sub_fn(sub, var + '_val'))
+                 for pattern, sub in definition['patternProperties'].items()]
+        if not pairs:
+            return []
+        return (['if isinstance(cell[0], dict):'] + self._keys(state) + [
+            '    for key, val in cell[0].items():',
+            '        for regex, sub in {}:'.format(self._tuple(pairs)),
+            '            if regex.search(key):',
+            '                keys.discard(key)',
+            '                ' + self._call(
+                'sub', '[val]', "'{}.{}'.format(name, key)")])
 
-    def _e_additionalProperties(self, definition, state):
+    def _e_additionalProperties(self, definition, var, state):
         add_definition = definition['additionalProperties']
-        lines = ['if isinstance(cell[0], dict):']
-        lines += self._keys_init(state)
+        self._touch(definition)
         if add_definition is True or add_definition == {}:
-            return lines if len(lines) > 1 else []
+            return []
         if add_definition:
-            fn = self._sub_fn(add_definition, 'addprop')
+            fn = self._sub_fn(add_definition, var + '_value')
             props = list(definition.get('properties', {}).keys())
-            lines.append('    for key in keys:')
-            lines.append('        if key not in {!r}:'.format(props))
-            lines.append(
-                "            {}([cell[0].get(key)], "
-                "'{{}}.{{}}'.format(name, key))".format(fn))
-            return lines
-        lines.append('    if keys:')
-        lines.append('        ' + self._raise(
-            "'{} must not contain {} properties'.format(name, keys)",
-            definition, 'additionalProperties'))
-        return lines
+            return (['if isinstance(cell[0], dict):'] + self._keys(state) + [
+                '    for key in keys:',
+                '        if key not in {}:'.format(self._value(props)),
+                '            ' + self._call(fn, '[cell[0].get(key)]',
+                                            "'{}.{}'.format(name, key)")])
+        return (['if isinstance(cell[0], dict):'] + self._keys(state) + [
+            '    if keys:',
+            '        ' + self._site(
+                "'{} must not contain {} properties'.format(name, keys)",
+                definition, 'additionalProperties')])
 
-    def _e_propertyNames(self, definition, state):
+    def _e_propertyNames(self, definition, var, state):
         names_definition = definition.get('propertyNames', {})
+        self._touch(definition)
         if names_definition is True:
             return []
-        lines = ['if isinstance(cell[0], dict):']
         if names_definition is False:
-            lines += self._keys_init(state)
-            lines.append('    if keys:')
-            lines.append('        ' + self._raise(
-                "name + ' must not be there'", definition,
-                'propertyNames'))
-            return lines
-        fn = self._sub_fn(names_definition, 'propname')
+            return (['if isinstance(cell[0], dict):'] + self._keys(state) + [
+                '    if keys:',
+                '        ' + self._tail_site(' must not be there',
+                                             definition, 'propertyNames')])
+        fn = self._sub_fn(names_definition, var + '_key')
         return ['if isinstance(cell[0], dict) and len(cell[0]):',
                 '    ok = True',
                 '    for key in cell[0]:',
                 '        try:',
-                '            {}([key], name)'.format(fn),
+                '            ' + self._call(fn, '[key]'),
                 '        except JsonSchemaValueException:',
                 '            ok = False',
                 '    if not ok:',
-                '        ' + self._raise(
-                    "name + ' must be named by propertyName definition'",
+                '        ' + self._tail_site(
+                    ' must be named by propertyName definition',
                     definition, 'propertyNames')]
 
-    def _e_contains(self, definition, state):
+    def _e_contains(self, definition, var, state):
         contains_definition = definition['contains']
+        self._touch(definition)
         if contains_definition is False:
             return ['if isinstance(cell[0], (list, tuple)):',
-                    '    ' + self._raise("name + ' is always invalid'",
-                                         definition, 'contains')]
+                    '    ' + self._tail_site(' is always invalid',
+                                             definition, 'contains')]
         if contains_definition is True:
-            return ['if isinstance(cell[0], (list, tuple)) '
-                    'and not cell[0]:',
-                    '    ' + self._raise("name + ' must not be empty'",
-                                         definition, 'contains')]
-        fn = self._sub_fn(contains_definition, 'contains')
+            return ['if isinstance(cell[0], (list, tuple)) and not cell[0]:',
+                    '    ' + self._tail_site(' must not be empty',
+                                             definition, 'contains')]
+        fn = self._sub_fn(contains_definition, var + '_key')
         return ['if isinstance(cell[0], (list, tuple)):',
                 '    for item in cell[0]:',
                 '        try:',
-                '            {}([item], name)'.format(fn),
+                '            ' + self._call(fn, '[item]'),
                 '            break',
                 '        except JsonSchemaValueException:',
                 '            pass',
                 '    else:',
-                '        ' + self._raise(
-                    "name + ' must contain one of contains definition'",
+                '        ' + self._tail_site(
+                    ' must contain one of contains definition',
                     definition, 'contains')]
 
-    def _e_const(self, definition, state):
+    def _e_const(self, definition, var, state):
         const = definition['const']
         tail = ' must be same as const definition: {}'.format(
-            const if isinstance(const, str)
-            else _embed_in_source(str(const)))
-        return ['if not _enum_match(cell[0], {!r}):'.format(const),
-                '    ' + self._raise('name + {!r}'.format(tail),
-                                     definition, 'const')]
+            const if isinstance(const, str) else _embed_in_source(str(const)))
+        return ['if not _enum_match(cell[0], {}):'.format(self._value(const)),
+                '    ' + self._tail_site(tail, definition, 'const')]
 
-    def _e_if(self, definition, state):
-        if_fn = self._sub_fn(definition['if'], 'if')
-        then_fn = (self._sub_fn(definition['then'], 'then')
+    def _e_if(self, definition, var, state):
+        if_fn = self._sub_fn(definition['if'], var)
+        then_fn = (self._sub_fn(definition['then'], var)
                    if 'then' in definition else None)
-        else_fn = (self._sub_fn(definition['else'], 'else')
+        else_fn = (self._sub_fn(definition['else'], var)
                    if 'else' in definition else None)
-        lines = ['try:',
-                 '    {}(cell, name)'.format(if_fn),
-                 'except JsonSchemaValueException:']
-        lines.append('    {}(cell, name)'.format(else_fn)
-                     if else_fn else '    pass')
-        lines.append('else:')
-        lines.append('    {}(cell, name)'.format(then_fn)
-                     if then_fn else '    pass')
-        return lines
+        return ['try:',
+                '    ' + self._call(if_fn),
+                'except JsonSchemaValueException:',
+                '    ' + (self._call(else_fn) if else_fn else 'pass'),
+                'else:',
+                '    ' + (self._call(then_fn) if then_fn else 'pass')]
 
-    def _e_contentEncoding(self, definition, state):
+    def _e_contentEncoding(self, definition, var, state):
         if definition['contentEncoding'] != 'base64':
             return []
         return ['if isinstance(cell[0], str):',
                 '    try:',
                 '        cell[0] = base64.b64decode(cell[0])',
                 '    except Exception:',
-                '        ' + self._raise(
-                    "name + ' must be encoded by base64'",
-                    definition, None),
+                '        ' + self._tail_site(' must be encoded by base64',
+                                             definition, None),
                 "    if cell[0] == '':",
-                '        ' + self._raise(
-                    "'contentEncoding must be base64'", definition, None)]
+                '        ' + self._site("'contentEncoding must be base64'",
+                                        definition, None)]
 
-    def _e_contentMediaType(self, definition, state):
+    def _e_contentMediaType(self, definition, var, state):
         if definition['contentMediaType'] != 'application/json':
             return []
         return ['if isinstance(cell[0], bytes):',
                 '    try:',
                 "        cell[0] = cell[0].decode('utf-8')",
                 '    except Exception:',
-                '        ' + self._raise(
-                    "name + ' must encoded by utf8'", definition, None),
+                '        ' + self._tail_site(' must encoded by utf8',
+                                             definition, None),
                 'if isinstance(cell[0], str):',
                 '    try:',
                 '        cell[0] = json.loads(cell[0])',
                 '    except Exception:',
-                '        ' + self._raise(
-                    "name + ' must be valid JSON'", definition, None)]
+                '        ' + self._tail_site(' must be valid JSON',
+                                             definition, None)]
 
-    # -- module assembly -----------------------------------------------------
+    # -- assembly --------------------------------------------------------------
 
-    def emit_module(self, header_lines):
-        root_uri = self.registry.current_uri()
-        root_fn = self._fn_for_uri(root_uri)
+    def emit(self):
+        """Source of every function, ending with ``validate(data,
+        name='data')``."""
+        if self.c.inline_root:
+            root = self._sub_fn(self.c.definition, 'data')
+        else:
+            root = self._fn_for_uri(self.registry.current_uri())
         while self._ref_worklist:
             uri = self._ref_worklist.pop()
-            fn = self._fn_by_uri[uri]
             with self.registry.resolving(uri) as target:
-                body = self._node_body(target)
-            src = ['def {}(cell, name):'.format(fn)]
-            src.append("    # schema scope: {}".format(uri or '#'))
-            if _needs_keys(target):
-                src.append('    keys = None')
-            src.extend('    ' + line for line in body)
-            self._funcs.append('\n'.join(src))
+                self._sub_fn(target, 'data', self._fn_by_uri[uri], uri)
+        if self.fast:
+            run = ['    {}(cell, name)'.format(root)]
+        else:
+            run = ['    errors = []',
+                   '    {}(cell, name, errors)'.format(root),
+                   '    if errors:',
+                   '        raise JsonSchemaValuesException(errors)']
+        self.functions.append('\n'.join(
+            ["def validate(data, name='data'):", '    cell = [data]']
+            + run + ['    return cell[0]']))
+        return '\n\n\n'.join(self.functions) + '\n'
 
-        parts = list(header_lines)
-        parts.append(_PROLOGUE)
-        if self._regexes:
-            for (pattern, dollar_fix), const in self._regexes.items():
-                src_pattern = (re.sub(r'(?<!\\)\$', r'\\Z', pattern)
-                               if dollar_fix else pattern)
-                parts.append('{} = re.compile({!r})'
-                             .format(const, src_pattern))
-            parts.append('')
-        parts.extend(self._funcs)
-        parts.append("def validate(data, name='data'):\n"
-                     '    cell = [data]\n'
-                     '    {}(cell, name)\n'
-                     '    return cell[0]'.format(root_fn))
-        return '\n\n'.join(parts) + '\n'
+    def constant_sources(self):
+        # The first '{name}' is the placeholder; repr()s follow it.
+        return ['{} = {!r}'.format(name, obj) if self._templates[name] is None
+                else self._templates[name].replace('{name}', name, 1)
+                for name, obj in self.constants.items()]
 
 
-def _needs_keys(definition):
-    return isinstance(definition, dict) and any(k in definition for k in (
-        'properties', 'patternProperties', 'additionalProperties',
-        'propertyNames'))
+def compile_validator(compiler: ScalarCompiler):
+    """``validate(data, name='data')`` for ``compiler``'s schema: the
+    emitted source, run with its constants bound as objects.
 
-
-def emit_source(compiler, header_lines):
-    """Emit standalone straight-line source for ``compiler``'s schema, or
-    raise :class:`Unemittable` for combinations the emitter doesn't cover
-    (the caller falls back to the vendored-runtime artifact)."""
+    The functions are nested in a factory whose parameters are the
+    constants, so they reach each other and the constants through closure
+    cells and share the prologue's globals.  Module-level functions would
+    form a cycle through their own namespace, which only the cyclic
+    garbage collector frees."""
     emitter = SourceEmitter(compiler)
-    return emitter.emit_module(header_lines)
+    body = emitter.emit()
+    source = 'def make({}):\n{}    return validate\n'.format(
+        ', '.join(emitter.constants),
+        ''.join('    ' + line for line in body.splitlines(keepends=True)))
+    factory = {}
+    exec(builtins.compile(source, '<validator>', 'exec'), _base_namespace(),
+         factory)
+    return factory['make'](*emitter.constants.values())
+
+
+def compile(definition, handlers=None, formats=None, use_default=True,
+            use_formats=True, detailed_exceptions=True, fast_fail=True):
+    """API-compatible stand-in for ``fastjsonschema.compile``
+    (``__init__.py:169-290``): returns ``fn(data) -> transformed data``."""
+    return compile_validator(ScalarCompiler(
+        definition, formats=formats, use_default=use_default,
+        use_formats=use_formats, detailed_exceptions=detailed_exceptions,
+        fast_fail=fast_fail, handlers=handlers))
+
+
+def validate(definition, data, handlers=None, formats=None, use_default=True,
+             use_formats=True, detailed_exceptions=True, fast_fail=True):
+    """One-shot compile + run (``__init__.py:135-164``)."""
+    return compile(
+        definition, handlers, formats, use_default, use_formats,
+        detailed_exceptions, fast_fail,
+    )(data)
+
+
+def compile_to_code(definition, handlers=None, formats=None, use_default=True,
+                    use_formats=True, detailed_exceptions=True,
+                    fast_fail=True):
+    """Deployment artifact, like the reference's ``compile_to_code``
+    (``__init__.py:294-341``): the source :func:`compile` runs, as a
+    module with no dependency.  Write it to a file, import it, call
+    ``validate(data)``.  Callable custom formats cannot be serialized;
+    bind them in the module's ``CUSTOM_FORMATS`` before validating."""
+    if handlers:
+        raise JsonSchemaDefinitionException(
+            'compile_to_code with remote handlers is not supported: resolve '
+            'refs before serializing')
+    from .. import VERSION
+    compiler = ScalarCompiler(definition, formats=formats,
+                              use_default=use_default,
+                              use_formats=use_formats,
+                              detailed_exceptions=detailed_exceptions,
+                              fast_fail=fast_fail)
+    emitter = SourceEmitter(compiler)
+    body = emitter.emit()
+    formats = formats or {}
+    header = [
+        '"""Validator generated by python_fastjsonschema_ray.compile_to_code."""',
+        'VERSION = {!r}'.format(VERSION),
+        'SCHEMA = {!r}'.format(definition),
+        'CUSTOM_FORMATS = {!r}'.format(
+            {k: v for k, v in formats.items() if isinstance(v, str)}),
+    ]
+    callables = [k for k, v in formats.items() if not isinstance(v, str)]
+    if callables:
+        header.append('# Callable formats {!r} must be bound in '
+                      'CUSTOM_FORMATS before validate() runs.'.format(
+                          callables))
+    parts = header + [_PROLOGUE]
+    parts += [src for name, src in _HELPERS.items() if name + '(' in body]
+    parts += emitter.constant_sources()
+    parts.append(body)
+    return '\n\n'.join(parts)

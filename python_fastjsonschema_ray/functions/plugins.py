@@ -4,7 +4,7 @@ The reference lets users extend validation through custom ``formats`` and
 ``CodeGenerator`` subclassing; the engine's equivalent is keyword
 registration: a plugin adds a brand-new schema keyword evaluated AFTER the
 built-in keywords (stable, documented position in the evaluation order),
-usable by both the scalar interpreter and the vectorized table path.
+usable by both the scalar validator and the vectorized table path.
 
     from python_fastjsonschema_ray.functions.plugins import register_keyword
 

@@ -1,39 +1,22 @@
-"""Interpreted scalar JSON Schema validator (draft-04/06/07/2019).
+"""Compile-time schema analysis shared by both validator tiers.
 
-This is the engine's *semantic core*: a closure-tree interpreter that applies
-the exact validation semantics of the reference compiler — same keyword
-evaluation order (``draft04.py:42-68`` + ``draft06.py:30-36`` +
-``draft07.py:33-37``), same message templates, same type quirks (bool is not a
-number, draft-06 integral floats count as integers, Decimal-exact
-``multipleOf``), same transform behaviour (``default`` insertion,
-``contentEncoding``/``contentMediaType`` value replacement) and same
-exception payloads — but implemented as composed Python closures instead of
-string code generation, so compiled rule objects are picklable-by-construction
-pieces we can also reuse as the per-row fallback kernel inside Ray Data
-``map_batches`` stages when a column's Arrow type defeats vectorization.
-
-Architecture difference from the reference (deliberate, documented): the
-reference emits Python source and ``exec``s it (``generator.py:17-190``);
-here every keyword compiles to a closure ``check(cell, name, errors, local)``
-where ``cell`` is a one-element list carrying the (possibly transformed)
-value, ``errors`` is ``None`` in fast-fail mode or a shared per-function
-collection list, and ``local`` carries per-object shared state (the consumed
-keys set used by properties/patternProperties/additionalProperties).
+The scalar tier (:mod:`.codegen`, emitted Python source, the reference's
+own architecture) and the vector tier (:mod:`.vector`, Arrow plans) read
+the same facts about a schema from here: its draft, its ``$ref`` registry
+(``$ref`` URIs absolutized, remote documents fetched through
+``handlers``), the flags, the keyword evaluation order of the reference
+(``draft04.py:42-68`` + ``draft06.py:30-36`` + ``draft07.py:33-37``), the
+JSON type table, and the value semantics of ``enum``/``const``
+(:func:`enum_value_match`) and ``uniqueItems`` (:func:`_freeze`).
 """
 
 from __future__ import annotations
 
-import base64 as _base64
 import copy
-import json as _json
 import re
 from decimal import Decimal
 
-from ..exceptions import (
-    JsonSchemaDefinitionException,
-    JsonSchemaValueException,
-    JsonSchemaValuesException,
-)
+from ..exceptions import JsonSchemaDefinitionException
 from .formats import FORMAT_REGEXS_BY_DRAFT, pick_draft
 from .refs import SchemaRegistry
 
@@ -130,21 +113,19 @@ def _freeze(var):
 
 
 class ScalarCompiler:
-    """Compiles one JSON Schema into a tree of check closures.
+    """One schema's compile-time state: a deep copy of the definition, its
+    draft and registry, the flags, the keyword order and a regex cache.
 
-    ``compile_root()`` returns ``fn(data, name='data') -> data`` raising
-    :class:`JsonSchemaValueException` (fast-fail) or
-    :class:`JsonSchemaValuesException` (collect mode).
+    ``inline_root`` compiles ``definition`` itself as the root instead of
+    the document at the registry's current URI.  Sub-schema compiles use
+    it to resolve ``$ref``s through a SHARED parent ``registry`` (vector
+    propertyNames and fallback nodes, whose ``$ref``s the parent's
+    document walk already absolutized).
     """
 
     def __init__(self, definition, *, draft=None, formats=None, use_default=True,
                  use_formats=True, detailed_exceptions=True, fast_fail=True,
                  handlers=None, registry=None, inline_root=False):
-        # inline_root: compile ``definition`` itself as the root runner
-        # instead of the document at the registry's current URI.  Used for
-        # sub-schema compiles that must resolve $refs through a SHARED
-        # parent registry (vector propertyNames / fallback nodes, whose
-        # $refs were already absolutized by the parent's document walk).
         # Never mutate the caller's schema: the registry walk rewrites $ref
         # URIs in place (refs.py), so work on a deep copy.  A schema too
         # deep to even copy is over the DoS cap by definition.
@@ -163,875 +144,18 @@ class ScalarCompiler:
         self.use_formats = use_formats
         self.detailed = detailed_exceptions
         self.fast_fail = fast_fail
+        self.inline_root = inline_root
         self.order = keyword_order(self.draft)
         self.format_regexs = FORMAT_REGEXS_BY_DRAFT[4 if self.draft <= 4 else self.draft]
         self.regex_cache = {}
-        # $ref worklist: uri -> compiled node runner; lazy binding allows
-        # recursive schemas (generator.py:133-138 uses the same worklist idea).
-        self._functions = {}
-        self._needed = {}
-        self._inline_root = inline_root
 
-    # -- public ---------------------------------------------------------
-
-    def compile_root(self):
-        root_uri = self.registry.current_uri()
-        root_runner = None
-        if self._inline_root:
-            root_runner = self._compile_node(self.definition, 'data')
-        else:
-            self._needed[root_uri] = True
-        while self._needed:
-            uri, _ = self._needed.popitem()
-            if self._functions.get(uri) is not None:
-                continue
-            self._functions[uri] = None  # mark in-progress (recursion guard)
-            with self.registry.resolving(uri) as target:
-                runner = self._compile_node(target, 'data')
-            self._functions[uri] = runner
-
-        functions = self._functions
-        fast_fail = self.fast_fail
-
-        def validate(data, name='data'):
-            runner = root_runner if root_runner is not None \
-                else functions[root_uri]
-            cell = [data]
-            if fast_fail:
-                runner(cell, name, None)
-            else:
-                errors = []
-                runner(cell, name, errors)
-                if errors:
-                    raise JsonSchemaValuesException(errors)
-            return cell[0]
-
-        return validate
-
-    # -- infrastructure -------------------------------------------------
-
-    def _regex(self, pattern, *, dollar_fix=False, anchored_match=False):
-        key = (pattern, dollar_fix, anchored_match)
+    def _regex(self, pattern, *, dollar_fix=False):
+        key = (pattern, dollar_fix)
         hit = self.regex_cache.get(key)
         if hit is None:
             src = _DOLLAR_FINDER.sub(r'\\Z', pattern) if dollar_fix else pattern
             hit = self.regex_cache[key] = re.compile(src)
         return hit
-
-    def _emit(self, definition, rule):
-        """Build the raise-or-append closure for one exc site
-        (mirrors generator.py:273-295)."""
-        detailed = self.detailed
-        expanded = self.registry.expand_refs(definition) if detailed else None
-
-        def emit(message, cell, name, errors):
-            if detailed:
-                e = JsonSchemaValueException(message, cell[0], name, expanded, rule)
-            else:
-                e = JsonSchemaValueException(message)
-            if errors is None:
-                raise e
-            errors.append(e)
-
-        return emit
-
-    def _ref_runner(self, uri):
-        """Lazy lookup so recursive $refs resolve after compilation finishes.
-        In collect mode each ref'd schema scope owns its own error list and
-        raises its own collection, matching the per-function ``errors = []``
-        of generated code (generator.py:147-153)."""
-        functions = self._functions
-        fast_fail = self.fast_fail
-
-        def run(cell, name, errors, local=None):
-            runner = functions[uri]
-            if fast_fail:
-                runner(cell, name, None)
-            else:
-                sub_errors = []
-                runner(cell, name, sub_errors)
-                if sub_errors:
-                    raise JsonSchemaValuesException(sub_errors)
-
-        return run
-
-    def _compile_node(self, definition, var):
-        """definition → runner(cell, name, errors). Handles boolean schemas
-        (draft-06+) and $ref sibling override."""
-        if isinstance(definition, bool):
-            if self.draft <= 4:
-                raise JsonSchemaDefinitionException('definition must be an object')
-            if definition:
-                return lambda cell, name, errors: None
-            emit = self._emit(definition, None)
-
-            def always_fail(cell, name, errors):
-                emit('{} must not be there'.format(name), cell, name, errors)
-
-            return always_fail
-
-        if not isinstance(definition, dict):
-            raise JsonSchemaDefinitionException('definition must be an object')
-
-        if '$ref' in definition:
-            return self._compile_ref(definition)
-
-        checks = []
-        for keyword in self.order:
-            if keyword in definition:
-                check = getattr(self, '_k_' + _strip_key(keyword))(definition, var)
-                if check is not None:
-                    checks.append(check)
-
-        # Custom plugin keywords run after the built-ins (functions/plugins).
-        from .plugins import REGISTRY as _PLUGINS
-        for plug_name, plugin in _PLUGINS.items():
-            if plug_name in definition and plugin.check_value is not None:
-                checks.append(self._custom_check(plugin, definition))
-
-        def run(cell, name, errors):
-            local = {}
-            for check in checks:
-                check(cell, name, errors, local)
-
-        return run
-
-    def _custom_check(self, plugin, definition):
-        emit = self._emit(definition, plugin.name)
-        fn = plugin.check_value
-
-        def check(cell, name, errors, local):
-            tail = fn(cell[0], definition)
-            if tail is not None:
-                emit(name + tail, cell, name, errors)
-
-        return check
-
-    def _compile_ref(self, definition):
-        # The ref (fragment included) identifies the target function; mirror
-        # generator.py:206-217 where in_scope(ref) names the called function.
-        ref = definition['$ref']
-        with self.registry.in_scope(ref):
-            uri = self.registry.current_uri()
-        if uri not in self._functions and uri not in self._needed:
-            self._needed[uri] = True
-        return self._ref_runner(uri)
-
-    def _sub(self, definition, var, var_name_unused=None):
-        """Compile a sub-schema in the current scope."""
-        return self._compile_node(definition, var)
-
-    # -- keyword compilers ----------------------------------------------
-    # Each returns check(cell, name, errors, local) or None for a no-op.
-
-    def _k_type(self, definition, var):
-        types = definition['type']
-        types = types if isinstance(types, list) else [types]
-        try:
-            pytypes = tuple(t for jt in types for t in _JSON_TYPES[jt])
-        except KeyError as exc:
-            raise JsonSchemaDefinitionException('Unknown type') from exc
-        integral_float_ok = self.draft >= 6 and 'integer' in types
-        bool_excluded = ('number' in types or 'integer' in types) and 'boolean' not in types
-        message_tail = ' must be {}'.format(' or '.join(types))
-        emit = self._emit(definition, 'type')
-
-        def check(cell, name, errors, local):
-            v = cell[0]
-            bad = not isinstance(v, pytypes)
-            if bad and integral_float_ok:
-                bad = not (isinstance(v, float) and v.is_integer())
-            if bool_excluded:
-                bad = bad or isinstance(v, bool)
-            if bad:
-                emit(name + message_tail, cell, name, errors)
-
-        return check
-
-    def _k_enum(self, definition, var):
-        enum = definition['enum']
-        if not isinstance(enum, (list, tuple)):
-            raise JsonSchemaDefinitionException('enum must be an array')
-        message_tail = ' must be one of ' + _embed_in_source(str(enum))
-        emit = self._emit(definition, 'enum')
-
-        def check(cell, name, errors, local):
-            v = cell[0]
-            if not any(enum_value_match(v, option) for option in enum):
-                emit(name + message_tail, cell, name, errors)
-
-        return check
-
-    def _k_allOf(self, definition, var):
-        subs = [self._sub(item, var) for item in definition['allOf']]
-
-        def check(cell, name, errors, local):
-            for sub in subs:
-                sub(cell, name, errors)
-
-        return check
-
-    def _k_anyOf(self, definition, var):
-        subs = [self._sub(item, var) for item in definition['anyOf']]
-        emit = self._emit(definition, 'anyOf')
-
-        def check(cell, name, errors, local):
-            count = 0
-            for sub in subs:
-                if not count:
-                    try:
-                        sub(cell, name, errors)
-                        count += 1
-                    except JsonSchemaValueException:
-                        pass
-            if not count:
-                emit(name + ' cannot be validated by any definition', cell, name, errors)
-
-        return check
-
-    def _k_oneOf(self, definition, var):
-        subs = [self._sub(item, var) for item in definition['oneOf']]
-        emit = self._emit(definition, 'oneOf')
-
-        def check(cell, name, errors, local):
-            count = 0
-            for sub in subs:
-                if count < 2:
-                    try:
-                        sub(cell, name, errors)
-                        count += 1
-                    except JsonSchemaValueException:
-                        pass
-            if count != 1:
-                emit(
-                    name + ' must be valid exactly by one definition'
-                    + ' ({} matches found)'.format(count),
-                    cell, name, errors,
-                )
-
-        return check
-
-    def _k_not(self, definition, var):
-        not_definition = definition['not']
-        emit = self._emit(definition, 'not')
-        if not_definition is True:
-            def check(cell, name, errors, local):
-                emit(name + ' must not be there', cell, name, errors)
-            return check
-        if not_definition is False:
-            return None
-        if not not_definition:
-            def check(cell, name, errors, local):
-                emit(name + ' must NOT match a disallowed definition', cell, name, errors)
-            return check
-        sub = self._sub(not_definition, var)
-
-        def check(cell, name, errors, local):
-            try:
-                sub(cell, name, errors)
-            except JsonSchemaValueException:
-                return
-            emit(name + ' must NOT match a disallowed definition', cell, name, errors)
-
-        return check
-
-    def _k_minLength(self, definition, var):
-        n = definition['minLength']
-        if not isinstance(n, (int, float)):
-            raise JsonSchemaDefinitionException('minLength must be a number')
-        message_tail = ' must be longer than or equal to {} characters'.format(n)
-        emit = self._emit(definition, 'minLength')
-
-        def check(cell, name, errors, local):
-            v = cell[0]
-            if isinstance(v, str) and len(v) < n:
-                emit(name + message_tail, cell, name, errors)
-
-        return check
-
-    def _k_maxLength(self, definition, var):
-        n = definition['maxLength']
-        if not isinstance(n, (int, float)):
-            raise JsonSchemaDefinitionException('maxLength must be a number')
-        message_tail = ' must be shorter than or equal to {} characters'.format(n)
-        emit = self._emit(definition, 'maxLength')
-
-        def check(cell, name, errors, local):
-            v = cell[0]
-            if isinstance(v, str) and len(v) > n:
-                emit(name + message_tail, cell, name, errors)
-
-        return check
-
-    def _k_pattern(self, definition, var):
-        pattern = definition['pattern']
-        regex = self._regex(pattern, dollar_fix=True)
-        message_tail = ' must match pattern {}'.format(pattern)
-        emit = self._emit(definition, 'pattern')
-
-        def check(cell, name, errors, local):
-            v = cell[0]
-            if isinstance(v, str) and not regex.search(v):
-                emit(name + message_tail, cell, name, errors)
-
-        return check
-
-    def _k_format(self, definition, var):
-        if not self.use_formats:
-            return None
-        format_ = definition['format']
-        emit = self._emit(definition, 'format')
-
-        if format_ in self.custom_formats:
-            custom = self.custom_formats[format_]
-            if isinstance(custom, str):
-                regex = self._regex(custom)
-
-                def check(cell, name, errors, local):
-                    v = cell[0]
-                    if isinstance(v, str) and not regex.match(v):
-                        emit('{} must be {}'.format(name, format_), cell, name, errors)
-
-                return check
-
-            def check(cell, name, errors, local):
-                v = cell[0]
-                if isinstance(v, str) and not custom(v):
-                    emit('{} must be {}'.format(name, format_), cell, name, errors)
-
-            return check
-
-        if format_ in self.format_regexs:
-            regex = self._regex(self.format_regexs[format_])
-
-            def check(cell, name, errors, local):
-                v = cell[0]
-                if isinstance(v, str) and not regex.match(v):
-                    emit('{} must be {}'.format(name, format_), cell, name, errors)
-
-            return check
-
-        if format_ == 'regex':
-            def check(cell, name, errors, local):
-                v = cell[0]
-                if isinstance(v, str):
-                    try:
-                        re.compile(v)
-                    except Exception:
-                        emit(name + ' must be a valid regex', cell, name, errors)
-
-            return check
-
-        return None  # unknown formats are silently ignored (draft04.py:305-306)
-
-    @staticmethod
-    def _runtime_bound(bound):
-        # The reference interpolates the bound into source with str(), so a
-        # Decimal bound becomes a float literal in generated code; keep that.
-        return float(str(bound)) if isinstance(bound, Decimal) else bound
-
-    def _number_bound(self, definition, keyword, op_excl, op_incl, excl_tail, incl_tail):
-        bound = definition[keyword]
-        if not isinstance(bound, (int, float, Decimal)):
-            article = 'an integer, a float or a decimal' if keyword.startswith('exclusive') \
-                else 'a number'
-            raise JsonSchemaDefinitionException('{} must be {}'.format(keyword, article))
-        exclusive = definition.get('exclusive' + keyword[0].upper() + keyword[1:], False) \
-            if keyword in ('minimum', 'maximum') else True
-        runtime = self._runtime_bound(bound)
-        tail = (excl_tail if exclusive else incl_tail).format(bound)
-        op = op_excl if exclusive else op_incl
-        emit = self._emit(definition, keyword)
-
-        def check(cell, name, errors, local):
-            v = cell[0]
-            if isinstance(v, (int, float, Decimal)) and op(v, runtime):
-                emit(name + tail, cell, name, errors)
-
-        return check
-
-    def _k_minimum(self, definition, var):
-        return self._number_bound(
-            definition, 'minimum',
-            lambda v, b: v <= b, lambda v, b: v < b,
-            ' must be bigger than {}', ' must be bigger than or equal to {}')
-
-    def _k_maximum(self, definition, var):
-        return self._number_bound(
-            definition, 'maximum',
-            lambda v, b: v >= b, lambda v, b: v > b,
-            ' must be smaller than {}', ' must be smaller than or equal to {}')
-
-    def _k_exclusiveMinimum(self, definition, var):
-        return self._number_bound(
-            definition, 'exclusiveMinimum',
-            lambda v, b: v <= b, None,
-            ' must be bigger than {}', None)
-
-    def _k_exclusiveMaximum(self, definition, var):
-        return self._number_bound(
-            definition, 'exclusiveMaximum',
-            lambda v, b: v >= b, None,
-            ' must be smaller than {}', None)
-
-    def _k_multipleOf(self, definition, var):
-        mo = definition['multipleOf']
-        if not isinstance(mo, (int, float, Decimal)):
-            raise JsonSchemaDefinitionException('multipleOf must be a number')
-        use_decimal = isinstance(mo, float)
-        mo_runtime = self._runtime_bound(mo)
-        message_tail = ' must be multiple of {}'.format(mo)
-        emit = self._emit(definition, 'multipleOf')
-
-        def check(cell, name, errors, local):
-            v = cell[0]
-            if isinstance(v, (int, float, Decimal)):
-                # Non-finite values: the reference crashes with a raw
-                # ValueError/OverflowError at int(quotient)
-                # (draft04.py:361-364 run on nan/inf) — a crash, not a
-                # verdict.  The engine reports a clean violation instead
-                # (NaN/inf is never an exact multiple), plus the
-                # reference's own 'inifinity reached' site when the
-                # quotient overflows.  Documented divergence
-                # (tests/test_reference_divergences.py).
-                if isinstance(v, float) and (v != v or v == float('inf')
-                                             or v == float('-inf')):
-                    emit(name + message_tail, cell, name, errors)
-                    if v / mo_runtime == float('inf'):
-                        emit('inifinity reached', cell, name, errors)
-                    return
-                # Decimal-exact check for float divisors: 19.01 / 0.01 must
-                # be an exact 1901 (draft04.py:361-364).
-                if use_decimal:
-                    quotient = Decimal(repr(v)) / Decimal(repr(mo_runtime))
-                else:
-                    quotient = v / mo_runtime
-                if int(quotient) != quotient:
-                    emit(name + message_tail, cell, name, errors)
-                if v / mo_runtime == float('inf'):
-                    emit('inifinity reached', cell, name, errors)
-
-        return check
-
-    def _k_minItems(self, definition, var):
-        n = definition['minItems']
-        if not isinstance(n, (int, float)):
-            raise JsonSchemaDefinitionException('minItems must be a number')
-        message_tail = ' must contain at least {} items'.format(n)
-        emit = self._emit(definition, 'minItems')
-
-        def check(cell, name, errors, local):
-            v = cell[0]
-            if isinstance(v, (list, tuple)) and len(v) < n:
-                emit(name + message_tail, cell, name, errors)
-
-        return check
-
-    def _k_maxItems(self, definition, var):
-        n = definition['maxItems']
-        if not isinstance(n, (int, float)):
-            raise JsonSchemaDefinitionException('maxItems must be a number')
-        message_tail = ' must contain less than or equal to {} items'.format(n)
-        emit = self._emit(definition, 'maxItems')
-
-        def check(cell, name, errors, local):
-            v = cell[0]
-            if isinstance(v, (list, tuple)) and len(v) > n:
-                emit(name + message_tail, cell, name, errors)
-
-        return check
-
-    def _k_uniqueItems(self, definition, var):
-        if not definition['uniqueItems']:
-            return None
-        emit = self._emit(definition, 'uniqueItems')
-
-        def check(cell, name, errors, local):
-            v = cell[0]
-            if isinstance(v, (list, tuple)) and len(v) > len({_freeze(x) for x in v}):
-                emit(name + ' must contain unique items', cell, name, errors)
-
-        return check
-
-    def _k_items(self, definition, var):
-        items_definition = definition['items']
-        if items_definition is True:
-            return None
-        emit = self._emit(definition, 'items')
-
-        if items_definition is False:
-            def check(cell, name, errors, local):
-                v = cell[0]
-                if isinstance(v, (list, tuple)) and v:
-                    emit(name + ' must not be there', cell, name, errors)
-            return check
-
-        if isinstance(items_definition, list):
-            subs = [self._sub(d, '{}__{}'.format(var, i)) for i, d in enumerate(items_definition)]
-            defaults = [
-                copy.deepcopy(d['default'])
-                if self.use_default and isinstance(d, dict) and 'default' in d else _MISSING
-                for d in items_definition
-            ]
-            n_tuple = len(items_definition)
-            additional = definition.get('additionalItems', _MISSING)
-            add_sub = None
-            if additional is not _MISSING and additional is not False:
-                add_sub = self._sub(additional, var + '_item')
-
-            def check(cell, name, errors, local):
-                v = cell[0]
-                if not isinstance(v, (list, tuple)):
-                    return
-                orig_len = len(v)
-                for idx, sub in enumerate(subs):
-                    if orig_len > idx:
-                        # Per the generated code, the element is validated via
-                        # a temp variable: whole-value transforms do not write
-                        # back into the list (draft04.py:455-459).
-                        sub([v[idx]], '{}[{}]'.format(name, idx), errors)
-                    elif defaults[idx] is not _MISSING and isinstance(v, list):
-                        v.append(copy.deepcopy(defaults[idx]))
-                if additional is False:
-                    if orig_len > n_tuple:
-                        emit(name + ' must contain only specified items', cell, name, errors)
-                elif add_sub is not None:
-                    for pos in range(n_tuple, len(v)):
-                        add_sub([v[pos]], '{}[{}]'.format(name, pos), errors)
-
-            return check
-
-        if not items_definition:
-            return None
-        sub = self._sub(items_definition, var + '_item')
-
-        def check(cell, name, errors, local):
-            v = cell[0]
-            if isinstance(v, (list, tuple)):
-                for pos, item in enumerate(v):
-                    sub([item], '{}[{}]'.format(name, pos), errors)
-
-        return check
-
-    def _k_minProperties(self, definition, var):
-        n = definition['minProperties']
-        if not isinstance(n, (int, float)):
-            raise JsonSchemaDefinitionException('minProperties must be a number')
-        message_tail = ' must contain at least {} properties'.format(n)
-        emit = self._emit(definition, 'minProperties')
-
-        def check(cell, name, errors, local):
-            v = cell[0]
-            if isinstance(v, dict) and len(v) < n:
-                emit(name + message_tail, cell, name, errors)
-
-        return check
-
-    def _k_maxProperties(self, definition, var):
-        n = definition['maxProperties']
-        if not isinstance(n, (int, float)):
-            raise JsonSchemaDefinitionException('maxProperties must be a number')
-        message_tail = ' must contain less than or equal to {} properties'.format(n)
-        emit = self._emit(definition, 'maxProperties')
-
-        def check(cell, name, errors, local):
-            v = cell[0]
-            if isinstance(v, dict) and len(v) > n:
-                emit(name + message_tail, cell, name, errors)
-
-        return check
-
-    def _k_required(self, definition, var):
-        required = definition['required']
-        if not isinstance(required, (list, tuple)):
-            raise JsonSchemaDefinitionException('required must be an array')
-        if len(required) != len(set(required)):
-            raise JsonSchemaDefinitionException('required must contain unique elements')
-        if not definition.get('additionalProperties', True):
-            not_possible = [
-                prop for prop in required
-                if prop not in definition.get('properties', {})
-                and not any(re.search(regex, prop)
-                            for regex in definition.get('patternProperties', {}))
-            ]
-            if not_possible:
-                raise JsonSchemaDefinitionException(
-                    '{}: items {} are required but not allowed'.format(var, not_possible))
-        required_set = set(required)
-        emit = self._emit(definition, 'required')
-
-        def check(cell, name, errors, local):
-            v = cell[0]
-            if isinstance(v, dict):
-                missing = required_set - v.keys()
-                if missing:
-                    emit(
-                        '{} must contain {} properties'.format(name, sorted(missing)),
-                        cell, name, errors,
-                    )
-
-        return check
-
-    def _k_dependencies(self, definition, var):
-        entries = []
-        for key, values in definition['dependencies'].items():
-            if values == [] or values is True:
-                continue
-            if values is False:
-                entries.append((key, 'forbid', None))
-            elif isinstance(values, list):
-                entries.append((key, 'present', list(values)))
-            else:
-                entries.append((key, 'schema', self._sub(values, var)))
-        if not entries:
-            return None
-        emit = self._emit(definition, 'dependencies')
-
-        def check(cell, name, errors, local):
-            v = cell[0]
-            if not isinstance(v, dict):
-                return
-            for key, kind, payload in entries:
-                if key not in v:
-                    continue
-                if kind == 'forbid':
-                    emit('{} in {} must not be there'.format(key, name), cell, name, errors)
-                elif kind == 'present':
-                    for dep in payload:
-                        if dep not in v:
-                            emit(
-                                '{} missing dependency {} for {}'.format(name, dep, key),
-                                cell, name, errors,
-                            )
-                else:
-                    # Schema-form dependency runs on the same variable, so
-                    # transforms propagate (draft04.py:666-668).
-                    payload(cell, name, errors)
-
-        return check
-
-    @staticmethod
-    def _ensure_keys(local, v):
-        keys = local.get('keys')
-        if keys is None:
-            keys = local['keys'] = set(v.keys())
-        return keys
-
-    def _k_properties(self, definition, var):
-        props = []
-        for key, prop_definition in definition['properties'].items():
-            key_name = _strip_key(key)
-            if not isinstance(prop_definition, (dict, bool)):
-                raise JsonSchemaDefinitionException(
-                    '{}[{}] must be object'.format(var, key_name))
-            sub = self._sub(prop_definition, '{}__{}'.format(var, key_name))
-            default = (
-                copy.deepcopy(prop_definition['default'])
-                if self.use_default and isinstance(prop_definition, dict)
-                and 'default' in prop_definition else _MISSING
-            )
-            props.append((key, sub, default))
-
-        def check(cell, name, errors, local):
-            v = cell[0]
-            if not isinstance(v, dict):
-                return
-            keys = self._ensure_keys(local, v)
-            for key, sub, default in props:
-                if key in keys:
-                    keys.remove(key)
-                    # Temp-variable semantics: nested containers mutate in
-                    # place but whole-value replacement is dropped
-                    # (draft04.py:553-559).
-                    sub([v[key]], '{}.{}'.format(name, key), errors)
-                elif default is not _MISSING:
-                    v[key] = copy.deepcopy(default)
-
-        return check
-
-    def _k_patternProperties(self, definition, var):
-        pattern_definition = definition['patternProperties']
-        compiled = [
-            (self._regex(pattern), self._sub(sub_definition, var + '_val'))
-            for pattern, sub_definition in pattern_definition.items()
-        ]
-
-        def check(cell, name, errors, local):
-            v = cell[0]
-            if not isinstance(v, dict):
-                return
-            keys = self._ensure_keys(local, v)
-            if not compiled:
-                return
-            for key, val in v.items():
-                for regex, sub in compiled:
-                    if regex.search(key):
-                        keys.discard(key)
-                        sub([val], '{}.{}'.format(name, key), errors)
-
-        return check
-
-    def _k_additionalProperties(self, definition, var):
-        add_definition = definition['additionalProperties']
-        emit = self._emit(definition, 'additionalProperties')
-        if add_definition is True or add_definition == {}:
-            def check(cell, name, errors, local):
-                v = cell[0]
-                if isinstance(v, dict):
-                    self._ensure_keys(local, v)
-            return check
-        if add_definition:
-            sub = self._sub(add_definition, var + '_value')
-            properties_keys = list(definition.get('properties', {}).keys())
-
-            def check(cell, name, errors, local):
-                v = cell[0]
-                if not isinstance(v, dict):
-                    return
-                keys = self._ensure_keys(local, v)
-                for key in keys:
-                    if key not in properties_keys:
-                        sub([v.get(key)], '{}.{}'.format(name, key), errors)
-
-            return check
-
-        def check(cell, name, errors, local):
-            v = cell[0]
-            if not isinstance(v, dict):
-                return
-            keys = self._ensure_keys(local, v)
-            if keys:
-                emit(
-                    '{} must not contain {} properties'.format(name, keys),
-                    cell, name, errors,
-                )
-
-        return check
-
-    def _k_propertyNames(self, definition, var):
-        names_definition = definition.get('propertyNames', {})
-        emit = self._emit(definition, 'propertyNames')
-        if names_definition is True:
-            return None
-        if names_definition is False:
-            def check(cell, name, errors, local):
-                v = cell[0]
-                if isinstance(v, dict):
-                    keys = self._ensure_keys(local, v)
-                    if keys:
-                        emit(name + ' must not be there', cell, name, errors)
-            return check
-        sub = self._sub(names_definition, var + '_key')
-
-        def check(cell, name, errors, local):
-            v = cell[0]
-            if not isinstance(v, dict) or len(v) == 0:
-                return
-            ok = True
-            for key in v:
-                try:
-                    sub([key], name, errors)
-                except JsonSchemaValueException:
-                    ok = False
-            if not ok:
-                emit(name + ' must be named by propertyName definition', cell, name, errors)
-
-        return check
-
-    def _k_contains(self, definition, var):
-        contains_definition = definition['contains']
-        emit = self._emit(definition, 'contains')
-        if contains_definition is False:
-            def check(cell, name, errors, local):
-                if isinstance(cell[0], (list, tuple)):
-                    emit(name + ' is always invalid', cell, name, errors)
-            return check
-        if contains_definition is True:
-            def check(cell, name, errors, local):
-                v = cell[0]
-                if isinstance(v, (list, tuple)) and not v:
-                    emit(name + ' must not be empty', cell, name, errors)
-            return check
-        sub = self._sub(contains_definition, var + '_key')
-
-        def check(cell, name, errors, local):
-            v = cell[0]
-            if not isinstance(v, (list, tuple)):
-                return
-            for item in v:
-                try:
-                    sub([item], name, errors)
-                    return
-                except JsonSchemaValueException:
-                    pass
-            emit(name + ' must contain one of contains definition', cell, name, errors)
-
-        return check
-
-    def _k_const(self, definition, var):
-        const = definition['const']
-        message_tail = ' must be same as const definition: {}'.format(
-            const if isinstance(const, str) else _embed_in_source(str(const)))
-        emit = self._emit(definition, 'const')
-
-        def check(cell, name, errors, local):
-            if not enum_value_match(cell[0], const):
-                emit(name + message_tail, cell, name, errors)
-
-        return check
-
-    def _k_if(self, definition, var):
-        if_sub = self._sub(definition['if'], var)
-        then_sub = self._sub(definition['then'], var) if 'then' in definition else None
-        else_sub = self._sub(definition['else'], var) if 'else' in definition else None
-
-        def check(cell, name, errors, local):
-            try:
-                if_sub(cell, name, errors)
-            except JsonSchemaValueException:
-                if else_sub is not None:
-                    else_sub(cell, name, errors)
-            else:
-                if then_sub is not None:
-                    then_sub(cell, name, errors)
-
-        return check
-
-    def _k_contentEncoding(self, definition, var):
-        if definition['contentEncoding'] != 'base64':
-            return None
-        emit = self._emit(definition, None)
-
-        def check(cell, name, errors, local):
-            v = cell[0]
-            if isinstance(v, str):
-                try:
-                    cell[0] = _base64.b64decode(v)
-                except Exception:
-                    emit(name + ' must be encoded by base64', cell, name, errors)
-                if cell[0] == "":
-                    emit('contentEncoding must be base64', cell, name, errors)
-
-        return check
-
-    def _k_contentMediaType(self, definition, var):
-        if definition['contentMediaType'] != 'application/json':
-            return None
-        emit = self._emit(definition, None)
-
-        def check(cell, name, errors, local):
-            if isinstance(cell[0], bytes):
-                try:
-                    cell[0] = cell[0].decode('utf-8')
-                except Exception:
-                    emit(name + ' must encoded by utf8', cell, name, errors)
-            if isinstance(cell[0], str):
-                try:
-                    cell[0] = _json.loads(cell[0])
-                except Exception:
-                    emit(name + ' must be valid JSON', cell, name, errors)
-
-        return check
 
 
 class _Missing:
@@ -1042,163 +166,3 @@ class _Missing:
 
 
 _MISSING = _Missing()
-
-
-def compile(definition, handlers=None, formats=None, use_default=True,
-            use_formats=True, detailed_exceptions=True, fast_fail=True):
-    """API-compatible stand-in for ``fastjsonschema.compile``
-    (``__init__.py:169-290``): returns ``fn(data) -> transformed data``."""
-    compiler = ScalarCompiler(
-        definition, formats=formats, use_default=use_default,
-        use_formats=use_formats, detailed_exceptions=detailed_exceptions,
-        fast_fail=fast_fail, handlers=handlers,
-    )
-    return compiler.compile_root()
-
-
-def validate(definition, data, handlers=None, formats=None, use_default=True,
-             use_formats=True, detailed_exceptions=True, fast_fail=True):
-    """One-shot compile + run (``__init__.py:135-164``)."""
-    return compile(
-        definition, handlers, formats, use_default, use_formats,
-        detailed_exceptions, fast_fail,
-    )(data)
-
-
-_RUNTIME_MODULES = ('exceptions', 'functions.formats', 'functions.refs',
-                    'functions.plugins', 'functions.scalar')
-
-
-def _embedded_runtime_blobs():
-    """(name, is_pkg, zlib+base64 source) rows for the scalar-validator
-    runtime, vendored into compile_to_code artifacts under the private
-    package name ``_pfjr_rt`` so the artifact imports with ZERO library
-    dependency (and never shadows a real install)."""
-    import base64
-    import importlib
-    import inspect
-    import zlib
-
-    def blob(src):
-        return base64.b64encode(
-            zlib.compress(src.encode('utf-8'), 9)).decode('ascii')
-
-    rows = [('_pfjr_rt', True, blob('VERSION = {!r}\n'.format(
-        __import__(__package__.split('.')[0]).VERSION))),
-            ('_pfjr_rt.functions', True, blob(''))]
-    root = __package__.rsplit('.', 1)[0]        # python_fastjsonschema_ray
-    for rel in _RUNTIME_MODULES:
-        mod = importlib.import_module(root + '.' + rel)
-        rows.append(('_pfjr_rt.' + rel, False, blob(inspect.getsource(mod))))
-    return rows
-
-
-_ARTIFACT_BOOTSTRAP = '''
-import base64 as _b64
-import sys as _sys
-import types as _types
-import zlib as _zlib
-
-
-def _load_runtime():
-    """Prefer an installed engine; otherwise exec the embedded runtime
-    (private package name, so a later real install is never shadowed)."""
-    try:
-        from python_fastjsonschema_ray.functions import scalar as _s
-        return _s
-    except ImportError:
-        pass
-    if '_pfjr_rt.functions.scalar' not in _sys.modules:
-        for _name, _is_pkg, _blob in _EMBEDDED_RUNTIME:
-            _mod = _types.ModuleType(_name)
-            if _is_pkg:
-                _mod.__path__ = []
-            _mod.__package__ = _name if _is_pkg else _name.rsplit('.', 1)[0]
-            _sys.modules[_name] = _mod
-        for _name, _is_pkg, _blob in _EMBEDDED_RUNTIME:
-            _src = _zlib.decompress(_b64.b64decode(_blob)).decode('utf-8')
-            exec(compile(_src, '<embedded {}>'.format(_name), 'exec'),
-                 _sys.modules[_name].__dict__)
-    return _sys.modules['_pfjr_rt.functions.scalar']
-
-
-_scalar = _load_runtime()
-_exceptions = _sys.modules[_scalar.__name__.rsplit('.', 2)[0]
-                           + '.exceptions']
-JsonSchemaException = _exceptions.JsonSchemaException
-JsonSchemaValueException = _exceptions.JsonSchemaValueException
-JsonSchemaValuesException = _exceptions.JsonSchemaValuesException
-JsonSchemaDefinitionException = _exceptions.JsonSchemaDefinitionException
-'''
-
-
-def compile_to_code(definition, handlers=None, formats=None, use_default=True,
-                    use_formats=True, detailed_exceptions=True,
-                    fast_fail=True):
-    """Deployment-artifact analog of the reference's ``compile_to_code``
-    (``__init__.py:294-341``).  The reference serializes generated source
-    that still imports ``fastjsonschema`` for its exception classes; this
-    engine's artifact goes further and is fully SELF-CONTAINED: it embeds
-    the (ref-validated) schema + flags plus the scalar-validator runtime
-    itself (zlib/base64, ~5 small modules vendored under the private name
-    ``_pfjr_rt``), so it imports and validates with the package entirely
-    absent from the environment.  When the package IS installed the
-    artifact uses it instead (shared regex caches, plugin registry).
-    Same contract as the reference: write the string to a module, import
-    it, call ``validate(data)``.  Custom *callable* formats cannot be
-    serialized and must be re-bound at import time via
-    ``CUSTOM_FORMATS``."""
-    if handlers:
-        raise JsonSchemaDefinitionException(
-            'compile_to_code with remote handlers is not supported: resolve '
-            'refs before serializing')
-    # Validate the definition now so bad schemas fail at generation time,
-    # like the reference.
-    compiler = ScalarCompiler(definition, formats=formats,
-                              use_default=use_default,
-                              use_formats=use_formats,
-                              detailed_exceptions=detailed_exceptions,
-                              fast_fail=fast_fail)
-    compiler.compile_root()
-    from .. import VERSION
-    regex_formats = {k: v for k, v in (formats or {}).items()
-                     if isinstance(v, str)}
-    has_callables = any(not isinstance(v, str) for v in (formats or {}).values())
-    # Preferred artifact: readable straight-line source (one function per
-    # subschema scope, same semantics as this interpreter by construction,
-    # dependency-free).  Combinations the emitter doesn't cover (collect
-    # mode, callable formats, plugin keywords) fall through to the
-    # vendored-runtime artifact below.
-    from .codegen import Unemittable, emit_source
-    try:
-        header = [
-            '"""Validator generated by '
-            'python_fastjsonschema_ray.compile_to_code."""',
-            'VERSION = {!r}'.format(VERSION),
-            'SCHEMA = {!r}'.format(definition),
-            'CUSTOM_FORMATS = {!r}'.format(regex_formats),
-        ]
-        return emit_source(compiler, header)
-    except Unemittable:
-        pass
-    lines = [
-        'VERSION = {!r}'.format(VERSION),
-        'SCHEMA = {!r}'.format(definition),
-        'CUSTOM_FORMATS = {!r}'.format(regex_formats),
-        '_EMBEDDED_RUNTIME = [',
-    ]
-    for name, is_pkg, b in _embedded_runtime_blobs():
-        lines.append('    ({!r}, {!r},'.format(name, is_pkg))
-        lines.append('     {!r}),'.format(b))
-    lines.append(']')
-    lines.append(_ARTIFACT_BOOTSTRAP)
-    if has_callables:
-        lines.append('# NOTE: callable custom formats were bound at '
-                     'compile time and must be re-added to CUSTOM_FORMATS '
-                     'before use.')
-    lines.append(
-        'validate = _scalar.compile(SCHEMA, formats=CUSTOM_FORMATS, '
-        'use_default={!r}, use_formats={!r}, detailed_exceptions={!r}, '
-        'fast_fail={!r})'.format(use_default, use_formats,
-                                 detailed_exceptions, fast_fail))
-    return '\n'.join(lines) + '\n'

@@ -42,8 +42,8 @@ Key design points (vs the reference's per-document codegen,
   non-null value per batch, not once per row.  List and struct views (e.g.
   ``uniqueItems`` over nested lists) stay per-row.  Constructs the vector
   model cannot express at all raise :class:`Unsupported` and the owning
-  column falls back to the interpreted scalar validator
-  (functions/scalar.py).
+  column falls back to the emitted scalar validator
+  (functions/codegen.py).
 
 Emit contract: an :class:`Emit` is a batch of violations from one exc site.
 ``rows`` are view-local row indices *at the level the emit has bubbled to*,
@@ -75,6 +75,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..exceptions import JsonSchemaDefinitionException, JsonSchemaValueException
+from .codegen import compile_validator
 from .formats import FORMAT_REGEXS_BY_DRAFT
 from .scalar import (
     _DOLLAR_FINDER,
@@ -91,7 +92,7 @@ MAXKEY = np.int64(2**62)
 
 class Unsupported(Exception):
     """A construct the vector model cannot express on this Arrow type; the
-    owning column falls back to the interpreted scalar path."""
+    owning column falls back to the scalar path."""
 
 
 class UnsupportedNode(Unsupported):
@@ -1018,16 +1019,16 @@ class ContentSiteRule(Rule):
 
 
 class RowFallbackRule(Rule):
-    """Whole-subtree fallback to the interpreted scalar validator, as a rule
+    """Whole-subtree fallback to the emitted scalar validator, as a rule
     inside the vector plan: exact reference semantics per row at this node's
     position in the order.  Used when compile raises :class:`Unsupported`
     for a sub-schema.  Transforms are discarded (non-root temp-variable
     semantics, draft04.py:553-559)."""
 
-    def __init__(self, runner, collect_runner):
+    def __init__(self, validate, collect_validate):
         super().__init__()
-        self.runner = runner            # fast-fail scalar node runner
-        self.collect_runner = collect_runner
+        self.validate = validate                # fast-fail validator
+        self.collect_validate = collect_validate
 
     def evaluate(self, view, collect):
         from ..exceptions import JsonSchemaValuesException
@@ -1040,18 +1041,17 @@ class RowFallbackRule(Rule):
         payloads = []                   # (row, [exceptions])
         for i, value in enumerate(values):
             name = view.name_fn(i)
-            if not collect:
-                try:
-                    self.runner([value], name, None)
-                except JsonSchemaValueException as exc:
-                    fail[i] = True
-                    payloads.append((i, [exc]))
-            else:
-                errs = []
-                self.collect_runner([value], name, errs)
-                if errs:
-                    fail[i] = True
-                    payloads.append((i, errs))
+            try:
+                if collect:
+                    self.collect_validate(value, name)
+                else:
+                    self.validate(value, name)
+            except JsonSchemaValueException as exc:
+                fail[i] = True
+                payloads.append((i, [exc]))
+            except JsonSchemaValuesException as exc:
+                fail[i] = True
+                payloads.append((i, exc.errors))
         if not payloads:
             return NodeResult(fail if fail.any() else None, [])
         rows = []
@@ -1217,33 +1217,13 @@ class VectorCompiler:
         # is still discarded per the non-root temp-variable semantics).
         # registry + inline_root: fallback nodes may $ref into the parent
         # document or a remote — resolve through the SHARED registry.
-        fast = ScalarCompiler(
+        return RowFallbackRule(*(compile_validator(ScalarCompiler(
             definition, draft=self.draft, formats=self.scalar.custom_formats,
             use_default=self.scalar.use_default,
             use_formats=self.scalar.use_formats,
-            detailed_exceptions=self.scalar.detailed, fast_fail=True,
+            detailed_exceptions=self.scalar.detailed, fast_fail=fast_fail,
             registry=self.registry, inline_root=True,
-        ).compile_root()
-        coll = ScalarCompiler(
-            definition, draft=self.draft, formats=self.scalar.custom_formats,
-            use_default=self.scalar.use_default,
-            use_formats=self.scalar.use_formats,
-            detailed_exceptions=self.scalar.detailed, fast_fail=False,
-            registry=self.registry, inline_root=True,
-        )
-        coll_root = coll.compile_root()
-
-        def fast_runner(cell, name, errors):
-            cell[0] = fast(cell[0], name)
-
-        def collect_runner(cell, name, errors):
-            from ..exceptions import JsonSchemaValuesException
-            try:
-                cell[0] = coll_root(cell[0], name)
-            except JsonSchemaValuesException as exc:
-                errors.extend(exc.errors)
-
-        return RowFallbackRule(fast_runner, collect_runner)
+        )) for fast_fail in (True, False)))
 
     def _simple(self, definition, rule, mask_fn, tail=None, message_fn=None):
         return SimpleRule(rule, self._expand(definition), mask_fn, tail,
@@ -1907,7 +1887,7 @@ class VectorCompiler:
         if not keys:
             return None
         # Field names are static → evaluate the name schema once at compile
-        # time with the interpreted validator.  Both modes are precomputed:
+        # time with the scalar validator.  Both modes are precomputed:
         # fast-fail (does any key fail?) and the reference's collect-mode
         # quirk (draft06.py:127-141) where per-key errors leak into the list
         # and the propertyNames-level error never fires.
@@ -1915,17 +1895,17 @@ class VectorCompiler:
         # document or a remote — resolve through the SHARED registry (its
         # $refs were already absolutized by the parent's document walk).
         sentinel = '\x00NAME\x00'
-        checker = ScalarCompiler(
+        checker = compile_validator(ScalarCompiler(
             names_definition, draft=self.draft,
             use_formats=self.scalar.use_formats,
             formats=self.scalar.custom_formats,
-            registry=self.registry, inline_root=True).compile_root()
-        collector = ScalarCompiler(
+            registry=self.registry, inline_root=True))
+        collector = compile_validator(ScalarCompiler(
             names_definition, draft=self.draft, fast_fail=False,
             use_formats=self.scalar.use_formats,
             detailed_exceptions=self.scalar.detailed,
             formats=self.scalar.custom_formats,
-            registry=self.registry, inline_root=True).compile_root()
+            registry=self.registry, inline_root=True))
         ok = True
         leaked = []
         from ..exceptions import JsonSchemaValuesException

@@ -29,6 +29,7 @@ from ..exceptions import (
     JsonSchemaValueException,
     JsonSchemaValuesException,
 )
+from ..functions.codegen import compile_validator
 from ..functions.scalar import ScalarCompiler, _MISSING
 from ..functions.vector import (
     Emit,
@@ -195,7 +196,7 @@ class TableValidator:
             # Whole-table scalar fallback: exact semantics, row at a time.
             self.plan = None
             self.content_sites = []
-            self.fallback_root = self.scalar.compile_root()
+            self.fallback_root = compile_validator(self.scalar)
 
     # -- batch validation ------------------------------------------------
 

@@ -1,30 +1,21 @@
-"""Straight-line ``compile_to_code`` artifact: differential parity vs the
-scalar interpreter (itself reference-parity tested) over the FULL
-conformance corpus, for every flag combination the emitter covers, plus
-the documented fallbacks to the vendored-runtime artifact.
+"""Straight-line ``compile_to_code`` artifact: its outcomes over the FULL
+conformance corpus, in both modes and every flag variant, equal the
+scalar goldens (``tests/test_scalar_golden.py``), plus collect mode,
+callable formats and plugin keywords in the artifact.
 
 The comparison is exact: verdict, transformed output (defaults,
 content decode) AND the full exception payload (message, value, name,
 definition, rule)."""
 
 import copy
-import json
-import os
 import types
 
 import pytest
 
 import python_fastjsonschema_ray as engine
-from python_fastjsonschema_ray.exceptions import (
-    JsonSchemaDefinitionException,
-    JsonSchemaValueException,
-)
+from python_fastjsonschema_ray.exceptions import JsonSchemaValueException
 
-HERE = os.path.dirname(__file__)
-DRAFT_URI = {4: 'http://json-schema.org/draft-04/schema',
-             6: 'http://json-schema.org/draft-06/schema',
-             7: 'http://json-schema.org/draft-07/schema',
-             2019: None}
+from . import test_scalar_golden as golden
 
 _mod_counter = [0]
 
@@ -36,50 +27,18 @@ def _load(code):
     return mod
 
 
-def _outcome(validate, data):
-    try:
-        return ('ok', validate(copy.deepcopy(data)))
-    except JsonSchemaValueException as e:
-        return ('fail', (e.message, e.value, e.name, e.definition, e.rule))
-    except Exception as e:                               # noqa: BLE001
-        return ('crash', type(e).__name__)
-
-
-def _groups(draft):
-    with open(os.path.join(HERE, 'conformance',
-                           'draft{}.json'.format(draft))) as f:
-        return json.load(f)
-
-
-def _schema_for(group, draft):
-    schema = copy.deepcopy(group['schema'])
-    if isinstance(schema, dict) and DRAFT_URI[draft]:
-        schema.setdefault('$schema', DRAFT_URI[draft])
-    return schema
-
-
 @pytest.mark.parametrize('draft', (4, 6, 7, 2019))
 def test_artifact_matches_scalar_over_conformance_corpus(draft):
-    checked = 0
-    for group in _groups(draft):
-        schema = _schema_for(group, draft)
-        try:
-            scalar_v = engine.compile(copy.deepcopy(schema))
-            code = engine.compile_to_code(copy.deepcopy(schema))
-        except JsonSchemaDefinitionException:
-            continue
-        assert '_EMBEDDED_RUNTIME' not in code, (
-            'straight-line emitter unexpectedly fell back for '
-            + group['description'])
-        mod = _load(code)
-        for t in group['tests']:
-            got = _outcome(mod.validate, t['data'])
-            want = _outcome(scalar_v, t['data'])
-            assert got == want, (
-                'artifact != scalar at {} / {}\nwant: {!r}\ngot:  {!r}'
-                .format(group['description'], t['description'], want, got))
-            checked += 1
-    assert checked > 500
+    """The artifact's outcomes equal the scalar goldens, recorded from
+    compile() before the two shared one back-end, in both modes."""
+    prefix = 'draft{}/'.format(draft)
+    want = {c: v for c, v in golden._load()['cases'].items()
+            if c.startswith(prefix)}
+    got = golden._computed('compile_to_code')
+    diff = [(c, mode) for c in want for mode in ('fast_fail', 'collect')
+            if got[c][mode] != want[c][mode]]
+    assert len(want) > 200
+    assert not diff
 
 
 @pytest.mark.parametrize('flags', (
@@ -88,42 +47,84 @@ def test_artifact_matches_scalar_over_conformance_corpus(draft):
     {'use_formats': False},
 ), ids=lambda f: next(iter(f)))
 def test_artifact_flag_variants(flags):
-    for group in _groups(7)[:120]:
-        schema = _schema_for(group, 7)
-        try:
-            scalar_v = engine.compile(copy.deepcopy(schema), **flags)
-            code = engine.compile_to_code(copy.deepcopy(schema), **flags)
-        except JsonSchemaDefinitionException:
-            continue
-        mod = _load(code)
-        for t in group['tests']:
-            assert _outcome(mod.validate, t['data']) == \
-                _outcome(scalar_v, t['data'])
+    variant = next(v for v, f in golden.VARIANTS.items() if f == flags)
+    want = golden._load()['cases']
+    got = golden._computed('compile_to_code')
+    assert not [c for c in got if got[c][variant] != want[c][variant]]
 
 
-def test_collect_mode_falls_back_to_blob():
-    code = engine.compile_to_code({'type': 'integer'}, fast_fail=False)
-    assert '_EMBEDDED_RUNTIME' in code
+COLLECT_SCHEMA = {
+    '$schema': 'http://json-schema.org/draft-07/schema',
+    'definitions': {'short': {'type': 'string', 'maxLength': 1}},
+    'properties': {'a': {'type': 'integer', 'minimum': 0},
+                   'b': {'anyOf': [{'type': 'null'}, {'type': 'string'}]},
+                   'c': {'items': {'$ref': '#/definitions/short'}}}}
+
+
+def _payloads(exc_info):
+    return [(e.name, e.message, e.value, e.definition, e.rule)
+            for e in exc_info.value.errors]
+
+
+def test_collect_mode_artifact_is_straight_line():
+    code = engine.compile_to_code(COLLECT_SCHEMA, fast_fail=False)
+    assert '_EMBEDDED_RUNTIME' not in code
     mod = _load(code)
-    assert mod.validate(3) == 3
+    assert mod.validate({'a': 3, 'c': ['x']}) == {'a': 3, 'c': ['x']}
+    # The anyOf branch's errors leak into the list (its first branch
+    # "passes" in collect mode), as in the reference.
+    with pytest.raises(engine.JsonSchemaValuesException) as e:
+        mod.validate({'a': 'x', 'b': 1})
+    assert _payloads(e) == [
+        ('data.a', 'data.a must be integer', 'x',
+         {'type': 'integer', 'minimum': 0}, 'type'),
+        ('data.b', 'data.b must be null', 1, {'type': 'null'}, 'type')]
+    # A $ref scope raises its own collection; the caller's list is lost.
+    with pytest.raises(engine.JsonSchemaValuesException) as e:
+        mod.validate({'a': -1.5, 'c': ['xy']})
+    assert _payloads(e) == [
+        ('data.c[0]', 'data.c[0] must be shorter than or equal to 1 '
+         'characters', 'xy', {'type': 'string', 'maxLength': 1},
+         'maxLength')]
 
 
-def test_callable_formats_fall_back_to_blob():
+def test_callable_formats_artifact_rebinds():
     code = engine.compile_to_code({'format': 'even'},
                                   formats={'even': lambda v: True})
-    assert '_EMBEDDED_RUNTIME' in code
+    assert '_EMBEDDED_RUNTIME' not in code
+    mod = _load(code)
+    calls = []
+
+    def even(value):
+        calls.append(value)
+        return len(value) % 2 == 0
+
+    mod.CUSTOM_FORMATS['even'] = even
+    assert mod.validate('ab') == 'ab'
+    with pytest.raises(JsonSchemaValueException) as e:
+        mod.validate('abc')
+    assert (e.value.message, e.value.rule) == ('data must be even', 'format')
+    assert calls == ['ab', 'abc']
 
 
-def test_plugin_keyword_falls_back_to_blob():
+def test_plugin_keyword_artifact_checks():
     from python_fastjsonschema_ray.functions import plugins
 
     def check_value(value, definition):
+        if isinstance(value, int) and value > definition['artifactTestKw']:
+            return ' must be at most {}'.format(definition['artifactTestKw'])
         return None
 
     plugins.register_keyword('artifactTestKw', check_value=check_value)
     try:
         code = engine.compile_to_code({'artifactTestKw': 1})
-        assert '_EMBEDDED_RUNTIME' in code
+        assert '_EMBEDDED_RUNTIME' not in code
+        mod = _load(code)
+        assert mod.validate(1) == 1
+        with pytest.raises(JsonSchemaValueException) as e:
+            mod.validate(2)
+        assert (e.value.message, e.value.rule, e.value.definition) == \
+            ('data must be at most 1', 'artifactTestKw', {'artifactTestKw': 1})
     finally:
         plugins.unregister_keyword('artifactTestKw')
 

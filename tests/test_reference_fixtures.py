@@ -126,9 +126,10 @@ INJECTION_SPECS = [
 @pytest.mark.parametrize('spec', INJECTION_SPECS)
 def test_spec_injection_rejected_at_compile(spec):
     """Hostile values in numeric/list schema positions must fail at compile
-    time (tests/test_security.py:6-27 model).  This engine has no exec/
-    codegen at all, so injection is structurally impossible — but the
-    definition errors must still surface eagerly."""
+    time (tests/test_security.py:6-27 model).  The engine emits Python
+    source and runs it, like the reference; schema strings reach that
+    source only as repr literals (tests/test_codegen_injection.py), and
+    the definition errors must surface eagerly."""
     with pytest.raises(engine.JsonSchemaDefinitionException):
         engine.compile(spec)
 

@@ -134,10 +134,7 @@ def _handwritten_cases():
          {'a': 3, 'b': 'ABCD', 'c': None, 'd': []},
          {'a': '', 'b': '', 'c': '', 'd': 'nope'}, 'not an object'],
         {'formats': {'even-length': _even_length, 'upper': _upper,
-                     'digits': '^[0-9]+$'}},
-        # The vendored-runtime artifact binds formats when it is imported,
-        # so formats re-bound through CUSTOM_FORMATS afterwards are unseen.
-        artifact=False)
+                     'digits': '^[0-9]+$'}})
     yield Case('hand/plugin_keyword', {
         '$schema': d7,
         'properties': {
