@@ -180,8 +180,7 @@ def test_divergence_list_covers_every_xfailed_file():
 
 
 def test_post_decode_type_tracking_artifact_documented(reference):
-    """DOCUMENTED NON-MIMICRY (the one known behavioral gap, alongside
-    the unported codegen line-emitter).
+    """DOCUMENTED NON-MIMICRY (the one known behavioral gap).
 
     The reference's CodeGenerator tracks "the variable is known to be a
     str" across sibling allOf branches
@@ -190,8 +189,8 @@ def test_post_decode_type_tracking_artifact_documented(reference):
     `contentEncoding: base64` REBINDS the variable to the decoded bytes
     — so a later branch's maxLength applies len() to the DECODED BYTES
     ("characters" counted on bytes, a codegen artifact).  The engine's
-    closure compiler re-gates every string keyword on isinstance(str),
-    so the decoded bytes skip the later branch's length check.
+    emitter re-gates every string keyword on isinstance(str), so the
+    decoded bytes skip the later branch's length check.
 
     Pin both behaviors so any movement on either side is caught."""
     schema = {'$schema': 'http://json-schema.org/draft-07/schema',

@@ -1,5 +1,5 @@
 """Property-based differential fuzzing: random (schema, document) pairs run
-through both the reference compiler and our interpreter must produce
+through both the reference compiler and our compile() must produce
 identical outcomes (transformed value or full exception payload)."""
 
 import pytest
