@@ -1621,10 +1621,7 @@ def q_components_orders(sf_dir: str):
             'id_a': g.loc[mask, 'o_orderkey'].astype('int64'),
             'id_b': nxt[mask].astype('int64')})
 
-    # Two id columns per row: coalesce the many parquet split-blocks
-    # before the exchange (sort fixed cost is task-count-driven).
-    pairs = exchange(ds, ['o_custkey'], adjacent, batch_format='pandas',
-                     coalesce=True)
+    pairs = exchange(ds, ['o_custkey'], adjacent, batch_format='pandas')
     out = connected_components(pairs)
     return _df_with_columns(out, ['id', 'component_id'])
 

@@ -67,7 +67,8 @@ def run_compare(save: bool):
     """Regression gate (reference analog: pytest-benchmark
     --benchmark-compare-fail, Makefile:37-45): run the bench in a fresh
     process, then compare per-query seconds against the saved baseline
-    run; exit 1 if total or any query regressed past TOLERANCE."""
+    run (``queries`` maps each to ``[baseline, now]``); exit 1 if total
+    or any query regressed past TOLERANCE."""
     def one_run():
         out = subprocess.run([sys.executable, os.path.abspath(__file__)],
                              env=dict(os.environ), capture_output=True,
@@ -113,6 +114,8 @@ def run_compare(save: bool):
     print(json.dumps({
         'value': result['value'], 'baseline_value': base['value'],
         'total_ratio': total_ratio, 'tolerance': TOLERANCE,
+        'queries': {name: [base.get('queries', {}).get(name), sec]
+                    for name, sec in result['queries'].items()},
         'regressions': regressions,
         'ok': not regressions and total_ratio <= TOLERANCE,
     }))

@@ -8,14 +8,20 @@ Scale notes (designed for 100 TB / multi-node, tested single-node):
   sum + HLL + t-digest locally and emits ONE tiny partial row per (batch,
   column); the driver merges the handful of partials.  No shuffle at all.
 * **Uniqueness** pre-aggregates (key → local count) inside each batch before
-  the ``groupby`` so the all-to-all exchange moves at most one row per
-  distinct key per block, not one per input row.  The hash partitioning key
-  is the checked key itself — uniform for id-like keys; salt upstream if a
-  hot key is expected.
+  the hash exchange (``stages/exchange.py``), so the exchange moves at most
+  one row per distinct key per block, not one per input row.  The exchange
+  is one sort on the bucket column at fixed boundaries: one map task per
+  input block, a fixed number P of reduce tasks (``default_buckets() //
+  8``), no sample tasks and no repartition barrier; each reduce block holds
+  about 1/P of the partials.  The bucket is a hash of the checked key
+  itself — uniform for id-like keys; salt upstream if a hot key is
+  expected.
 * **Referential** broadcasts the reference key set via ``ray.put`` once and
   anti-filters inside ``map_batches`` — no shuffle join for dimension-sized
   reference sides (the common case).  For a large reference side, use
-  ``check_referential_large`` (the shuffle anti join).
+  ``check_referential_large``: the reference collapses to distinct keys
+  per block and meets the checked rows in one co-group exchange of the
+  same shape, without probing the key side's schema up front.
 * **Drift** uses fixed, driver-chosen bin edges so per-batch histograms are
   mergeable by vector addition; KS and PSI are computed on the merged
   profiles.
@@ -181,9 +187,9 @@ def check_unique(ds, columns, concurrency=None, num_buckets=None):
     collapses each block to (key → local count); (2) the partials meet in
     one hash exchange (see ``stages/exchange.py``) and each bucket group
     sums counts with an Arrow ``group_by``.  The exchange moves at most
-    one row per distinct key per block, and the partials coalesce to a
-    few blocks first (the sort's fixed cost scales with task count).
-    Returns duplicate keys with counts (columns..., n)."""
+    one row per distinct key per block; its sort runs a fixed number of
+    reduce tasks, whatever the input's block count, with no barrier
+    before it.  Returns duplicate keys with counts (columns..., n)."""
     columns = list(columns)
     kwargs = {'batch_format': 'pyarrow'}
     if concurrency:
@@ -201,8 +207,7 @@ def check_unique(ds, columns, concurrency=None, num_buckets=None):
         return totals.select(columns + ['partial_n_sum']) \
             .rename_columns(columns + ['n']).cast(out_schema)
 
-    return exchange(partials, columns, dups, num_buckets=num_buckets,
-                    coalesce=True)
+    return exchange(partials, columns, dups, num_buckets=num_buckets)
 
 
 def dedup_exact(ds, columns, concurrency=None, num_buckets=None):
@@ -230,7 +235,7 @@ def dedup_exact(ds, columns, concurrency=None, num_buckets=None):
         kwargs['concurrency'] = concurrency
     partials = ds.map_batches(first, **kwargs)
     return exchange(partials, columns, first, batch_format='pandas',
-                    num_buckets=num_buckets, coalesce=True)
+                    num_buckets=num_buckets)
 
 
 def dedup_winner_ids(ds, columns, id_column, num_buckets=None):
@@ -255,7 +260,7 @@ def dedup_winner_ids(ds, columns, id_column, num_buckets=None):
             .agg(**{id_column: (id_column, 'min')})[[id_column]]
 
     return exchange(partials, columns, winners, batch_format='pandas',
-                    num_buckets=num_buckets, coalesce=True)
+                    num_buckets=num_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +530,7 @@ def grouped_agg(ds, key_columns, aggs, *, combine='bucket',
         return one.map_batches(fold, batch_format='pandas',
                                batch_size=None)
     return exchange(partials, key_columns, fold, batch_format='pandas',
-                    num_buckets=num_buckets, coalesce=True)
+                    num_buckets=num_buckets)
 
 
 def grouped_topk(ds, group_columns, order_columns, k, descending=None,
@@ -552,7 +557,7 @@ def grouped_topk(ds, group_columns, order_columns, k, descending=None,
 
     partials = ds.map_batches(topk, batch_format='pandas')
     return exchange(partials, group_columns, topk, batch_format='pandas',
-                    num_buckets=num_buckets, coalesce=True)
+                    num_buckets=num_buckets)
 
 
 def global_topk(ds, order_columns, k, descending=None):
@@ -610,7 +615,7 @@ def distinct_count(ds, columns, concurrency=None, num_buckets=None) -> int:
         return pd.DataFrame({'n': [n]})
 
     counts = exchange(partials, columns, count_bucket, batch_format='pandas',
-                      num_buckets=num_buckets, coalesce=True)
+                      num_buckets=num_buckets)
     return int(counts.sum('n') or 0)
 
 

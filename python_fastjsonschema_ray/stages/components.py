@@ -117,18 +117,12 @@ def connected_components_distributed(pairs, id_a='id_a', id_b='id_b', *,
     are the ONLY shuffled rows; both sides move on a coarse hash bucket
     of the node key so the Ray-level group count stays O(cluster).  The
     state is materialized once per round (pair-list-sized, never
-    corpus-sized)."""
+    corpus-sized); every exchange emits a fixed number of blocks, so
+    each round's shuffle runs the same number of tasks."""
     import pandas as pd
     import pyarrow.compute as pc
-    import ray
 
     num_buckets = num_buckets or default_buckets()
-    # Each bucketed co-group emits ~num_buckets blocks; feeding those
-    # straight into the NEXT round's sort-groupby compounds (sort fixed
-    # cost is task-count-driven), making round cost grow round over
-    # round.  Coalesce the (tiny, pair-list-bounded) label state to
-    # ~cpus/2 blocks between rounds so every round pays the same cost.
-    state_blocks = max(4, int(ray.cluster_resources().get('CPU', 8)) // 2)
 
     def symmetrize(batch: pa.Table) -> pa.Table:
         a = batch.column(id_a).combine_chunks()
@@ -148,8 +142,7 @@ def connected_components_distributed(pairs, id_a='id_a', id_b='id_b', *,
 
     # Local min per block, then bucketed min fold — partials only.
     labels = edges.map_batches(init_labels, batch_format='pyarrow')
-    labels = _min_fold(labels, 'node', 'label', num_buckets) \
-        .repartition(state_blocks).materialize()
+    labels = _min_fold(labels, 'node', 'label', num_buckets).materialize()
 
     def forward(edge: pa.Table, lab: pa.Table) -> pa.Table:
         # Messages: each edge (u, v) forwards its source's label to the
@@ -194,15 +187,13 @@ def connected_components_distributed(pairs, id_a='id_a', id_b='id_b', *,
         folded = msgs.map_batches(local_fold, batch_format='pyarrow')
         new_state = exchange(folded, ['node'], final_fold,
                              batch_format='pandas',
-                             num_buckets=num_buckets) \
-            .repartition(state_blocks).materialize()
+                             num_buckets=num_buckets).materialize()
         n_changed = new_state.sum('changed') or 0
         labels = new_state.drop_columns(['changed'])
         if not n_changed:
             labels = labels.materialize()
             break
-        labels = _pointer_jump(labels, num_buckets) \
-            .repartition(state_blocks).materialize()
+        labels = _pointer_jump(labels, num_buckets).materialize()
     return labels.map_batches(
         lambda b: b.rename_columns(['id', 'component_id']),
         batch_format='pyarrow')

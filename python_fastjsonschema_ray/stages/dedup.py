@@ -647,10 +647,8 @@ def ngram_jaccard_pairs(ds, id_column, text_column, *, threshold=0.8,
             .transform('size').to_numpy()
         return out
 
-    # Sort-shuffle fixed cost is task-count-driven; merge the many
-    # explode blocks before the first exchange.
     withdf = exchange(exploded, ['sh'], with_df, batch_format='pandas',
-                      num_buckets=num_buckets, coalesce=True)
+                      num_buckets=num_buckets)
 
     def prefixes(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values([id_column, 'df', 'sh'])

@@ -10,14 +10,21 @@ scans, joins, connected components) moves rows through one of two calls:
   that landed in the bucket.
 
 Buckets are COARSE (:func:`default_buckets`, a few per CPU): a group
-holds many keys, so Ray's sort-based ``groupby().map_groups()`` pays its
-per-group overhead O(cluster) times instead of once per distinct key,
-and ``fn`` folds every key of its group in one vectorized pass.  One
-hash decides the bucket everywhere: each key column is hashed with
-``hash64_array`` and mixed into a running 64-bit value, modulo the
-bucket count.  Equal keys of different types hash differently (int 2
-vs float 2.0), so ``cogroup`` casts the right key to the left key's
-type first, with Arrow's checked cast.
+holds many keys, so ``fn`` folds every key of its group in one
+vectorized pass.  One hash decides the bucket everywhere: each key
+column is hashed with ``hash64_array`` and mixed into a running 64-bit
+value, modulo the bucket count.  Equal keys of different types hash
+differently (int 2 vs float 2.0), so ``cogroup`` casts the right key to
+the left key's type first, with Arrow's checked cast.
+
+The bucket range ``[0, num_buckets)`` is known before any row moves, so
+the shuffle is one range-partitioning sort on the bucket column at fixed
+boundaries: no sample tasks, and P = ``default_buckets() // 8`` reduce
+tasks whatever the input's block count (the map side runs one task per
+input block, so the fan-out is blocks x P).  Each sorted block then runs
+``fn`` once per run of equal buckets.  Memory posture: each reduce block
+holds about 1/P of the exchanged rows, so callers pre-aggregate per
+block where the fold allows it (at most one row per key per block).
 
 Output blocks are Arrow without schema metadata, whatever ``fn``
 returns: pandas metadata (``b'pandas'``) makes a schema unhashable in
@@ -58,31 +65,39 @@ def _arrow(out) -> pa.Table:
     return out.replace_schema_metadata(None)
 
 
-def _reduce(tagged, body, name):
-    """Group ``tagged`` on its bucket column and run ``body`` on each
-    group (Arrow, bucket column dropped)."""
-    def per_bucket(group: pa.Table) -> pa.Table:
-        if _BUCKET not in group.column_names:
-            return group            # schemaless empty block passthrough
-        return _arrow(body(group.drop_columns([_BUCKET])))
-
-    per_bucket.__name__ = name
-    return tagged.groupby(_BUCKET).map_groups(per_bucket,
-                                              batch_format='pyarrow')
+def _boundaries(num_buckets):
+    """Sort boundaries that split ``[0, num_buckets)`` into at most
+    ``default_buckets() // 8`` contiguous bucket ranges.  Never empty:
+    given no boundaries, Ray's sort samples its own, one range per
+    input block."""
+    p = min(max(default_buckets() // 8, 1), num_buckets)
+    return [num_buckets * i // p for i in range(1, p)] or [num_buckets]
 
 
-def exchange(ds, keys, fn, *, batch_format='pyarrow', num_buckets=None,
-             coalesce=False):
+def _reduce(tagged, body, name, num_buckets):
+    """Range-partition ``tagged`` on its bucket column and run ``body``
+    once per run of equal buckets in each sorted block (Arrow, bucket
+    column dropped)."""
+    def per_block(block: pa.Table):
+        if not block.num_rows:
+            return                  # empty partition: no group
+        bucket = block.column(_BUCKET).to_numpy()
+        cuts = [0, *(np.flatnonzero(np.diff(bucket)) + 1), len(bucket)]
+        rows = block.drop_columns([_BUCKET])
+        for start, end in zip(cuts[:-1], cuts[1:]):
+            yield _arrow(body(rows.slice(start, end - start)))
+
+    per_block.__name__ = name
+    return tagged.sort(_BUCKET, boundaries=_boundaries(num_buckets)) \
+        .map_batches(per_block, batch_format='pyarrow', batch_size=None)
+
+
+def exchange(ds, keys, fn, *, batch_format='pyarrow', num_buckets=None):
     """Run ``fn`` once per bucket group of ``ds``; rows with equal
     ``keys`` share a group.  ``fn`` receives the group in
     ``batch_format`` (never the bucket column) and returns an Arrow
-    table or a pandas frame.
-
-    ``coalesce=True`` repartitions ``ds`` to ``default_buckets() // 8``
-    blocks before the shuffle, whose fixed cost grows with the task
-    count: right for many small blocks of modest total size, such as
-    pre-aggregated partials (at most one row per key per block); at
-    extreme sizes a coalesced block outgrows the target block size."""
+    table or a pandas frame.  The shuffle runs a fixed number of reduce
+    tasks, each holding about 1/P of the rows (see the module notes)."""
     from ray.data.block import BlockAccessor
 
     keys = list(keys)
@@ -95,16 +110,14 @@ def exchange(ds, keys, fn, *, batch_format='pyarrow', num_buckets=None,
         return batch.append_column(
             _BUCKET, _bucket_of(batch, keys, num_buckets))
 
-    if coalesce:
-        ds = ds.map_batches(_arrow, batch_format='pyarrow') \
-            .repartition(max(default_buckets() // 8, 1))
     tagged = ds.map_batches(add_bucket, batch_format='pyarrow')
 
     def body(group: pa.Table):
         return fn(BlockAccessor.for_block(group)
                   .to_batch_format(batch_format))
 
-    return _reduce(tagged, body, getattr(fn, '__name__', 'exchange'))
+    return _reduce(tagged, body, getattr(fn, '__name__', 'exchange'),
+                   num_buckets)
 
 
 def _arrow_schema(ds):
@@ -120,9 +133,11 @@ def _arrow_schema(ds):
     return ds, pa.schema(list(zip(schema.names, schema.types)))
 
 
-def cogroup(left, right, left_key, right_key, fn, *, num_buckets=None):
+def cogroup(left, right, left_key, right_key, fn, *, right_columns=None,
+            num_buckets=None):
     """Run ``fn(l, r)`` once per bucket: ``l`` holds exactly ``left``'s
-    columns, ``r`` exactly ``right``'s, for the rows whose key
+    columns, ``r`` holds ``right_key`` then ``right_columns`` (default:
+    exactly ``right``'s columns), for the rows whose key
     (``left[left_key]`` / ``right[right_key]``) hashes to the bucket.
     Either may be empty; both are Arrow tables typed like their side.
 
@@ -130,13 +145,22 @@ def cogroup(left, right, left_key, right_key, fn, *, num_buckets=None):
     tag and typed nulls for the other side's columns.  The right key is
     cast to the left key's type before hashing (equal keys of different
     types would land in different buckets); a value that does not
-    survive Arrow's checked cast raises ``TypeError``."""
+    survive Arrow's checked cast raises ``TypeError``.  With
+    ``right_columns=[]`` the right side is its key alone, typed like the
+    left key, so ``right`` is never probed for a schema: it may be lazy,
+    empty or schemaless."""
     num_buckets = num_buckets or default_buckets()
     left, lschema = _arrow_schema(left)
-    right, rschema = _arrow_schema(right)
     key_type = lschema.field(left_key).type
-    rschema = rschema.set(rschema.get_field_index(right_key),
-                          pa.field(right_key, key_type))
+    if right_columns == []:
+        rschema = pa.schema([pa.field(right_key, key_type)])
+    else:
+        right, rschema = _arrow_schema(right)
+        if right_columns is not None:
+            rschema = pa.schema([rschema.field(c)
+                                 for c in [right_key] + right_columns])
+        rschema = rschema.set(rschema.get_field_index(right_key),
+                              pa.field(right_key, key_type))
     lnames = ['l.' + c for c in lschema.names]
     rnames = ['r.' + c for c in rschema.names]
     union = pa.schema(
@@ -188,4 +212,5 @@ def cogroup(left, right, left_key, right_key, fn, *, num_buckets=None):
             .rename_columns(rschema.names)
         return fn(l, r)
 
-    return _reduce(tagged, body, getattr(fn, '__name__', 'cogroup'))
+    return _reduce(tagged, body, getattr(fn, '__name__', 'cogroup'),
+                   num_buckets)

@@ -254,21 +254,23 @@ def _shuffle_semi_anti(left, right, left_key, right_key, num_buckets, how):
     The right side collapses to per-block DISTINCT keys BEFORE the
     exchange (an Arrow group_by combiner, the dedup_exact discipline),
     so the co-group moves full left rows plus at most one key row per
-    distinct right key per block — never right payload columns.  Null
-    left keys never match: semi drops them, anti keeps them."""
+    distinct right key per block — never right payload columns.  That
+    key side is never probed for a schema: ``cogroup`` types it like
+    the left key, and an empty or schemaless right side simply leaves
+    every bucket's key set empty (semi keeps nothing, anti keeps every
+    row).  Null left keys never match: semi drops them, anti keeps
+    them."""
     import pyarrow.compute as pc
 
     def distinct_keys(b: pa.Table) -> pa.Table:
+        if right_key not in b.column_names:
+            return b            # schemaless empty block
         return b.group_by([right_key]).aggregate([])
 
     if left.schema() is None:
         return left            # fully-empty left: nothing to filter
     keys = right.select_columns([right_key]).map_batches(
         distinct_keys, batch_format='pyarrow')
-    if keys.schema() is None:
-        # Empty right key set: EXISTS is false everywhere — semi drops
-        # every row, anti keeps every row (incl. null keys, per policy).
-        return left.limit(0) if how == 'semi' else left
 
     def filt(l: pa.Table, r: pa.Table) -> pa.Table:
         k = l.column(left_key)
@@ -277,7 +279,7 @@ def _shuffle_semi_anti(left, right, left_key, right_key, num_buckets, how):
                       pc.is_valid(k))
         return l.filter(hit if how == 'semi' else pc.invert(hit))
 
-    return cogroup(left, keys, left_key, right_key, filt,
+    return cogroup(left, keys, left_key, right_key, filt, right_columns=[],
                    num_buckets=num_buckets)
 
 

@@ -289,8 +289,6 @@ def grouped_quantile(ds, keys, value_column, qs, *, num_buckets=None,
         return pa.Table.from_pandas(out, schema=out_schema,
                                     preserve_index=False)
 
-    # Sort-shuffle fixed cost is task-count-driven: coalesce the many
-    # small read blocks before the exchange.
     return exchange(ds.select_columns(keys + [value_column]), keys,
                     bucket_quantiles, batch_format='pandas',
-                    num_buckets=num_buckets, coalesce=True)
+                    num_buckets=num_buckets)

@@ -123,7 +123,7 @@ def mixture_sample_exact(ds, group_column, key_column, quotas, *, salt=0,
     ranked = ds.map_batches(rank, batch_format='pyarrow')
     partials = ranked.map_batches(cut, batch_format='pandas')
     out = exchange(partials, [group_column], cut, batch_format='pandas',
-                   num_buckets=num_buckets, coalesce=True)
+                   num_buckets=num_buckets)
     return out.drop_columns(['_sample_rank'])
 
 

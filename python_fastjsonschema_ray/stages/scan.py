@@ -114,11 +114,8 @@ def grouped_scan(ds, keys, order_by, value_column,
                                     schema=out_schema,
                                     preserve_index=False)
 
-    # Sort-shuffle fixed cost is task-count-driven: coalesce the many
-    # small read blocks before the exchange.
     return exchange(ds.select_columns(in_cols), keys, bucket_scan,
-                    batch_format='pandas', num_buckets=num_buckets,
-                    coalesce=True)
+                    batch_format='pandas', num_buckets=num_buckets)
 
 
 def global_rank(ds, order_columns, *, descending=False,

@@ -1,7 +1,9 @@
 """The hash-exchange module (``stages/exchange.py``): ``exchange`` and
-``cogroup`` semantics, key-type alignment in the co-group operators,
-metadata-free output of every operator built on them, and a scan that
-keeps the bucketing decision inside the one module."""
+``cogroup`` semantics, the fixed-boundary shuffle on many-block inputs,
+semi/anti joins that never probe their derived key side, key-type
+alignment in the co-group operators, metadata-free output of every
+operator built on them, and a scan that keeps the bucketing decision
+inside the one module."""
 
 import logging
 import os
@@ -22,9 +24,18 @@ def _blocks(ds):
             for t in ray.get(ds.to_arrow_refs())]
 
 
+def _nulls_last(row):
+    return tuple((v is None, 0 if v is None else v) for v in row)
+
+
+def _table_rows(tables, columns):
+    return sorted((r for t in tables if t.num_rows
+                   for r in zip(*(t.column(c).to_pylist()
+                                  for c in columns))), key=_nulls_last)
+
+
 def _rows(ds, columns):
-    return sorted(r for b in _blocks(ds) if b.num_rows
-                  for r in zip(*(b.column(c).to_pylist() for c in columns)))
+    return _table_rows(_blocks(ds), columns)
 
 
 def _keyed(n=200, blocks=4):
@@ -52,8 +63,7 @@ def test_exchange_empty_inputs(ray_session):
 
     empty = ray.data.from_arrow(pa.table({'k': pa.array([], pa.int64())}))
     assert exchange(empty, ['k'], boom).count() == 0
-    assert exchange(empty, ['k'], boom, batch_format='pandas',
-                    coalesce=True).count() == 0
+    assert exchange(empty, ['k'], boom, batch_format='pandas').count() == 0
 
     schemaless = ray.data.from_arrow(
         [pa.table({}), pa.table({'k': pa.array([1, 1, 2], pa.int64())})])
@@ -92,12 +102,10 @@ def test_exchange_bucket_count_does_not_change_the_result(ray_session):
 
     ds = _keyed()
     want = _rows(ds, ['a', 'b', 'v'])
-    for n in (1, 7, 64):
+    for n in (1, 2, 7, 64):
         got = _rows(exchange(ds, ['a'], passthrough, num_buckets=n),
                     ['a', 'b', 'v'])
         assert got == want
-    coalesced = exchange(ds, ['a'], passthrough, coalesce=True)
-    assert _rows(coalesced, ['a', 'b', 'v']) == want
 
 
 def test_exchange_multi_key_groups_hold_whole_keys(ray_session):
@@ -186,6 +194,193 @@ def test_cogroup_lossy_key_cast_raises_type_error(ray_session):
     with pytest.raises(Exception, match=r"TypeError: right key 'rk' "
                        r"\(double\) .* left key 'lk' \(int64\)"):
         cogroup(left, right, 'lk', 'rk', _bucket_report).materialize()
+
+
+# ---------------------------------------------------------------------------
+# The fixed-boundary shuffle: many input blocks, few buckets
+
+
+def _many_blocks(n=6400, blocks=64, seed=11):
+    """Two 64-block sides: int64 ``k`` (with nulls) and int32 ``rk``."""
+    import ray.data
+    rng = np.random.default_rng(seed)
+    k = rng.integers(0, 500, n)
+    left = pa.table({
+        'k': pa.array(k, mask=rng.random(n) < 0.02, type=pa.int64()),
+        'v': pa.array(rng.random(n))})
+    right = pa.table({'rk': pa.array(rng.integers(250, 750, n // 2),
+                                     type=pa.int32())})
+    step_l, step_r = n // blocks, n // 2 // blocks
+    return (left, right,
+            ray.data.from_arrow([left.slice(i * step_l, step_l)
+                                 for i in range(blocks)]),
+            ray.data.from_arrow([right.slice(i * step_r, step_r)
+                                 for i in range(blocks)]))
+
+
+def test_exchange_and_cogroup_match_group_by_on_64_blocks(ray_session):
+    """On 64-block inputs, per-bucket folds add up to the global
+    ``pa.Table.group_by`` answer: every key lands in one group."""
+    from python_fastjsonschema_ray.stages.exchange import cogroup, exchange
+
+    left, right, lds, rds = _many_blocks()
+    assert lds.num_blocks() == 64 and rds.num_blocks() == 64
+
+    def counts(group: pa.Table) -> pa.Table:
+        return group.group_by('k').aggregate([([], 'count_all'),
+                                              ('v', 'sum')])
+
+    columns = ['k', 'count_all', 'v_sum']
+    got = _rows(exchange(lds, ['k'], counts), columns)
+    want = _table_rows([counts(left)], columns)
+    assert [r[:2] for r in got] == [r[:2] for r in want]
+    assert np.allclose([r[2] for r in got], [r[2] for r in want])
+
+    def side_counts(l: pa.Table, r: pa.Table) -> pa.Table:
+        lc = l.group_by('k').aggregate([([], 'count_all')])
+        rc = r.group_by('rk').aggregate([([], 'count_all')])
+        return pa.table({
+            'side': ['l'] * lc.num_rows + ['r'] * rc.num_rows,
+            'k': pa.concat_arrays([lc.column('k').combine_chunks(),
+                                   rc.column('rk').combine_chunks()]),
+            'n': pa.concat_arrays([lc.column('count_all').combine_chunks(),
+                                   rc.column('count_all')
+                                   .combine_chunks()])})
+
+    out = _rows(cogroup(lds, rds, 'k', 'rk', side_counts), ['side', 'k', 'n'])
+    for side, table, key in (('l', left, 'k'), ('r', right, 'rk')):
+        want = table.group_by(key).aggregate([([], 'count_all')])
+        assert [r[1:] for r in out if r[0] == side] == _table_rows(
+            [want], [key, 'count_all'])
+
+
+def _sort_stats(stats):
+    """(reduce blocks per SortReduce stage, 'Repartition' present)."""
+    reduces = [int(m.group(1)) for m in re.finditer(
+        r'SortReduce: \d+ tasks executed, (\d+) blocks produced', stats)]
+    return reduces, 'Repartition' in stats
+
+
+def test_exchange_sorts_at_fixed_boundaries(ray_session, monkeypatch):
+    """``check_unique`` (``exchange``) and ``check_referential_large``
+    (``cogroup``) on 64-block inputs: no Repartition barrier, no sort
+    sampling, and each sort has at most P = ``default_buckets() // 8``
+    reducers (one output block each), whatever the input block count."""
+    from ray.data._internal.planner.exchange.sort_task_spec import (
+        SortTaskSpec)
+    from python_fastjsonschema_ray.pipelines.constraints import (
+        check_referential_large, check_unique)
+    from python_fastjsonschema_ray.stages.exchange import default_buckets
+
+    samples = []
+    real = SortTaskSpec.sample_boundaries
+
+    def counting(*args, **kwargs):
+        samples.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(SortTaskSpec, 'sample_boundaries',
+                        staticmethod(counting))
+    left, right, lds, rds = _many_blocks()
+    p = default_buckets() // 8
+    for ds in (check_unique(lds, ['k']),
+               check_referential_large(lds, 'k', rds, 'rk')):
+        ds = ds.materialize()
+        reduces, repartition = _sort_stats(ds.stats())
+        assert reduces and max(reduces) <= p, reduces
+        assert not repartition
+    assert not samples
+
+
+def test_fewer_buckets_than_partitions(ray_session):
+    """``num_buckets`` of 1 and 2, below the partition count: ``fn``
+    runs once per non-empty bucket and every row comes out once."""
+    from python_fastjsonschema_ray.stages.exchange import cogroup, exchange
+
+    left, right, lds, rds = _many_blocks(n=1280)
+
+    def size(group: pa.Table) -> pa.Table:
+        return pa.table({'n': [group.num_rows]})
+
+    def sizes(l: pa.Table, r: pa.Table) -> pa.Table:
+        return pa.table({'n': [l.num_rows], 'm': [r.num_rows]})
+
+    for n in (1, 2):
+        got = _rows(exchange(lds, ['k'], size, num_buckets=n), ['n'])
+        assert 1 <= len(got) <= n and sum(r[0] for r in got) == left.num_rows
+        got = [r for b in _blocks(cogroup(lds, rds, 'k', 'rk', sizes,
+                                          num_buckets=n))
+               for r in b.to_pylist()]
+        assert 1 <= len(got) <= n
+        assert sum(r['n'] for r in got) == left.num_rows
+        assert sum(r['m'] for r in got) == right.num_rows
+
+
+# ---------------------------------------------------------------------------
+# Semi/anti joins never probe their derived key side
+
+
+def _probed(monkeypatch):
+    """Datasets whose ``schema()`` is asked for, in call order."""
+    import ray.data
+    probed = []
+    real = ray.data.Dataset.schema
+
+    def schema(self, *args, **kwargs):
+        probed.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ray.data.Dataset, 'schema', schema)
+    return probed
+
+
+def test_semi_anti_do_not_probe_the_key_side(ray_session, monkeypatch):
+    """``check_referential_large`` and ``shuffle_join(how='semi'|'anti')``
+    ask for no schema but the left input's."""
+    from python_fastjsonschema_ray.pipelines.constraints import (
+        check_referential_large)
+    from python_fastjsonschema_ray.stages.join import shuffle_join
+
+    left, right, lds, rds = _many_blocks(n=1280)
+    probed = _probed(monkeypatch)
+    built = {
+        'check_referential_large': check_referential_large(lds, 'k', rds,
+                                                           'rk'),
+        'semi': shuffle_join(lds, rds, 'k', 'rk', [], how='semi'),
+        'anti': shuffle_join(lds, rds, 'k', 'rk', [], how='anti')}
+    assert probed and all(ds is lds for ds in probed)
+    monkeypatch.undo()
+
+    keys = set(right.column('rk').to_pylist())
+    ks = left.column('k').to_pylist()
+    hit = sum(k in keys for k in ks)
+    assert built['check_referential_large'].count() == sum(
+        k is not None and k not in keys for k in ks)
+    assert built['semi'].count() == hit
+    assert built['anti'].count() == len(ks) - hit
+
+
+def test_semi_anti_empty_or_schemaless_reference(ray_session):
+    """A zero-row or schemaless reference: anti keeps every row (the
+    referential check every non-null foreign key), semi keeps none."""
+    import ray.data
+    from python_fastjsonschema_ray.pipelines.constraints import (
+        check_referential_large)
+    from python_fastjsonschema_ray.stages.join import shuffle_join
+
+    left = ray.data.from_arrow(pa.table({
+        'k': pa.array([1, None, 3, 3], pa.int64()),
+        'v': pa.array(['a', 'b', 'c', 'd'])}))
+    typed = ray.data.from_arrow(pa.table({'rk': pa.array([], pa.int32())}))
+    schemaless = ray.data.from_arrow(pa.table({'rk': [1]})).map_batches(
+        lambda b: pa.table({}), batch_format='pyarrow')
+    for ref in (typed, schemaless):
+        assert _rows(check_referential_large(left, 'k', ref, 'rk'),
+                     ['v']) == [('a',), ('c',), ('d',)]
+        assert _rows(shuffle_join(left, ref, 'k', 'rk', [], how='anti'),
+                     ['v']) == [('a',), ('b',), ('c',), ('d',)]
+        assert shuffle_join(left, ref, 'k', 'rk', [],
+                            how='semi').count() == 0
 
 
 # ---------------------------------------------------------------------------
