@@ -748,29 +748,26 @@ def q_plugin_even_lineitem(sf_dir: str):
     brand-new 'isEvenQty' keyword registered IN THE WORKER (plugin
     registries are per-process; compile happens where the batch runs),
     evaluated by the engine's derived per-row kernel."""
+    from python_fastjsonschema_ray.stages.per_worker import PerWorker
     ds = _read(sf_dir, 'lineitem', ['l_orderkey', 'l_quantity'])
     spec = {'properties': {'l_quantity': {'type': 'number',
                                           'isEvenQty': True}}}
 
-    def run(batch: pa.Table) -> pa.Table:
+    def even_qty_stage(schema):
         from python_fastjsonschema_ray.functions import plugins
         from python_fastjsonschema_ray.pipelines.validate import ValidatorStage
-        cache = plugins.__dict__.setdefault('_entry_stage_cache', {})
-        stage = cache.get('evenq')
-        if stage is None:
-            if 'isEvenQty' not in plugins.REGISTRY:
-                plugins.register_keyword(
-                    'isEvenQty',
-                    check_value=lambda v, d: (
-                        ' must be even'
-                        if isinstance(v, (int, float)) and v % 2 else None))
-            stage = cache['evenq'] = ValidatorStage(
-                spec, batch.schema, mode='violations',
-                key_column='l_orderkey')
-        return stage(batch)
+        if 'isEvenQty' not in plugins.REGISTRY:
+            plugins.register_keyword(
+                'isEvenQty',
+                check_value=lambda v, d: (
+                    ' must be even'
+                    if isinstance(v, (int, float)) and v % 2 else None))
+        return ValidatorStage(spec, schema, mode='violations',
+                              key_column='l_orderkey')
 
-    return ds.map_batches(run, batch_format='pyarrow') \
-        .select_columns(['key'])
+    schema = pa.schema(list(zip(ds.schema().names, ds.schema().types)))
+    return PerWorker(even_qty_stage, schema) \
+        .map_batches(ds, batch_format='pyarrow').select_columns(['key'])
 
 
 # -- non-SQL-expressible operators (rows-only driver check) -----------------
@@ -786,7 +783,7 @@ def q_video_frame_sample(sf_dir: str):
     from python_fastjsonschema_ray.sources.videos import video_dataset
     from python_fastjsonschema_ray.stages.decode import frame_sample
     ds = video_dataset(200, seed=42, shard_rows=50)
-    out = frame_sample(ds, stride=3, concurrency=2, batch_size=16)
+    out = frame_sample(ds, stride=3, batch_size=16)
     return _df_with_columns(
         out, ['video_id', 'frame_idx', 'ts_s', 'w', 'h', 'phash'])
 
@@ -795,13 +792,13 @@ def q_audio_features(sf_dir: str):
     """Multimodal audio feature extraction: a deterministic synthetic A6
     PCM shard (sources/audio.py) → per-clip frame-level features (RMS,
     zero-crossing rate, clipping fraction, dominant frequency) via the
-    actor-pool stage (stages/audio.py).  Rows-only; per-clip exactness
+    stage of stages/audio.py.  Rows-only; per-clip exactness
     is pinned by tests/test_audio.py against the ground-truth
     generator."""
     from python_fastjsonschema_ray.sources.audio import audio_dataset
     from python_fastjsonschema_ray.stages.audio import audio_features
     ds = audio_dataset(256, seed=42, shard_rows=64)
-    out = audio_features(ds, concurrency=2, batch_size=32)
+    out = audio_features(ds, batch_size=32)
 
     def round_feats(batch: pd.DataFrame) -> pd.DataFrame:
         for c in ('duration_s', 'rms_mean', 'rms_max', 'zcr_mean',

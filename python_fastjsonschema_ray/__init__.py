@@ -4,7 +4,7 @@ A brand-new engine with the query/data-processing capabilities of
 ``horejsek/python-fastjsonschema`` (reference checkout at ``/root/reference``),
 re-expressed Ray-Data-first: JSON-Schema-flavoured declarations compile once on
 the driver into vectorized Arrow-level predicate closures that stream over
-``ray.data.Dataset`` blocks via ``map_batches`` actor pools, emitting
+``ray.data.Dataset`` blocks as plain ``map_batches`` tasks, emitting
 reference-identical violation rows, plus engine-level table constraints
 (uniqueness, referential integrity, column stats/sketches, distribution drift)
 and training-data operators (dedup, similarity search, text analysis).

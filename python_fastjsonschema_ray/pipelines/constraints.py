@@ -36,6 +36,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..stages.exchange import exchange
+from ..stages.per_worker import PerWorker
 from ..state.sketches import HyperLogLog, TDigest, hash64_array
 
 
@@ -97,16 +98,14 @@ class ColumnStatsStage:
         })
 
 
-def column_stats(ds, columns, quantiles=(0.5, 0.9, 0.99), concurrency=None,
-                 batch_size=65536):
+def column_stats(ds, columns, quantiles=(0.5, 0.9, 0.99), batch_size=65536):
     """Streaming per-column statistics: returns {column: stats dict}.
 
     Partials stream back to the driver (tiny rows), merged incrementally —
     the input dataset is never materialized."""
     stage_ds = ds.map_batches(
         ColumnStatsStage(columns), batch_format='pyarrow',
-        batch_size=batch_size,
-        **({'concurrency': concurrency} if concurrency else {}))
+        batch_size=batch_size)
     # Seed every requested column so an empty input still yields a
     # complete stats dict (count 0, min/max None) instead of a KeyError.
     merged = {c: {
@@ -180,7 +179,7 @@ class _KeyCountStage:
         return grouped.rename_columns(list(self.columns) + ['partial_n'])
 
 
-def check_unique(ds, columns, concurrency=None, num_buckets=None):
+def check_unique(ds, columns, num_buckets=None):
     """Duplicate-key detection.
 
     Two-level structure chosen for scale: (1) per-batch pre-aggregation
@@ -191,10 +190,8 @@ def check_unique(ds, columns, concurrency=None, num_buckets=None):
     reduce tasks, whatever the input's block count, with no barrier
     before it.  Returns duplicate keys with counts (columns..., n)."""
     columns = list(columns)
-    kwargs = {'batch_format': 'pyarrow'}
-    if concurrency:
-        kwargs['concurrency'] = concurrency
-    partials = ds.map_batches(_KeyCountStage(columns), **kwargs)
+    partials = ds.map_batches(_KeyCountStage(columns),
+                              batch_format='pyarrow')
 
     def dups(group: pa.Table) -> pa.Table:
         # Explicit output schema: key types survive as they are and empty
@@ -210,7 +207,7 @@ def check_unique(ds, columns, concurrency=None, num_buckets=None):
     return exchange(partials, columns, dups, num_buckets=num_buckets)
 
 
-def dedup_exact(ds, columns, concurrency=None, num_buckets=None):
+def dedup_exact(ds, columns, num_buckets=None):
     """Exact first-wins dedup: keep one row per distinct key, winner =
     lowest full-row sort order within the group (deterministic).
 
@@ -230,10 +227,7 @@ def dedup_exact(ds, columns, concurrency=None, num_buckets=None):
         srt = batch.sort_values(list(batch.columns))
         return srt.groupby(columns, sort=False, dropna=False).head(1)
 
-    kwargs = {'batch_format': 'pandas'}
-    if concurrency:
-        kwargs['concurrency'] = concurrency
-    partials = ds.map_batches(first, **kwargs)
+    partials = ds.map_batches(first, batch_format='pandas')
     return exchange(partials, columns, first, batch_format='pandas',
                     num_buckets=num_buckets)
 
@@ -270,7 +264,7 @@ def dedup_winner_ids(ds, columns, id_column, num_buckets=None):
 class _AntiJoinStage:
     """Keep rows whose key is NOT in the broadcast reference key set.
 
-    The key set is shipped once via ray.put; each actor reads the object
+    The key set is shipped once via ray.put; each worker reads the object
     store reference in __init__ (zero per-batch cost)."""
 
     def __init__(self, column, keys_ref):
@@ -293,42 +287,27 @@ class _AntiJoinStage:
         return batch.filter(pc.and_(pc.invert(hit), valid))
 
 
-def check_referential(ds, column, ref_ds, ref_column, concurrency=None):
+def check_referential(ds, column, ref_ds, ref_column):
     """Anti-join ``ds[column]`` against the key set of ``ref_ds[ref_column]``.
 
     Returns the violating rows (keys with no match in the reference table).
     The reference side is collected to the driver and broadcast — suitable
     for dimension-table-sized references; see ``check_referential_large``
-    for the both-sides-large case.  ``concurrency`` runs the filter as an
-    actor pool of that size instead of tasks."""
+    for the both-sides-large case."""
     import ray
 
     ref_keys = ref_ds.select_columns([ref_column]).unique(ref_column)
     # unique() reports None on a fully-empty reference; an empty key set
     # means every non-null foreign key violates (SQL anti-join).
     keys_ref = ray.put(pa.array(ref_keys if ref_keys is not None else []))
-    return _broadcast_filter(ds, _AntiJoinStage, column, keys_ref,
-                             concurrency)
+    return _broadcast_filter(ds, _AntiJoinStage, column, keys_ref)
 
 
-def _broadcast_filter(ds, stage_cls, column, ref, concurrency,
-                      **pool_kwargs):
+def _broadcast_filter(ds, stage_cls, column, ref):
     """Filter ``ds`` through ``stage_cls(column, ref)``, a stage holding a
-    broadcast object.  By default it runs as tasks that build the stage
-    once per worker process, so no actor holds a CPU the upstream read
-    tasks need (an actor pool deadlocks a ``num_cpus=1`` session).  An
-    explicit ``concurrency`` runs it as an actor pool of that size."""
-    if concurrency is not None:
-        return ds.map_batches(stage_cls, fn_constructor_args=(column, ref),
-                              batch_format='pyarrow',
-                              concurrency=concurrency, **pool_kwargs)
-    from ..stages.dedup import _worker_cached
-    key = (stage_cls.__name__, column, ref.hex())
-
-    def apply(batch: pa.Table) -> pa.Table:
-        return _worker_cached(key, lambda: stage_cls(column, ref))(batch)
-
-    return ds.map_batches(apply, batch_format='pyarrow')
+    broadcast object, built once per worker process."""
+    return PerWorker(stage_cls, column, ref).map_batches(
+        ds, batch_format='pyarrow')
 
 
 class _BloomAntiStage:
@@ -350,7 +329,7 @@ class _BloomAntiStage:
 
 
 def check_referential_bloom(ds, column, ref_ds, ref_column,
-                            bits_per_key=16, concurrency=None):
+                            bits_per_key=16):
     """Memory-compact referential check: the reference key set is broadcast
     as a Bloom filter (bits_per_key bits/key vs ~8-100 bytes/key raw), so
     it stays broadcastable at 10^9+ reference keys.
@@ -367,8 +346,7 @@ def check_referential_bloom(ds, column, ref_ds, ref_column,
     bloom.add_hashes(hash64_array(key_arr))
     fpr = bloom.fpr
     bloom_ref = ray.put(bloom.serialize())
-    out = _broadcast_filter(ds, _BloomAntiStage, column, bloom_ref,
-                            concurrency, num_cpus=0.5)
+    out = _broadcast_filter(ds, _BloomAntiStage, column, bloom_ref)
     return out, fpr
 
 
@@ -386,8 +364,7 @@ def check_referential_large(ds, column, ref_ds, ref_column, num_buckets=None):
         batch_format='pyarrow')
 
 
-def salted_group_agg(ds, key_columns, value_column, num_salts=16,
-                     concurrency=None):
+def salted_group_agg(ds, key_columns, value_column, num_salts=16):
     """Skew-safe grouped sum/count: salt the key into ``num_salts``
     sub-keys so one hot key (e.g. the dominant ``fmt`` value) spreads over
     many reducers, then fold the salt back out with a second, tiny groupby.
@@ -416,10 +393,7 @@ def salted_group_agg(ds, key_columns, value_column, num_salts=16,
         return grouped.rename_columns(
             key_columns + ['_salt', 'partial_sum', 'partial_n'])
 
-    kwargs = {'batch_format': 'pyarrow'}
-    if concurrency:
-        kwargs['concurrency'] = concurrency
-    partials = ds.map_batches(add_salt, **kwargs)
+    partials = ds.map_batches(add_salt, batch_format='pyarrow')
     salted = partials.groupby(key_columns + ['_salt']).aggregate(
         Sum('partial_sum', alias_name='salted_sum'),
         Sum('partial_n', alias_name='salted_n'))
@@ -451,7 +425,7 @@ class _GroupedPartialStage:
 
 
 def grouped_agg(ds, key_columns, aggs, *, combine='bucket',
-                num_buckets=None, concurrency=None):
+                num_buckets=None):
     """Grouped aggregation with a map-side combiner (pre-aggregation).
 
     Ray's built-in ``groupby().aggregate()`` is a sort-based shuffle of
@@ -505,10 +479,7 @@ def grouped_agg(ds, key_columns, aggs, *, combine='bucket',
     pnames = list(partial_specs)
     stage = _GroupedPartialStage(
         key_columns, [partial_specs[p][0] for p in pnames], pnames)
-    kwargs = {'batch_format': 'pyarrow'}
-    if concurrency:
-        kwargs['concurrency'] = concurrency
-    partials = ds.map_batches(stage, **kwargs)
+    partials = ds.map_batches(stage, batch_format='pyarrow')
 
     fold_ops = {p: partial_specs[p][1] for p in pnames}
 
@@ -592,7 +563,7 @@ def global_topk(ds, order_columns, k, descending=None):
         local_topk, batch_format='pandas', batch_size=None)
 
 
-def distinct_count(ds, columns, concurrency=None, num_buckets=None) -> int:
+def distinct_count(ds, columns, num_buckets=None) -> int:
     """EXACT distinct count of a key tuple (HyperLogLog in column_stats
     is the approximate sibling).  Same shuffle discipline as
     check_unique: per-block Arrow group_by collapses to ≤1 row per
@@ -601,14 +572,11 @@ def distinct_count(ds, columns, concurrency=None, num_buckets=None) -> int:
     import pandas as pd
 
     columns = list(columns)
-    kwargs = {'batch_format': 'pyarrow'}
-    if concurrency:
-        kwargs['concurrency'] = concurrency
 
     def local_distinct(batch: pa.Table) -> pa.Table:
         return batch.select(columns).group_by(columns).aggregate([])
 
-    partials = ds.map_batches(local_distinct, **kwargs)
+    partials = ds.map_batches(local_distinct, batch_format='pyarrow')
 
     def count_bucket(group: pd.DataFrame) -> pd.DataFrame:
         n = len(group[columns].drop_duplicates())
@@ -619,7 +587,7 @@ def distinct_count(ds, columns, concurrency=None, num_buckets=None) -> int:
     return int(counts.sum('n') or 0)
 
 
-def heavy_hitters(ds, column, fraction, concurrency=None):
+def heavy_hitters(ds, column, fraction):
     """EXACT heavy hitters: every non-null value with count strictly
     greater than ``fraction * n`` where n is the TOTAL row count (the
     skew-detection primitive — feed the result to ``salted_group_agg``
@@ -640,10 +608,6 @@ def heavy_hitters(ds, column, fraction, concurrency=None):
     import ray
     import pyarrow.compute as pc
 
-    kwargs = {'batch_format': 'pyarrow'}
-    if concurrency:
-        kwargs['concurrency'] = concurrency
-
     def block_candidates(batch: pa.Table) -> pa.Table:
         col = batch.column(column).combine_chunks().drop_null()
         n = len(col)
@@ -656,7 +620,8 @@ def heavy_hitters(ds, column, fraction, concurrency=None):
 
     cand_tables = [t if isinstance(t, pa.Table) else pa.Table.from_pandas(t)
                    for t in ray.get(
-                       ds.map_batches(block_candidates, **kwargs)
+                       ds.map_batches(block_candidates,
+                                      batch_format='pyarrow')
                        .to_arrow_refs())]
     candidates = [t.column('value') for t in cand_tables if t.num_rows]
     if not candidates:
@@ -678,7 +643,7 @@ def heavy_hitters(ds, column, fraction, concurrency=None):
                          'partial_n': vc.field('counts').cast(pa.int64())})
 
     totals = {}
-    for t in ray.get(ds.map_batches(exact_counts, **kwargs)
+    for t in ray.get(ds.map_batches(exact_counts, batch_format='pyarrow')
                      .to_arrow_refs()):
         if not isinstance(t, pa.Table):
             t = pa.Table.from_pandas(t)
@@ -711,11 +676,10 @@ class _HistogramStage:
                                             type=pa.binary())})
 
 
-def histogram_profile(ds, column, edges, concurrency=None):
+def histogram_profile(ds, column, edges):
     """Fixed-edge histogram via mergeable per-batch partials (no shuffle)."""
-    parts = ds.map_batches(
-        _HistogramStage(column, edges), batch_format='pyarrow',
-        **({'concurrency': concurrency} if concurrency else {}))
+    parts = ds.map_batches(_HistogramStage(column, edges),
+                           batch_format='pyarrow')
     total = np.zeros(len(edges) - 1, dtype=np.int64)
     for part in parts.iter_batches(batch_size=1024, batch_format='pyarrow'):
         for blob in part.column('counts').to_pylist():
@@ -780,7 +744,7 @@ class _GroupHistogramStage:
 
 
 def drift_by_group(ds, column, group_column, edges, *, psi_threshold=0.2,
-                   ks_threshold=0.1, concurrency=None):
+                   ks_threshold=0.1):
     """Per-group drift: each group's histogram (mergeable per-batch
     partials, no row shuffle — only tiny count vectors move) is compared
     against the GLOBAL distribution.  The group key can be arbitrarily
@@ -788,8 +752,7 @@ def drift_by_group(ds, column, group_column, edges, *, psi_threshold=0.2,
     one row per (group, block)."""
     parts = ds.map_batches(
         _GroupHistogramStage(column, group_column, edges),
-        batch_format='pyarrow',
-        **({'concurrency': concurrency} if concurrency else {}))
+        batch_format='pyarrow')
     merged = {}
     for part in parts.iter_batches(batch_size=1024, batch_format='pyarrow'):
         for row in part.to_pylist():
@@ -814,11 +777,11 @@ def drift_by_group(ds, column, group_column, edges, *, psi_threshold=0.2,
 
 
 def drift_check(ds, column, reference_profile, edges, *, psi_threshold=0.2,
-                ks_threshold=0.1, concurrency=None):
+                ks_threshold=0.1):
     """Compare ``ds[column]``'s distribution against a reference histogram
     profile; returns the drift report dict (a violation when thresholds are
     exceeded)."""
-    actual = histogram_profile(ds, column, edges, concurrency=concurrency)
+    actual = histogram_profile(ds, column, edges)
     p = psi(reference_profile, actual)
     k = ks_statistic(reference_profile, actual)
     return {

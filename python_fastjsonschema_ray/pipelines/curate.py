@@ -84,7 +84,7 @@ def curate_corpus(ds, *, id_column='doc_id', text_column='text',
     #    lowercase internally where needed).
     ds = normalize_text(ds, text_column, lower=False)
 
-    # 2. One actor-pool pass adds n_tokens/quality/lang/fingerprint.
+    # 2. One task pass adds n_tokens/quality/lang/fingerprint.
     ds = analyze_text(ds, text_column)
 
     # 3. Threshold filters — pure per-batch Arrow masks (zero-copy from

@@ -1,9 +1,10 @@
 """Flagship pipeline: end-to-end validation of the image+caption table
 (BASELINE.json north rule).
 
-Stages (all streaming, Arrow batches, actor pools for stateful steps):
+Stages (all streaming, Arrow batches, plain Ray tasks; stateful steps
+build once per worker process through ``stages/per_worker.PerWorker``):
 
-1. **Schema validation** — IMAGE_TABLE_SPEC compiled once per actor
+1. **Schema validation** — IMAGE_TABLE_SPEC compiled once per worker
    (type / range / enum / pattern / required), violations as structured rows.
 2. **Decode + integrity** — decode bytes per fmt; verify declared dims and
    phash against decoded pixels (content-level checks the schema cannot see).
@@ -24,6 +25,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.per_worker import PerWorker
 from .constraints import (
     check_unique,
     column_stats,
@@ -47,12 +49,6 @@ IMAGE_TABLE_SPEC = {
 }
 
 
-# Per-worker-process compiled-stage cache: plain-function map_batches runs
-# in Ray's long-lived worker processes, so the plan compiles once per worker
-# (the task-pool analog of actor __init__ state) while tasks scale
-# elastically with zero pool spin-up cost.
-_STAGE_CACHE = {}
-
 # Stage calls per Ray map task (see validation_pass).  ``bench.py --sweep``
 # times the pass at several values.
 _SLICES_PER_TASK = 8
@@ -75,15 +71,11 @@ def validation_pass(ds, *, fast_fail=True, batch_size=2048):
     arrow_schema = pa.schema(
         [pa.field(n, t) for n, t in
          zip(ds.schema().names, ds.schema().types)])
-    schema_bytes = arrow_schema.serialize().to_pybytes()
+    built = PerWorker(ValidateAndDecodeStage, arrow_schema,
+                      fast_fail=fast_fail)
 
     def run_batch(batch: pa.Table) -> pa.Table:
-        key = (schema_bytes, fast_fail)
-        stage = _STAGE_CACHE.get(key)
-        if stage is None:
-            stage = _STAGE_CACHE[key] = ValidateAndDecodeStage(
-                pa.ipc.read_schema(pa.BufferReader(schema_bytes)),
-                fast_fail=fast_fail)
+        stage = built.get()
         n = batch.num_rows
         step = batch_size or n
         if n <= step:
@@ -98,11 +90,11 @@ def validation_pass(ds, *, fast_fail=True, batch_size=2048):
 
 
 class ValidateAndDecodeStage:
-    """ONE actor pool doing the heavy per-row work in a single streaming
-    pass: compiled-schema validation + decode/integrity checks, emitting
-    unified violation rows (source='schema'|'content').  Combining the two
-    stages eliminates a second read + actor-pool spin-up and keeps the
-    pipeline compute-bound (the scaling-efficiency lever)."""
+    """ONE stage doing the heavy per-row work in a single streaming pass:
+    compiled-schema validation + decode/integrity checks, emitting unified
+    violation rows (source='schema'|'content').  Combining the two stages
+    eliminates a second read and keeps the pipeline compute-bound (the
+    scaling-efficiency lever)."""
 
     def __init__(self, schema: pa.Schema, fast_fail=True):
         from ..stages.decode import DecodeCheckStage
@@ -165,7 +157,7 @@ class ValidateAndDecodeStage:
 
 
 def run_flagship(ds, *, reference_phashes=None, width_profile=None,
-                 width_edges=None, concurrency=None, stats=True,
+                 width_edges=None, stats=True,
                  near_dup_dist=None):
     """Full validation run over an image+caption Dataset.
 
@@ -210,7 +202,7 @@ def run_flagship(ds, *, reference_phashes=None, width_profile=None,
         from .constraints import _AntiJoinStage, _broadcast_filter
         orphans = _broadcast_filter(
             ds.select_columns(['image_id', 'phash']), _AntiJoinStage,
-            'phash', keys_ref, concurrency)
+            'phash', keys_ref)
         report['referential_orphans'] = orphans.count()
 
     # 5. Stats + drift.

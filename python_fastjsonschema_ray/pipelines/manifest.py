@@ -101,10 +101,6 @@ class RunManifest:
         }
 
 
-# Per-worker-process compiled-validator cache for the dual-output pass
-# (same pattern as pipelines/flagship._STAGE_CACHE).
-_VALIDATOR_CACHE = {}
-
 _TASK_BATCH_ORDINALS = {}
 
 
@@ -185,7 +181,7 @@ def _ensure_fsspec_http_importable():
 
 
 def run_validation_job(input_files, definition, out_dir, *, key_column=None,
-                       flags=None, concurrency=None, shard_parallelism=4):
+                       flags=None, shard_parallelism=4):
     """Resumable validation over a list of input parquet shards.
 
     SINGLE validation pass per shard: one read → one compiled-validator
@@ -211,30 +207,18 @@ def run_validation_job(input_files, definition, out_dir, *, key_column=None,
     the writing task's Ray task id + batch ordinal, so a retried task
     overwrites its own partial files instead of double-counting."""
     import threading
-    import uuid
     from concurrent.futures import ThreadPoolExecutor
 
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data
 
+    from ..stages.per_worker import PerWorker
     from .validate import VIOLATIONS_SCHEMA, TableValidator
 
     _ensure_fsspec_http_importable()
 
     flags = flags or {}
-    def_json = json.dumps(definition, sort_keys=True, default=str)
-    try:
-        flags_json = json.dumps(flags, sort_keys=True)
-        runtime_flags = None          # reconstruct from JSON in workers
-    except TypeError:
-        # Callable flags (custom formats / ref handlers): ship the real
-        # objects via closure capture (cloudpickle) instead of silently
-        # stringifying them into garbage; the per-job token keys the
-        # worker-side validator cache (stable across task retries because
-        # the serialized closure is reused).
-        flags_json = '<unserializable:{}>'.format(uuid.uuid4().hex)
-        runtime_flags = flags
     manifest = RunManifest(out_dir, plan_hash(definition, flags))
     manifest_lock = threading.Lock()
     construct_lock = threading.Lock()   # dataset CONSTRUCTION serialized;
@@ -265,20 +249,11 @@ def run_validation_job(input_files, definition, out_dir, *, key_column=None,
             arrow_schema = pa.schema(
                 [pa.field(n, t) for n, t in
                  zip(ds.schema().names, ds.schema().types)])
-        schema_bytes = arrow_schema.serialize().to_pybytes()
+        built = PerWorker(TableValidator, definition, arrow_schema,
+                          key_column=key_column, **flags)
 
         def run_batch(batch: pa.Table) -> pa.Table:
-            key = (schema_bytes, def_json, flags_json, key_column)
-            validator = _VALIDATOR_CACHE.get(key)
-            if validator is None:
-                if len(_VALIDATOR_CACHE) > 8:
-                    _VALIDATOR_CACHE.clear()
-                batch_flags = (runtime_flags if runtime_flags is not None
-                               else json.loads(flags_json))
-                validator = _VALIDATOR_CACHE[key] = TableValidator(
-                    json.loads(def_json),
-                    pa.ipc.read_schema(pa.BufferReader(schema_bytes)),
-                    key_column=key_column, **batch_flags)
+            validator = built.get()
             result = validator.validate_batch(batch)
             violations = validator.violations_table(batch, result)
             if violations.num_rows:

@@ -7,12 +7,13 @@ batch is validated as ONE struct array (zero-copy wrapper over the columns),
 so cross-column keywords (required / dependencies / if-then-else / allOf at
 the root) work exactly like the reference's object traversal.
 
-Ray Data integration: :class:`ValidatorStage` is a callable class for
-``ds.map_batches(ValidatorStage(...), batch_format='pyarrow',
-concurrency=N)`` — the compiled plan is built once per actor in ``__init__``
-(the engine's "compile once, validate many"), each batch is validated
-vectorized, and output is selected per stage mode (annotated rows /
-violation rows / transformed rows).
+Ray Data integration: :func:`validate_dataset` runs a
+:class:`ValidatorStage` as plain Ray tasks through
+:class:`~python_fastjsonschema_ray.stages.per_worker.PerWorker`, so the
+plan compiles once per worker process (the engine's "compile once,
+validate many"), each batch is validated vectorized, and output is
+selected per stage mode (annotated rows / violation rows / transformed
+rows).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from ..functions.vector import (
     View,
     collect_violations,
 )
+from ..stages.per_worker import PerWorker
 
 VIOLATION_FIELDS = [
     ('row', pa.int64()),            # batch-local row index
@@ -412,14 +414,14 @@ def _empty_violations_table() -> pa.Table:
 
 
 class ValidatorStage:
-    """Callable class for ``map_batches`` actor pools.
+    """A compiled validator applied per batch (see ``validate_dataset``).
 
     ``mode``:
       * ``'annotate'`` — all (transformed) input columns + ``valid`` bool.
       * ``'violations'`` — one output row per violation (VIOLATIONS_SCHEMA).
       * ``'invalid_keys'`` — minimal (key, rule) pairs for shuffles/joins.
 
-    The compiled plan is built once per actor (``__init__``), mirroring the
+    The compiled plan is built once in ``__init__``, mirroring the
     reference's compile-once design at the worker level."""
 
     def __init__(self, definition, schema: pa.Schema, mode='annotate',
@@ -453,26 +455,15 @@ def top_violation_examples(violations_ds, k=5):
                                                     batch_format='pandas')
 
 
-# Per-worker-process compiled-stage cache for the task-based path: plain
-# functions run in Ray's long-lived workers, so the plan compiles once per
-# worker with zero pool spin-up and elastic task scheduling (measured ~10x
-# over `concurrency=N` actor pools for this stage in round 1).
-_STAGE_CACHE = {}
-
-
 def validate_dataset(ds, definition, *, mode='annotate', key_column=None,
-                     concurrency=None, batch_size=None, **flags):
+                     batch_size=None, **flags):
     """Attach a validation stage to a Ray Data dataset.
 
-    Streaming, zero-copy Arrow batches; the schema compiles once per
-    WORKER (task-based map_batches + per-worker cache) when the spec and
-    flags are serializable, else once per actor in an explicit pool
-    (callable ``formats``/``handlers`` objects can't key a cross-process
-    cache).  ``ds.schema()`` provides the Arrow schema for compile-time
-    specialization."""
-    import json as _json2
-
-    import ray.data  # noqa: F401  (ds is already a Dataset)
+    Streaming, zero-copy Arrow batches as plain Ray tasks; the schema
+    compiles once per WORKER (``PerWorker``), whatever the spec and flags
+    hold (callable ``formats``, ``$ref`` handlers).  ``ds.schema()``
+    provides the Arrow schema for compile-time specialization."""
+    import ray.data
 
     schema = ds.schema()
     if schema is None:
@@ -499,45 +490,7 @@ def validate_dataset(ds, definition, *, mode='annotate', key_column=None,
     kwargs = {}
     if batch_size is not None:
         kwargs['batch_size'] = batch_size
-
-    try:
-        spec_json = _json2.dumps(definition, sort_keys=True)
-        flags_json = _json2.dumps(flags, sort_keys=True)
-    except (TypeError, ValueError):
-        spec_json = None
-    if spec_json is not None:
-        schema_bytes = arrow_schema.serialize().to_pybytes()
-
-        def run_batch(batch: pa.Table) -> pa.Table:
-            key = (schema_bytes, spec_json, flags_json, mode, key_column)
-            stage = _STAGE_CACHE.get(key)
-            if stage is None:
-                if len(_STAGE_CACHE) > 16:
-                    _STAGE_CACHE.clear()
-                stage = _STAGE_CACHE[key] = ValidatorStage(
-                    _json2.loads(spec_json),
-                    pa.ipc.read_schema(pa.BufferReader(schema_bytes)),
-                    mode=mode, key_column=key_column,
-                    **_json2.loads(flags_json))
-            return stage(batch)
-
-        return ds.map_batches(run_batch, batch_format='pyarrow',
-                              zero_copy_batch=True, **kwargs)
-
-    # Actor-pool fallback for non-serializable flags (custom format
-    # callables, $ref handlers).  Size the pool to half the cluster CPUs
-    # so read/write tasks keep scheduling room — a pool that reserves
-    # every CPU deadlocks the streaming executor.
-    if concurrency is None:
-        import ray
-        total = int(ray.cluster_resources().get('CPU', 2))
-        concurrency = max(1, total // 2)
-    kwargs['concurrency'] = concurrency
-    return ds.map_batches(
-        ValidatorStage,
-        fn_constructor_args=(definition, arrow_schema),
-        fn_constructor_kwargs=dict(mode=mode, key_column=key_column, **flags),
-        batch_format='pyarrow',
-        zero_copy_batch=True,
-        **kwargs,
-    )
+    stage = PerWorker(ValidatorStage, definition, arrow_schema, mode=mode,
+                      key_column=key_column, **flags)
+    return stage.map_batches(ds, batch_format='pyarrow',
+                             zero_copy_batch=True, **kwargs)

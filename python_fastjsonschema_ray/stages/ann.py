@@ -18,6 +18,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .per_worker import PerWorker
+
 
 def _as_matrix(batch: pa.Table, embedding_column: str) -> np.ndarray:
     from ..functions.arrowutil import embedding_matrix
@@ -35,32 +37,24 @@ def _unit(m: np.ndarray) -> np.ndarray:
     return m / norms[:, None]
 
 
-# Per-worker cache for the broadcast (unit-normalized) query matrix:
-# plain-task map_batches, no actor-pool spin-up.
-_QUERY_CACHE = {}
-
-
 def _unit_query_from_ref(query_ref):
+    """The broadcast query matrix, unit-normalized row-wise; built once per
+    worker through ``PerWorker``."""
     import ray
-    key = query_ref.hex()
-    q = _QUERY_CACHE.get(key)
-    if q is None:
-        if len(_QUERY_CACHE) > 8:
-            _QUERY_CACHE.clear()
-        raw = np.asarray(ray.get(query_ref), dtype=np.float64)
-        if raw.ndim == 1:
-            raw = raw[None, :]
-        q = _QUERY_CACHE[key] = _unit(raw)
-    return q
+    raw = np.asarray(ray.get(query_ref), dtype=np.float64)
+    if raw.ndim == 1:
+        raw = raw[None, :]
+    return _unit(raw)
 
 
 def topk_cosine(ds, id_column, embedding_column, query, k=10,
-                concurrency=None, batch_size=4096) -> pd.DataFrame:
+                batch_size=4096) -> pd.DataFrame:
     """Exact cosine top-k.  Returns a pandas DataFrame
     (query, id, sim) sorted by sim desc, id asc, k rows per query."""
     import ray
 
-    query_ref = ray.put(np.asarray(query, dtype=np.float64))
+    queries = PerWorker(_unit_query_from_ref,
+                        ray.put(np.asarray(query, dtype=np.float64)))
 
     def local_topk(batch: pa.Table) -> pa.Table:
         batch = _drop_nulls(batch, embedding_column)
@@ -70,7 +64,7 @@ def topk_cosine(ds, id_column, embedding_column, query, k=10,
                 id_column: pa.array([], type=batch.column(id_column).type),
                 'sim': pa.array([], type=pa.float64()),
             })
-        qmat = _unit_query_from_ref(query_ref)
+        qmat = queries.get()
         emb = _unit(_as_matrix(batch, embedding_column))
         sims = emb @ qmat.T                  # (n, n_queries)
         ids = batch.column(id_column)
@@ -89,11 +83,8 @@ def topk_cosine(ds, id_column, embedding_column, query, k=10,
             'sim': pa.array(out_sim, type=pa.float64()),
         })
 
-    kwargs = {'batch_format': 'pyarrow', 'batch_size': batch_size}
-    if concurrency:
-        kwargs['concurrency'] = concurrency
     partials = ds.select_columns([id_column, embedding_column]).map_batches(
-        local_topk, **kwargs)
+        local_topk, batch_format='pyarrow', batch_size=batch_size)
     # Partials are tiny (k rows per batch): merge on the driver.
     df = partials.to_pandas()
     if df.empty:
@@ -127,12 +118,12 @@ def _kmeans(sample: np.ndarray, nlist: int, iters: int = 12, seed: int = 3):
 
 
 def _assign_clusters(batch: pa.Table, embedding_column,
-                     centroids_ref) -> pa.Table:
+                     unit_centroids) -> pa.Table:
     batch = _drop_nulls(batch, embedding_column)
     if batch.num_rows == 0:
         return batch.append_column('ivf_cluster',
                                    pa.array([], type=pa.int64()))
-    centroids = _unit_query_from_ref(centroids_ref)
+    centroids = unit_centroids.get()
     emb = _unit(_as_matrix(batch, embedding_column))
     assign = np.argmax(emb @ centroids.T, axis=1)
     return batch.append_column('ivf_cluster',
@@ -140,7 +131,7 @@ def _assign_clusters(batch: pa.Table, embedding_column,
 
 
 def build_ivf(ds, embedding_column, nlist=64, sample_rows=10_000,
-              concurrency=None, train='sample', train_iters=8):
+              train='sample', train_iters=8):
     """Train centroids, tag every row with its cluster.  Returns
     (tagged_ds, centroids).  At scale, write tagged_ds partitioned by
     ivf_cluster so a probe reads only the matching partitions.
@@ -187,13 +178,10 @@ def build_ivf(ds, embedding_column, nlist=64, sample_rows=10_000,
         centroids, _ = kmeans_fit(
             ds, embedding_column, len(centroids), iters=train_iters,
             init_centroids=_unit(centroids), normalize=True)
-    centroids_ref = ray.put(centroids)
-    kwargs = {'batch_format': 'pyarrow'}
-    if concurrency:
-        kwargs['concurrency'] = concurrency
+    unit_centroids = PerWorker(_unit_query_from_ref, ray.put(centroids))
     tagged = ds.map_batches(
-        lambda b: _assign_clusters(b, embedding_column, centroids_ref),
-        **kwargs)
+        lambda b: _assign_clusters(b, embedding_column, unit_centroids),
+        batch_format='pyarrow')
     return tagged, centroids
 
 

@@ -9,7 +9,7 @@ vectorized numpy per clip (strided framing via
 ``np.lib.stride_tricks.sliding_window_view``); per-clip cost is
 O(n_samples), the Python loop is only over clips in the batch.
 
-Scale: feature extraction is embarrassingly parallel — an actor-pool
+Scale: feature extraction is embarrassingly parallel — a task
 ``map_batches`` with small batches (PCM payloads are large); decoded
 samples never leave the worker, only the feature scalars do.
 """
@@ -115,11 +115,7 @@ class ExternalAudioDecodeStage:
             'AudioFeatureStage with the synthetic A6 codec')
 
 
-def audio_features(ds, *, concurrency=None, batch_size=64):
-    """Attach feature extraction as an actor-pool stage."""
-    kwargs = {'batch_format': 'pyarrow', 'batch_size': batch_size}
-    if concurrency is None:
-        import ray
-        concurrency = max(1, int(ray.cluster_resources().get('CPU', 2)) // 2)
-    kwargs['concurrency'] = concurrency
-    return ds.map_batches(AudioFeatureStage(), **kwargs)
+def audio_features(ds, *, batch_size=64):
+    """Attach feature extraction as plain Ray tasks."""
+    return ds.map_batches(AudioFeatureStage(), batch_format='pyarrow',
+                          batch_size=batch_size)

@@ -65,7 +65,7 @@ class ChunkStage:
 
 
 def chunk_text(ds, id_column, text_column, *, chunk_chars=512, overlap=64,
-               concurrency=None, batch_size=None):
+               batch_size=None):
     """Split each document into overlapping fixed-character windows:
     one output row per chunk, ``(id, chunk_idx, chunk_text)``.
 
@@ -75,8 +75,6 @@ def chunk_text(ds, id_column, text_column, *, chunk_chars=512, overlap=64,
     executor.  At 100 TB this is the canonical streaming stage: chunk
     windows never leave the worker that read the parent document."""
     kwargs = {'batch_format': 'pandas'}
-    if concurrency:
-        kwargs['concurrency'] = concurrency
     if batch_size:
         kwargs['batch_size'] = batch_size
     return ds.select_columns([id_column, text_column]).map_batches(
@@ -121,15 +119,13 @@ class RepetitionStage:
 
 
 def repetition_stats(ds, id_column, text_column, *, separator=' ',
-                     concurrency=None, batch_size=None):
+                     batch_size=None):
     """Per-document repetition score ``(id, dup_char_ratio,
     n_segments)``: the fraction of segment characters that belong to a
     segment repeated within the SAME document.  Filter on
     ``dup_char_ratio`` to drop boilerplate-heavy documents before
     training.  Pure map_batches — no shuffle."""
     kwargs = {'batch_format': 'pandas'}
-    if concurrency:
-        kwargs['concurrency'] = concurrency
     if batch_size:
         kwargs['batch_size'] = batch_size
     return ds.select_columns([id_column, text_column]).map_batches(

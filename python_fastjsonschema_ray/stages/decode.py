@@ -1,4 +1,4 @@
-"""Image decode / integrity stages (actor-pool ``map_batches``).
+"""Image decode / integrity stages (task ``map_batches``).
 
 The decode step is the engine analog of the reference's only parser
 transform (``contentEncoding``, ``fastjsonschema/draft07.py:94-112``):
@@ -15,7 +15,7 @@ psnr) leave the stage.
 Real-image decoding (JPEG/PNG via PIL / turbojpeg) is NOT available in this
 sandbox; :class:`ExternalImageDecodeStage` documents the production plumbing
 and raises ``NotImplementedError`` per FIXTURES.md — the Ray-side schema,
-batching and actor signature are identical to the working synthetic codec
+batching and stage signature are identical to the working synthetic codec
 path below.
 """
 
@@ -428,7 +428,7 @@ class _FastParseMiss(Exception):
 
 class ExternalImageDecodeStage:
     """Production plumbing for real formats (JPEG/PNG/WebP) — identical Ray
-    surface (binary in, derived scalars out, actor pool, small batches);
+    surface (binary in, derived scalars out, small batches);
     the codec libraries are not installed in this sandbox.
 
     STUB per FIXTURES.md: __call__ raises NotImplementedError.  Swap
@@ -478,22 +478,14 @@ class ResizeStage:
         })
 
 
-def decode_check(ds, *, concurrency=None, batch_size=1024):
-    """Attach the decode/integrity stage; decoded pixels never leave
-    the workers.  Task-based with a per-worker stage cache by default
-    (no actor-pool spin-up — the pattern that beat pools 10x on this
-    engine); pass ``concurrency`` to pin an actor pool instead."""
-    from .dedup import _worker_cached
+def decode_check(ds, *, batch_size=1024):
+    """Attach the decode/integrity stage as plain Ray tasks, the stage
+    built once per worker process (``PerWorker``); decoded pixels never
+    leave the workers."""
+    from .per_worker import PerWorker
 
-    def check(batch):
-        stage = _worker_cached(('decode_check',), DecodeCheckStage)
-        return stage(batch)
-
-    kwargs = {'batch_format': 'pyarrow', 'batch_size': batch_size}
-    if concurrency is not None:
-        kwargs['concurrency'] = concurrency
-        return ds.map_batches(DecodeCheckStage, **kwargs)
-    return ds.map_batches(check, **kwargs)
+    return PerWorker(DecodeCheckStage).map_batches(
+        ds, batch_format='pyarrow', batch_size=batch_size)
 
 
 class FrameSampleStage:
@@ -508,10 +500,10 @@ class FrameSampleStage:
     single ``frame_idx = -1`` row with a null phash (visible, not
     silently dropped); ``decode_check`` is the integrity stage proper.
 
-    Stateless per batch but shaped as a callable class for the actor
-    pool: real codecs hold per-actor handles in ``__init__``.  Video
-    payloads are large — size ``batch_size`` small (16-64) so
-    batch x concurrency fits worker heaps."""
+    Stateless per batch but shaped as a callable class: real codecs hold
+    handles in ``__init__``.  Video payloads are large — size
+    ``batch_size`` small (16-64) so a batch per running task fits worker
+    heaps."""
 
     def __init__(self, stride: int = 4, max_frames: int = None,
                  emit_bytes: bool = False):
@@ -578,11 +570,11 @@ class FrameSampleStage:
 class ExternalVideoDecodeStage:
     """Production seam for real containers (mp4/webm via pyav/ffmpeg) —
     identical Ray surface to :class:`FrameSampleStage` (binary in, flat
-    frame rows out, actor pool, small batches); the codec libraries are
-    not installed in this sandbox.
+    frame rows out, small batches); the codec libraries are not installed
+    in this sandbox.
 
     STUB per FIXTURES.md: __call__ raises NotImplementedError.  Swap in
-    a per-actor pyav handle opened in ``__init__`` in production."""
+    a pyav handle opened in ``__init__`` in production."""
 
     def __init__(self):
         self._codec = None      # would be: av.open / ffmpeg subprocess pool
@@ -594,15 +586,11 @@ class ExternalVideoDecodeStage:
 
 
 def frame_sample(ds, *, stride=4, max_frames=None, emit_bytes=False,
-                 concurrency=None, batch_size=32):
-    """Attach frame sampling as an actor-pool stage (small batches:
-    video payloads are large; decoded frames never leave the workers
-    unless ``emit_bytes``)."""
-    kwargs = {'batch_format': 'pyarrow', 'batch_size': batch_size}
-    if concurrency is None:
-        import ray
-        concurrency = max(1, int(ray.cluster_resources().get('CPU', 2)) // 2)
-    kwargs['concurrency'] = concurrency
+                 batch_size=32):
+    """Attach frame sampling as plain Ray tasks (small batches: video
+    payloads are large; decoded frames never leave the workers unless
+    ``emit_bytes``)."""
     return ds.map_batches(
         FrameSampleStage(stride=stride, max_frames=max_frames,
-                         emit_bytes=emit_bytes), **kwargs)
+                         emit_bytes=emit_bytes),
+        batch_format='pyarrow', batch_size=batch_size)

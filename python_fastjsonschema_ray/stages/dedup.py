@@ -17,7 +17,7 @@ Shuffle discipline (the part that matters at 100 TB):
   verify inside buckets.
 
 All heavy per-doc work (hashing, shingling) is numpy-vectorized per
-document with per-actor precomputed permutation tables.
+document with per-stage precomputed permutation tables.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import pyarrow as pa
 
 from ..state.sketches import _hash_bytes_array, _splitmix64
 from .exchange import cogroup, default_buckets, exchange
+from .per_worker import PerWorker
 
 _MERSENNE = np.uint64((1 << 61) - 1)
 
@@ -259,52 +260,35 @@ def _as_arrow(block) -> pa.Table:
     return (block if isinstance(block, pa.Table)
             else pa.Table.from_pandas(block, preserve_index=False))
 
-_WORKER_CACHE: dict = {}
-
-
-def _worker_cached(key, builder):
-    """Per-worker-process broadcast cache: plain-TASK map_batches functions
-    call this so the ray.get + build happens once per worker, without the
-    spin-up cost and fixed sizing of an actor pool."""
-    val = _WORKER_CACHE.get(key)
-    if val is None:
-        if len(_WORKER_CACHE) > 8:
-            _WORKER_CACHE.clear()
-        val = _WORKER_CACHE[key] = builder()
-    return val
-
-
 def _keys_from_refs(refs):
+    """The broadcast first columns of ``refs`` as one array (None when
+    every block is empty); built per worker through ``PerWorker``."""
     import ray
 
-    def build():
-        tables = [_as_arrow(t) for t in ray.get(list(refs))]
-        chunks = [t.column(0).combine_chunks() for t in tables if len(t)]
-        return pa.concat_arrays(chunks) if chunks else None
-
-    return _worker_cached(('keys',) + tuple(r.hex() for r in refs), build)
+    tables = [_as_arrow(t) for t in ray.get(list(refs))]
+    chunks = [t.column(0).combine_chunks() for t in tables if len(t)]
+    return pa.concat_arrays(chunks) if chunks else None
 
 
 def _textmap_from_refs(refs, id_column, text_column):
+    """(id → text, shingle cache) over the broadcast blocks ``refs``;
+    built per worker through ``PerWorker``."""
     import ray
 
-    def build():
-        text_of = {}
-        for t in (_as_arrow(x) for x in ray.get(list(refs))):
-            # Materialized empty blocks can be SCHEMALESS (zero columns
-            # — seen from parquet-read lineage); skip rather than crash.
-            if not t.num_rows or id_column not in t.schema.names:
-                continue
-            text_of.update(zip(t.column(id_column).to_pylist(),
-                               t.column(text_column).to_pylist()))
-        return text_of, {}          # (id → text, shingle cache)
-
-    return _worker_cached(('texts',) + tuple(r.hex() for r in refs), build)
+    text_of = {}
+    for t in (_as_arrow(x) for x in ray.get(list(refs))):
+        # Materialized empty blocks can be SCHEMALESS (zero columns
+        # — seen from parquet-read lineage); skip rather than crash.
+        if not t.num_rows or id_column not in t.schema.names:
+            continue
+        text_of.update(zip(t.column(id_column).to_pylist(),
+                           t.column(text_column).to_pylist()))
+    return text_of, {}
 
 
 def minhash_duplicate_pairs(ds, id_column, text_column, *, threshold=0.8,
                             num_perm=128, bands=16, shingle_k=5,
-                            concurrency=None, num_buckets=None,
+                            num_buckets=None,
                             broadcast_text_limit=1 << 30):
     """Near-duplicate pairs via MinHash-LSH: returns a Dataset of
     (id_a, id_b, jaccard) with id_a < id_b and exact shingle-Jaccard ≥
@@ -331,11 +315,8 @@ def minhash_duplicate_pairs(ds, id_column, text_column, *, threshold=0.8,
     explicitly to restore it."""
     stage = MinHashBandStage(id_column, text_column, num_perm, bands,
                              shingle_k, carry_text=False)
-    kwargs = {'batch_format': 'pandas'}
-    if concurrency:
-        kwargs['concurrency'] = concurrency
     banded = ds.select_columns([id_column, text_column]).map_batches(
-        stage, **kwargs)
+        stage, batch_format='pandas')
     # The band triples are tiny ((id, band, band_hash) x bands rows per
     # doc) while the LSH groupby's sort fixed cost is TASK-count-driven:
     # merge the many signature blocks to a few before the shuffle.
@@ -433,12 +414,11 @@ def _verify_candidate_pairs(ds, pairs_m, id_column, text_column, *,
 
     id_refs = pairs_m.map_batches(
         ids_only, batch_format='pyarrow').to_arrow_refs()
-
-    n_cpus = max(1, int(ray.cluster_resources().get('CPU', 2)) // 2)
+    candidate_ids = PerWorker(_keys_from_refs, id_refs)
 
     def semi(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
-        keys = _keys_from_refs(id_refs)
+        keys = candidate_ids.get()
         sub = batch.select([id_column, text_column])
         if keys is None:
             return sub.slice(0, 0)
@@ -459,7 +439,8 @@ def _verify_candidate_pairs(ds, pairs_m, id_column, text_column, *,
     # The co-group path takes over past the gate (candidate texts at a
     # 100 TB / high-dup-rate corpus outgrow a single node's store).
     if texts_cand.size_bytes() <= broadcast_text_limit:
-        text_refs = texts_cand.to_arrow_refs()
+        texts = PerWorker(_textmap_from_refs, texts_cand.to_arrow_refs(),
+                          id_column, text_column)
 
         def dedup_pairs(batch: pa.Table) -> pa.Table:
             return pa.table({
@@ -483,8 +464,7 @@ def _verify_candidate_pairs(ds, pairs_m, id_column, text_column, *,
                 ['id_a'], dedup_pairs, num_buckets=num_buckets)
 
         def broadcast_verify(batch: pa.Table) -> pa.Table:
-            text_of, cache = _textmap_from_refs(text_refs, id_column,
-                                                text_column)
+            text_of, cache = texts.get()
 
             def sh(doc_id):
                 s = cache.get(doc_id)
@@ -610,7 +590,7 @@ class ShingleExplodeStage:
 
 
 def ngram_jaccard_pairs(ds, id_column, text_column, *, threshold=0.8,
-                        shingle_k=5, num_buckets=None, concurrency=None,
+                        shingle_k=5, num_buckets=None,
                         broadcast_text_limit=1 << 30):
     """EXACT character-n-gram Jaccard near-duplicate pairs: every
     (id_a, id_b, jaccard) with id_a < id_b and distinct-shingle Jaccard
@@ -635,11 +615,9 @@ def ngram_jaccard_pairs(ds, id_column, text_column, *, threshold=0.8,
     with ``minhash_duplicate_pairs``.  Cost grows with (1-t): below
     t≈0.5 prefixes stop excluding much — use MinHash-LSH there.
     """
-    kwargs = {'batch_format': 'pandas'}
-    if concurrency:
-        kwargs['concurrency'] = concurrency
     exploded = ds.select_columns([id_column, text_column]).map_batches(
-        ShingleExplodeStage(id_column, text_column, shingle_k), **kwargs)
+        ShingleExplodeStage(id_column, text_column, shingle_k),
+        batch_format='pandas')
 
     def with_df(group: pd.DataFrame) -> pd.DataFrame:
         out = group[[id_column, 'sh', 'n']].copy()
@@ -746,9 +724,10 @@ def dedup_minhash(ds, id_column, text_column, transitive=False, **kwargs):
         losers_only, batch_format='pyarrow').to_arrow_refs()
     if sum(len(ray.get(r)) for r in loser_refs) == 0:
         return ds
+    losers = PerWorker(_keys_from_refs, loser_refs)
 
     def drop(batch: pa.Table) -> pa.Table:
-        keys = _keys_from_refs(loser_refs)
+        keys = losers.get()
         if keys is None:
             return batch
         hit = pc.is_in(batch.column(id_column), value_set=keys)
@@ -767,7 +746,7 @@ class SimHashStage:
     """64-bit SimHash over whitespace tokens, batch-vectorized.
 
     Per batch: tokenize once, factorize to the batch's UNIQUE tokens
-    (blake2b hashed once each, per-actor cache amortizes across batches),
+    (blake2b hashed once each, the stage's cache amortizes across batches),
     unpack each unique hash to a (U, 64) bit matrix, then segment-sum the
     per-occurrence bit rows per document (64 ``np.bincount`` passes) —
     vote[d, i] = 2·ones[d, i] − n_tokens[d], bit i set iff vote > 0.
@@ -860,7 +839,7 @@ class SimHashStage:
         return batch
 
 
-def simhash_buckets(ds, id_column, text_column, *, concurrency=None):
+def simhash_buckets(ds, id_column, text_column):
     """Groups of documents sharing an identical 64-bit SimHash.
 
     Signatures are near-unique per document, so a raw
@@ -871,11 +850,8 @@ def simhash_buckets(ds, id_column, text_column, *, concurrency=None):
     shuffles."""
     from ..pipelines.constraints import check_unique
 
-    kwargs = {'batch_format': 'pandas'}
-    if concurrency:
-        kwargs['concurrency'] = concurrency
     sigs = ds.select_columns([id_column, text_column]).map_batches(
-        SimHashStage(id_column, text_column), **kwargs)
+        SimHashStage(id_column, text_column), batch_format='pandas')
     dup_sigs = check_unique(sigs.select_columns(['simhash']), ['simhash'])
     return sigs, dup_sigs
 
@@ -935,7 +911,7 @@ def _cosine_pairs_tiled(unit, threshold, tile=2048):
 
 
 def embedding_duplicate_pairs(ds, id_column, embedding_column, dim, *,
-                              threshold=0.95, n_planes=12, concurrency=None):
+                              threshold=0.95, n_planes=12):
     """Near-identical embeddings: hyperplane-LSH bucket → exact cosine
     verification within buckets.  (High thresholds ⇒ near-identical vectors
     ⇒ same bucket with high probability; raise recall by lowering
@@ -945,11 +921,9 @@ def embedding_duplicate_pairs(ds, id_column, embedding_column, dim, *,
     cell) verify in tiled BLAS blocks (:func:`_cosine_pairs_tiled`):
     O(n^2 d) FLOPs but bounded memory and no per-pair Python — 10k
     identical-bucket vectors verify in well under a second."""
-    kwargs = {'batch_format': 'pyarrow'}
-    if concurrency:
-        kwargs['concurrency'] = concurrency
     bucketed = ds.select_columns([id_column, embedding_column]).map_batches(
-        HyperplaneLSHStage(embedding_column, dim, n_planes), **kwargs)
+        HyperplaneLSHStage(embedding_column, dim, n_planes),
+        batch_format='pyarrow')
 
     _schema = ds.schema()
     id_type = (dict(zip(_schema.names, _schema.types)).get(id_column)

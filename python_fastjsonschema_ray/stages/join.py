@@ -32,6 +32,7 @@ import numpy as np
 import pyarrow as pa
 
 from .exchange import cogroup
+from .per_worker import PerWorker
 
 
 def _as_arrow(t):
@@ -66,8 +67,6 @@ def broadcast_lookup_join(ds, key, ref_ds, ref_key, ref_columns=None,
     takes the first match while shuffle emits the SQL cross product)."""
     import ray
 
-    from .dedup import _worker_cached
-
     if how not in ('inner', 'left', 'semi', 'anti'):
         raise ValueError("how must be 'inner', 'left', 'semi' or 'anti'")
     if how in ('semi', 'anti'):
@@ -91,8 +90,6 @@ def broadcast_lookup_join(ds, key, ref_ds, ref_key, ref_columns=None,
                 'ref side is not unique on {!r}; broadcast_lookup_join has '
                 'dimension (first-match) semantics'.format(ref_key))
 
-    cache_token = tuple(r.hex() for r in refs)
-
     def lookup_table():
         tables = [_as_arrow(t) for t in ray.get(list(refs))]
         tables = [t for t in tables if t.num_rows]
@@ -100,10 +97,12 @@ def broadcast_lookup_join(ds, key, ref_ds, ref_key, ref_columns=None,
             return None
         return pa.concat_tables(tables).combine_chunks()
 
+    lookup = PerWorker(lookup_table)
+
     def join(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        ref = _worker_cached(('lookup',) + cache_token, lookup_table)
+        ref = lookup.get()
         k = batch.column(key).combine_chunks()
         if ref is None:
             idx = pa.nulls(batch.num_rows, type=pa.int64())
@@ -307,8 +306,6 @@ def broadcast_interval_join(ds, point_column, intervals, start_column,
     import pandas as pd
     import ray
 
-    from .dedup import _worker_cached
-
     if how not in ('inner', 'left'):
         raise ValueError("how must be 'inner' or 'left'")
     closed_ops = {'left': ('ge', 'lt'), 'both': ('ge', 'le'),
@@ -353,7 +350,6 @@ def broadcast_interval_join(ds, point_column, intervals, start_column,
         [start_column, end_column] +
         ([interval_key] if interval_key else []) + interval_columns))
     refs = intervals.select_columns(iv_need).to_arrow_refs()
-    cache_token = ('interval_join',) + tuple(r.hex() for r in refs)
 
     def build_intervals():
         tables = [_as_arrow(t) for t in ray.get(list(refs))]
@@ -375,10 +371,11 @@ def broadcast_interval_join(ds, point_column, intervals, start_column,
             df = df[df[I_KEY].notna()]
         return df
 
+    interval_table = PerWorker(build_intervals)
     lo_op, hi_op = closed_ops[closed]
 
     def join(batch: pa.Table) -> pa.Table:
-        iv = _worker_cached(cache_token, build_intervals)
+        iv = interval_table.get()
         lhs = batch.to_pandas()
         # Positional marker: keeps fully-duplicate left rows distinct in
         # the left-join anti-match (merge resets the index).

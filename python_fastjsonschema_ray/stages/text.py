@@ -2,7 +2,7 @@
 language ID, quality scoring, token counting, document fingerprinting.
 
 All stages are ``map_batches`` callable classes: regexes and stopword tables
-compile once per actor in ``__init__``; per-batch work is pandas/numpy
+compile once per worker in ``__init__``; per-batch work is pandas/numpy
 vectorized where the kernel exists, tight per-row loops with precompiled
 state otherwise.
 """
@@ -307,25 +307,25 @@ class FingerprintStage:
         return batch
 
 
-def analyze_text(ds, column='text', *, concurrency=None, batch_size=4096):
-    """Token counts + quality + language + fingerprint in one pass.
-
-    Task-based with a per-worker-process stage cache (the pattern that
-    beat actor pools 10x on this engine: no pool spin-up, elastic
-    scheduling); stage construction (langid tables, fingerprint
-    geometric tables) runs once per worker, not per batch.  Pass
-    ``concurrency`` to pin an actor pool instead (legacy behavior)."""
-    from .dedup import _worker_cached
+def _analysis_stages(column):
+    stages = [TokenCountStage(column), QualityStage(column),
+              LangIdStage(column), FingerprintStage(column)]
 
     def analyze(batch):
-        stages = _worker_cached(('analyze_text', column), lambda: [
-            TokenCountStage(column), QualityStage(column),
-            LangIdStage(column), FingerprintStage(column)])
         for s in stages:
             batch = s(batch)
         return batch
 
-    kwargs = {'batch_format': 'pandas', 'batch_size': batch_size}
-    if concurrency is not None:
-        kwargs['concurrency'] = concurrency
-    return ds.map_batches(analyze, **kwargs)
+    return analyze
+
+
+def analyze_text(ds, column='text', *, batch_size=4096):
+    """Token counts + quality + language + fingerprint in one pass.
+
+    Plain Ray tasks; stage construction (langid tables, fingerprint
+    geometric tables) runs once per worker process (``PerWorker``), not
+    per batch."""
+    from .per_worker import PerWorker
+
+    return PerWorker(_analysis_stages, column).map_batches(
+        ds, batch_format='pandas', batch_size=batch_size)

@@ -43,18 +43,14 @@ class _TumblingPartialStage:
             [self.key_column, 'window', 'partial_sum', 'partial_n'])
 
 
-def tumbling_window_agg(ds, ts_column, key_column, value_column, window_s,
-                        concurrency=None):
+def tumbling_window_agg(ds, ts_column, key_column, value_column, window_s):
     """Tumbling-window count/sum per key: returns
     (key, window:int64 epoch-bucket, n, sum_value)."""
     from ..pipelines.constraints import grouped_agg
 
-    kwargs = {'batch_format': 'pyarrow'}
-    if concurrency:
-        kwargs['concurrency'] = concurrency
     partials = ds.map_batches(
         _TumblingPartialStage(ts_column, key_column, value_column, window_s),
-        **kwargs)
+        batch_format='pyarrow')
     # (key, window) cardinality is users x windows — far too many groups
     # for the raw sort-aggregate (~0.5 ms/group); fold partials through
     # the coarse-bucket combine instead.
@@ -65,7 +61,7 @@ def tumbling_window_agg(ds, ts_column, key_column, value_column, window_s,
 
 
 def sliding_window_agg(ds, ts_column, key_column, value_column, window_s,
-                       slide_s, concurrency=None):
+                       slide_s):
     """Sliding windows as window_s/slide_s overlapping tumbling replicas:
     each event contributes to ceil(window/slide) buckets (flat_map-style
     expansion inside the partial stage)."""
@@ -96,18 +92,15 @@ def sliding_window_agg(ds, ts_column, key_column, value_column, window_s,
         return grouped.rename_columns(
             [key_column, 'window_start', 'partial_sum', 'partial_n'])
 
-    kwargs = {'batch_format': 'pyarrow'}
-    if concurrency:
-        kwargs['concurrency'] = concurrency
-    partials = ds.map_batches(expand, **kwargs)
+    partials = ds.map_batches(expand, batch_format='pyarrow')
     return grouped_agg(partials, [key_column, 'window_start'],
                        {'n': ('partial_n', 'sum'),
                         'sum_value': ('partial_sum', 'sum')},
                        combine='bucket')
 
 
-def session_windows(ds, ts_column, key_column, gap_s, concurrency=None,
-                    num_buckets=None, time_block_s=None):
+def session_windows(ds, ts_column, key_column, gap_s, num_buckets=None,
+                    time_block_s=None):
     """Session windows (gap-based).  Returns
     (key, session_start, session_end, n).
 

@@ -1,6 +1,6 @@
 """Mergeable sketches for distributed column statistics.
 
-These are the per-actor state the north rule calls for: each ``map_batches``
+These are the per-worker state the north rule calls for: each ``map_batches``
 worker folds its batches into local sketch state, emits one serialized
 partial per batch (or per block), and the driver (or a tiny reduce stage)
 merges partials — the classic partial/combine pattern that avoids an

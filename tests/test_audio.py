@@ -56,7 +56,7 @@ def test_audio_feature_stage_vs_oracle(ray_session):
     from python_fastjsonschema_ray.stages.audio import audio_features
     n = 48
     ds = audio_dataset(n, shard_rows=16)
-    out = audio_features(ds, concurrency=2, batch_size=16).to_pandas()
+    out = audio_features(ds, batch_size=16).to_pandas()
     assert len(out) == n and out['ok'].all()
     by_id = out.set_index('audio_id')
     for i in (0, 7, 16, 31):

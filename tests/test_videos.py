@@ -52,8 +52,7 @@ def test_frame_sample_stage_vs_ground_truth(ray_session):
     from python_fastjsonschema_ray.stages.decode import frame_sample
     n_videos = 24
     ds = video_dataset(n_videos, shard_rows=8)
-    out = frame_sample(ds, stride=3, concurrency=2,
-                       batch_size=8).to_pandas()
+    out = frame_sample(ds, stride=3, batch_size=8).to_pandas()
     expected_rows = sum(
         len(range(0, video_content(i)['n_frames'], 3))
         for i in range(n_videos))
