@@ -570,8 +570,8 @@ class FrameSampleStage:
 class ExternalVideoDecodeStage:
     """Production seam for real containers (mp4/webm via pyav/ffmpeg) —
     identical Ray surface to :class:`FrameSampleStage` (binary in, flat
-    frame rows out, small batches); the codec libraries are not installed
-    in this sandbox.
+    frame rows out, small batches); the codec libraries are not
+    dependencies of this package.
 
     STUB per FIXTURES.md: __call__ raises NotImplementedError.  Swap in
     a pyav handle opened in ``__init__`` in production."""

@@ -45,7 +45,8 @@ def _digest(build, args, kwargs) -> str:
 
 
 class PerWorker:
-    """``build(*args, **kwargs)``, built at most once per process."""
+    """``build(*args, **kwargs)``, built once per process and kept while it
+    stays among the ``_MAX_STAGES`` most recently used stages."""
 
     __slots__ = ('build', 'args', 'kwargs', 'digest')
 

@@ -63,6 +63,69 @@ def test_object_refs_are_keyed_by_id(ray_session):
     assert PerWorker(ray.get, a).get() == [1, 2]
 
 
+_BUILDS_PER_WORKER = '''
+import os
+import sys
+from collections import Counter
+import pyarrow as pa
+import ray
+import ray.data
+log = sys.argv[1] + '/builds.log'
+
+
+def count_builds():
+    from python_fastjsonschema_ray.pipelines import validate
+    init = validate.ValidatorStage.__init__
+
+    def counted(self, *args, **kwargs):
+        with open(log, 'a') as fh:
+            fh.write('%d\\n' % os.getpid())
+        init(self, *args, **kwargs)
+
+    validate.ValidatorStage.__init__ = counted
+
+
+ray.init(address='local', num_cpus=1, include_dashboard=False,
+         logging_level='ERROR',
+         runtime_env={'worker_process_setup_hook': count_builds})
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from python_fastjsonschema_ray.pipelines.validate import validate_dataset
+blocks = [pa.table({'v': pa.array([i, -i], type=pa.int64())})
+          for i in range(1, 7)]
+for _ in range(2):
+    out = validate_dataset(ray.data.from_arrow(blocks),
+                           {'properties': {'v': {'minimum': 0}}},
+                           mode='violations')
+    print('violations', out.count())
+ray.shutdown()
+print('builds', *sorted(Counter(open(log).read().split()).values()))
+'''
+
+
+def test_stage_builds_once_per_worker_process(tmp_path):
+    """Two validate_dataset calls over six blocks each (twelve map tasks)
+    build the compiled stage once per worker process, not once per task."""
+    import signal
+    import subprocess
+    import sys
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, '-c', _BUILDS_PER_WORKER, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=root), stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL, text=True, start_new_session=True)
+    try:
+        out, _ = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise AssertionError('validate_dataset did not finish in 60 s')
+    lines = out.splitlines()
+    assert lines.count('violations 6') == 2
+    builds = [line for line in lines if line.startswith('builds ')]
+    assert builds and set(builds[0].split()[1:]) == {'1'}, lines
+
+
 # ---------------------------------------------------------------------------
 # One way to run a stateful stage
 
@@ -103,13 +166,13 @@ def test_map_batches_never_starts_an_actor_pool():
     trees = list(_trees())
     classes = {n.name for _, tree in trees for n in ast.walk(tree)
                if isinstance(n, ast.ClassDef)}
+    pool_kwargs = {'fn_constructor_args', 'fn_constructor_kwargs',
+                   'concurrency', 'compute'}
     offenders = []
     for path, tree in trees:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            pool_kwargs = {'fn_constructor_args', 'fn_constructor_kwargs',
-                           'concurrency', 'compute'}
             if any(k.arg in pool_kwargs for k in node.keywords):
                 offenders.append(_where(path, node))
             if (isinstance(node.func, ast.Attribute)
