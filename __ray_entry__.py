@@ -137,7 +137,7 @@ def q_format_events_props(sf_dir: str):
 
 
 def q_referential_orders(sf_dir: str):
-    """Broadcast anti-join: orders.o_custkey ∉ customer.c_custkey."""
+    """Exact anti-join: orders.o_custkey ∉ customer.c_custkey."""
     from python_fastjsonschema_ray.pipelines.constraints import check_referential
     orders = _read(sf_dir, 'orders', ['o_orderkey', 'o_custkey'])
     customer = _read(sf_dir, 'customer', ['c_custkey'])
@@ -681,7 +681,8 @@ def q_referential_bloom_orders(sf_dir: str):
 
 
 def q_referential_large_orders(sf_dir: str):
-    """Both-sides-large co-group anti join (one bucketed shuffle)."""
+    """The exact referential check under its former large-side name;
+    its size gate picks the broadcast lookup or the co-group."""
     from python_fastjsonschema_ray.pipelines.constraints import (
         check_referential_large)
     orders = _read(sf_dir, 'orders', ['o_orderkey', 'o_custkey'])
@@ -950,9 +951,8 @@ def q_tfidf_top_terms_documents(sf_dir: str):
         lambda b: b.rename_columns(['w', 'df']), batch_format='pyarrow')
     # The df table is vocabulary-sized — fine to broadcast at test
     # scale, but a corpus-scale vocab outgrows worker heaps, so the
-    # join auto-falls-back to a shuffle above the size gate.
-    scored = broadcast_lookup_join(tf, 'word', df, 'w', ['df'],
-                                   broadcast_limit_bytes=256 << 20)
+    # join falls back to a shuffle above its size gate.
+    scored = broadcast_lookup_join(tf, 'word', df, 'w', ['df'])
 
     def score(batch: pd.DataFrame) -> pd.DataFrame:
         batch['tfidf'] = batch['tf'] * np.log(

@@ -8,7 +8,12 @@ the driver into vectorized Arrow-level predicate closures that stream over
 reference-identical violation rows, plus engine-level table constraints
 (uniqueness, referential integrity, column stats/sketches, distribution drift)
 and training-data operators (dedup, similarity search, text analysis).
+
+The package logs on ``logging.getLogger('python_fastjsonschema_ray')``
+(broadcast-vs-shuffle gate decisions at INFO) and is silent by default.
 """
+
+import logging
 
 from .exceptions import (
     JsonSchemaDefinitionException,
@@ -27,6 +32,8 @@ from .functions.codegen import (  # noqa: A001 (API parity)
 
 VERSION = '0.1.0'
 __version__ = VERSION
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 def __getattr__(name):
     """Lazy re-exports of the Ray-side API (importing them eagerly would pull

@@ -16,12 +16,15 @@ Scale notes (designed for 100 TB / multi-node, tested single-node):
   about 1/P of the partials.  The bucket is a hash of the checked key
   itself — uniform for id-like keys; salt upstream if a hot key is
   expected.
-* **Referential** broadcasts the reference key set via ``ray.put`` once and
-  anti-filters inside ``map_batches`` — no shuffle join for dimension-sized
-  reference sides (the common case).  For a large reference side, use
-  ``check_referential_large``: the reference collapses to distinct keys
-  per block and meets the checked rows in one co-group exchange of the
-  same shape, without probing the key side's schema up front.
+* **Referential** is one exact operator, ``check_referential``.  The
+  reference collapses to distinct non-null keys per block, cast to the
+  foreign key's type and materialized once; their size picks the plan
+  (``stages/join.BROADCAST_LIMIT_BYTES``, 64 MiB).  Under it each worker
+  builds one key lookup from the object-store blocks and each batch is
+  one probe — no shuffle.  Above it the rows meet the same keys in one
+  co-group exchange of the uniqueness check's shape, without probing the
+  key side's schema.  ``check_referential_bloom`` broadcasts a Bloom
+  filter of the same keys instead (approximate by contract).
 * **Drift** uses fixed, driver-chosen bin edges so per-batch histograms are
   mergeable by vector addition; KS and PSI are computed on the merged
   profiles.
@@ -35,7 +38,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.exchange import exchange
+from ..stages.exchange import _arrow_schema, exchange
+from ..stages.join import (
+    _lookup_table, _shuffle_semi_anti, broadcasts, distinct_keys)
 from ..stages.per_worker import PerWorker
 from ..state.sketches import HyperLogLog, TDigest, hash64_array
 
@@ -262,62 +267,80 @@ def dedup_winner_ids(ds, columns, id_column, num_buckets=None):
 
 
 class _AntiJoinStage:
-    """Keep rows whose key is NOT in the broadcast reference key set.
+    """Keep the rows whose non-null key misses the reference keys.
 
-    The key set is shipped once via ray.put; each worker reads the object
-    store reference in __init__ (zero per-batch cost)."""
+    Built once per worker process (``PerWorker``): it fetches the key
+    blocks from the object store and builds one ``KeyLookup``; each
+    batch is then one probe of that lookup."""
 
-    def __init__(self, column, keys_ref):
-        import ray
+    def __init__(self, column, ref_column, key_refs):
         self.column = column
-        keys = ray.get(keys_ref)
-        self.keys = pa.array(keys) if not isinstance(keys, pa.Array) else keys
+        built = _lookup_table(key_refs, ref_column)
+        self.lookup = built[1] if built is not None else None
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         col = batch.column(self.column).combine_chunks()
         # Policy (uniform across all referential variants, matching the
         # uniqueness check and SQL anti-join semantics): NULL foreign keys
         # are skipped, never reported as violations.
-        valid = col.is_valid()
-        if len(self.keys) == 0:
-            return batch.filter(valid)
-        hit = pc.is_in(col, value_set=self.keys, skip_nulls=False)
-        if hit.null_count:
-            hit = hit.fill_null(False)
-        return batch.filter(pc.and_(pc.invert(hit), valid))
+        keep = col.is_valid()
+        if self.lookup is not None:
+            keep = pc.and_(keep, pa.array(self.lookup.positions(col) < 0))
+        return batch.filter(keep).replace_schema_metadata(None)
 
 
-def check_referential(ds, column, ref_ds, ref_column):
-    """Anti-join ``ds[column]`` against the key set of ``ref_ds[ref_column]``.
-
-    Returns the violating rows (keys with no match in the reference table).
-    The reference side is collected to the driver and broadcast — suitable
-    for dimension-table-sized references; see ``check_referential_large``
-    for the both-sides-large case."""
-    import ray
-
-    ref_keys = ref_ds.select_columns([ref_column]).unique(ref_column)
-    # unique() reports None on a fully-empty reference; an empty key set
-    # means every non-null foreign key violates (SQL anti-join).
-    keys_ref = ray.put(pa.array(ref_keys if ref_keys is not None else []))
-    return _broadcast_filter(ds, _AntiJoinStage, column, keys_ref)
+def _reference_keys(ds, column, ref_ds, ref_column):
+    """(ds, keys, key type): ``keys`` holds the distinct non-null values
+    of ``ref_ds[ref_column]`` per block, cast to the type of
+    ``ds[column]`` with the checked cast of ``cogroup`` (``TypeError``
+    when a key does not survive it) and materialized once — the step
+    every referential check shares."""
+    ds, schema = _arrow_schema(ds)
+    field = schema.field(column)
+    return ds, distinct_keys(ref_ds, ref_column, field).materialize(), \
+        field.type
 
 
-def _broadcast_filter(ds, stage_cls, column, ref):
-    """Filter ``ds`` through ``stage_cls(column, ref)``, a stage holding a
-    broadcast object, built once per worker process."""
-    return PerWorker(stage_cls, column, ref).map_batches(
-        ds, batch_format='pyarrow')
+def check_referential(ds, column, ref_ds, ref_column, num_buckets=None):
+    """Anti-join ``ds[column]`` against the keys of ``ref_ds[ref_column]``:
+    the rows whose non-null key has no match (NULL foreign keys are
+    skipped, as in SQL).  The one exact referential check.
+
+    The reference collapses to distinct keys per block, cast to the
+    foreign key's type (a key that does not cast losslessly raises
+    ``TypeError``) and materialized once.  At most
+    ``join.BROADCAST_LIMIT_BYTES`` of them are broadcast: each worker
+    builds one key lookup and probes it per batch.  A lookup holds about
+    5x its keys' Arrow bytes for int64 keys and 8x for short strings,
+    and ``PerWorker`` keeps up to 8 built stages, so a worker's bound is
+    gate x overhead x 8.  Above the gate ``ds`` meets the same keys in
+    one co-group exchange (``num_buckets`` buckets).  Both paths return
+    the same rows."""
+    if ds.schema() is None:
+        return ds              # fully-empty input: nothing to check
+    ds, keys, _ = _reference_keys(ds, column, ref_ds, ref_column)
+    if broadcasts('check_referential', keys, 'distinct-key'):
+        return PerWorker(_AntiJoinStage, column, ref_column,
+                         keys.to_arrow_refs()).map_batches(
+            ds, batch_format='pyarrow')
+    orphans = _shuffle_semi_anti(ds, keys, column, ref_column,
+                                 num_buckets, 'anti')
+    return orphans.map_batches(
+        lambda b: b.filter(pc.is_valid(b.column(column))),
+        batch_format='pyarrow')
+
+
+# Perfbench's lineitem_constraints workload calls the co-group operator's
+# old name; the gate now picks the path.
+check_referential_large = check_referential
 
 
 class _BloomAntiStage:
     def __init__(self, column, bloom_ref):
         import ray
+        from ..state.sketches import BloomFilter
         self.column = column
-        self.bloom = ray.get(bloom_ref)
-        if isinstance(self.bloom, bytes):
-            from ..state.sketches import BloomFilter
-            self.bloom = BloomFilter.deserialize(self.bloom)
+        self.bloom = BloomFilter.deserialize(ray.get(bloom_ref))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         col = batch.column(self.column).combine_chunks()
@@ -332,7 +355,8 @@ def check_referential_bloom(ds, column, ref_ds, ref_column,
                             bits_per_key=16):
     """Memory-compact referential check: the reference key set is broadcast
     as a Bloom filter (bits_per_key bits/key vs ~8-100 bytes/key raw), so
-    it stays broadcastable at 10^9+ reference keys.
+    it stays broadcastable at 10^9+ reference keys.  The keys come from
+    the step ``check_referential`` shares, typed like ``ds[column]``.
 
     PROBABILISTIC: a Bloom false positive makes an orphan key look present,
     i.e. up to ~fpr of true violations are missed (no false violations).
@@ -340,28 +364,19 @@ def check_referential_bloom(ds, column, ref_ds, ref_column,
     import ray
     from ..state.sketches import BloomFilter
 
-    keys = ref_ds.select_columns([ref_column]).unique(ref_column)
-    key_arr = pa.array(keys if keys is not None else [])  # empty reference
+    if ds.schema() is None:
+        return ds, 0.0         # fully-empty input: nothing to check
+    ds, keys, key_type = _reference_keys(ds, column, ref_ds, ref_column)
+    key_arr = pc.unique(pa.chunked_array(
+        [t.column(ref_column) for t in ray.get(keys.to_arrow_refs())
+         if t.num_rows], type=key_type))
     bloom = BloomFilter(len(key_arr), bits_per_key)
     bloom.add_hashes(hash64_array(key_arr))
     fpr = bloom.fpr
     bloom_ref = ray.put(bloom.serialize())
-    out = _broadcast_filter(ds, _BloomAntiStage, column, bloom_ref)
+    out = PerWorker(_BloomAntiStage, column, bloom_ref).map_batches(
+        ds, batch_format='pyarrow')
     return out, fpr
-
-
-def check_referential_large(ds, column, ref_ds, ref_column, num_buckets=None):
-    """Both-sides-large referential check: the shuffle anti join of
-    ``stages/join.py`` (right side collapsed to distinct keys per block,
-    one co-group exchange), with NULL foreign keys skipped like every
-    other referential variant."""
-    from ..stages.join import _shuffle_semi_anti
-
-    orphans = _shuffle_semi_anti(ds, ref_ds, column, ref_column,
-                                 num_buckets, 'anti')
-    return orphans.map_batches(
-        lambda b: b.filter(pc.is_valid(b.column(column))),
-        batch_format='pyarrow')
 
 
 def salted_group_agg(ds, key_columns, value_column, num_salts=16):

@@ -194,15 +194,14 @@ def run_flagship(ds, *, reference_phashes=None, width_profile=None,
             'image_id', 'phash', max_dist=near_dup_dist)
         report['near_dup_pairs'] = pairs.count()
 
-    # 4. Referential: phash ∈ reference key set (broadcast anti-filter).
+    # 4. Referential: phash ∈ reference key set (the exact anti-join).
     if reference_phashes is not None:
-        import ray
-        keys_ref = ray.put(pa.array(list(reference_phashes),
-                                    type=pa.int64()))
-        from .constraints import _AntiJoinStage, _broadcast_filter
-        orphans = _broadcast_filter(
-            ds.select_columns(['image_id', 'phash']), _AntiJoinStage,
-            'phash', keys_ref)
+        import ray.data
+        from .constraints import check_referential
+        ref = ray.data.from_arrow(pa.table({'phash': pa.array(
+            list(reference_phashes), type=pa.int64())}))
+        orphans = check_referential(
+            ds.select_columns(['image_id', 'phash']), 'phash', ref, 'phash')
         report['referential_orphans'] = orphans.count()
 
     # 5. Stats + drift.

@@ -133,6 +133,23 @@ def _arrow_schema(ds):
     return ds, pa.schema(list(zip(schema.names, schema.types)))
 
 
+def checked_cast(col, key_type, right_key, left_key):
+    """``col``, the values of ``right_key``, cast to ``key_type``, the
+    type of ``left_key``, with Arrow's checked cast.  A value that does
+    not survive the cast raises ``TypeError``: a silent truncation
+    (2.5 -> 2, 2**40 -> int32) would fabricate matches."""
+    if col.type == key_type:
+        return col
+    try:
+        return col.cast(key_type)
+    except (pa.ArrowInvalid, pa.ArrowNotImplementedError) as exc:
+        raise TypeError(
+            'right key {!r} ({}) cannot be cast losslessly to the type '
+            'of left key {!r} ({}); cast the key columns explicitly '
+            'before joining: {}'.format(right_key, col.type, left_key,
+                                        key_type, exc)) from exc
+
+
 def cogroup(left, right, left_key, right_key, fn, *, right_columns=None,
             num_buckets=None):
     """Run ``fn(l, r)`` once per bucket: ``l`` holds exactly ``left``'s
@@ -169,19 +186,10 @@ def cogroup(left, right, left_key, right_key, fn, *, right_columns=None,
         + [f.with_name(n) for f, n in zip(rschema, rnames)])
 
     def align(batch: pa.Table) -> pa.Table:
-        col = batch.column(right_key)
-        if col.type == key_type:
-            return batch
-        try:
-            cast = col.cast(key_type)
-        except (pa.ArrowInvalid, pa.ArrowNotImplementedError) as exc:
-            raise TypeError(
-                'right key {!r} ({}) cannot be cast losslessly to the type '
-                'of left key {!r} ({}); cast the key columns explicitly '
-                'before joining: {}'.format(right_key, col.type, left_key,
-                                            key_type, exc)) from exc
-        return batch.set_column(batch.schema.get_field_index(right_key),
-                                right_key, cast)
+        return batch.set_column(
+            batch.schema.get_field_index(right_key), right_key,
+            checked_cast(batch.column(right_key), key_type, right_key,
+                         left_key))
 
     def tagger(own, key, is_left):
         def tag(batch: pa.Table) -> pa.Table:

@@ -10,15 +10,19 @@ attributes (e.g. orders with customer segment) before validation.
 
 Scale notes:
 
+* One size gate decides broadcast or shuffle for every exact key
+  operator here and in ``pipelines/constraints.py``: the small side is
+  materialized once and its ``size_bytes()`` compared with
+  :data:`BROADCAST_LIMIT_BYTES`.  Each decision is logged at INFO on the
+  package logger (silent by default).
 * ``broadcast_lookup_join`` ships the dimension table ONCE as
   object-store refs (never through the driver heap) and each worker
-  builds the lookup a single time (module-level cache); per batch the
-  join is one vectorized ``pc.index_in`` + ``take`` — no shuffle at
-  all.  Right for dimension sides that fit a worker's heap (the common
-  case: 10^6-10^8 keys).  The ref side must be UNIQUE on the join key
-  (dimension semantics — duplicate keys would silently pick one match);
-  pass ``check_unique=True`` to verify (one extra pass over the small
-  side).
+  builds a :class:`KeyLookup` over it a single time (``PerWorker``);
+  per batch the join is one ``get_indexer`` probe + ``take`` — no
+  shuffle at all.  The ref side must be UNIQUE on the join key
+  (dimension semantics — duplicate keys would silently pick the first
+  match); pass ``check_unique=True`` to verify (one extra pass over the
+  small side).  Above the gate it runs :func:`shuffle_join` instead.
 * ``shuffle_join`` co-groups BOTH sides on the key (one hash exchange,
   ``stages/exchange.py``) and merges per bucket with a vectorized
   pandas merge — the honest cost when neither side broadcasts.
@@ -28,22 +32,111 @@ Scale notes:
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pyarrow as pa
 
-from .exchange import cogroup
+from .exchange import checked_cast, cogroup
 from .per_worker import PerWorker
 
+_log = logging.getLogger(__name__)
 
-def _as_arrow(t):
-    if isinstance(t, pa.Table):
-        return t
-    return pa.Table.from_pandas(t)
+# The broadcast gate of the exact key operators: a small side of at most
+# this many in-memory bytes is broadcast, a larger one is exchanged.
+# 64 MiB is about 8M int64 keys; their KeyLookup takes about 5x that in a
+# worker (8x for short strings), and PerWorker keeps up to 8 stages.
+BROADCAST_LIMIT_BYTES = 64 << 20
+
+
+def broadcasts(operator, small, what) -> bool:
+    """Whether the materialized dataset ``small`` (``what``: the kind of
+    rows it holds) fits the broadcast gate; logs the decision."""
+    nbytes = small.size_bytes() or 0
+    ok = nbytes <= BROADCAST_LIMIT_BYTES
+    _log.info('%s: %s path, %d %s bytes, limit %d', operator,
+              'broadcast' if ok else 'shuffle', nbytes, what,
+              BROADCAST_LIMIT_BYTES)
+    return ok
+
+
+def distinct_keys(ds, key, like=None):
+    """``ds`` collapsed to the distinct non-null values of ``key`` per
+    block, as a one-column Arrow dataset.  Given ``like``, the field of
+    the key they will be matched against, they are cast to its type with
+    the checked cast of ``cogroup`` (``TypeError`` when a value does not
+    survive), and a schemaless empty block becomes a typed empty one."""
+    import pyarrow.compute as pc
+
+    def per_block(b: pa.Table) -> pa.Table:
+        if key not in b.column_names:
+            if like is None:
+                return b            # schemaless empty block
+            return pa.table({key: pa.array([], like.type)})
+        keys = pc.unique(b.column(key).combine_chunks().drop_null())
+        if like is not None:
+            keys = checked_cast(keys, like.type, key, like.name)
+        return pa.table({key: keys})
+
+    per_block.__name__ = 'distinct_keys'
+    return ds.select_columns([key]).map_batches(per_block,
+                                                batch_format='pyarrow')
+
+
+class KeyLookup:
+    """Exact positions of probe keys in a reference key column, for a
+    stage that builds it once per worker.
+
+    Null reference keys never match, and the first of equal keys wins.
+    ``pd.Index`` builds its hash table on the first probe and keeps it,
+    where ``pc.is_in`` / ``pc.index_in`` rebuild theirs on every call.
+    Only the probe's non-null values are converted, in their own type:
+    an int64 column with nulls converted whole becomes float64, where
+    2**53 + 1 equals 2**53."""
+
+    def __init__(self, keys: pa.Array):
+        import pandas as pd
+
+        valid = keys.is_valid()
+        self.index = pd.Index(keys.drop_null().to_numpy(zero_copy_only=False))
+        # The key row of each index entry; None when they are the same.
+        self.rows = np.flatnonzero(valid.to_numpy(zero_copy_only=False)) \
+            if keys.null_count else None
+        if not self.index.is_unique:
+            first = ~self.index.duplicated()
+            self.index = self.index[first]
+            self.rows = np.flatnonzero(first) if self.rows is None \
+                else self.rows[first]
+
+    def positions(self, col: pa.Array) -> np.ndarray:
+        """The reference row of each value of ``col``; -1 for a value
+        with no match and for a null."""
+        if col.null_count:
+            at = np.full(len(col), -1, dtype=np.int64)
+            at[col.is_valid().to_numpy(zero_copy_only=False)] = \
+                self.index.get_indexer(
+                    col.drop_null().to_numpy(zero_copy_only=False))
+        else:
+            at = self.index.get_indexer(col.to_numpy(zero_copy_only=False))
+        if self.rows is None:
+            return at
+        return np.where(at < 0, -1, self.rows[at])
+
+
+def _lookup_table(refs, key):
+    """(reference table, ``KeyLookup`` over its ``key``), or None for an
+    empty reference."""
+    import ray
+
+    tables = [t for t in ray.get(list(refs)) if t.num_rows]
+    if not tables:
+        return None
+    ref = pa.concat_tables(tables).combine_chunks()
+    return ref, KeyLookup(ref.column(key).combine_chunks())
 
 
 def broadcast_lookup_join(ds, key, ref_ds, ref_key, ref_columns=None,
-                          how='inner', check_unique=False,
-                          broadcast_limit_bytes=None):
+                          how='inner', check_unique=False):
     """Enrich ``ds`` with ``ref_columns`` from ``ref_ds`` matched on
     ``ds[key] == ref_ds[ref_key]``.
 
@@ -56,15 +149,15 @@ def broadcast_lookup_join(ds, key, ref_ds, ref_key, ref_columns=None,
     inner/left the ref side must be unique on ``ref_key``; semi/anti
     tolerate duplicates.
 
-    ``broadcast_limit_bytes`` gates the broadcast (the
-    ``broadcast_text_limit`` discipline from stages/dedup.py): the ref
-    side is materialized once and, if its block-metadata size exceeds
-    the limit, the join falls back to :func:`shuffle_join` — a ref side
-    that outgrows worker heaps (e.g. a corpus-scale vocabulary table)
-    must exchange, not ship to every task.  The fallback has identical
-    results when the ref side is unique on ``ref_key`` (pass
-    ``check_unique=True`` to enforce; with duplicate ref keys broadcast
-    takes the first match while shuffle emits the SQL cross product)."""
+    The ref side is materialized once; above
+    :data:`BROADCAST_LIMIT_BYTES` the join runs :func:`shuffle_join`
+    instead — a ref side that outgrows worker heaps (e.g. a
+    corpus-scale vocabulary table) must exchange, not ship to every
+    task.  Both paths return the same rows when the ref side is unique
+    on ``ref_key`` (pass ``check_unique=True`` to enforce; with
+    duplicate ref keys broadcast takes the first match while shuffle
+    emits the SQL cross product).  Under the gate each worker holds the
+    ref side plus its lookup, for up to 8 cached stages."""
     import ray
 
     if how not in ('inner', 'left', 'semi', 'anti'):
@@ -72,67 +165,42 @@ def broadcast_lookup_join(ds, key, ref_ds, ref_key, ref_columns=None,
     if how in ('semi', 'anti'):
         ref_columns = []
     ref_columns = [c for c in (ref_columns or []) if c != ref_key]
-    ref_ds = ref_ds.select_columns([ref_key] + ref_columns)
-    if broadcast_limit_bytes is not None:
-        ref_ds = ref_ds.materialize()   # size check + refs share one exec
-        if (ref_ds.size_bytes() or 0) > broadcast_limit_bytes:
-            return shuffle_join(ds, ref_ds, key, ref_key, ref_columns,
-                                how=how)
+    ref_ds = ref_ds.select_columns([ref_key] + ref_columns).materialize()
+    if not broadcasts('broadcast_lookup_join', ref_ds, 'reference'):
+        return shuffle_join(ds, ref_ds, key, ref_key, ref_columns, how=how)
     refs = ref_ds.to_arrow_refs()
 
     if check_unique:
         import pyarrow.compute as pc
         keys_all = pa.concat_arrays(
-            [_as_arrow(t).column(ref_key).combine_chunks()
+            [t.column(ref_key).combine_chunks()
              for t in ray.get(list(refs))])
         if len(keys_all) != len(pc.unique(keys_all)):
             raise ValueError(
                 'ref side is not unique on {!r}; broadcast_lookup_join has '
                 'dimension (first-match) semantics'.format(ref_key))
 
-    def lookup_table():
-        tables = [_as_arrow(t) for t in ray.get(list(refs))]
-        tables = [t for t in tables if t.num_rows]
-        if not tables:
-            return None
-        return pa.concat_tables(tables).combine_chunks()
-
-    lookup = PerWorker(lookup_table)
+    lookup = PerWorker(_lookup_table, refs, ref_key)
 
     def join(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ref = lookup.get()
-        k = batch.column(key).combine_chunks()
-        if ref is None:
-            idx = pa.nulls(batch.num_rows, type=pa.int64())
+        built = lookup.get()
+        if built is None:
+            at = np.full(batch.num_rows, -1, dtype=np.int64)
         else:
-            idx = pc.index_in(
-                k.cast(ref.column(ref_key).type),
-                value_set=ref.column(ref_key).combine_chunks())
-            # index_in matches null->null when the ref side holds a
-            # null key; SQL equi-join semantics never match null keys,
-            # so null them out for EVERY mode (inner must drop them,
-            # left must keep them unenriched).
-            idx = pc.if_else(pc.is_valid(k), idx,
-                             pa.scalar(None, type=idx.type))
+            ref, keys = built
+            k = batch.column(key).combine_chunks()
+            at = keys.positions(k.cast(ref.column(ref_key).type))
+        hit = at >= 0
         if how in ('semi', 'anti'):
-            # index_in matches null->null when the ref side holds a null
-            # key; SQL EXISTS never matches nulls, so guard on key
-            # validity explicitly.
-            hit = pc.and_(pc.is_valid(idx), pc.is_valid(k))
-            return batch.filter(hit if how == 'semi'
-                                else pc.invert(hit))
+            return batch.filter(hit if how == 'semi' else ~hit)
         if how == 'inner':
-            hit = pc.is_valid(idx)
-            batch = batch.filter(hit)
-            idx = idx.filter(hit)
-        out = batch
+            batch, at = batch.filter(hit), at[hit]
+        idx = pa.array(at, mask=at < 0)
         for c in ref_columns:
-            col = (ref.column(c).combine_chunks().take(idx) if ref is not None
-                   else pa.nulls(out.num_rows))
-            out = out.append_column(c, col)
-        return out
+            batch = batch.append_column(
+                c, ref.column(c).take(idx) if built is not None
+                else pa.nulls(batch.num_rows))
+        return batch
 
     return ds.map_batches(join, batch_format='pyarrow')
 
@@ -176,8 +244,8 @@ def shuffle_join(left, right, left_key, right_key, right_columns,
     if how not in ('inner', 'left', 'semi', 'anti'):
         raise ValueError("how must be 'inner', 'left', 'semi' or 'anti'")
     if how in ('semi', 'anti'):
-        return _shuffle_semi_anti(left, right, left_key, right_key,
-                                  num_buckets, how)
+        return _shuffle_semi_anti(left, distinct_keys(right, right_key),
+                                  left_key, right_key, num_buckets, how)
     right_columns = [c for c in right_columns if c != right_key]
 
     left_schema = left.schema()
@@ -245,31 +313,22 @@ def shuffle_join(left, right, left_key, right_key, right_columns,
                    num_buckets=num_buckets)
 
 
-def _shuffle_semi_anti(left, right, left_key, right_key, num_buckets, how):
-    """Distributed SQL ``EXISTS`` / ``NOT EXISTS`` filter when the key
-    side is too large to broadcast (use ``broadcast_lookup_join`` with
-    ``how='semi'/'anti'`` otherwise).
+def _shuffle_semi_anti(left, keys, left_key, right_key, num_buckets, how):
+    """Distributed SQL ``EXISTS`` / ``NOT EXISTS`` filter of ``left``
+    against ``keys``, a :func:`distinct_keys` side too large to
+    broadcast.
 
-    The right side collapses to per-block DISTINCT keys BEFORE the
-    exchange (an Arrow group_by combiner, the dedup_exact discipline),
-    so the co-group moves full left rows plus at most one key row per
-    distinct right key per block — never right payload columns.  That
-    key side is never probed for a schema: ``cogroup`` types it like
-    the left key, and an empty or schemaless right side simply leaves
-    every bucket's key set empty (semi keeps nothing, anti keeps every
-    row).  Null left keys never match: semi drops them, anti keeps
-    them."""
+    The key side holds at most one row per distinct key per block, so
+    the co-group moves full left rows plus those keys — never right
+    payload columns.  It is never probed for a schema: ``cogroup``
+    types it like the left key, and an empty or schemaless key side
+    simply leaves every bucket's key set empty (semi keeps nothing,
+    anti keeps every row).  Null left keys never match: semi drops
+    them, anti keeps them."""
     import pyarrow.compute as pc
-
-    def distinct_keys(b: pa.Table) -> pa.Table:
-        if right_key not in b.column_names:
-            return b            # schemaless empty block
-        return b.group_by([right_key]).aggregate([])
 
     if left.schema() is None:
         return left            # fully-empty left: nothing to filter
-    keys = right.select_columns([right_key]).map_batches(
-        distinct_keys, batch_format='pyarrow')
 
     def filt(l: pa.Table, r: pa.Table) -> pa.Table:
         k = l.column(left_key)
@@ -352,8 +411,7 @@ def broadcast_interval_join(ds, point_column, intervals, start_column,
     refs = intervals.select_columns(iv_need).to_arrow_refs()
 
     def build_intervals():
-        tables = [_as_arrow(t) for t in ray.get(list(refs))]
-        tables = [t for t in tables if t.num_rows]
+        tables = [t for t in ray.get(list(refs)) if t.num_rows]
         if not tables:
             return None
         df = pa.concat_tables(tables).combine_chunks().to_pandas()

@@ -2,6 +2,7 @@
 
 import duckdb
 import numpy as np
+import pyarrow as pa
 import pytest
 
 SF = '/root/testdata/sf0.001'
@@ -66,10 +67,11 @@ def test_dedup_exact(ray_session):
     assert deduped.count() == ds.count()
 
 
-def test_check_referential(ray_session, ddb):
+def test_check_referential(ray_session, ddb, monkeypatch):
     import ray.data
     from python_fastjsonschema_ray.pipelines.constraints import (
         check_referential, check_referential_large)
+    from python_fastjsonschema_ray.stages import join
     orders = ray.data.read_parquet(SF + '/orders.parquet',
                                    columns=['o_orderkey', 'o_custkey'])
     customer = ray.data.read_parquet(SF + '/customer.parquet',
@@ -79,7 +81,8 @@ def test_check_referential(ray_session, ddb):
         '(SELECT c_custkey FROM customer)').fetchone()[0]
     violations = check_referential(orders, 'o_custkey', customer, 'c_custkey')
     assert violations.count() == expected
-    # The bucketed large-side variant must agree.
+    # Above the size gate the bucketed co-group path must agree.
+    monkeypatch.setattr(join, 'BROADCAST_LIMIT_BYTES', -1)
     large = check_referential_large(orders, 'o_custkey', customer, 'c_custkey',
                                     num_buckets=8)
     assert large.count() == expected
@@ -552,3 +555,212 @@ def test_check_referential_single_cpu(tmp_path):
         pytest.fail('check_referential did not finish in 60 s at num_cpus=1')
     # fk = i % 130 over i in 0..999: keys 100..129 occur 7 times each.
     assert 'orphans 210' in out.splitlines()
+
+
+# ---------------------------------------------------------------------------
+# One exact referential check: the same rows on both sides of its size gate
+
+
+@pytest.fixture(params=['open', 'shut'])
+def gate(request, monkeypatch):
+    """Run once under the size gate (broadcast lookup) and once with the
+    gate forced shut (co-group exchange)."""
+    from python_fastjsonschema_ray.stages import join
+    if request.param == 'shut':
+        monkeypatch.setattr(join, 'BROADCAST_LIMIT_BYTES', -1)
+    return request.param
+
+
+def _orphans(ds, column):
+    return sorted((v for b in _blocks(ds) for v in b[column].to_pylist()),
+                  key=lambda v: (v is None, v))
+
+
+_KEY_TYPE_CASES = {
+    # int32 foreign keys against an int64 reference holding 2**40: the
+    # checked cast of the reference to int32 fails on either path.
+    'int32_fk_wide_reference': (pa.array([1, 2, 3], pa.int32()),
+                                pa.array([1, 2, 2**40], pa.int64()),
+                                TypeError),
+    # An int FK against a float reference: 2.0 matches FK 2 ...
+    'int_fk_float_reference': (pa.array([2, 3], pa.int64()),
+                               pa.array([2.0, 5.0]), [3]),
+    # ... and 2.5 is never truncated into a match: it fails the cast.
+    'int_fk_fractional_reference': (pa.array([2, 3], pa.int64()),
+                                    pa.array([2.0, 2.5]), TypeError),
+    # A float FK against an int reference: 2.0 matches, 2.5 never does.
+    'float_fk_int_reference': (pa.array([2.0, 2.5]),
+                               pa.array([2, 7], pa.int64()), [2.5]),
+    # A null reference key never matches (null FKs are skipped).
+    'null_reference_key': (pa.array([1, None, 2], pa.int64()),
+                           pa.array([1, None], pa.int64()), [2]),
+    # int64 keys above 2**53 that differ by 1, next to a null FK: a
+    # float-converted probe would match 2**53 + 1 to 2**53.
+    'int64_above_2_53': (pa.array([2**53, 2**53 + 1, None], pa.int64()),
+                         pa.array([2**53], pa.int64()), [2**53 + 1]),
+}
+
+
+@pytest.mark.parametrize('case', sorted(_KEY_TYPE_CASES))
+def test_referential_key_types_agree_across_the_gate(ray_session, gate,
+                                                     case):
+    """Both sides of the gate return the same orphans, or raise the
+    same lossy-cast error, for the same key types."""
+    import ray.data
+    from python_fastjsonschema_ray.pipelines.constraints import (
+        check_referential)
+    fk, rk, expected = _KEY_TYPE_CASES[case]
+    left = ray.data.from_arrow(pa.table({'fk': fk}))
+    ref = ray.data.from_arrow(pa.table({'k': rk}))
+    if expected is TypeError:
+        # Ray re-raises the worker's TypeError wrapped in its task error.
+        with pytest.raises(Exception, match='cannot be cast losslessly'):
+            check_referential(left, 'fk', ref, 'k')
+    else:
+        assert _orphans(check_referential(left, 'fk', ref, 'k'),
+                        'fk') == expected
+
+
+def _gate_inputs(name):
+    """(ds, column, reference, reference column) for one equal-rows case."""
+    import ray.data
+    rng = np.random.default_rng(5)
+    if name == 'null_fks':
+        return (ray.data.from_arrow(pa.table({
+            'fk': pa.array([10, None, 99, None, 20], pa.int64())})), 'fk',
+            ray.data.from_arrow(pa.table({'k': pa.array([10, 20])})), 'k')
+    if name in ('empty_reference', 'schemaless_reference'):
+        ref = ray.data.from_arrow(pa.table({'k': pa.array([], pa.int64())}))
+        if name == 'schemaless_reference':
+            ref = ray.data.from_arrow(pa.table({'k': [1]})).map_batches(
+                lambda b: pa.table({}), batch_format='pyarrow')
+        return (ray.data.from_arrow(pa.table({
+            'fk': pa.array([1, None, 3, 3], pa.int64())})), 'fk', ref, 'k')
+    if name == 'int32_fk_int64_reference':
+        return (ray.data.from_arrow(pa.table({
+            'fk': pa.array([10, None, 99, 20, 98], pa.int32())})), 'fk',
+            ray.data.from_arrow(pa.table({
+                'k': pa.array([10, 20, 30], pa.int64())})), 'k')
+    if name == 'string_keys':
+        return (ray.data.from_arrow(pa.table({
+            'fk': pa.array(['a', 'b', None, 'zz', 'b'])})), 'fk',
+            ray.data.from_arrow(pa.table({
+                'k': pa.array(['b', 'c'], pa.large_string())})), 'k')
+    assert name == '64_blocks'
+    k = pa.array(rng.integers(0, 500, 6400), type=pa.int64(),
+                 mask=rng.random(6400) < 0.02)
+    rk = pa.array(rng.integers(250, 750, 3200), type=pa.int32())
+    return (ray.data.from_arrow([pa.table({'fk': k.slice(i * 100, 100)})
+                                 for i in range(64)]), 'fk',
+            ray.data.from_arrow([pa.table({'k': rk.slice(i * 50, 50)})
+                                 for i in range(64)]), 'k')
+
+
+@pytest.mark.parametrize('name', [
+    'null_fks', 'empty_reference', 'schemaless_reference',
+    'int32_fk_int64_reference', 'string_keys', '64_blocks'])
+def test_referential_gate_paths_return_equal_rows(ray_session, monkeypatch,
+                                                  name):
+    """With the gate forced shut the co-group path returns the rows the
+    broadcast lookup returns."""
+    from python_fastjsonschema_ray.pipelines.constraints import (
+        check_referential)
+    from python_fastjsonschema_ray.stages import join
+    ds, column, ref, ref_column = _gate_inputs(name)
+    broadcast = _orphans(check_referential(ds, column, ref, ref_column),
+                         column)
+    monkeypatch.setattr(join, 'BROADCAST_LIMIT_BYTES', -1)
+    shuffled = _orphans(check_referential(ds, column, ref, ref_column),
+                        column)
+    assert broadcast == shuffled
+    assert None not in broadcast
+    if name in ('empty_reference', 'schemaless_reference'):
+        assert broadcast == [1, 3, 3]
+
+
+def test_referential_gate_logs_its_path(ray_session, gate, caplog):
+    """Each gate decision is logged at INFO on the package logger: the
+    operator, the path, the distinct-key bytes and the limit."""
+    import logging
+    import ray.data
+    from python_fastjsonschema_ray.pipelines.constraints import (
+        check_referential)
+    from python_fastjsonschema_ray.stages import join
+    left = ray.data.from_arrow(pa.table({'fk': pa.array([1, 2, 3])}))
+    ref = ray.data.from_arrow(pa.table({'k': pa.array([1, 2])}))
+    with caplog.at_level(logging.INFO, logger='python_fastjsonschema_ray'):
+        check_referential(left, 'fk', ref, 'k')
+    path = 'broadcast' if gate == 'open' else 'shuffle'
+    assert [r.getMessage() for r in caplog.records
+            if r.name.startswith('python_fastjsonschema_ray')] == [
+        'check_referential: {} path, 16 distinct-key bytes, limit {}'
+        .format(path, join.BROADCAST_LIMIT_BYTES)]
+
+
+def test_package_logger_is_silent_by_default():
+    import logging
+    import python_fastjsonschema_ray  # noqa: F401
+    logger = logging.getLogger('python_fastjsonschema_ray')
+    assert any(isinstance(h, logging.NullHandler) for h in logger.handlers)
+
+
+_LOOKUP_BUILDS = '''
+import os
+import sys
+from collections import Counter
+import pyarrow as pa
+import ray
+import ray.data
+log = sys.argv[1] + '/builds.log'
+
+
+def count_builds():
+    from python_fastjsonschema_ray.pipelines import constraints
+    init = constraints._AntiJoinStage.__init__
+
+    def counted(self, *args, **kwargs):
+        with open(log, 'a') as fh:
+            fh.write('%d\\n' % os.getpid())
+        init(self, *args, **kwargs)
+
+    constraints._AntiJoinStage.__init__ = counted
+
+
+ray.init(address='local', num_cpus=1, include_dashboard=False,
+         logging_level='ERROR',
+         runtime_env={'worker_process_setup_hook': count_builds})
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from python_fastjsonschema_ray.pipelines.constraints import check_referential
+blocks = [pa.table({'fk': pa.array([i, 100 + i], type=pa.int64())})
+          for i in range(12)]
+ref = ray.data.from_arrow(pa.table({'k': pa.array(range(12))}))
+out = check_referential(ray.data.from_arrow(blocks), 'fk', ref, 'k')
+print('orphans', out.count())
+ray.shutdown()
+print('builds', *sorted(Counter(open(log).read().split()).values()))
+'''
+
+
+def test_referential_lookup_builds_once_per_worker(tmp_path):
+    """One check over twelve one-batch blocks on one CPU builds the key
+    lookup once per worker process, not once per batch."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, '-c', _LOOKUP_BUILDS, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=root), stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL, text=True, start_new_session=True)
+    try:
+        out, _ = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail('check_referential did not finish in 60 s')
+    lines = out.splitlines()
+    assert 'orphans 12' in lines
+    builds = [line for line in lines if line.startswith('builds ')]
+    assert builds and set(builds[0].split()[1:]) == {'1'}, lines

@@ -18,6 +18,13 @@ PKG = os.path.join(os.path.dirname(os.path.dirname(__file__)),
 ENTRY = os.path.join(os.path.dirname(PKG), '__ray_entry__.py')
 
 
+@pytest.fixture
+def gate_shut(monkeypatch):
+    """Every size-gated key operator takes its co-group path."""
+    from python_fastjsonschema_ray.stages import join
+    monkeypatch.setattr(join, 'BROADCAST_LIMIT_BYTES', -1)
+
+
 def _blocks(ds):
     import ray
     return [t if isinstance(t, pa.Table) else pa.Table.from_pandas(t)
@@ -261,11 +268,13 @@ def _sort_stats(stats):
     return reduces, 'Repartition' in stats
 
 
-def test_exchange_sorts_at_fixed_boundaries(ray_session, monkeypatch):
+def test_exchange_sorts_at_fixed_boundaries(ray_session, monkeypatch,
+                                            gate_shut):
     """``check_unique`` (``exchange``) and ``check_referential_large``
-    (``cogroup``) on 64-block inputs: no Repartition barrier, no sort
-    sampling, and each sort has at most P = ``default_buckets() // 8``
-    reducers (one output block each), whatever the input block count."""
+    above its size gate (``cogroup``) on 64-block inputs: no Repartition
+    barrier, no sort sampling, and each sort has at most P =
+    ``default_buckets() // 8`` reducers (one output block each),
+    whatever the input block count."""
     from ray.data._internal.planner.exchange.sort_task_spec import (
         SortTaskSpec)
     from python_fastjsonschema_ray.pipelines.constraints import (
@@ -334,9 +343,11 @@ def _probed(monkeypatch):
     return probed
 
 
-def test_semi_anti_do_not_probe_the_key_side(ray_session, monkeypatch):
-    """``check_referential_large`` and ``shuffle_join(how='semi'|'anti')``
-    ask for no schema but the left input's."""
+def test_semi_anti_do_not_probe_the_key_side(ray_session, monkeypatch,
+                                             gate_shut):
+    """``check_referential_large`` above its size gate and
+    ``shuffle_join(how='semi'|'anti')`` ask for no schema but the left
+    input's."""
     from python_fastjsonschema_ray.pipelines.constraints import (
         check_referential_large)
     from python_fastjsonschema_ray.stages.join import shuffle_join
@@ -360,7 +371,7 @@ def test_semi_anti_do_not_probe_the_key_side(ray_session, monkeypatch):
     assert built['anti'].count() == len(ks) - hit
 
 
-def test_semi_anti_empty_or_schemaless_reference(ray_session):
+def test_semi_anti_empty_or_schemaless_reference(ray_session, gate_shut):
     """A zero-row or schemaless reference: anti keeps every row (the
     referential check every non-null foreign key), semi keeps none."""
     import ray.data
@@ -381,6 +392,39 @@ def test_semi_anti_empty_or_schemaless_reference(ray_session):
                      ['v']) == [('a',), ('b',), ('c',), ('d',)]
         assert shuffle_join(left, ref, 'k', 'rk', [],
                             how='semi').count() == 0
+
+
+@pytest.mark.parametrize('gate', ['open', 'shut'])
+def test_referential_reference_executes_once(ray_session, monkeypatch,
+                                             tmp_path, gate):
+    """``check_referential`` runs the reference once on either side of
+    its size gate.  Under the gate the plan has no Sort operator (the
+    keys are broadcast); above it the same materialized keys meet the
+    rows in one co-group sort."""
+    import ray.data
+    from python_fastjsonschema_ray.pipelines.constraints import (
+        check_referential)
+    from python_fastjsonschema_ray.stages import join
+
+    if gate == 'shut':
+        monkeypatch.setattr(join, 'BROADCAST_LIMIT_BYTES', -1)
+    left, right, lds, _ = _many_blocks(n=1280)
+    log = str(tmp_path / 'reference.log')
+
+    def counted(b: pa.Table) -> pa.Table:
+        with open(log, 'a') as fh:
+            fh.write('x\n')
+        return b
+
+    ref = ray.data.from_arrow(right).map_batches(counted,
+                                                 batch_format='pyarrow')
+    out = check_referential(lds, 'k', ref, 'rk').materialize()
+    keys = set(right.column('rk').to_pylist())
+    assert out.count() == sum(k is not None and k not in keys
+                              for k in left.column('k').to_pylist())
+    assert ('Sort' in out.stats()) == (gate == 'shut')
+    with open(log) as fh:
+        assert fh.read() == 'x\n'
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +455,10 @@ def test_asof_join_int_left_by_float_right_by(ray_session):
     assert got == [(i, 100 + i) for i in range(40)]
 
 
-def test_check_referential_large_int_fk_float_reference(ray_session):
+def test_check_referential_large_int_fk_float_reference(ray_session,
+                                                        gate_shut):
     """An int64 foreign key against a float64 reference key holding the
-    same values has no orphans."""
+    same values has no orphans on the co-group path."""
     from python_fastjsonschema_ray.pipelines.constraints import (
         check_referential_large)
 

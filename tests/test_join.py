@@ -521,11 +521,15 @@ def test_shuffle_join_lossy_key_cast_raises(ray_session):
         shuffle_join(left, right, 'k', 'rk', ['rv']).materialize()
 
 
-def test_broadcast_limit_falls_back_to_shuffle(ray_session):
-    """broadcast_limit_bytes gates the broadcast: a limit of 1 byte
+def test_broadcast_limit_falls_back_to_shuffle(ray_session, monkeypatch,
+                                               caplog):
+    """The size gate shut (``BROADCAST_LIMIT_BYTES`` below any size)
     forces the shuffle_join path, which must produce the same result as
-    the broadcast path (unique ref side), for inner and left."""
+    the broadcast path (unique ref side), for every ``how``; each
+    decision is logged with its path."""
+    import logging
     import ray.data
+    from python_fastjsonschema_ray.stages import join
     from python_fastjsonschema_ray.stages.join import broadcast_lookup_join
     left = ray.data.from_arrow(pa.table({
         'k': pa.array([1, 2, 3, 4, None], type=pa.int64()),
@@ -533,14 +537,38 @@ def test_broadcast_limit_falls_back_to_shuffle(ray_session):
     ref = ray.data.from_arrow(pa.table({
         'rk': pa.array([1, 3], type=pa.int64()),
         'rv': pa.array(['p', 'q'])}))
+    key = lambda df: sorted(
+        map(repr, df[sorted(df.columns)].itertuples(index=False)))
     for how in ('inner', 'left', 'semi', 'anti'):
-        wide = broadcast_lookup_join(
-            left, 'k', ref, 'rk', ['rv'], how=how,
-            broadcast_limit_bytes=1 << 30).to_pandas()
-        narrow = broadcast_lookup_join(
-            left, 'k', ref, 'rk', ['rv'], how=how,
-            broadcast_limit_bytes=1).to_pandas()
-        key = lambda df: sorted(
-            map(repr, df[sorted(df.columns)].itertuples(index=False)))
+        caplog.clear()
+        with caplog.at_level(logging.INFO,
+                             logger='python_fastjsonschema_ray'):
+            wide = broadcast_lookup_join(
+                left, 'k', ref, 'rk', ['rv'], how=how).to_pandas()
+            with monkeypatch.context() as m:
+                m.setattr(join, 'BROADCAST_LIMIT_BYTES', -1)
+                narrow = broadcast_lookup_join(
+                    left, 'k', ref, 'rk', ['rv'], how=how).to_pandas()
+        paths = [r.getMessage().split()[1] for r in caplog.records
+                 if r.name.startswith('python_fastjsonschema_ray')]
+        assert paths == ['broadcast', 'shuffle'], how
         assert key(wide) == key(narrow), how
         assert sorted(wide.columns) == sorted(narrow.columns), how
+
+
+def test_broadcast_lookup_join_int64_keys_above_2_53(ray_session):
+    """Keys above 2**53 that differ by 1 next to a null key: the lookup
+    probes the non-null keys in their own type, never as float64."""
+    import ray
+    import ray.data
+    from python_fastjsonschema_ray.stages.join import broadcast_lookup_join
+    left = ray.data.from_arrow(pa.table({
+        'k': pa.array([2**53, 2**53 + 1, None], type=pa.int64())}))
+    ref = ray.data.from_arrow(pa.table({
+        'rk': pa.array([2**53 + 1], type=pa.int64()),
+        'rv': pa.array(['hit'])}))
+    out = broadcast_lookup_join(left, 'k', ref, 'rk', ['rv'],
+                                how='left').to_arrow_refs()
+    got = sorted((r for t in ray.get(out) for r in zip(
+        t['k'].to_pylist(), t['rv'].to_pylist())), key=repr)
+    assert got == [(2**53, None), (2**53 + 1, 'hit'), (None, None)]
