@@ -308,7 +308,8 @@ def q_windowed_events(sf_dir: str):
 
 
 def q_sessions_events(sf_dir: str):
-    """Session windows (30-min gap) per user (groupby + sorted map_groups)."""
+    """Session windows (30-min gap) per user (time-salted exchange, then
+    a per-user merge exchange)."""
     from python_fastjsonschema_ray.stages.windows import session_windows
     ds = _read(sf_dir, 'events', ['ts', 'user_id'])
     return session_windows(ds, 'ts', 'user_id', 1800)

@@ -444,15 +444,17 @@ class ValidatorStage:
 
 
 def top_violation_examples(violations_ds, k=5):
-    """First-k violation examples per rule (triage view): rules are few, so
-    a per-rule head is a cheap groupby over already-small violation rows."""
-    import pandas as pd
+    """First-k violation examples per rule (triage view): one exchange on
+    ``rule`` brings each rule's rows into one group, which keeps the
+    first ``k`` of every rule it holds."""
+    from ..stages.exchange import exchange
 
-    def head(group: pd.DataFrame) -> pd.DataFrame:
-        return group.head(k)
+    def head(group: pa.Table) -> pa.Table:
+        rule = group.column('rule').to_pandas()
+        rank = rule.groupby(rule, sort=False, dropna=False).cumcount()
+        return group.filter(pa.array(rank.to_numpy() < k))
 
-    return violations_ds.groupby('rule').map_groups(head,
-                                                    batch_format='pandas')
+    return exchange(violations_ds, ['rule'], head)
 
 
 def validate_dataset(ds, definition, *, mode='annotate', key_column=None,

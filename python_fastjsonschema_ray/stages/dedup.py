@@ -1,23 +1,35 @@
 """Deduplication operators for training-data pipelines.
 
-Shuffle discipline (the part that matters at 100 TB):
+Every near-duplicate operator is candidate-then-verify, and it moves
+rows only through the package's shared key primitives: the
+fixed-boundary hash exchange (``stages/exchange.py``) and the size gate
+of ``stages/join.py`` (``broadcasts``, ``broadcast_lookup_join``).
 
-* **Exact dedup** — content hash per batch (vectorized) → hash-partitioned
-  ``groupby(hash).map_groups(first)``.  One shuffle, key is the 64-bit
-  content hash (uniform by construction, no skew).
-* **MinHash-LSH near-dup** — per-batch vectorized shingle→minhash →
-  explode to ``(band, band_hash, doc_id)`` rows (b rows per doc) →
-  ``groupby(band, band_hash)`` → candidate pairs from multi-doc buckets →
-  exact-Jaccard verification of candidates only.  The shuffle moves b
-  small rows per doc, never the text; verification re-reads only candidate
-  texts (carried through the bucket rows).
-* **SimHash** — 64-bit signature, duplicates = identical signature bucket
-  (or small Hamming radius via rotation tables).
-* **Embedding near-dup** — random-hyperplane LSH bucket → exact cosine
-  verify inside buckets.
+* **MinHash-LSH** (:func:`minhash_duplicate_pairs`) — per-batch
+  vectorized shingle → one-permutation MinHash → ``(band, band_hash,
+  id)`` rows, ``bands`` per document.  One ``exchange`` on (band,
+  band_hash) brings each LSH bucket into one group; the pairs of every
+  multi-document bucket are the candidates.  The text never moves here.
+* **Exact n-gram Jaccard** (:func:`ngram_jaccard_pairs`) — AllPairs
+  prefix filtering over three exchanges of (id, shingle-hash) rows.
+* **Verification**, shared by both: a
+  ``broadcast_lookup_join(how='semi')`` on the candidate ids selects the
+  candidate texts; the exact shingle Jaccard then runs in one exchange
+  on ``id_a`` over texts broadcast to every worker, or through two
+  co-groups (on ``id_a``, then ``id_b``) when ``join.broadcasts`` finds
+  the candidate texts too large.  Repeated candidates drop out in the
+  ``id_a`` shuffle either way.
+* **Hamming** (:func:`hamming_near_dup`) — pigeonhole bands of 64-bit
+  signatures, one exchange on (band, chunk), verification inline.
+* **Embedding** (:func:`embedding_duplicate_pairs`) — random-hyperplane
+  LSH bucket, one exchange on it, exact cosine inside each bucket.
+* **SimHash** (:func:`simhash_buckets`) — identical-signature buckets
+  through ``check_unique``.  Exact dedup is
+  ``pipelines/constraints.dedup_exact``.
 
-All heavy per-doc work (hashing, shingling) is numpy-vectorized per
-document with per-stage precomputed permutation tables.
+Removal (:func:`dedup_minhash`) is a ``broadcast_lookup_join(how='anti')``
+of the corpus against the loser ids.  Per-document hashing and
+shingling are numpy-vectorized per batch.
 """
 
 from __future__ import annotations
@@ -25,12 +37,12 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..state.sketches import _hash_bytes_array, _splitmix64
-from .exchange import cogroup, default_buckets, exchange
+from .exchange import _arrow_schema, cogroup, exchange
+from .join import broadcast_lookup_join, broadcasts
 from .per_worker import PerWorker
-
-_MERSENNE = np.uint64((1 << 61) - 1)
 
 
 def _shingle_hashes(text: str, k: int = 5) -> np.ndarray:
@@ -53,52 +65,15 @@ def _shingle_hashes(text: str, k: int = 5) -> np.ndarray:
 _U64_SENTINEL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-class MinHasher:
-    """MinHash signatures over shingle hashes.
-
-    Default algorithm is **one-permutation hashing** (Li, Owen &
-    Zhang 2012) with rotation densification (Shrivastava & Li 2014): each
-    shingle hash lands in one of ``num_perm`` bins by its top bits and the
-    per-bin minimum is the signature slot; empty bins borrow the next
-    non-empty slot cyclically.  O(1) work per shingle instead of the
-    classic k-perm O(num_perm) — the difference between ~3 and ~128 ops
-    per corpus byte at 100 TB.  ``algo='kperm'`` keeps the classic
-    universal-hash family for reference/comparison."""
-
-    def __init__(self, num_perm: int = 128, seed: int = 1337,
-                 algo: str = 'oph'):
-        assert num_perm & (num_perm - 1) == 0, 'num_perm must be 2^k'
-        rng = np.random.default_rng(seed)
-        self.num_perm = num_perm
-        self.algo = algo
-        self.shift = np.uint64(64 - int(np.log2(num_perm)))
-        self.a = rng.integers(1, (1 << 61) - 1, num_perm, dtype=np.uint64)
-        self.b = rng.integers(0, (1 << 61) - 1, num_perm, dtype=np.uint64)
-
-    @staticmethod
-    def _densify(out2d: np.ndarray) -> np.ndarray:
-        """Rotation densification: empty bins take the value of the next
-        non-empty bin to the right (cyclic)."""
+def _densify(out2d: np.ndarray) -> np.ndarray:
+    """Rotation densification: empty bins take the value of the next
+    non-empty bin to the right (cyclic)."""
+    empty = out2d == _U64_SENTINEL
+    while empty.any():
+        rolled = np.roll(out2d, -1, axis=1)
+        out2d = np.where(empty, rolled, out2d)
         empty = out2d == _U64_SENTINEL
-        while empty.any():
-            rolled = np.roll(out2d, -1, axis=1)
-            out2d = np.where(empty, rolled, out2d)
-            empty = out2d == _U64_SENTINEL
-        return out2d
-
-    def signature(self, shingles: np.ndarray) -> np.ndarray:
-        """Scalar (single-document) reference path."""
-        if len(shingles) == 0:
-            return np.zeros(self.num_perm, dtype=np.uint64)
-        if self.algo == 'kperm':
-            with np.errstate(over='ignore'):
-                h = (np.outer(self.a, shingles)
-                     + self.b[:, None]) % _MERSENNE
-            return h.min(axis=1)
-        bins = (shingles >> self.shift).astype(np.int64)
-        out = np.full(self.num_perm, _U64_SENTINEL, dtype=np.uint64)
-        np.minimum.at(out, bins, shingles)
-        return self._densify(out[None, :])[0]
+    return out2d
 
 
 def _batch_shingle_hashes(texts, k):
@@ -142,42 +117,38 @@ def _batch_shingle_hashes(texts, k):
 
 
 class MinHashBandStage:
-    """doc → b rows of (band, band_hash, id, text?) for the LSH groupby.
+    """doc → ``bands`` rows of (band, band_hash, id) for the LSH exchange;
+    documents with a null id are skipped (no identity to pair on).
 
-    Fully batch-vectorized: one rolling-hash pass over the batch's
-    concatenated bytes, then per-permutation universal hashes min-reduced
-    per document segment with ``np.minimum.reduceat`` (no per-document
-    Python loop)."""
+    Signatures are **one-permutation hashing** (Li, Owen & Zhang 2012)
+    with rotation densification (Shrivastava & Li 2014): each shingle
+    hash lands in one of ``num_perm`` bins by its top bits, the per-bin
+    minimum is the signature slot, and empty bins borrow the next
+    non-empty slot cyclically — O(1) work per shingle instead of the
+    classic k-permutation O(num_perm)."""
 
     def __init__(self, id_column, text_column, num_perm=128, bands=16,
-                 shingle_k=5, carry_text=True, seed=1337):
+                 shingle_k=5):
+        assert num_perm & (num_perm - 1) == 0, 'num_perm must be 2^k'
         assert num_perm % bands == 0
         self.id_column = id_column
         self.text_column = text_column
+        self.num_perm = num_perm
+        self.shift = np.uint64(64 - int(np.log2(num_perm)))
         self.bands = bands
         self.rows_per_band = num_perm // bands
         self.shingle_k = shingle_k
-        self.carry_text = carry_text
-        self.hasher = MinHasher(num_perm, seed)
 
     def signatures(self, texts) -> np.ndarray:
-        """(n_docs, num_perm) minhash signatures for a list of texts.
-
-        OPH batch path: one sort of (doc, bin) keys + one min-reduceat over
-        ALL shingles in the batch — O(n log n) total, independent of
-        num_perm.  The kperm path matches the classic scalar reference."""
-        num_perm = self.hasher.num_perm
+        """(n_docs, num_perm) minhash signatures for a list of texts:
+        one sort of (doc, bin) keys + one min-reduceat over ALL shingles
+        in the batch — O(n log n) total, independent of num_perm."""
+        num_perm = self.num_perm
         hashes, seg_starts = _batch_shingle_hashes(texts, self.shingle_k)
         n_docs = len(seg_starts)
-        if self.hasher.algo == 'kperm':
-            return np.stack([
-                self.hasher.signature(
-                    hashes[s:e]) for s, e in zip(
-                        seg_starts,
-                        np.append(seg_starts[1:], len(hashes)))])
         n_sh = np.diff(np.append(seg_starts, len(hashes)))
         seg_ids = np.repeat(np.arange(n_docs, dtype=np.int64), n_sh)
-        bins = (hashes >> self.hasher.shift).astype(np.int64)
+        bins = (hashes >> self.shift).astype(np.int64)
         keys = seg_ids * num_perm + bins
         order = np.argsort(keys, kind='stable')
         ks = keys[order]
@@ -190,21 +161,18 @@ class MinHashBandStage:
         out = out.reshape(n_docs, num_perm)
         # Docs with zero shingles cannot occur (_batch_shingle_hashes pads
         # to one window), so densification always terminates.
-        return MinHasher._densify(out)
+        return _densify(out)
 
-    def __call__(self, batch: pd.DataFrame):
-        ids = batch[self.id_column].to_numpy()
-        texts = batch[self.text_column].fillna('').tolist()
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        # Ids keep their Arrow type, so empty and full blocks share one
+        # schema (a pandas round trip made int ids with nulls float64).
+        batch = batch.filter(batch.column(self.id_column).is_valid())
+        ids = batch.column(self.id_column).combine_chunks()
+        texts = [t or '' for t in batch.column(self.text_column).to_pylist()]
         if not texts:
-            # Typed empty Arrow table (band triples are int64; id keeps
-            # the input column's type) — metadata-free so downstream
-            # schema dedup/union stay clean.
-            data = {'band': pa.array([], type=pa.int64()),
-                    'band_hash': pa.array([], type=pa.int64()),
-                    self.id_column: _empty_ids(ids.dtype)}
-            if self.carry_text:
-                data[self.text_column] = pa.array([], type=pa.string())
-            return pa.table(data)
+            return pa.table({'band': pa.array([], type=pa.int64()),
+                             'band_hash': pa.array([], type=pa.int64()),
+                             self.id_column: ids})
         r = self.rows_per_band
         sigs = self.signatures(texts)                       # (n, num_perm)
         grouped = sigs.reshape(len(texts), self.bands, r).view(np.int64)
@@ -213,17 +181,14 @@ class MinHashBandStage:
         with np.errstate(over='ignore'):
             band_hashes = _splitmix64(
                 (grouped * powers).sum(axis=2).view(np.uint64))
-        data = {
-            'band': np.tile(np.arange(self.bands), len(texts)),
-            'band_hash': band_hashes.reshape(-1).astype(np.int64),
-            self.id_column: np.repeat(ids, self.bands),
-        }
-        if self.carry_text:
-            data[self.text_column] = pa.array(np.repeat(
-                batch[self.text_column].fillna('').to_numpy(), self.bands))
-        # Arrow out from numpy — no pandas schema metadata (unhashable in
-        # this pyarrow build, trips Ray's block-schema dedup).
-        return pa.table(data)
+        return pa.table({
+            'band': pa.array(np.tile(np.arange(self.bands, dtype=np.int64),
+                                     len(texts))),
+            'band_hash': pa.array(band_hashes.reshape(-1).astype(np.int64)),
+            self.id_column: ids.take(pa.array(
+                np.repeat(np.arange(len(texts), dtype=np.int64),
+                          self.bands))),
+        })
 
 
 def _empty_ids(dtype) -> pa.Array:
@@ -246,6 +211,27 @@ def _pairs_table(out_a, out_b, id_dtype) -> pa.Table:
                      'id_b': np.concatenate(out_b)})
 
 
+def _runs(group: pa.Table, keys, id_column):
+    """``group`` sorted by ``keys`` then ``id_column``, and the (start,
+    end) row ranges of its runs of equal ``keys``: the buckets of an
+    exchange group, which holds many."""
+    group = group.sort_by([(c, 'ascending') for c in [*keys, id_column]])
+    change = np.zeros(group.num_rows - 1, dtype=bool)
+    for c in keys:
+        v = group.column(c).to_numpy()
+        change |= v[1:] != v[:-1]
+    cuts = [0, *(np.flatnonzero(change) + 1), group.num_rows]
+    return group, list(zip(cuts[:-1], cuts[1:]))
+
+
+def _id_type(ds, id_column) -> pa.DataType:
+    """The Arrow type of ``ds[id_column]``; string for a fully-empty
+    input, which has no pairs anyway."""
+    if ds.schema() is None:
+        return pa.string()
+    return _arrow_schema(ds)[1].field(id_column).type
+
+
 def jaccard(text_a: str, text_b: str, k: int = 5) -> float:
     a = set(_shingle_hashes(text_a, k).tolist())
     b = set(_shingle_hashes(text_b, k).tolist())
@@ -254,20 +240,36 @@ def jaccard(text_a: str, text_b: str, k: int = 5) -> float:
     return len(a & b) / max(len(a | b), 1)
 
 
+def _verified(pairs: pa.Table, text_of, cache, threshold, shingle_k):
+    """(id_a, id_b, jaccard) for the rows of ``pairs`` whose texts
+    (``text_of``: id → text) reach ``threshold`` exact shingle Jaccard;
+    ``cache`` keeps each id's shingle hashes for later calls."""
+    def shingles(doc_id):
+        s = cache.get(doc_id)
+        if s is None:
+            s = cache[doc_id] = _shingle_hashes(
+                text_of.get(doc_id) or '', shingle_k)
+        return s
 
-def _as_arrow(block) -> pa.Table:
-    # to_arrow_refs can surface pandas blocks as-is; normalize.
-    return (block if isinstance(block, pa.Table)
-            else pa.Table.from_pandas(block, preserve_index=False))
-
-def _keys_from_refs(refs):
-    """The broadcast first columns of ``refs`` as one array (None when
-    every block is empty); built per worker through ``PerWorker``."""
-    import ray
-
-    tables = [_as_arrow(t) for t in ray.get(list(refs))]
-    chunks = [t.column(0).combine_chunks() for t in tables if len(t)]
-    return pa.concat_arrays(chunks) if chunks else None
+    keep, out_j = [], []
+    ids_a = pairs.column('id_a').to_pylist()
+    ids_b = pairs.column('id_b').to_pylist()
+    for i, (a, b) in enumerate(zip(ids_a, ids_b)):
+        sa, sb = shingles(a), shingles(b)
+        inter = np.intersect1d(sa, sb, assume_unique=True).size
+        union = sa.size + sb.size - inter
+        sim = inter / union if union else 1.0
+        if sim >= threshold:
+            keep.append(i)
+            # raw double, not rounded: int/int division is bit-identical
+            # to any SQL oracle computing the same ratio, while
+            # pre-rounding can diverge from the oracle at exact .5e-6
+            # ties (banker's vs half-away)
+            out_j.append(sim)
+    taken = pairs.take(pa.array(keep, type=pa.int64()))
+    return pa.table({'id_a': taken.column('id_a'),
+                     'id_b': taken.column('id_b'),
+                     'jaccard': pa.array(out_j, type=pa.float64())})
 
 
 def _textmap_from_refs(refs, id_column, text_column):
@@ -276,7 +278,7 @@ def _textmap_from_refs(refs, id_column, text_column):
     import ray
 
     text_of = {}
-    for t in (_as_arrow(x) for x in ray.get(list(refs))):
+    for t in ray.get(list(refs)):
         # Materialized empty blocks can be SCHEMALESS (zero columns
         # — seen from parquet-read lineage); skip rather than crash.
         if not t.num_rows or id_column not in t.schema.names:
@@ -288,22 +290,17 @@ def _textmap_from_refs(refs, id_column, text_column):
 
 def minhash_duplicate_pairs(ds, id_column, text_column, *, threshold=0.8,
                             num_perm=128, bands=16, shingle_k=5,
-                            num_buckets=None,
-                            broadcast_text_limit=1 << 30):
+                            num_buckets=None):
     """Near-duplicate pairs via MinHash-LSH: returns a Dataset of
     (id_a, id_b, jaccard) with id_a < id_b and exact shingle-Jaccard ≥
     threshold.
 
-    Shuffle discipline: only (band, band_hash, id) triples move through the
-    LSH groupby — never the text (b small rows per doc); the groupby key is
-    the band id (``bands`` coarse groups) with vectorized in-group
-    bucketing.
-    Verification is fully distributed: candidate texts are selected by an
-    object-store-broadcast id semi-join (ids only — never texts — touch
-    the driver, and only as ObjectRefs), then joined to the pairs with two
-    hash-bucketed co-groups (by id_a, then id_b), so the exchanges move
-    candidate pairs + candidate texts only — both proportional to the dup
-    rate, not the corpus.
+    Only (band, band_hash, id) triples move through the LSH exchange —
+    never the text (``bands`` small rows per document); each exchange
+    group splits into its (band, band_hash) buckets with one vectorized
+    sort.  Verification is :func:`_verify_candidate_pairs`: its
+    exchanges move candidate pairs and candidate texts only, both
+    proportional to the duplicate rate, not the corpus.
 
     ``bands=16`` (r=8 rows/band) keeps the candidate rate sane: a pair
     at similarity s collides with probability 1-(1-s**r)**bands, i.e.
@@ -313,27 +310,15 @@ def minhash_duplicate_pairs(ds, id_column, text_column, *, threshold=0.8,
     this default changed from bands=32/r=4 (which had ~100% recall at
     s=0.8 exactly); recall-sensitive small corpora can pass bands=32
     explicitly to restore it."""
-    stage = MinHashBandStage(id_column, text_column, num_perm, bands,
-                             shingle_k, carry_text=False)
     banded = ds.select_columns([id_column, text_column]).map_batches(
-        stage, batch_format='pandas')
-    # The band triples are tiny ((id, band, band_hash) x bands rows per
-    # doc) while the LSH groupby's sort fixed cost is TASK-count-driven:
-    # merge the many signature blocks to a few before the shuffle.
-    banded = banded.repartition(default_buckets() // 8 or 1)
+        MinHashBandStage(id_column, text_column, num_perm, bands,
+                         shingle_k), batch_format='pyarrow')
 
-    def band_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        # One group = one whole band (32 groups total): bucket by band_hash
-        # inside the group with vectorized pandas/numpy, avoiding per-bucket
-        # map_groups overhead across hundreds of thousands of tiny buckets.
-        g = group.sort_values(['band_hash', id_column])
-        hashes = g['band_hash'].to_numpy()
-        ids = g[id_column].to_numpy()
-        boundaries = np.nonzero(np.diff(hashes))[0] + 1
-        starts = np.concatenate([[0], boundaries])
-        ends = np.concatenate([boundaries, [len(hashes)]])
+    def band_pairs(group: pa.Table) -> pa.Table:
+        g, runs = _runs(group, ['band', 'band_hash'], id_column)
+        ids = g.column(id_column).to_numpy(zero_copy_only=False)
         out_a, out_b = [], []
-        for s, e in zip(starts, ends):
+        for s, e in runs:
             if e - s < 2:
                 continue
             bucket = np.unique(ids[s:e])
@@ -345,210 +330,90 @@ def minhash_duplicate_pairs(ds, id_column, text_column, *, threshold=0.8,
             out_b.append(bucket[jj])
         return _pairs_table(out_a, out_b, ids.dtype)
 
-    candidate_pairs = banded.groupby('band').map_groups(
-        band_pairs, batch_format='pandas')
-    # Materialize the candidate PAIRS (∝ dup rate, not corpus) so the
-    # expensive LSH lineage runs once while the pairs feed two consumers
-    # (the id semi-join and the co-group join).  Blocks stay in the object
-    # store; the driver holds refs only.
-    pairs_m = candidate_pairs.materialize()
+    candidates = exchange(banded, ['band', 'band_hash'], band_pairs,
+                          num_buckets=num_buckets)
     return _verify_candidate_pairs(
-        ds, pairs_m, id_column, text_column, threshold=threshold,
-        shingle_k=shingle_k, num_buckets=num_buckets,
-        broadcast_text_limit=broadcast_text_limit)
+        ds, candidates, id_column, text_column, threshold=threshold,
+        shingle_k=shingle_k, num_buckets=num_buckets)
 
 
-def _verify_candidate_pairs(ds, pairs_m, id_column, text_column, *,
-                            threshold, shingle_k, num_buckets,
-                            broadcast_text_limit):
-    """Exact-Jaccard verification of a materialized candidate-pair set
-    against the corpus ``ds``: returns (id_a, id_b, jaccard) for the
+def _verify_candidate_pairs(ds, candidates, id_column, text_column, *,
+                            threshold, shingle_k, num_buckets):
+    """Exact-Jaccard verification of candidate (id_a, id_b) pairs against
+    the corpus ``ds``: returns (id_a, id_b, jaccard) for the distinct
     candidates whose exact shingle Jaccard ≥ ``threshold``.
 
     Shared tail of every near-dup candidate generator (MinHash-LSH
-    banding, AllPairs prefix filtering): candidate texts are selected by
-    an object-store-broadcast id semi-join (ids only — never texts —
-    touch the driver, and only as ObjectRefs), then either verified in
-    one broadcast map_batches (small candidate sets, gated by
-    ``broadcast_text_limit``) or joined to the pairs with two
-    hash-bucketed co-groups (by id_a, then id_b) so the exchanges move
-    candidate pairs + candidate texts only — both proportional to the
-    dup rate, not the corpus."""
-    import ray
+    banding, AllPairs prefix filtering).  The candidates are deduplicated
+    per block and materialized: they feed both the candidate-id
+    semi-join and the verification.  The candidate texts come from
+    ``broadcast_lookup_join(how='semi')``, which broadcasts the ids or
+    co-groups them with the corpus past its gate.  ``join.broadcasts``
+    then picks the verification: one exchange on ``id_a`` against texts
+    broadcast to every worker, or two co-groups that attach ``text_a``
+    on ``id_a`` and verify against the texts on ``id_b``.  Either way
+    the first shuffle is keyed on ``id_a``, which every copy of a pair
+    shares, so its per-group dedup is global."""
     import ray.data
 
-    # The authoritative id type comes from a non-empty pairs block (empty
-    # blocks from pandas map_groups carry a fake float64 schema; a
-    # pandas-backed input Dataset reports numpy dtypes, not Arrow types).
-    id_type = None
-    for ref in pairs_m.to_arrow_refs():
-        t = _as_arrow(ray.get(ref))
-        if t.num_rows and 'id_a' in t.schema.names:
-            id_type = t.schema.field('id_a').type
-            break
-    if id_type is None:
-        _sch = ds.schema()
-        schema_t = (dict(zip(_sch.names, _sch.types)).get(id_column)
-                    if _sch is not None else None)
-        if isinstance(schema_t, pa.DataType):
-            id_type = schema_t
-        else:
-            try:
-                id_type = pa.from_numpy_dtype(schema_t)
-            except Exception:
-                id_type = pa.string()
-    if pairs_m.count() == 0:
+    id_type = _id_type(ds, id_column)
+
+    def unique_pairs(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            'id_a': batch.column('id_a').combine_chunks().cast(id_type),
+            'id_b': batch.column('id_b').combine_chunks().cast(id_type),
+        }).group_by(['id_a', 'id_b']).aggregate([])
+
+    pairs = candidates.map_batches(unique_pairs,
+                                   batch_format='pyarrow').materialize()
+    if pairs.count() == 0:
         return ray.data.from_arrow(pa.table({
             'id_a': pa.array([], type=id_type),
             'id_b': pa.array([], type=id_type),
             'jaccard': pa.array([], type=pa.float64())}))  # schema-stable empty
 
-    def ids_only(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        # Cast defensively: empty pandas blocks surface float64 id columns
-        # which would otherwise poison Arrow type promotion downstream.
-        both = pa.concat_arrays([
-            batch.column('id_a').combine_chunks().cast(id_type),
-            batch.column('id_b').combine_chunks().cast(id_type)])
-        return pa.table({id_column: pc.unique(both)})
+    def candidate_ids(batch: pa.Table) -> pa.Table:
+        return pa.table({id_column: pc.unique(pa.concat_arrays([
+            batch.column('id_a').combine_chunks(),
+            batch.column('id_b').combine_chunks()]))})
 
-    id_refs = pairs_m.map_batches(
-        ids_only, batch_format='pyarrow').to_arrow_refs()
-    candidate_ids = PerWorker(_keys_from_refs, id_refs)
+    texts = broadcast_lookup_join(
+        ds.select_columns([id_column, text_column]), id_column,
+        pairs.map_batches(candidate_ids, batch_format='pyarrow'),
+        id_column, how='semi').materialize()
 
-    def semi(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        keys = candidate_ids.get()
-        sub = batch.select([id_column, text_column])
-        if keys is None:
-            return sub.slice(0, 0)
-        hit = pc.is_in(sub.column(id_column), value_set=keys)
-        if hit.null_count:
-            hit = hit.fill_null(False)
-        return sub.filter(hit)
+    if broadcasts('_verify_candidate_pairs', texts, 'candidate-text'):
+        text_map = PerWorker(_textmap_from_refs, texts.to_arrow_refs(),
+                             id_column, text_column)
 
-    texts_cand = ds.map_batches(semi, batch_format='pyarrow')
-    # Candidate texts feed BOTH co-group phases: materialize (∝ dup rate)
-    # so the corpus semi-join scan runs once, blocks in the object store.
-    texts_cand = texts_cand.materialize()
+        def broadcast_verify(group: pa.Table) -> pa.Table:
+            text_of, cache = text_map.get()
+            return _verified(unique_pairs(group), text_of, cache, threshold,
+                             shingle_k)
 
-    # Fast path: when the candidate texts fit comfortably in a worker's
-    # object store, broadcast them as refs and verify in ONE map_batches
-    # over the pairs — the two bucketed co-group shuffles below each cost
-    # seconds of fixed sort overhead that dwarfs small candidate sets.
-    # The co-group path takes over past the gate (candidate texts at a
-    # 100 TB / high-dup-rate corpus outgrow a single node's store).
-    if texts_cand.size_bytes() <= broadcast_text_limit:
-        texts = PerWorker(_textmap_from_refs, texts_cand.to_arrow_refs(),
-                          id_column, text_column)
-
-        def dedup_pairs(batch: pa.Table) -> pa.Table:
-            return pa.table({
-                'id_a': batch.column('id_a').combine_chunks().cast(id_type),
-                'id_b': batch.column('id_b').combine_chunks().cast(id_type),
-            }).group_by(['id_a', 'id_b']).aggregate([])
-
-        if pairs_m.count() <= 1_000_000:
-            # One block for the cross-generator dedup (pair set small),
-            # then spread verification back over the pool.
-            unique_pairs = pairs_m.repartition(1).map_batches(
-                dedup_pairs, batch_format='pyarrow')
-        else:
-            # Large candidate sets (prefix filtering on low-entropy
-            # corpora): dedup distributed — exchange on id_a (all copies
-            # of a pair share id_a, so per-bucket dedup is global) and
-            # collapse each bucket with one Arrow group_by, after a
-            # per-block pre-dedup + cast.
-            unique_pairs = exchange(
-                pairs_m.map_batches(dedup_pairs, batch_format='pyarrow'),
-                ['id_a'], dedup_pairs, num_buckets=num_buckets)
-
-        def broadcast_verify(batch: pa.Table) -> pa.Table:
-            text_of, cache = texts.get()
-
-            def sh(doc_id):
-                s = cache.get(doc_id)
-                if s is None:
-                    s = cache[doc_id] = _shingle_hashes(
-                        text_of.get(doc_id) or '', shingle_k)
-                return s
-
-            keep, out_j = [], []
-            ids_a = batch.column('id_a').to_pylist()
-            ids_b = batch.column('id_b').to_pylist()
-            for i, (a, b) in enumerate(zip(ids_a, ids_b)):
-                sa, sb = sh(a), sh(b)
-                inter = np.intersect1d(sa, sb, assume_unique=True).size
-                union = sa.size + sb.size - inter
-                sim = inter / union if union else 1.0
-                if sim >= threshold:
-                    keep.append(i)
-                    # raw double, not rounded: int/int division is
-                    # bit-identical to any SQL oracle computing the same
-                    # ratio, while pre-rounding can diverge from the
-                    # oracle at exact .5e-6 ties (banker's vs half-away)
-                    out_j.append(sim)
-            taken = batch.take(pa.array(keep, type=pa.int64()))
-            return pa.table({'id_a': taken.column('id_a'),
-                             'id_b': taken.column('id_b'),
-                             'jaccard': pa.array(out_j, type=pa.float64())})
-
-        return unique_pairs.map_batches(
-            broadcast_verify, batch_format='pyarrow', batch_size=8192)
-
-    # Two-phase co-group join: attach text_a (co-group on id_a), then
-    # text_b (co-group on id_b) + exact-Jaccard verify.
-    def cast_pairs(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            'id_a': batch.column('id_a').combine_chunks().cast(id_type),
-            'id_b': batch.column('id_b').combine_chunks().cast(id_type)})
+        return exchange(pairs, ['id_a'], broadcast_verify,
+                        num_buckets=num_buckets)
 
     def join_a(p: pa.Table, t: pa.Table) -> pa.Table:
-        p = p.group_by(['id_a', 'id_b']).aggregate([])  # cross-band dedup
+        p = unique_pairs(p)
         text_of = dict(zip(t.column(id_column).to_pylist(),
                            t.column(text_column).to_pylist()))
-        texts = [text_of.get(i) for i in p.column('id_a').to_pylist()]
-        return pa.table({'id_a': p.column('id_a'),
-                         'id_b': p.column('id_b'),
-                         'text_a': pa.array(texts, type=pa.string())})
-
-    # Materialized (∝ candidate pairs) so phase 2 reads its schema
-    # without re-running phase 1.
-    with_text_a = cogroup(
-        pairs_m.map_batches(cast_pairs, batch_format='pyarrow'),
-        texts_cand, 'id_a', id_column, join_a,
-        num_buckets=num_buckets).materialize()
+        return p.append_column('text_a', pa.array(
+            [text_of.get(i) for i in p.column('id_a').to_pylist()],
+            type=pa.string()))
 
     def verify(p: pa.Table, t: pa.Table) -> pa.Table:
-        text_of = dict(zip(t.column(id_column).to_pylist(),
+        text_of = dict(zip(p.column('id_a').to_pylist(),
+                           p.column('text_a').to_pylist()))
+        text_of.update(zip(t.column(id_column).to_pylist(),
                            t.column(text_column).to_pylist()))
-        cache = {}
+        return _verified(p, text_of, {}, threshold, shingle_k)
 
-        def shingles(doc_id, text):
-            s = cache.get(doc_id)
-            if s is None:
-                s = cache[doc_id] = _shingle_hashes(text or '', shingle_k)
-            return s
-
-        keep, out_j = [], []
-        ids_a = p.column('id_a').to_pylist()
-        ids_b = p.column('id_b').to_pylist()
-        for i, (a, b, ta) in enumerate(zip(ids_a, ids_b,
-                                           p.column('text_a').to_pylist())):
-            sa = shingles(a, ta)
-            sb = shingles(b, text_of.get(b))
-            inter = np.intersect1d(sa, sb, assume_unique=True).size
-            union = sa.size + sb.size - inter
-            sim = inter / union if union else 1.0
-            if sim >= threshold:
-                keep.append(i)
-                out_j.append(sim)      # raw double — see broadcast_verify
-        taken = p.take(pa.array(keep, type=pa.int64()))
-        return pa.table({'id_a': taken.column('id_a'),
-                         'id_b': taken.column('id_b'),
-                         'jaccard': pa.array(out_j, type=pa.float64())})
-
-    return cogroup(with_text_a, texts_cand, 'id_b', id_column, verify,
+    # Materialized (∝ candidate pairs) so the second co-group reads its
+    # schema without re-running the first.
+    with_text_a = cogroup(pairs, texts, 'id_a', id_column, join_a,
+                          num_buckets=num_buckets).materialize()
+    return cogroup(with_text_a, texts, 'id_b', id_column, verify,
                    num_buckets=num_buckets)
 
 
@@ -590,8 +455,7 @@ class ShingleExplodeStage:
 
 
 def ngram_jaccard_pairs(ds, id_column, text_column, *, threshold=0.8,
-                        shingle_k=5, num_buckets=None,
-                        broadcast_text_limit=1 << 30):
+                        shingle_k=5, num_buckets=None):
     """EXACT character-n-gram Jaccard near-duplicate pairs: every
     (id_a, id_b, jaccard) with id_a < id_b and distinct-shingle Jaccard
     ≥ ``threshold`` — no LSH approximation, exact recall.
@@ -611,8 +475,8 @@ def ngram_jaccard_pairs(ds, id_column, text_column, *, threshold=0.8,
     shingle co-locate in its bucket, so df is a local group size), (2)
     per-document prefix selection (sort by the global (df, sh) order,
     keep the first p), (3) prefix-token pair generation.  Exact
-    verification reuses the distributed broadcast/co-group tail shared
-    with ``minhash_duplicate_pairs``.  Cost grows with (1-t): below
+    verification is the tail shared with ``minhash_duplicate_pairs``
+    (:func:`_verify_candidate_pairs`).  Cost grows with (1-t): below
     t≈0.5 prefixes stop excluding much — use MinHash-LSH there.
     """
     exploded = ds.select_columns([id_column, text_column]).map_batches(
@@ -642,23 +506,19 @@ def ngram_jaccard_pairs(ds, id_column, text_column, *, threshold=0.8,
     prefix_rows = exchange(withdf, [id_column], prefixes,
                            batch_format='pandas', num_buckets=num_buckets)
 
-    def token_pairs(group: pd.DataFrame) -> pd.DataFrame:
+    def token_pairs(group: pa.Table) -> pa.Table:
         # One group = one bucket of prefix tokens: runs of equal sh give
         # each token's posting list; emit its C(n,2) id pairs, pruned by
         # the PPJoin length filter (min(n) ≥ t·max(n)) and position
         # filter (overlap upper bound min(nA-rA, nB-rB) + min(rA, rB)
         # must reach α = ceil(t/(1+t)·(nA+nB))) — both sound for every
         # shared token, so no true pair is lost.
-        g = group.sort_values(['sh', id_column])
-        shs = g['sh'].to_numpy()
-        ids = g[id_column].to_numpy()
-        ns = g['n'].to_numpy()
-        rs = g['rank'].to_numpy()
-        boundaries = np.nonzero(shs[1:] != shs[:-1])[0] + 1
-        starts = np.concatenate([[0], boundaries])
-        ends = np.concatenate([boundaries, [len(shs)]])
+        g, runs = _runs(group, ['sh'], id_column)
+        ids = g.column(id_column).to_numpy(zero_copy_only=False)
+        ns = g.column('n').to_numpy()
+        rs = g.column('rank').to_numpy()
         out_a, out_b = [], []
-        for s, e in zip(starts, ends):
+        for s, e in runs:
             if e - s < 2:
                 continue
             m = e - s
@@ -677,14 +537,11 @@ def ngram_jaccard_pairs(ds, id_column, text_column, *, threshold=0.8,
                 out_b.append(ids[s:e][jj[keep]])
         return _pairs_table(out_a, out_b, ids.dtype)
 
-    candidate_pairs = exchange(prefix_rows, ['sh'], token_pairs,
-                               batch_format='pandas',
-                               num_buckets=num_buckets)
-    pairs_m = candidate_pairs.materialize()
+    candidates = exchange(prefix_rows, ['sh'], token_pairs,
+                          num_buckets=num_buckets)
     return _verify_candidate_pairs(
-        ds, pairs_m, id_column, text_column, threshold=threshold,
-        shingle_k=shingle_k, num_buckets=num_buckets,
-        broadcast_text_limit=broadcast_text_limit)
+        ds, candidates, id_column, text_column, threshold=threshold,
+        shingle_k=shingle_k, num_buckets=num_buckets)
 
 
 def dedup_minhash(ds, id_column, text_column, transitive=False, **kwargs):
@@ -695,47 +552,23 @@ def dedup_minhash(ds, id_column, text_column, transitive=False, **kwargs):
     first-order policy at threshold ≥0.8; transitive collapse is the
     cluster-level policy (see stages/components.py).
 
-    The loser-id set is broadcast as object-store refs (ids only, one
-    8-byte value per duplicate) — the driver and worker heaps never hold
-    texts or the full pair set."""
-    import ray
-    import pyarrow.compute as pc
-
+    The drop is ``broadcast_lookup_join(how='anti')`` against the loser
+    ids (ids only, never texts): broadcast under the size gate,
+    co-grouped with the corpus above it.  Rows with a null id are never
+    losers and stay."""
     pairs = minhash_duplicate_pairs(ds, id_column, text_column, **kwargs)
+    if not transitive:
+        return broadcast_lookup_join(ds, id_column, pairs, 'id_b',
+                                     how='anti')
+    from .components import connected_components
 
-    if transitive:
-        from .components import connected_components
-        comp = connected_components(pairs)
+    def losers_only(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.not_equal(batch.column('id'),
+                                         batch.column('component_id')))
 
-        def losers_only(batch: pa.Table) -> pa.Table:
-            keep = pc.not_equal(batch.column('id'),
-                                batch.column('component_id'))
-            return pa.table({id_column: batch.filter(keep).column('id')})
-
-        loser_src = comp
-    else:
-        def losers_only(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {id_column: pc.unique(batch.column('id_b').combine_chunks())})
-
-        loser_src = pairs
-
-    loser_refs = loser_src.map_batches(
-        losers_only, batch_format='pyarrow').to_arrow_refs()
-    if sum(len(ray.get(r)) for r in loser_refs) == 0:
-        return ds
-    losers = PerWorker(_keys_from_refs, loser_refs)
-
-    def drop(batch: pa.Table) -> pa.Table:
-        keys = losers.get()
-        if keys is None:
-            return batch
-        hit = pc.is_in(batch.column(id_column), value_set=keys)
-        if hit.null_count:
-            hit = hit.fill_null(False)
-        return batch.filter(pc.invert(hit))
-
-    return ds.map_batches(drop, batch_format='pyarrow')
+    losers = connected_components(pairs).map_batches(
+        losers_only, batch_format='pyarrow')
+    return broadcast_lookup_join(ds, id_column, losers, 'id', how='anti')
 
 
 # ---------------------------------------------------------------------------
@@ -925,35 +758,31 @@ def embedding_duplicate_pairs(ds, id_column, embedding_column, dim, *,
         HyperplaneLSHStage(embedding_column, dim, n_planes),
         batch_format='pyarrow')
 
-    _schema = ds.schema()
-    id_type = (dict(zip(_schema.names, _schema.types)).get(id_column)
-               if _schema is not None else None)
-    if not isinstance(id_type, pa.DataType):
-        id_type = pa.string()  # fully-empty input: no pairs anyway
+    id_type = _id_type(ds, id_column)
     empty = pa.table({'id_a': pa.nulls(0, id_type),
                       'id_b': pa.nulls(0, id_type),
                       'cosine': pa.nulls(0, pa.float64())})
 
-    def verify(group: pa.Table) -> pa.Table:
+    def verify_bucket(bucket: pa.Table) -> pa.Table:
         from ..functions.arrowutil import embedding_matrix
-        if group.num_rows < 2:
-            return empty
-        group = group.sort_by([(id_column, 'ascending')])
-        ids = group.column(id_column).combine_chunks()
-        emb = embedding_matrix(group.column(embedding_column)) \
+        ids = bucket.column(id_column).combine_chunks()
+        emb = embedding_matrix(bucket.column(embedding_column)) \
             .astype(np.float64, copy=False)
         norms = np.linalg.norm(emb, axis=1)
         norms[norms == 0] = 1.0
         unit = emb / norms[:, None]
         gi, gj, cos = _cosine_pairs_tiled(unit, threshold)
-        if not len(gi):
-            return empty
         return pa.table({'id_a': ids.take(pa.array(gi)),
                          'id_b': ids.take(pa.array(gj)),
                          'cosine': pa.array(np.round(cos, 6))})
 
-    return bucketed.groupby('bucket').map_groups(verify,
-                                                 batch_format='pyarrow')
+    def verify(group: pa.Table) -> pa.Table:
+        g, runs = _runs(group, ['bucket'], id_column)
+        found = [t for t in (verify_bucket(g.slice(s, e - s))
+                             for s, e in runs if e - s > 1) if t.num_rows]
+        return pa.concat_tables(found) if found else empty
+
+    return exchange(bucketed, ['bucket'], verify)
 
 
 # ---------------------------------------------------------------------------
@@ -1017,10 +846,11 @@ def hamming_near_dup(ds, id_column, hash_column, *, max_dist=3, bands=None):
     Pigeonhole banding: the 64 bits split into ``bands`` equal chunks; a
     pair within distance d < bands must agree EXACTLY on at least one
     chunk, so bucketing by (band, chunk value) has guaranteed recall when
-    ``bands >= max_dist + 1`` (the default).  One shuffle total: only
-    (band, chunk, id, hash) rows move — the 8-byte signature rides along,
-    so verification happens inline in the bucket group (no second join,
-    unlike text minhash).  At 10^12 rows the hot buckets are the all-zero
+    ``bands >= max_dist + 1`` (the default).  One exchange on (band,
+    chunk) moves only (band, chunk, id, hash) rows — the 8-byte
+    signature rides along, so verification happens inline in each
+    bucket (no text join, unlike minhash); a second exchange drops the
+    pairs found in more than one band.  At 10^12 rows the hot buckets are the all-zero
     chunks of near-blank images; verification runs in tiled popcount
     blocks (:func:`_hamming_pairs_tiled`) so a hot bucket costs O(n^2)
     vectorized XOR-popcount but bounded memory — still pre-filter
@@ -1036,7 +866,6 @@ def hamming_near_dup(ds, id_column, hash_column, *, max_dist=3, bands=None):
         else np.int64(-1)
 
     def explode(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         ids_all = batch.column(id_column).combine_chunks()
         h_all = batch.column(hash_column).combine_chunks()
         # Null ids/hashes are skipped (engine-wide null-key policy): they
@@ -1059,16 +888,12 @@ def hamming_near_dup(ds, id_column, hash_column, *, max_dist=3, bands=None):
 
     exploded = ds.map_batches(explode, batch_format='pyarrow')
 
-    def band_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(['chunk', id_column])
-        chunks_v = g['chunk'].to_numpy()
-        ids = g[id_column].to_numpy()
-        hashes = g['_hash'].to_numpy().astype(np.int64)
-        bounds = np.nonzero(np.diff(chunks_v))[0] + 1
-        starts = np.concatenate([[0], bounds])
-        ends = np.concatenate([bounds, [len(ids)]])
+    def band_pairs(group: pa.Table) -> pa.Table:
+        g, runs = _runs(group, ['band', 'chunk'], id_column)
+        ids = g.column(id_column).to_numpy(zero_copy_only=False)
+        hashes = g.column('_hash').to_numpy()
         out_a, out_b, out_d = [], [], []
-        for s, e in zip(starts, ends):
+        for s, e in runs:
             if e - s < 2:
                 continue
             bucket_ids = ids[s:e]
@@ -1082,16 +907,11 @@ def hamming_near_dup(ds, id_column, hash_column, *, max_dist=3, bands=None):
                 out_a.append(uniq[gi])
                 out_b.append(uniq[gj])
                 out_d.append(dist)
-        if not out_a:
-            e1 = pd.Series([], dtype=ids.dtype)
-            return pd.DataFrame({'id_a': e1, 'id_b': e1,
-                                 'dist': pd.Series([], dtype=np.int64)})
-        return pd.DataFrame({'id_a': np.concatenate(out_a),
-                             'id_b': np.concatenate(out_b),
-                             'dist': np.concatenate(out_d)})
+        return _pairs_table(out_a, out_b, ids.dtype).append_column(
+            'dist', pa.array(np.concatenate(out_d) if out_d else [],
+                             type=pa.int64()))
 
-    pairs = exploded.groupby('band').map_groups(band_pairs,
-                                                batch_format='pandas')
+    pairs = exchange(exploded, ['band', 'chunk'], band_pairs)
 
     # Cross-band dedup: exchange on the pair, vectorized drop_duplicates
     # per bucket (pairs ∝ dup rate, not corpus).

@@ -122,12 +122,13 @@ def exchange(ds, keys, fn, *, batch_format='pyarrow', num_buckets=None):
 
 def _arrow_schema(ds):
     """(ds, its Arrow schema); pandas-block datasets report some types
-    as None, so those route through an Arrow conversion first."""
+    as None or as a Python type (``object`` for a string column), so
+    those route through an Arrow conversion first."""
     schema = ds.schema()
     if schema is None:
         raise ValueError('cogroup needs a schema on both sides; '
                          'short-circuit fully-empty inputs first')
-    if any(t is None for t in schema.types):
+    if not all(isinstance(t, pa.DataType) for t in schema.types):
         ds = ds.map_batches(_arrow, batch_format='pyarrow')
         schema = ds.schema()
     return ds, pa.schema(list(zip(schema.names, schema.types)))

@@ -11,10 +11,16 @@ attributes (e.g. orders with customer segment) before validation.
 Scale notes:
 
 * One size gate decides broadcast or shuffle for every exact key
-  operator here and in ``pipelines/constraints.py``: the small side is
-  materialized once and its ``size_bytes()`` compared with
+  operator here, in ``pipelines/constraints.py`` and in the near-dup
+  verification of ``stages/dedup.py``: the small side is materialized
+  once and its ``size_bytes()`` compared with
   :data:`BROADCAST_LIMIT_BYTES`.  Each decision is logged at INFO on the
   package logger (silent by default).
+* Near-dup verification broadcasts the candidate TEXTS under the gate
+  (each worker builds one id → text map) and co-groups them with the
+  candidate pairs above it; its candidate-id filter and
+  ``dedup_minhash``'s loser drop are semi/anti
+  :func:`broadcast_lookup_join` calls.
 * ``broadcast_lookup_join`` ships the dimension table ONCE as
   object-store refs (never through the driver heap) and each worker
   builds a :class:`KeyLookup` over it a single time (``PerWorker``);
@@ -123,16 +129,21 @@ class KeyLookup:
         return np.where(at < 0, -1, self.rows[at])
 
 
-def _lookup_table(refs, key):
+def _lookup_table(refs, key, like=None):
     """(reference table, ``KeyLookup`` over its ``key``), or None for an
-    empty reference."""
+    empty reference.  Given ``like``, the field of the probe key, the
+    lookup's keys are cast to its type with the checked cast of
+    ``cogroup`` (``TypeError`` when a key does not survive)."""
     import ray
 
     tables = [t for t in ray.get(list(refs)) if t.num_rows]
     if not tables:
         return None
     ref = pa.concat_tables(tables).combine_chunks()
-    return ref, KeyLookup(ref.column(key).combine_chunks())
+    keys = ref.column(key).combine_chunks()
+    if like is not None:
+        keys = checked_cast(keys, like.type, key, like.name)
+    return ref, KeyLookup(keys)
 
 
 def broadcast_lookup_join(ds, key, ref_ds, ref_key, ref_columns=None,
@@ -149,14 +160,17 @@ def broadcast_lookup_join(ds, key, ref_ds, ref_key, ref_columns=None,
     inner/left the ref side must be unique on ``ref_key``; semi/anti
     tolerate duplicates.
 
-    The ref side is materialized once; above
-    :data:`BROADCAST_LIMIT_BYTES` the join runs :func:`shuffle_join`
-    instead — a ref side that outgrows worker heaps (e.g. a
-    corpus-scale vocabulary table) must exchange, not ship to every
-    task.  Both paths return the same rows when the ref side is unique
-    on ``ref_key`` (pass ``check_unique=True`` to enforce; with
-    duplicate ref keys broadcast takes the first match while shuffle
-    emits the SQL cross product).  Under the gate each worker holds the
+    The ref key is cast to the type of ``ds[key]`` with the checked
+    cast of ``cogroup`` on both paths (a value that does not survive
+    raises ``TypeError``); the broadcast path casts in the worker, so
+    ``ds`` is never probed for a schema.  The ref side is materialized
+    once; above :data:`BROADCAST_LIMIT_BYTES` the join runs
+    :func:`shuffle_join` instead — a ref side that outgrows worker
+    heaps (e.g. a corpus-scale vocabulary table) must exchange, not
+    ship to every task.  Both paths return the same rows when the ref
+    side is unique on ``ref_key`` (pass ``check_unique=True`` to
+    enforce; with duplicate ref keys broadcast takes the first match
+    while shuffle emits the SQL cross product).  Under the gate each worker holds the
     ref side plus its lookup, for up to 8 cached stages."""
     import ray
 
@@ -180,16 +194,16 @@ def broadcast_lookup_join(ds, key, ref_ds, ref_key, ref_columns=None,
                 'ref side is not unique on {!r}; broadcast_lookup_join has '
                 'dimension (first-match) semantics'.format(ref_key))
 
-    lookup = PerWorker(_lookup_table, refs, ref_key)
-
     def join(batch: pa.Table) -> pa.Table:
-        built = lookup.get()
+        k = batch.column(key).combine_chunks()
+        # One lookup per worker and probe key type.
+        built = PerWorker(_lookup_table, refs, ref_key,
+                          pa.field(key, k.type)).get()
         if built is None:
             at = np.full(batch.num_rows, -1, dtype=np.int64)
         else:
             ref, keys = built
-            k = batch.column(key).combine_chunks()
-            at = keys.positions(k.cast(ref.column(ref_key).type))
+            at = keys.positions(k)
         hit = at >= 0
         if how in ('semi', 'anti'):
             return batch.filter(hit if how == 'semi' else ~hit)

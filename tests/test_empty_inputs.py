@@ -144,12 +144,11 @@ def test_every_query_tolerates_nan_floats(ray_session, nan_sf):
 @pytest.mark.parametrize('ids, id_type', [
     (['d1', 'd2'], pa.string()), ([7, 8], pa.int64())])
 def test_minhash_band_stage_empty_batch_keeps_id_type(ids, id_type):
-    import pandas as pd
     from python_fastjsonschema_ray.stages.dedup import MinHashBandStage
     stage = MinHashBandStage('doc_id', 'text', num_perm=16, bands=4)
-    full = pd.DataFrame({'doc_id': ids, 'text': ['some text', 'more text']})
+    full = pa.table({'doc_id': ids, 'text': ['some text', 'more text']})
     out_full = stage(full)
-    out_empty = stage(full.iloc[:0])
+    out_empty = stage(full.slice(0, 0))
     assert out_full.schema.field('doc_id').type == id_type
     assert out_empty.num_rows == 0
     assert out_empty.schema == out_full.schema

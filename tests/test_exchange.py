@@ -268,17 +268,40 @@ def _sort_stats(stats):
     return reduces, 'Repartition' in stats
 
 
+def _near_dup_blocks(n=256, blocks=64, seed=13):
+    """A 64-block input for every near-duplicate operator: documents,
+    64-bit signatures and embeddings, each row's successor a near copy
+    of it."""
+    import ray.data
+    rng = np.random.default_rng(seed)
+    words = np.array(['alpha', 'beta', 'gamma', 'delta', 'epsilon', 'zeta',
+                      'theta', 'kappa', 'lambda', 'sigma'])
+    texts = [' '.join(rng.choice(words, 40)) for _ in range(n // 2)]
+    sig = rng.integers(-2**62, 2**62, n // 2)
+    emb = rng.standard_normal((n // 2, 8))
+    t = pa.table({
+        'id': pa.array(range(n), pa.int64()),
+        'text': [t + tail for t in texts for tail in ('', ' omega')],
+        'h': pa.array(np.repeat(sig, 2) ^ np.tile([0, 1], n // 2)),
+        'emb': pa.array(list(np.repeat(emb, 2, axis=0)),
+                        pa.list_(pa.float64()))})
+    step = n // blocks
+    return ray.data.from_arrow([t.slice(i * step, step)
+                                for i in range(blocks)])
+
+
 def test_exchange_sorts_at_fixed_boundaries(ray_session, monkeypatch,
                                             gate_shut):
-    """``check_unique`` (``exchange``) and ``check_referential_large``
-    above its size gate (``cogroup``) on 64-block inputs: no Repartition
-    barrier, no sort sampling, and each sort has at most P =
-    ``default_buckets() // 8`` reducers (one output block each),
-    whatever the input block count."""
+    """``check_unique`` (``exchange``), ``check_referential_large``
+    above its size gate (``cogroup``) and the near-duplicate operators
+    on 64-block inputs: no Repartition barrier, no sort sampling, and
+    each sort has at most P = ``default_buckets() // 8`` reducers (one
+    output block each), whatever the input block count."""
     from ray.data._internal.planner.exchange.sort_task_spec import (
         SortTaskSpec)
     from python_fastjsonschema_ray.pipelines.constraints import (
         check_referential_large, check_unique)
+    from python_fastjsonschema_ray.stages import dedup
     from python_fastjsonschema_ray.stages.exchange import default_buckets
 
     samples = []
@@ -291,14 +314,29 @@ def test_exchange_sorts_at_fixed_boundaries(ray_session, monkeypatch,
     monkeypatch.setattr(SortTaskSpec, 'sample_boundaries',
                         staticmethod(counting))
     left, right, lds, rds = _many_blocks()
+    docs = _near_dup_blocks()
     p = default_buckets() // 8
-    for ds in (check_unique(lds, ['k']),
-               check_referential_large(lds, 'k', rds, 'rk')):
-        ds = ds.materialize()
+    operators = {
+        'check_unique': lambda: check_unique(lds, ['k']),
+        'check_referential_large': lambda: check_referential_large(
+            lds, 'k', rds, 'rk'),
+        'minhash_duplicate_pairs': lambda: dedup.minhash_duplicate_pairs(
+            docs, 'id', 'text'),
+        'ngram_jaccard_pairs': lambda: dedup.ngram_jaccard_pairs(
+            docs, 'id', 'text'),
+        'hamming_near_dup': lambda: dedup.hamming_near_dup(docs, 'id', 'h'),
+        'embedding_duplicate_pairs': lambda: dedup.embedding_duplicate_pairs(
+            docs, 'id', 'emb', dim=8),
+    }
+    for name, build in operators.items():
+        del samples[:]
+        ds = build().materialize()
         reduces, repartition = _sort_stats(ds.stats())
-        assert reduces and max(reduces) <= p, reduces
-        assert not repartition
-    assert not samples
+        assert reduces and max(reduces) <= p, (name, reduces)
+        assert not repartition, name
+        assert not samples, name
+        if name not in ('check_unique', 'check_referential_large'):
+            assert ds.count() >= 128, name     # the planted near copies
 
 
 def test_fewer_buckets_than_partitions(ray_session):
@@ -561,19 +599,20 @@ def _operator_outputs():
         'connected_components_distributed':
             components.connected_components_distributed(pairs),
         'minhash_duplicate_pairs': dedup.minhash_duplicate_pairs(
-            docs, 'doc_id', 'text', broadcast_text_limit=0),
+            docs, 'doc_id', 'text'),
         'ngram_jaccard_pairs': dedup.ngram_jaccard_pairs(
-            docs, 'doc_id', 'text', broadcast_text_limit=0),
+            docs, 'doc_id', 'text'),
         'hamming_near_dup': dedup.hamming_near_dup(hashes, 'id', 'h'),
         'distinct_count': C.distinct_count(facts, ['k']),
     }
 
 
 def test_operators_emit_metadata_free_blocks_without_hash_warnings(
-        ray_session):
+        ray_session, gate_shut):
     """No operator built on the exchange leaves pandas schema metadata on
     its blocks, and none makes Ray Data log 'Failed to hash the schemas'
-    on the driver (pandas metadata is unhashable in its schema dedup)."""
+    on the driver (pandas metadata is unhashable in its schema dedup).
+    The size gate is shut, so every gated operator co-groups."""
     logger = logging.getLogger(
         'ray.data._internal.arrow_ops.transform_pyarrow')
     handler = _Records()
@@ -618,12 +657,13 @@ def _sources():
 
 def test_bucketing_lives_only_in_the_exchange_module():
     """Outside stages/exchange.py no code names the '_bucket' column,
-    groups on it, or derives a bucket from hash64_array(...) modulo a
-    count — the bucketing decision has exactly one owner."""
+    runs a Ray ``map_groups`` shuffle, or derives a bucket from
+    hash64_array(...) modulo a count — the bucketing decision has
+    exactly one owner."""
     owner = os.path.join(PKG, 'stages', 'exchange.py')
     patterns = [
         re.compile(r"""['"]_bucket['"]"""),
-        re.compile(r"""groupby\(\s*['"]_bucket['"]\s*\)\s*\.map_groups\("""),
+        re.compile(r"\.map_groups\("),
         re.compile(r"hash64_array\([^)]*\)[^\n]*%"),
         re.compile(r"\b_AddKeyBucket\b|\b_bucket_col\b|\b_default_buckets\b"),
     ]

@@ -572,3 +572,50 @@ def test_broadcast_lookup_join_int64_keys_above_2_53(ray_session):
     got = sorted((r for t in ray.get(out) for r in zip(
         t['k'].to_pylist(), t['rv'].to_pylist())), key=repr)
     assert got == [(2**53, None), (2**53 + 1, 'hit'), (None, None)]
+
+
+_KEY_TYPE_CASES = {
+    # An int key against a float reference: 3.0 matches key 3 ...
+    'int_key_float_reference': (pa.array([1, 2, 3], pa.int64()),
+                                pa.array([2.0, 3.0]), [2, 3]),
+    # ... and 2.5 is never truncated into a match: it fails the cast.
+    'int_key_fractional_reference': (pa.array([1, 2, 3], pa.int64()),
+                                     pa.array([2.5, 3.0]), TypeError),
+    # A float key against an int reference: 3.0 matches, 2.5 never does.
+    'float_key_int_reference': (pa.array([1.0, 2.5, 3.0]),
+                                pa.array([2, 3], pa.int64()), [3.0]),
+}
+
+
+@pytest.mark.parametrize('how', ['semi', 'anti', 'inner'])
+@pytest.mark.parametrize('gate', ['open', 'shut'])
+@pytest.mark.parametrize('case', sorted(_KEY_TYPE_CASES))
+def test_broadcast_lookup_join_key_types_agree_across_the_gate(
+        ray_session, monkeypatch, case, gate, how):
+    """Both sides of the gate cast the reference key to the probe key's
+    type with the same checked cast: the same rows, or the same
+    lossy-cast error, for every ``how``."""
+    import ray
+    import ray.data
+    from python_fastjsonschema_ray.stages import join
+    if gate == 'shut':
+        monkeypatch.setattr(join, 'BROADCAST_LIMIT_BYTES', -1)
+    k, rk, matched = _KEY_TYPE_CASES[case]
+    left = ray.data.from_arrow(pa.table({'k': k}))
+    ref = ray.data.from_arrow(pa.table({
+        'rk': rk, 'rv': pa.array(['r%d' % i for i in range(len(rk))])}))
+
+    def run():
+        out = join.broadcast_lookup_join(left, 'k', ref, 'rk', ['rv'],
+                                         how=how).to_arrow_refs()
+        return sorted(v for t in ray.get(out) if t.num_rows
+                      for v in t['k'].to_pylist())
+
+    if matched is TypeError:
+        # Ray re-raises the worker's TypeError wrapped in its task error.
+        with pytest.raises(Exception, match='cannot be cast losslessly'):
+            run()
+    elif how == 'anti':
+        assert run() == sorted(set(k.to_pylist()) - set(matched))
+    else:
+        assert run() == matched

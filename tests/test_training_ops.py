@@ -108,10 +108,12 @@ def test_minhash_recall_and_precision(ray_session, docs):
         assert p['jaccard'] >= 0.8
 
 
-def test_minhash_cogroup_path_matches_broadcast(ray_session, docs):
-    """broadcast_text_limit=0 forces the at-scale bucketed co-group join;
-    its verified pair set must equal the broadcast fast path's."""
+def test_minhash_cogroup_path_matches_broadcast(ray_session, docs,
+                                                monkeypatch):
+    """The size gate forced shut takes the at-scale co-group join; its
+    verified pair set must equal the broadcast fast path's."""
     import ray.data
+    from python_fastjsonschema_ray.stages import join
     from python_fastjsonschema_ray.stages.dedup import minhash_duplicate_pairs
     df = docs.to_pandas().head(60).copy()
     clones = df.head(6).copy()
@@ -121,9 +123,10 @@ def test_minhash_cogroup_path_matches_broadcast(ray_session, docs):
     fast = minhash_duplicate_pairs(
         ray.data.from_pandas(both), 'doc_id', 'text',
         threshold=0.8).take_all()
+    monkeypatch.setattr(join, 'BROADCAST_LIMIT_BYTES', -1)
     slow = minhash_duplicate_pairs(
         ray.data.from_pandas(both), 'doc_id', 'text',
-        threshold=0.8, broadcast_text_limit=0).take_all()
+        threshold=0.8).take_all()
     key = lambda p: (p['id_a'], p['id_b'], round(p['jaccard'], 6))
     assert sorted(map(key, fast)) == sorted(map(key, slow))
     assert len(fast) >= 6
@@ -165,10 +168,12 @@ def test_ngram_jaccard_exact_vs_bruteforce(ray_session, docs):
     assert found == truth
 
 
-def test_ngram_jaccard_cogroup_path_matches_broadcast(ray_session, docs):
-    """broadcast_text_limit=0 forces the bucketed co-group verify; the
-    pair set must equal the broadcast fast path's (incl. planted dups)."""
+def test_ngram_jaccard_cogroup_path_matches_broadcast(ray_session, docs,
+                                                      monkeypatch):
+    """The size gate forced shut takes the co-group verify; the pair set
+    must equal the broadcast fast path's (incl. planted dups)."""
     import ray.data
+    from python_fastjsonschema_ray.stages import join
     from python_fastjsonschema_ray.stages.dedup import ngram_jaccard_pairs
     df = docs.to_pandas().head(60).copy()
     clones = df.head(6).copy()
@@ -178,9 +183,10 @@ def test_ngram_jaccard_cogroup_path_matches_broadcast(ray_session, docs):
     fast = ngram_jaccard_pairs(
         ray.data.from_pandas(both), 'doc_id', 'text',
         threshold=0.8).take_all()
+    monkeypatch.setattr(join, 'BROADCAST_LIMIT_BYTES', -1)
     slow = ngram_jaccard_pairs(
         ray.data.from_pandas(both), 'doc_id', 'text',
-        threshold=0.8, broadcast_text_limit=0).take_all()
+        threshold=0.8).take_all()
     key = lambda p: (p['id_a'], p['id_b'], round(p['jaccard'], 6))
     assert sorted(map(key, fast)) == sorted(map(key, slow))
     planted = {(d, d + 100000) for d in clones['doc_id'] - 100000}
@@ -202,6 +208,38 @@ def test_dedup_minhash_removes_losers(ray_session, docs):
     assert {d + 100000 for d in clones['doc_id'] - 100000} <= losers
     out = dedup_minhash(both, 'doc_id', 'text', threshold=0.9)
     assert out.count() == 34 - len(losers)
+
+
+@pytest.mark.parametrize('transitive', [False, True])
+def test_dedup_minhash_gate_paths_keep_equal_rows(ray_session, docs,
+                                                  monkeypatch, transitive):
+    """With the size gate open and forced shut, dedup_minhash keeps the
+    same rows.  A row with a null doc_id is never a loser, so both paths
+    keep it, even though its text copies another document's."""
+    import pyarrow as pa
+    import ray.data
+    from python_fastjsonschema_ray.stages import join
+    from python_fastjsonschema_ray.stages.dedup import dedup_minhash
+    df = docs.to_pandas().head(30)
+    clones = df.head(4)
+    table = pa.table({
+        'doc_id': pa.array(list(df['doc_id']) + list(clones['doc_id'] + 100000)
+                           + [None], pa.int64()),
+        'text': list(df['text']) + list(clones['text']) + [df['text'][0]]})
+
+    def kept():
+        out = dedup_minhash(ray.data.from_arrow([table.slice(0, 20),
+                                                 table.slice(20)]),
+                            'doc_id', 'text', threshold=0.9,
+                            transitive=transitive)
+        return sorted((r['doc_id'] for r in out.take_all()),
+                      key=lambda v: (v is None, v))
+
+    broadcast = kept()
+    monkeypatch.setattr(join, 'BROADCAST_LIMIT_BYTES', -1)
+    assert kept() == broadcast
+    assert broadcast[-1] is None
+    assert not {d + 100000 for d in clones['doc_id']} & set(broadcast)
 
 
 def test_simhash_buckets(ray_session, docs):
