@@ -228,14 +228,14 @@ def q_topk_documents(sf_dir: str):
 def q_group_stats_lineitem(sf_dir: str):
     """Grouped aggregation with a map-side combiner (no raw-row shuffle):
     each block collapses to one partial row per flag via an Arrow
-    group_by, and the 3-group result is folded in a single tiny task —
-    the exchange moves partials, not the 600k rows."""
+    group_by, and a one-bucket exchange folds the 3-group result in a
+    single tiny task — it moves partials, not the 600k rows."""
     from python_fastjsonschema_ray.pipelines.constraints import grouped_agg
     ds = _read(sf_dir, 'lineitem', ['l_returnflag', 'l_quantity'])
     out = grouped_agg(ds, ['l_returnflag'],
                       {'sum_qty': ('l_quantity', 'sum'),
                        'n': (None, 'count')},
-                      combine='single')
+                      num_buckets=1)
 
     def round_qty(batch: pd.DataFrame) -> pd.DataFrame:
         batch['sum_qty'] = batch['sum_qty'].round(2)
@@ -943,11 +943,10 @@ def q_tfidf_top_terms_documents(sf_dir: str):
             'word': words})
 
     words = ds.map_batches(explode, batch_format='pandas')
-    tf = grouped_agg(words, ['doc_id', 'word'], {'tf': (None, 'count')},
-                     combine='bucket').materialize()
+    tf = grouped_agg(words, ['doc_id', 'word'],
+                     {'tf': (None, 'count')}).materialize()
     # (doc, word) pairs are unique after tf, so df = docs per word.
-    df = grouped_agg(tf, ['word'], {'df': (None, 'count')},
-                     combine='bucket')
+    df = grouped_agg(tf, ['word'], {'df': (None, 'count')})
     df = df.map_batches(
         lambda b: b.rename_columns(['w', 'df']), batch_format='pyarrow')
     # The df table is vocabulary-sized — fine to broadcast at test
@@ -1201,9 +1200,10 @@ def q_vocabulary_documents(sf_dir: str):
     """Corpus vocabulary: the 50 most frequent words with exact counts
     (count desc, word asc tie-break).  Explode is a vectorized
     per-batch flat-map; counts fold through grouped_agg's map-side
-    combine, then a distributed global_topk fold — at most 50 rows per
-    block move, and only the 50 winners reach the driver (the full
-    vocab, billions of distinct words at corpus scale, never does)."""
+    combine and hash exchange, then global_topk keeps 50 rows per block
+    and folds them in a one-bucket exchange — only the 50 winners reach
+    the driver (the full vocab, billions of distinct words at corpus
+    scale, never does)."""
     import numpy as np
     from python_fastjsonschema_ray.pipelines.constraints import (
         global_topk, grouped_agg)
@@ -1604,22 +1604,27 @@ def q_components_orders(sf_dir: str):
     the same customer, so each customer's orders form a chain and the
     closure must propagate the min orderkey across ~10 hops — a
     non-trivial transitive-closure exercise with an exact recursive-CTE
-    oracle.  Edge building is one hash exchange on custkey (vectorized
-    pandas shift per bucket)."""
+    oracle.  Edge building is one hash exchange on custkey: each bucket
+    sorts its orders into per-customer runs and pairs each order with
+    the next one in its run (null customers and null orderkeys pair
+    with nothing)."""
     from python_fastjsonschema_ray.stages.components import (
         connected_components)
-    from python_fastjsonschema_ray.stages.exchange import exchange
+    from python_fastjsonschema_ray.stages.exchange import (
+        exchange, positions, runs)
     ds = _read(sf_dir, 'orders', ['o_orderkey', 'o_custkey'])
 
-    def adjacent(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(['o_custkey', 'o_orderkey'])
-        nxt = g.groupby('o_custkey')['o_orderkey'].shift(-1)
-        mask = nxt.notna()
-        return pd.DataFrame({
-            'id_a': g.loc[mask, 'o_orderkey'].astype('int64'),
-            'id_b': nxt[mask].astype('int64')})
+    def adjacent(group: pa.Table) -> pa.Table:
+        g, bounds = runs(group, ['o_custkey'], ['o_orderkey'])
+        key = g.column('o_orderkey')
+        nxt = ((positions(bounds)[1:] > 0)
+               & g.column('o_custkey').is_valid().to_numpy(
+                   zero_copy_only=False)[1:]
+               & key.is_valid().to_numpy(zero_copy_only=False)[1:])
+        idx = np.flatnonzero(nxt)
+        return pa.table({'id_a': key.take(idx), 'id_b': key.take(idx + 1)})
 
-    pairs = exchange(ds, ['o_custkey'], adjacent, batch_format='pandas')
+    pairs = exchange(ds, ['o_custkey'], adjacent)
     out = connected_components(pairs)
     return _df_with_columns(out, ['id', 'component_id'])
 

@@ -38,7 +38,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.exchange import _arrow_schema, exchange
+from ..stages.exchange import _arrow_schema, exchange, positions, runs
 from ..stages.join import (
     _lookup_table, _shuffle_semi_anti, broadcasts, distinct_keys)
 from ..stages.per_worker import PerWorker
@@ -218,48 +218,42 @@ def dedup_exact(ds, columns, num_buckets=None):
 
     Pre-aggregated like dedup_winner_ids — min-over-row-order is
     associative, so each block first collapses to ≤1 row per local
-    distinct key (vectorized pandas sort+head), and only those local
-    winners go through the hash exchange; each bucket then folds with
-    the same vectorized kernel.  The exchange moves at most one full row
-    per distinct key per block — never the raw input — and the Ray-level
-    group count stays ~O(cluster) instead of O(distinct keys)
-    (sort-aggregate costs ~0.5 ms per group)."""
-    import pandas as pd
-
+    distinct key (one Arrow sort, then the first row of each run of
+    equal keys; null keys form one run), and only those local winners
+    go through the hash exchange; each bucket then folds with the same
+    kernel.  The exchange moves at most one full row per distinct key
+    per block — never the raw input — and the Ray-level group count
+    stays ~O(cluster) instead of O(distinct keys) (sort-aggregate costs
+    ~0.5 ms per group)."""
     columns = list(columns)
 
-    def first(batch: pd.DataFrame) -> pd.DataFrame:
-        srt = batch.sort_values(list(batch.columns))
-        return srt.groupby(columns, sort=False, dropna=False).head(1)
+    def first(batch: pa.Table) -> pa.Table:
+        srt, bounds = runs(batch, columns, batch.column_names)
+        return srt.take(bounds[:-1])
 
-    partials = ds.map_batches(first, batch_format='pandas')
-    return exchange(partials, columns, first, batch_format='pandas',
-                    num_buckets=num_buckets)
+    partials = ds.map_batches(first, batch_format='pyarrow')
+    return exchange(partials, columns, first, num_buckets=num_buckets)
 
 
 def dedup_winner_ids(ds, columns, id_column, num_buckets=None):
     """Winner ids of an exact dedup (min id per distinct key): per-batch
     pre-aggregation (local min id per distinct key) then the bucketed
     aggregation (see check_unique) — the shuffle moves at most one row per
-    distinct key per block, never the raw rows.  At scale, filter the full
-    rows by broadcasting these ids (or semi-joining)."""
-    import pandas as pd
-
+    distinct key per block, never the raw rows.  Rows with a null key or
+    a null id have no winner.  At scale, filter the full rows by
+    broadcasting these ids (or semi-joining)."""
     columns = list(columns)
 
     def local_winners(batch: pa.Table) -> pa.Table:
-        sub = batch.select(columns + [id_column])
+        sub = batch.select(columns + [id_column]).drop_null()
         grouped = sub.group_by(columns).aggregate([(id_column, 'min')])
         return grouped.rename_columns(columns + [id_column])
 
+    def winners(group: pa.Table) -> pa.Table:
+        return local_winners(group).select([id_column])
+
     partials = ds.map_batches(local_winners, batch_format='pyarrow')
-
-    def winners(group: pd.DataFrame) -> pd.DataFrame:
-        return group.groupby(columns, sort=False, as_index=False) \
-            .agg(**{id_column: (id_column, 'min')})[[id_column]]
-
-    return exchange(partials, columns, winners, batch_format='pandas',
-                    num_buckets=num_buckets)
+    return exchange(partials, columns, winners, num_buckets=num_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +433,7 @@ class _GroupedPartialStage:
         return pa.table(cols)
 
 
-def grouped_agg(ds, key_columns, aggs, *, combine='bucket',
-                num_buckets=None):
+def grouped_agg(ds, key_columns, aggs, *, num_buckets=None):
     """Grouped aggregation with a map-side combiner (pre-aggregation).
 
     Ray's built-in ``groupby().aggregate()`` is a sort-based shuffle of
@@ -448,23 +441,18 @@ def grouped_agg(ds, key_columns, aggs, *, combine='bucket',
     bottleneck at 100 TB.  For algebraic aggregates each block can collapse
     to ≤1 partial row per distinct key first, so this operator runs
     (1) an Arrow ``group_by`` inside each batch emitting per-key partials,
-    then (2) combines the partials:
-
-    * ``combine='single'`` — coalesce the partials into ONE block and fold
-      with a single vectorized pandas groupby.  Right when key cardinality
-      is small (≲1e6 groups): the exchange moves only partial rows and
-      avoids the sort-shuffle's per-task fixed cost entirely.
-    * ``combine='bucket'`` — hash exchange then per-bucket vectorized
-      pandas combine (the check_unique pattern) — for large key
-      cardinality where one block of partials would not fit.
+    then (2) one hash exchange of the partials whose bucket groups fold
+    with another Arrow ``group_by`` (the check_unique pattern).  When
+    the key cardinality is small, ``num_buckets=1`` folds every partial
+    in one task.
 
     ``aggs`` maps output_name -> (column, op) with op in
     {'sum', 'count', 'min', 'max', 'mean'}; column is ignored for 'count'
-    (row count).  'mean' decomposes into sum+valid-count partials and is
-    finalized after the combine (null-skipping, like SQL AVG).
+    (row count).  Null keys form one group.  'mean' decomposes into
+    sum+valid-count partials and is finalized after the combine
+    (null-skipping, like SQL AVG; null for a group without values).
+    A group whose values are all null sums to 0.
     """
-    import pandas as pd
-
     key_columns = list(key_columns)
     # Decompose outputs into deduplicated partial specs.
     partial_specs = {}   # partial_name -> (arrow_spec, combine_op)
@@ -498,25 +486,28 @@ def grouped_agg(ds, key_columns, aggs, *, combine='bucket',
 
     fold_ops = {p: partial_specs[p][1] for p in pnames}
 
-    def fold(frame: pd.DataFrame) -> pd.DataFrame:
-        merged = frame.groupby(key_columns, sort=False, dropna=False,
-                               as_index=False).agg(
-            **{p: (p, fold_ops[p]) for p in pnames})
-        out = merged[key_columns].copy()
+    def fold(group: pa.Table) -> pa.Table:
+        sum_all = pc.ScalarAggregateOptions(min_count=0)  # not picklable
+        merged = group.group_by(key_columns).aggregate(
+            [(p, op, sum_all if op == 'sum' else None)
+             for p, op in fold_ops.items()])
+
+        def folded(p):
+            return merged.column('{}_{}'.format(p, fold_ops[p]))
+
+        out = {k: merged.column(k) for k in key_columns}
         for name, spec in finalize.items():
             if spec[0] == 'direct':
-                out[name] = merged[spec[1]]
+                out[name] = folded(spec[1])
             else:
-                denom = merged[spec[2]].replace(0, np.nan)
-                out[name] = merged[spec[1]] / denom
-        return out
+                den = folded(spec[2]).cast(pa.float64())
+                out[name] = pc.divide(
+                    folded(spec[1]).cast(pa.float64()),
+                    pc.if_else(pc.equal(den, 0.0),
+                               pa.scalar(None, pa.float64()), den))
+        return pa.table(out)
 
-    if combine == 'single':
-        one = partials.repartition(1)
-        return one.map_batches(fold, batch_format='pandas',
-                               batch_size=None)
-    return exchange(partials, key_columns, fold, batch_format='pandas',
-                    num_buckets=num_buckets)
+    return exchange(partials, key_columns, fold, num_buckets=num_buckets)
 
 
 def grouped_topk(ds, group_columns, order_columns, k, descending=None,
@@ -524,68 +515,58 @@ def grouped_topk(ds, group_columns, order_columns, k, descending=None,
     """Top-k rows per group — the grouped sibling of ``sort().limit()``.
 
     Same two-level shape as dedup_exact: each block keeps its local
-    top-k per group (vectorized pandas sort+head — top-k is
-    associative), so the exchange moves at most k rows per group per
-    block; each bucket group applies the identical kernel.  Make
-    ``order_columns`` a total order (append a tiebreak key) for a
-    deterministic result."""
-    import pandas as pd
-
+    top-k per group (one Arrow sort by group then order, the first k
+    rows of each run — top-k is associative; null groups form one run),
+    so the exchange moves at most k rows per group per block; each
+    bucket group applies the identical kernel.  Make ``order_columns``
+    a total order (append a tiebreak key) for a deterministic result."""
     group_columns = list(group_columns)
+    order = _sort_order(order_columns, descending)
+
+    def topk(batch: pa.Table) -> pa.Table:
+        srt, bounds = runs(batch, group_columns, order)
+        return srt.take(np.flatnonzero(positions(bounds) < k))
+
+    partials = ds.map_batches(topk, batch_format='pyarrow')
+    return exchange(partials, group_columns, topk, num_buckets=num_buckets)
+
+
+def _sort_order(order_columns, descending):
+    """``runs`` order pairs; ``descending`` defaults to all True."""
     order_columns = list(order_columns)
     if descending is None:
         descending = [True] * len(order_columns)
-    ascending = [not d for d in descending]
-
-    def topk(batch: pd.DataFrame) -> pd.DataFrame:
-        srt = batch.sort_values(order_columns, ascending=ascending)
-        return srt.groupby(group_columns, sort=False, dropna=False).head(k)
-
-    partials = ds.map_batches(topk, batch_format='pandas')
-    return exchange(partials, group_columns, topk, batch_format='pandas',
-                    num_buckets=num_buckets)
+    return [(c, 'descending' if d else 'ascending')
+            for c, d in zip(order_columns, descending)]
 
 
 def global_topk(ds, order_columns, k, descending=None):
     """Global top-k rows — the ungrouped sibling of :func:`grouped_topk`
     (and of ``sort().limit()``, without the full-dataset sort exchange).
 
-    Top-k is associative: each block keeps its local top-k (vectorized
-    pandas sort+head), so at most k rows per input block move, and one
-    single-task fold applies the identical kernel to the ≤ k×blocks
-    survivors.  Make ``order_columns`` a total order (append a tiebreak
-    key) for a deterministic result.  The result Dataset has ≤ k rows —
-    safe to ``to_pandas()`` — while the input is never materialized on
-    the driver."""
-    import pandas as pd
+    Top-k is associative: each block keeps its local top-k (one Arrow
+    sort, first k rows), so at most k rows per input block move, and a
+    one-bucket exchange applies the identical kernel to the ≤ k×blocks
+    survivors in one call.  Make ``order_columns`` a total order
+    (append a tiebreak key) for a deterministic result.  The result
+    Dataset has ≤ k rows — safe to ``to_pandas()`` — while the input is
+    never materialized on the driver."""
+    order = _sort_order(order_columns, descending)
 
-    order_columns = list(order_columns)
-    if descending is None:
-        descending = [True] * len(order_columns)
-    ascending = [not d for d in descending]
+    def local_topk(batch: pa.Table) -> pa.Table:
+        return runs(batch, [], order)[0].slice(0, k)
 
-    def local_topk(batch: pd.DataFrame) -> pd.DataFrame:
-        if not len(batch):             # schemaless empty passthrough
-            return batch
-        return batch.sort_values(order_columns,
-                                 ascending=ascending).head(k)
-
-    partials = ds.map_batches(local_topk, batch_format='pandas')
-    # One fold task sees every survivor in ONE batch (batch_size=None =
-    # whole block; the default 1024-row chunking would emit k rows per
-    # CHUNK): k × blocks rows in, k rows out — result-sized.
-    return partials.repartition(1).map_batches(
-        local_topk, batch_format='pandas', batch_size=None)
+    partials = ds.map_batches(local_topk, batch_format='pyarrow')
+    return exchange(partials, [], local_topk, num_buckets=1)
 
 
 def distinct_count(ds, columns, num_buckets=None) -> int:
     """EXACT distinct count of a key tuple (HyperLogLog in column_stats
     is the approximate sibling).  Same shuffle discipline as
     check_unique: per-block Arrow group_by collapses to ≤1 row per
-    local distinct key, each bucket group counts pandas-unique keys,
-    and only the per-bucket counts reach the driver."""
-    import pandas as pd
-
+    local distinct key, each bucket group counts its runs of equal keys
+    (a null key counts once), and only the per-bucket counts reach the
+    driver."""
     columns = list(columns)
 
     def local_distinct(batch: pa.Table) -> pa.Table:
@@ -593,11 +574,10 @@ def distinct_count(ds, columns, num_buckets=None) -> int:
 
     partials = ds.map_batches(local_distinct, batch_format='pyarrow')
 
-    def count_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        n = len(group[columns].drop_duplicates())
-        return pd.DataFrame({'n': [n]})
+    def count_bucket(group: pa.Table) -> pa.Table:
+        return pa.table({'n': [len(runs(group, columns)[1]) - 1]})
 
-    counts = exchange(partials, columns, count_bucket, batch_format='pandas',
+    counts = exchange(partials, columns, count_bucket,
                       num_buckets=num_buckets)
     return int(counts.sum('n') or 0)
 

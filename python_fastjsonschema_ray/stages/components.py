@@ -119,7 +119,6 @@ def connected_components_distributed(pairs, id_a='id_a', id_b='id_b', *,
     state is materialized once per round (pair-list-sized, never
     corpus-sized); every exchange emits a fixed number of blocks, so
     each round's shuffle runs the same number of tasks."""
-    import pandas as pd
     import pyarrow.compute as pc
 
     num_buckets = num_buckets or default_buckets()
@@ -172,21 +171,20 @@ def connected_components_distributed(pairs, id_a='id_a', id_b='id_b', *,
         og = olds.group_by('node').aggregate([('label', 'min')])
         return _join_old(g, og)
 
-    def final_fold(group: pd.DataFrame) -> pd.DataFrame:
-        merged = group.groupby('node', sort=False, as_index=False).agg(
-            label=('label_min', 'min'), old=('old_label', 'min'))
-        merged['changed'] = (
-            merged['label'] < merged['old']).astype('int64')
-        merged['label'] = merged['label'].astype('int64') \
-            if merged['label'].dtype.kind in 'iu' else merged['label']
-        return merged[['node', 'label', 'changed']]
+    def final_fold(group: pa.Table) -> pa.Table:
+        merged = group.group_by('node').aggregate(
+            [('label_min', 'min'), ('old_label', 'min')])
+        label = merged.column('label_min_min')
+        changed = pc.less(label, merged.column('old_label_min'))
+        return pa.table({'node': merged.column('node'), 'label': label,
+                         'changed': pc.fill_null(changed, False)
+                         .cast(pa.int64())})
 
     for _ in range(max_rounds):
         msgs = cogroup(edges, labels, 'u', 'node', forward,
                        num_buckets=num_buckets)
         folded = msgs.map_batches(local_fold, batch_format='pyarrow')
         new_state = exchange(folded, ['node'], final_fold,
-                             batch_format='pandas',
                              num_buckets=num_buckets).materialize()
         n_changed = new_state.sum('changed') or 0
         labels = new_state.drop_columns(['changed'])

@@ -40,7 +40,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..state.sketches import _hash_bytes_array, _splitmix64
-from .exchange import _arrow_schema, cogroup, exchange
+from .exchange import _arrow_schema, cogroup, exchange, positions, runs
 from .join import broadcast_lookup_join, broadcasts
 from .per_worker import PerWorker
 
@@ -211,19 +211,6 @@ def _pairs_table(out_a, out_b, id_dtype) -> pa.Table:
                      'id_b': np.concatenate(out_b)})
 
 
-def _runs(group: pa.Table, keys, id_column):
-    """``group`` sorted by ``keys`` then ``id_column``, and the (start,
-    end) row ranges of its runs of equal ``keys``: the buckets of an
-    exchange group, which holds many."""
-    group = group.sort_by([(c, 'ascending') for c in [*keys, id_column]])
-    change = np.zeros(group.num_rows - 1, dtype=bool)
-    for c in keys:
-        v = group.column(c).to_numpy()
-        change |= v[1:] != v[:-1]
-    cuts = [0, *(np.flatnonzero(change) + 1), group.num_rows]
-    return group, list(zip(cuts[:-1], cuts[1:]))
-
-
 def _id_type(ds, id_column) -> pa.DataType:
     """The Arrow type of ``ds[id_column]``; string for a fully-empty
     input, which has no pairs anyway."""
@@ -315,10 +302,10 @@ def minhash_duplicate_pairs(ds, id_column, text_column, *, threshold=0.8,
                          shingle_k), batch_format='pyarrow')
 
     def band_pairs(group: pa.Table) -> pa.Table:
-        g, runs = _runs(group, ['band', 'band_hash'], id_column)
+        g, bounds = runs(group, ['band', 'band_hash'], [id_column])
         ids = g.column(id_column).to_numpy(zero_copy_only=False)
         out_a, out_b = [], []
-        for s, e in runs:
+        for s, e in zip(bounds[:-1], bounds[1:]):
             if e - s < 2:
                 continue
             bucket = np.unique(ids[s:e])
@@ -429,15 +416,17 @@ class ShingleExplodeStage:
         self.text_column = text_column
         self.k = shingle_k
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        texts = batch[self.text_column].fillna('').tolist()
-        ids = batch[self.id_column].to_numpy()
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        # A null id has no identity to pair on.
+        batch = batch.filter(batch.column(self.id_column).is_valid())
+        ids = batch.column(self.id_column)
+        texts = batch.column(self.text_column).fill_null('').to_pylist()
         hashes, seg_starts = _batch_shingle_hashes(texts, self.k)
         total = len(hashes)
         if total == 0:
-            return pd.DataFrame({self.id_column: ids[:0],
-                                 'sh': np.array([], dtype=np.int64),
-                                 'n': np.array([], dtype=np.int64)})
+            return pa.table({self.id_column: ids.slice(0, 0),
+                             'sh': pa.array([], pa.int64()),
+                             'n': pa.array([], pa.int64())})
         counts = np.diff(np.append(seg_starts, total))
         doc_idx = np.repeat(np.arange(len(texts)), counts)
         # int64 view: same distinctness as uint64, SIMD-fast sort path.
@@ -449,9 +438,9 @@ class ShingleExplodeStage:
         first[1:] = (hs[1:] != hs[:-1]) | (dxs[1:] != dxs[:-1])
         hs, dxs = hs[first], dxs[first]
         n_per_doc = np.bincount(dxs, minlength=len(texts))
-        return pd.DataFrame({self.id_column: ids[dxs],
-                             'sh': hs,
-                             'n': n_per_doc[dxs].astype(np.int64)})
+        return pa.table({self.id_column: ids.take(dxs),
+                         'sh': hs,
+                         'n': n_per_doc[dxs].astype(np.int64)})
 
 
 def ngram_jaccard_pairs(ds, id_column, text_column, *, threshold=0.8,
@@ -481,30 +470,29 @@ def ngram_jaccard_pairs(ds, id_column, text_column, *, threshold=0.8,
     """
     exploded = ds.select_columns([id_column, text_column]).map_batches(
         ShingleExplodeStage(id_column, text_column, shingle_k),
-        batch_format='pandas')
+        batch_format='pyarrow')
 
-    def with_df(group: pd.DataFrame) -> pd.DataFrame:
-        out = group[[id_column, 'sh', 'n']].copy()
-        out['df'] = group.groupby('sh', sort=False)['sh'] \
-            .transform('size').to_numpy()
-        return out
+    def with_df(group: pa.Table) -> pa.Table:
+        g, bounds = runs(group, ['sh'])
+        size = np.diff(bounds)
+        return g.select([id_column, 'sh', 'n']).append_column(
+            'df', pa.array(np.repeat(size, size)))
 
-    withdf = exchange(exploded, ['sh'], with_df, batch_format='pandas',
-                      num_buckets=num_buckets)
+    withdf = exchange(exploded, ['sh'], with_df, num_buckets=num_buckets)
 
-    def prefixes(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([id_column, 'df', 'sh'])
-        rank = g.groupby(id_column, sort=False).cumcount().to_numpy()
-        n = g['n'].to_numpy()
+    def prefixes(group: pa.Table) -> pa.Table:
+        g, bounds = runs(group, [id_column], ['df', 'sh'])
+        rank = positions(bounds)
+        n = g.column('n').to_numpy()
         # ceil with a tiny slack DOWN so float error can only ENLARGE
         # the prefix (larger stays correct; smaller would lose pairs).
         p = n - np.ceil(threshold * n - 1e-9).astype(np.int64) + 1
-        out = g.loc[rank < p, [id_column, 'sh', 'n']].copy()
-        out['rank'] = rank[rank < p]
-        return out
+        keep = rank < p
+        return g.select([id_column, 'sh', 'n']).filter(keep) \
+            .append_column('rank', pa.array(rank[keep]))
 
     prefix_rows = exchange(withdf, [id_column], prefixes,
-                           batch_format='pandas', num_buckets=num_buckets)
+                           num_buckets=num_buckets)
 
     def token_pairs(group: pa.Table) -> pa.Table:
         # One group = one bucket of prefix tokens: runs of equal sh give
@@ -513,12 +501,12 @@ def ngram_jaccard_pairs(ds, id_column, text_column, *, threshold=0.8,
         # filter (overlap upper bound min(nA-rA, nB-rB) + min(rA, rB)
         # must reach α = ceil(t/(1+t)·(nA+nB))) — both sound for every
         # shared token, so no true pair is lost.
-        g, runs = _runs(group, ['sh'], id_column)
+        g, bounds = runs(group, ['sh'], [id_column])
         ids = g.column(id_column).to_numpy(zero_copy_only=False)
         ns = g.column('n').to_numpy()
         rs = g.column('rank').to_numpy()
         out_a, out_b = [], []
-        for s, e in runs:
+        for s, e in zip(bounds[:-1], bounds[1:]):
             if e - s < 2:
                 continue
             m = e - s
@@ -777,9 +765,10 @@ def embedding_duplicate_pairs(ds, id_column, embedding_column, dim, *,
                          'cosine': pa.array(np.round(cos, 6))})
 
     def verify(group: pa.Table) -> pa.Table:
-        g, runs = _runs(group, ['bucket'], id_column)
+        g, bounds = runs(group, ['bucket'], [id_column])
         found = [t for t in (verify_bucket(g.slice(s, e - s))
-                             for s, e in runs if e - s > 1) if t.num_rows]
+                             for s, e in zip(bounds[:-1], bounds[1:])
+                             if e - s > 1) if t.num_rows]
         return pa.concat_tables(found) if found else empty
 
     return exchange(bucketed, ['bucket'], verify)
@@ -889,11 +878,11 @@ def hamming_near_dup(ds, id_column, hash_column, *, max_dist=3, bands=None):
     exploded = ds.map_batches(explode, batch_format='pyarrow')
 
     def band_pairs(group: pa.Table) -> pa.Table:
-        g, runs = _runs(group, ['band', 'chunk'], id_column)
+        g, bounds = runs(group, ['band', 'chunk'], [id_column])
         ids = g.column(id_column).to_numpy(zero_copy_only=False)
         hashes = g.column('_hash').to_numpy()
         out_a, out_b, out_d = [], [], []
-        for s, e in runs:
+        for s, e in zip(bounds[:-1], bounds[1:]):
             if e - s < 2:
                 continue
             bucket_ids = ids[s:e]
@@ -913,11 +902,10 @@ def hamming_near_dup(ds, id_column, hash_column, *, max_dist=3, bands=None):
 
     pairs = exchange(exploded, ['band', 'chunk'], band_pairs)
 
-    # Cross-band dedup: exchange on the pair, vectorized drop_duplicates
-    # per bucket (pairs ∝ dup rate, not corpus).
-    def dedup_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        return group.drop_duplicates(['id_a', 'id_b'])[
-            ['id_a', 'id_b', 'dist']]
+    # Cross-band dedup: exchange on the pair, first row of each run of
+    # equal pairs per bucket (pairs ∝ dup rate, not corpus).
+    def dedup_bucket(group: pa.Table) -> pa.Table:
+        g, bounds = runs(group, ['id_a', 'id_b'])
+        return g.select(['id_a', 'id_b', 'dist']).take(bounds[:-1])
 
-    return exchange(pairs, ['id_a', 'id_b'], dedup_bucket,
-                    batch_format='pandas')
+    return exchange(pairs, ['id_a', 'id_b'], dedup_bucket)

@@ -1,21 +1,24 @@
 """Hash exchange: the one place rows are bucketed and co-grouped.
 
 Every engine-level key operator (uniqueness, dedup, grouped folds and
-scans, joins, connected components) moves rows through one of two calls:
+scans, top-k, joins, connected components) moves rows through one of
+two calls:
 
 * :func:`exchange` runs ``fn`` once per bucket group of one Dataset;
-  rows with equal key tuples share a group.
+  rows with equal key tuples share a group.  With ``num_buckets=1``
+  (and no keys) it is the one-task fold of a whole Dataset.
 * :func:`cogroup` runs ``fn(l, r)`` once per bucket over two Datasets
   keyed on one column each; ``l`` and ``r`` hold the rows of each side
   that landed in the bucket.
 
 Buckets are COARSE (:func:`default_buckets`, a few per CPU): a group
 holds many keys, so ``fn`` folds every key of its group in one
-vectorized pass.  One hash decides the bucket everywhere: each key
-column is hashed with ``hash64_array`` and mixed into a running 64-bit
-value, modulo the bucket count.  Equal keys of different types hash
-differently (int 2 vs float 2.0), so ``cogroup`` casts the right key to
-the left key's type first, with Arrow's checked cast.
+vectorized pass, usually by cutting the group into its runs of equal
+keys with :func:`runs`.  One hash decides the bucket everywhere: each
+key column is hashed with ``hash64_array`` and mixed into a running
+64-bit value, modulo the bucket count.  Equal keys of different types
+hash differently (int 2 vs float 2.0), so ``cogroup`` casts the right
+key to the left key's type first, with Arrow's checked cast.
 
 The bucket range ``[0, num_buckets)`` is known before any row moves, so
 the shuffle is one range-partitioning sort on the bucket column at fixed
@@ -26,9 +29,11 @@ input block, so the fan-out is blocks x P).  Each sorted block then runs
 holds about 1/P of the exchanged rows, so callers pre-aggregate per
 block where the fold allows it (at most one row per key per block).
 
-Output blocks are Arrow without schema metadata, whatever ``fn``
-returns: pandas metadata (``b'pandas'``) makes a schema unhashable in
-Ray's block-schema dedup, which then logs a warning per block merge.
+Bodies speak Arrow only: ``fn`` takes an Arrow table and returns one,
+so types travel with the group and nothing is converted per group.
+Output blocks carry no schema metadata: pandas metadata (``b'pandas'``,
+left by pandas-backed inputs) makes a schema unhashable in Ray's
+block-schema dedup, which then logs a warning per block merge.
 """
 
 from __future__ import annotations
@@ -59,19 +64,60 @@ def _bucket_of(table: pa.Table, columns, num_buckets) -> pa.Array:
     return pa.array((h % np.uint64(num_buckets)).astype(np.int64))
 
 
-def _arrow(out) -> pa.Table:
-    if not isinstance(out, pa.Table):
-        out = pa.Table.from_pandas(out, preserve_index=False)
-    return out.replace_schema_metadata(None)
+def _arrow(table: pa.Table) -> pa.Table:
+    return table.replace_schema_metadata(None)
+
+
+def runs(group: pa.Table, keys, order=()):
+    """``(sorted, bounds)``: ``group`` sorted by ``keys`` then ``order``,
+    and the offsets of its runs of equal ``keys``: run ``i`` holds rows
+    ``bounds[i]:bounds[i + 1]``.  ``order`` lists column names
+    (ascending) or ``(name, 'descending')`` pairs; the sort is stable
+    and puts nulls last.  Null keys form one run (SQL ``GROUP BY``,
+    pandas ``dropna=False``); NaN float keys become nulls first, as
+    they did through pandas."""
+    if not group.num_rows:
+        return group, np.zeros(1, dtype=np.int64)  # may be schemaless
+    for c in keys:
+        col = group.column(c)
+        if pa.types.is_floating(col.type):
+            group = group.set_column(
+                group.schema.get_field_index(c), c,
+                pc.if_else(pc.is_nan(col), pa.scalar(None, col.type), col))
+    sort_keys = [(c, 'ascending') for c in keys] + [
+        o if isinstance(o, tuple) else (o, 'ascending') for o in order]
+    if sort_keys:
+        group = group.sort_by(sort_keys)
+    n = group.num_rows
+    change = np.zeros(n - 1, dtype=bool)
+    for c in keys:
+        col = group.column(c).combine_chunks()
+        miss = col.is_null().to_numpy(zero_copy_only=False)
+        ne = pc.fill_null(pc.not_equal(col.slice(1), col.slice(0, n - 1)),
+                          False).to_numpy(zero_copy_only=False)
+        change |= (miss[1:] != miss[:-1]) | ne
+    return group, np.concatenate(
+        [[0], np.flatnonzero(change) + 1, [n]]).astype(np.int64)
+
+
+def positions(bounds) -> np.ndarray:
+    """Each row's 0-based position inside its run (pandas
+    ``groupby().cumcount()``), for the ``bounds`` of :func:`runs`."""
+    starts = np.asarray(bounds[:-1])
+    return np.arange(bounds[-1], dtype=np.int64) - np.repeat(
+        starts, np.diff(bounds))
 
 
 def _boundaries(num_buckets):
     """Sort boundaries that split ``[0, num_buckets)`` into at most
     ``default_buckets() // 8`` contiguous bucket ranges.  Never empty:
     given no boundaries, Ray's sort samples its own, one range per
-    input block."""
+    input block.  One range is ``[0]``: the empty range below it comes
+    first, and Ray skips its schema check while the previous schema is
+    empty (``[1]`` puts the empty range last, and Ray logs "Operator
+    produced a RefBundle with a different schema")."""
     p = min(max(default_buckets() // 8, 1), num_buckets)
-    return [num_buckets * i // p for i in range(1, p)] or [num_buckets]
+    return [num_buckets * i // p for i in range(1, p)] or [0]
 
 
 def _reduce(tagged, body, name, num_buckets):
@@ -92,14 +138,13 @@ def _reduce(tagged, body, name, num_buckets):
         .map_batches(per_block, batch_format='pyarrow', batch_size=None)
 
 
-def exchange(ds, keys, fn, *, batch_format='pyarrow', num_buckets=None):
+def exchange(ds, keys, fn, *, num_buckets=None):
     """Run ``fn`` once per bucket group of ``ds``; rows with equal
-    ``keys`` share a group.  ``fn`` receives the group in
-    ``batch_format`` (never the bucket column) and returns an Arrow
-    table or a pandas frame.  The shuffle runs a fixed number of reduce
-    tasks, each holding about 1/P of the rows (see the module notes)."""
-    from ray.data.block import BlockAccessor
-
+    ``keys`` share a group.  ``fn`` takes the group as an Arrow table
+    (never the bucket column) and returns an Arrow table.  The shuffle
+    runs a fixed number of reduce tasks, each holding about 1/P of the
+    rows (see the module notes); ``num_buckets=1`` folds every row in
+    one call."""
     keys = list(keys)
     num_buckets = num_buckets or default_buckets()
 
@@ -111,12 +156,7 @@ def exchange(ds, keys, fn, *, batch_format='pyarrow', num_buckets=None):
             _BUCKET, _bucket_of(batch, keys, num_buckets))
 
     tagged = ds.map_batches(add_bucket, batch_format='pyarrow')
-
-    def body(group: pa.Table):
-        return fn(BlockAccessor.for_block(group)
-                  .to_batch_format(batch_format))
-
-    return _reduce(tagged, body, getattr(fn, '__name__', 'exchange'),
+    return _reduce(tagged, fn, getattr(fn, '__name__', 'exchange'),
                    num_buckets)
 
 

@@ -234,61 +234,38 @@ def grouped_quantile(ds, keys, value_column, qs, *, num_buckets=None,
     per-group Python).  For a FEW huge groups the transpose is cheaper:
     run :func:`exact_quantile` per group filter (histogram narrowing,
     no shuffle at all).  Skewed keys concentrate in one bucket; at
-    10^9+ rows per hot key prefer the per-group narrowing path."""
-    import pandas as pd
+    10^9+ rows per hot key prefer the per-group narrowing path.
+    Null keys form one group; NaN values count as null."""
+    import pyarrow.compute as pc
 
-    from .exchange import exchange
+    from .exchange import exchange, runs
 
     keys = list(keys)
     qs = [float(q) for q in qs]
 
-    ds_schema = ds.schema()
-    if ds_schema is None:
-        return ds              # fully-empty input: no groups, no rows
-    ds_types = dict(zip(ds_schema.names, ds_schema.types))
-    out_schema = pa.schema(
-        [pa.field(k, ds_types[k]) for k in keys] +
-        [pa.field('q', pa.float64()),
-         pa.field(out_column, ds_types[value_column])])
-
-    def bucket_quantiles(df: pd.DataFrame) -> pa.Table:
-        all_groups = df[keys].drop_duplicates()
-        vals = df.dropna(subset=[value_column])
-        out_parts = []
-        if len(vals):
-            srt = vals.sort_values(keys + [value_column], kind='mergesort')
-            g = srt.groupby(keys, sort=False, dropna=False)
-            pos = g.cumcount().to_numpy()
-            n = g[value_column].transform('size').to_numpy()
-            for q in qs:
-                rank = np.maximum(np.ceil(n * q).astype(np.int64) - 1, 0)
-                sel = srt[pos == rank].copy()
-                sel['q'] = q
-                out_parts.append(sel)
-        if out_parts:
-            out = pd.concat(out_parts, ignore_index=True, sort=False)
-        else:
-            out = df.iloc[:0].copy()
-            out['q'] = pd.Series(dtype='float64')
-        # Groups with only null values still exist in SQL GROUP BY:
-        # emit a null quantile row per q for any group that vanished.
-        seen = out[keys].drop_duplicates()
-        missing = all_groups.merge(seen, on=keys, how='left',
-                                   indicator=True)
-        missing = missing[missing['_merge'] == 'left_only'][keys]
-        if len(missing):
-            pads = []
-            for q in qs:
-                pad = missing.copy()
-                pad['q'] = q
-                pad[value_column] = None
-                pads.append(pad)
-            out = pd.concat([out] + pads, ignore_index=True, sort=False)
-        out = out[keys + ['q', value_column]].rename(
-            columns={value_column: out_column})
-        return pa.Table.from_pandas(out, schema=out_schema,
-                                    preserve_index=False)
+    def bucket_quantiles(group: pa.Table) -> pa.Table:
+        # Each run holds a group's values in order, nulls (and NaN) last,
+        # so its rank-r value sits r rows after the run's start; an
+        # all-null group reads a null at rank 0.
+        srt, bounds = runs(group, keys, [value_column])
+        col = srt.column(value_column)
+        valid = col.is_valid()
+        if pa.types.is_floating(col.type):
+            valid = pc.fill_null(pc.and_(valid, pc.invert(pc.is_nan(col))),
+                                 False)
+        starts = bounds[:-1]
+        n = np.add.reduceat(
+            valid.to_numpy(zero_copy_only=False).astype(np.int64), starts)
+        idx = np.concatenate([
+            starts + np.maximum(np.ceil(n * q).astype(np.int64) - 1, 0)
+            for q in qs])
+        out = srt.select(keys + [value_column]).take(idx)
+        value = pc.if_else(pa.array(np.tile(n > 0, len(qs))),
+                           out.column(value_column),
+                           pa.scalar(None, col.type))
+        return out.select(keys).append_column(
+            'q', pa.array(np.repeat(qs, len(starts)), pa.float64())) \
+            .append_column(out_column, value)
 
     return exchange(ds.select_columns(keys + [value_column]), keys,
-                    bucket_quantiles, batch_format='pandas',
-                    num_buckets=num_buckets)
+                    bucket_quantiles, num_buckets=num_buckets)

@@ -97,11 +97,10 @@ def mixture_sample_exact(ds, group_column, key_column, quotas, *, salt=0,
     each block keeps its local quota-prefix per group (per-group
     top-quota by rank is associative), so the shuffle moves at most
     ``quotas[g]`` rows per group per block; each bucket group of the
-    exchange applies the identical vectorized cumcount cut.  The quota dict
-    rides in the task closure — broadcast once, never per batch."""
-    import pandas as pd
-
-    from .exchange import exchange
+    exchange applies the identical cut (one Arrow sort, the first
+    ``quotas[g]`` rows of each group's run).  The quota dict rides in
+    the task closure — broadcast once, never per batch."""
+    from .exchange import exchange, positions, runs
 
     quotas = dict(quotas)
 
@@ -113,17 +112,17 @@ def mixture_sample_exact(ds, group_column, key_column, quotas, *, salt=0,
         return batch.append_column('_sample_rank',
                                    pa.array(h, type=pa.int64()))
 
-    def cut(batch: pd.DataFrame) -> pd.DataFrame:
-        srt = batch.sort_values(['_sample_rank', key_column])
-        quota = srt[group_column].map(quotas).fillna(0).to_numpy()
-        pos = srt.groupby(group_column, sort=False,
-                          dropna=False).cumcount().to_numpy()
-        return srt[pos < quota]
+    def cut(batch: pa.Table) -> pa.Table:
+        srt, bounds = runs(batch, [group_column],
+                           ['_sample_rank', key_column])
+        groups = srt.column(group_column).take(bounds[:-1]).to_pylist()
+        quota = np.repeat([quotas.get(g, 0) for g in groups],
+                          np.diff(bounds))
+        return srt.take(np.flatnonzero(positions(bounds) < quota))
 
-    ranked = ds.map_batches(rank, batch_format='pyarrow')
-    partials = ranked.map_batches(cut, batch_format='pandas')
-    out = exchange(partials, [group_column], cut, batch_format='pandas',
-                   num_buckets=num_buckets)
+    partials = ds.map_batches(rank, batch_format='pyarrow') \
+        .map_batches(cut, batch_format='pyarrow')
+    out = exchange(partials, [group_column], cut, num_buckets=num_buckets)
     return out.drop_columns(['_sample_rank'])
 
 

@@ -11,10 +11,10 @@ deltas, smoothing — expressed Ray-Data-first:
   hash bucket of the key (the minimum movement any exact ordered
   per-key scan needs — every row's result depends on all earlier rows
   of its key, so the key's rows must co-locate);
-* each bucket handles ALL its keys with ONE mergesort +
-  segment-vectorized kernels (cumsum / shift / cumcount) — no
-  per-group Python, so millions of tiny keys cost the same as a few
-  big ones;
+* each bucket handles ALL its keys with ONE stable Arrow sort +
+  run-vectorized numpy kernels (running sum / shift / position in
+  run) — no per-group Python, so millions of tiny keys cost the same
+  as a few big ones;
 * a pathologically hot key (one key ≫ bucket memory) needs the
   transpose: range-partition that key's rows on the order column and
   carry per-chunk offsets forward — not implemented here; windows.py's
@@ -24,8 +24,9 @@ Frame semantics are SQL ``ROWS`` (not ``RANGE``): ties on the order
 columns are broken by the later order columns you pass, so pass enough
 columns to make the order unique per key or results are
 implementation-defined on the tied rows (exactly as in SQL).  Null
-handling: null ``value`` rows propagate NaN through cumsum/lag (pandas
-semantics); filter them first for SQL-NULL-skipping aggregates.
+handling: a null ``value`` row reads null in cumsum/lag and adds
+nothing to later running sums; filter them first for
+SQL-NULL-skipping aggregates.  Null keys form one key.
 """
 
 from __future__ import annotations
@@ -57,9 +58,7 @@ def grouped_scan(ds, keys, order_by, value_column,
     Row order of the output is unspecified (Ray blocks); the scan
     order is ``order_by`` within each key.
     """
-    import pandas as pd
-
-    from .exchange import exchange
+    from .exchange import exchange, positions, runs
 
     keys = list(keys)
     order_by = list(order_by)
@@ -69,53 +68,58 @@ def grouped_scan(ds, keys, order_by, value_column,
             raise ValueError('unknown scan op {!r}'.format(op))
     if 'rolling_mean' in ops and not (window and window >= 1):
         raise ValueError('rolling_mean requires window >= 1')
-
     in_cols = keys + order_by + [value_column]
-    ds_schema = ds.schema()
-    if ds_schema is None:
-        return ds              # fully-empty input: nothing to scan
-    ds_types = dict(zip(ds_schema.names, ds_schema.types))
-    op_fields = [pa.field(op, pa.int64() if op == 'row_number'
-                          else pa.float64()) for op in ops]
-    out_schema = pa.schema(
-        [pa.field(c, ds_types[c]) for c in in_cols] + op_fields)
 
-    def bucket_scan(df: pd.DataFrame) -> pa.Table:
-        if not len(df):
-            return out_schema.empty_table()
-        srt = df.sort_values(keys + order_by, kind='mergesort')
-        g = srt.groupby(keys, sort=False, dropna=False)
-        pos = g.cumcount().to_numpy()
-        vals = srt[value_column].to_numpy(dtype=np.float64, na_value=np.nan)
+    def bucket_scan(group: pa.Table) -> pa.Table:
+        srt, bounds = runs(group, keys, order_by)
+        pos = positions(bounds)
+        vals = srt.column(value_column).cast(pa.float64()) \
+            .to_numpy(zero_copy_only=False)
+        out = srt.select(in_cols)
+        if 'cumsum' in ops or 'rolling_mean' in ops:
+            cs = _running_sum(vals, pos)
         for op in ops:
             if op == 'row_number':
-                srt[op] = pos + 1
+                col = pos + 1
             elif op == 'cumsum':
-                srt[op] = g[value_column].cumsum().astype(np.float64)
+                col = cs
             elif op in ('lag', 'delta'):
-                # Groups are contiguous after the sort: the previous row
-                # is in-group exactly when pos >= 1.
+                # Runs are contiguous after the sort: the previous row
+                # is in-run exactly when pos >= 1.
                 prev = np.concatenate(([np.nan], vals[:-1]))
                 prev[pos == 0] = np.nan
-                srt[op] = prev if op == 'lag' else vals - prev
-            elif op == 'rolling_mean':
-                cs = g[value_column].cumsum().to_numpy(dtype=np.float64)
+                col = prev if op == 'lag' else vals - prev
+            else:
                 w = int(window)
-                if len(cs) > w:
-                    back = np.concatenate((np.zeros(w), cs[:-w]))
-                else:
-                    back = np.zeros(len(cs))
+                back = np.concatenate((np.zeros(w), cs[:-w])) \
+                    if len(cs) > w else np.zeros(len(cs))
                 # pos >= w guarantees the row w places back is the same
-                # key (contiguous groups), so cs[i] - cs[i-w] is the
-                # exact last-w sum; younger rows average from the start.
-                rsum = np.where(pos >= w, cs - back, cs)
-                srt[op] = rsum / np.minimum(pos + 1, w)
-        return pa.Table.from_pandas(srt[in_cols + list(ops)],
-                                    schema=out_schema,
-                                    preserve_index=False)
+                # key, so cs[i] - cs[i-w] is the exact last-w sum;
+                # younger rows average from the start.
+                col = np.where(pos >= w, cs - back, cs) \
+                    / np.minimum(pos + 1, w)
+            out = out.append_column(op, pa.array(col, from_pandas=True))
+        return out
 
     return exchange(ds.select_columns(in_cols), keys, bucket_scan,
-                    batch_format='pandas', num_buckets=num_buckets)
+                    num_buckets=num_buckets)
+
+
+def _running_sum(vals, pos) -> np.ndarray:
+    """Per-run running sum of ``vals`` (runs given by ``pos``, each row's
+    position in its run): NaN rows read NaN and add nothing.  A
+    log-step scan (Hillis-Steele): each pass adds the partial sum ``d``
+    rows back where that row is still in the run, so it costs
+    ``log2(longest run)`` vectorized passes, whatever the number of
+    keys."""
+    cs = np.where(np.isnan(vals), 0.0, vals)
+    d = 1
+    while len(pos) and d <= pos.max():
+        idx = np.flatnonzero(pos >= d)
+        cs[idx] = cs[idx] + cs[idx - d]
+        d *= 2
+    cs[np.isnan(vals)] = np.nan
+    return cs
 
 
 def global_rank(ds, order_columns, *, descending=False,

@@ -3,21 +3,21 @@
 Ray Data has no event-time windowing; per the engine design the events
 table is treated as a partitioned log: window membership is computed
 vectorized per batch, partially aggregated inside the batch (combiner),
-and the (key, window) partials fold through ``grouped_agg``'s
-coarse-bucket combine — the shuffle moves one row per (key, window) per
-block, not per event, and the Ray-level group count stays O(cluster)
-instead of O(keys x windows).
+and the (key, window) partials fold through ``grouped_agg``'s hash
+exchange — the shuffle moves one row per (key, window) per block, not
+per event, and the Ray-level group count stays O(cluster) instead of
+O(keys x windows).
 
 Session windows need the full per-key timeline: keys co-locate on a
 coarse hash bucket and every key in a bucket sessionizes in one
-vectorized pass (documented partitioning assumption: one key's history
-fits one bucket group / worker).
+vectorized Arrow/numpy pass over the bucket's runs of equal keys
+(documented partitioning assumption: one key's events within one time
+block fit one bucket group / worker).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -53,11 +53,10 @@ def tumbling_window_agg(ds, ts_column, key_column, value_column, window_s):
         batch_format='pyarrow')
     # (key, window) cardinality is users x windows — far too many groups
     # for the raw sort-aggregate (~0.5 ms/group); fold partials through
-    # the coarse-bucket combine instead.
+    # the coarse-bucket exchange instead.
     return grouped_agg(partials, [key_column, 'window'],
                        {'n': ('partial_n', 'sum'),
-                        'sum_value': ('partial_sum', 'sum')},
-                       combine='bucket')
+                        'sum_value': ('partial_sum', 'sum')})
 
 
 def sliding_window_agg(ds, ts_column, key_column, value_column, window_s,
@@ -95,8 +94,7 @@ def sliding_window_agg(ds, ts_column, key_column, value_column, window_s,
     partials = ds.map_batches(expand, batch_format='pyarrow')
     return grouped_agg(partials, [key_column, 'window_start'],
                        {'n': ('partial_n', 'sum'),
-                        'sum_value': ('partial_sum', 'sum')},
-                       combine='bucket')
+                        'sum_value': ('partial_sum', 'sum')})
 
 
 def session_windows(ds, ts_column, key_column, gap_s, num_buckets=None,
@@ -109,7 +107,7 @@ def session_windows(ds, ts_column, key_column, gap_s, num_buckets=None,
     co-locate on a COARSE hash bucket of ``(key, time block)`` and ALL
     keys in a bucket sessionize in one vectorized pass: sort by
     (key, ts), session breaks where the key changes or the gap is
-    exceeded, one reduceat-free segment fold.
+    exceeded, one reduceat-free segment fold.  Null keys form one key.
 
     Hot-key guard: bucketing on the key ALONE would ship a hot key's
     entire event history (one user = 50% of the log) into a single
@@ -127,7 +125,7 @@ def session_windows(ds, ts_column, key_column, gap_s, num_buckets=None,
     than the whole-history bound.  ``time_block_s`` must exceed
     ``gap_s`` (enforced) so events in non-adjacent blocks can never
     belong to one session."""
-    from .exchange import exchange
+    from .exchange import exchange, runs
 
     gap_us = int(gap_s * 1_000_000)
     if time_block_s is None:
@@ -137,30 +135,21 @@ def session_windows(ds, ts_column, key_column, gap_s, num_buckets=None,
                          '({} <= {})'.format(time_block_s, gap_s))
     block_us = int(time_block_s * 1_000_000)
 
-    def sessions(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([key_column, ts_column])
-        # Unit-robust: normalize whatever datetime64 unit pandas delivered
-        # to microseconds (Arrow timestamp[us] epoch).
-        ts = g[ts_column].to_numpy().astype('datetime64[us]').astype('int64')
-        keys = g[key_column].to_numpy()
-        if not len(ts):
-            return pd.DataFrame({key_column: keys[:0],
-                                 'session_start': ts[:0],
-                                 'session_end': ts[:0],
-                                 'n': np.array([], dtype=np.int64)})
-        new_key = np.empty(len(ts), dtype=bool)
-        new_key[0] = True
-        new_key[1:] = keys[1:] != keys[:-1]
-        gap_break = np.empty(len(ts), dtype=bool)
-        gap_break[0] = False
-        gap_break[1:] = np.diff(ts) > gap_us
-        starts = np.flatnonzero(new_key | gap_break)
-        ends = np.concatenate([starts[1:], [len(ts)]])
-        return pd.DataFrame({
-            key_column: keys[starts],
-            'session_start': ts[starts],
-            'session_end': ts[ends - 1],
-            'n': ends - starts,
+    def stitch(srt, bounds, first, last, ns) -> pa.Table:
+        # Sessions of the sorted runs ``srt`` / ``bounds``: a new one
+        # starts with each key and after each gap; rows carry their
+        # (first, last) microseconds and their count ``ns``.
+        brk = np.zeros(len(first), dtype=bool)
+        brk[bounds[:-1]] = True
+        brk[1:] |= first[1:] - last[:-1] > gap_us
+        seg = np.flatnonzero(brk)
+        seg_end = np.append(seg[1:], len(first))
+        csum = np.concatenate([[0], np.cumsum(ns)])
+        return pa.table({
+            key_column: srt.column(key_column).take(seg),
+            'session_start': first[seg],
+            'session_end': last[seg_end - 1],
+            'n': csum[seg_end] - csum[seg],
         })
 
     def add_time_block(batch: pa.Table) -> pa.Table:
@@ -168,43 +157,32 @@ def session_windows(ds, ts_column, key_column, gap_s, num_buckets=None,
             return batch            # schemaless empty passthrough
         col = (batch.column(ts_column).combine_chunks()
                .cast(pa.timestamp('us')).cast(pa.int64()))
-        # Null ts sorts first as NaT inside sessions(); park it in a
-        # far-negative block so np.asarray never sees a null int64.
+        # Null ts: park it in a far-negative block so np.asarray never
+        # sees a null int64.
         ts = np.asarray(pc.fill_null(col, -(1 << 62)))
         return batch.append_column(
             '_tblock', pa.array(ts // block_us, type=pa.int64()))
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        return sessions(group.drop(columns=['_tblock']))
+    def per_bucket(group: pa.Table) -> pa.Table:
+        srt, bounds = runs(group, [key_column], [ts_column])
+        # Null ts reads as the int64 minimum (pandas' NaT).
+        ts = np.asarray(pc.fill_null(
+            srt.column(ts_column).combine_chunks()
+            .cast(pa.timestamp('us')).cast(pa.int64()),
+            np.iinfo(np.int64).min))
+        return stitch(srt, bounds, ts, ts, np.ones(len(ts), np.int64))
 
     block_sessions = exchange(
         ds.map_batches(add_time_block, batch_format='pyarrow'),
-        [key_column, '_tblock'], per_bucket, batch_format='pandas',
-        num_buckets=num_buckets)
+        [key_column, '_tblock'], per_bucket, num_buckets=num_buckets)
 
     # Merge pass over SESSION rows (∝ sessions, not events): re-bucket
     # on the key alone and stitch block-boundary sessions.
-    def merge_sessions(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([key_column, 'session_start'])
-        keys = g[key_column].to_numpy()
-        starts = g['session_start'].to_numpy()
-        ends = g['session_end'].to_numpy()
-        ns = g['n'].to_numpy(dtype=np.int64)
-        if not len(keys):
-            return g
-        brk = np.empty(len(keys), dtype=bool)
-        brk[0] = True
-        brk[1:] = ((keys[1:] != keys[:-1])
-                   | (starts[1:] - ends[:-1] > gap_us))
-        seg = np.flatnonzero(brk)
-        seg_end = np.concatenate([seg[1:], [len(keys)]])
-        csum = np.concatenate([[0], np.cumsum(ns)])
-        return pd.DataFrame({
-            key_column: keys[seg],
-            'session_start': starts[seg],
-            'session_end': ends[seg_end - 1],
-            'n': csum[seg_end] - csum[seg],
-        })
+    def merge_sessions(group: pa.Table) -> pa.Table:
+        srt, bounds = runs(group, [key_column], ['session_start'])
+        return stitch(srt, bounds, srt.column('session_start').to_numpy(),
+                      srt.column('session_end').to_numpy(),
+                      srt.column('n').to_numpy())
 
     return exchange(block_sessions, [key_column], merge_sessions,
-                    batch_format='pandas', num_buckets=num_buckets)
+                    num_buckets=num_buckets)

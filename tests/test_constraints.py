@@ -224,8 +224,8 @@ def _grouped_agg_expected(ddb):
     """).df()
 
 
-@pytest.mark.parametrize('combine', ['single', 'bucket'])
-def test_grouped_agg_vs_duckdb(ray_session, ddb, combine):
+@pytest.mark.parametrize('num_buckets', [1, None])
+def test_grouped_agg_vs_duckdb(ray_session, ddb, num_buckets):
     import ray.data
     from python_fastjsonschema_ray.pipelines.constraints import grouped_agg
     ds = ray.data.read_parquet(SF + '/lineitem.parquet',
@@ -236,7 +236,7 @@ def test_grouped_agg_vs_duckdb(ray_session, ddb, combine):
                        'mn': ('l_quantity', 'min'),
                        'mx': ('l_quantity', 'max'),
                        'm': ('l_quantity', 'mean')},
-                      combine=combine).to_pandas()
+                      num_buckets=num_buckets).to_pandas()
     out = out.sort_values('l_returnflag').reset_index(drop=True)
     exp = _grouped_agg_expected(ddb)
     assert out['l_returnflag'].tolist() == exp['l_returnflag'].tolist()
@@ -256,7 +256,7 @@ def test_grouped_agg_null_keys_and_values(ray_session):
     out = grouped_agg(ds, ['k'],
                       {'s': ('v', 'sum'), 'n': (None, 'count'),
                        'm': ('v', 'mean')},
-                      combine='single').to_pandas()
+                      num_buckets=1).to_pandas()
     by_key = {(None if k != k or k is None else k): (s, n, m)
               for k, s, n, m in zip(out['k'], out['s'], out['n'], out['m'])}
     # NULL keys form their own group (SQL GROUP BY semantics); mean skips
@@ -274,7 +274,7 @@ def test_grouped_agg_all_null_values_mean(ray_session):
                   'v': pa.array([None, None], type=pa.float64())})
     out = grouped_agg(ray.data.from_arrow(t), ['k'],
                       {'m': ('v', 'mean'), 'n': (None, 'count')},
-                      combine='single').to_pandas()
+                      num_buckets=1).to_pandas()
     assert out['n'].tolist() == [2]
     assert np.isnan(out['m'].iloc[0])
 
@@ -764,3 +764,84 @@ def test_referential_lookup_builds_once_per_worker(tmp_path):
     assert 'orphans 12' in lines
     builds = [line for line in lines if line.startswith('builds ')]
     assert builds and set(builds[0].split()[1:]) == {'1'}, lines
+
+
+# ---------------------------------------------------------------------------
+# Null keys form one group in every run-cutting fold (vs DuckDB)
+
+
+def _null_keyed():
+    """40 rows in 4 blocks: an int64 key ``ki`` and a float64 key ``kf``,
+    each null in rows of two blocks; ``o`` has ties, ``id`` breaks them."""
+    import ray.data
+    n = 40
+    ki = [None if i % 7 == 3 else i % 3 for i in range(n)]
+    kf = [None if i % 9 == 4 else (i % 4) / 2 for i in range(n)]
+    t = pa.table({'ki': pa.array(ki, pa.int64()),
+                  'kf': pa.array(kf, pa.float64()),
+                  'o': pa.array([i % 5 for i in range(n)], pa.int64()),
+                  'id': pa.array(range(n), pa.int64()),
+                  'v': pa.array([((i * 37) % 11) / 4 for i in range(n)])})
+    blocks = [t.slice(i * 10, 10) for i in range(4)]
+    for key in ('ki', 'kf'):
+        assert sum(b.column(key).null_count > 0 for b in blocks) >= 2
+    return ray.data.from_arrow(blocks), t
+
+
+def _sorted_rows(df, columns):
+    return sorted(map(tuple, df[columns].astype(object).where(
+        df[columns].notna(), None).itertuples(index=False)),
+        key=lambda r: tuple((v is None, v or 0) for v in r))
+
+
+@pytest.mark.parametrize('key', ['ki', 'kf'])
+def test_null_keys_form_one_group_vs_duckdb(ray_session, key):
+    """grouped_topk, dedup_exact, grouped_scan, grouped_quantile and
+    mixture_sample_exact agree with DuckDB on an input whose null keys
+    sit in several blocks: the null key is one group everywhere."""
+    from python_fastjsonschema_ray.pipelines.constraints import (
+        dedup_exact, grouped_topk)
+    from python_fastjsonschema_ray.stages.quantile import grouped_quantile
+    from python_fastjsonschema_ray.stages.sample import (
+        KNUTH, mixture_sample_exact)
+    from python_fastjsonschema_ray.stages.scan import grouped_scan
+
+    ds, t = _null_keyed()
+    con = duckdb.connect()
+    con.register('nk', t)
+
+    def check(got, sql, columns):
+        want = con.execute(sql.format(k=key)).df()
+        assert _sorted_rows(got.to_pandas(), columns) == \
+            _sorted_rows(want, columns)
+
+    check(grouped_topk(ds, [key], ['o', 'id'], 2,
+                       descending=[True, False]), '''
+        SELECT {k}, id FROM (SELECT {k}, id, row_number() OVER (
+            PARTITION BY {k} ORDER BY o DESC, id) AS rn FROM nk)
+        WHERE rn <= 2''', [key, 'id'])
+    check(dedup_exact(ds.select_columns([key, 'o']), [key]),
+          'SELECT {k}, min(o) AS o FROM nk GROUP BY {k}', [key, 'o'])
+    got = grouped_scan(ds, [key], ['o', 'id'], 'v',
+                       ops=('row_number', 'cumsum')).to_pandas()
+    got['cumsum'] = got['cumsum'].round(9)
+    want = con.execute('''
+        SELECT {k}, id, row_number() OVER w AS row_number,
+               round(sum(v) OVER (w ROWS UNBOUNDED PRECEDING), 9) AS cumsum
+        FROM nk WINDOW w AS (PARTITION BY {k} ORDER BY o, id)
+    '''.format(k=key)).df()
+    cols = [key, 'id', 'row_number', 'cumsum']
+    assert _sorted_rows(got, cols) == _sorted_rows(want, cols)
+    check(grouped_quantile(ds, [key], 'v', [0.5]), '''
+        SELECT {k}, quantile_disc(v, 0.5) AS value FROM nk GROUP BY {k}''',
+          [key, 'value'])
+    quotas = {g: 2 for g in t.column(key).unique().to_pylist()}
+    con.register('quotas', pa.table({'g': pa.array(list(quotas),
+                                                   t.schema.field(key).type),
+                                     'q': list(quotas.values())}))
+    check(mixture_sample_exact(ds, key, 'id', quotas), '''
+        SELECT {k}, id FROM (
+            SELECT {k}, id, row_number() OVER (PARTITION BY {k}
+                ORDER BY (id * ''' + str(KNUTH) + ''') % 1000000000, id) AS rn
+            FROM nk) JOIN quotas ON {k} IS NOT DISTINCT FROM g
+        WHERE rn <= q''', [key, 'id'])

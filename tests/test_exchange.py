@@ -1,10 +1,12 @@
 """The hash-exchange module (``stages/exchange.py``): ``exchange`` and
-``cogroup`` semantics, the fixed-boundary shuffle on many-block inputs,
-semi/anti joins that never probe their derived key side, key-type
-alignment in the co-group operators, metadata-free output of every
-operator built on them, and a scan that keeps the bucketing decision
+``cogroup`` semantics, the run-cutting helper, the fixed-boundary
+shuffle on many-block inputs, semi/anti joins that never probe their
+derived key side, key-type alignment in the co-group operators,
+metadata-free output of every operator built on them, and a scan that
+keeps the bucketing decision and the Arrow-only exchange surface
 inside the one module."""
 
+import contextlib
 import logging
 import os
 import re
@@ -70,7 +72,6 @@ def test_exchange_empty_inputs(ray_session):
 
     empty = ray.data.from_arrow(pa.table({'k': pa.array([], pa.int64())}))
     assert exchange(empty, ['k'], boom).count() == 0
-    assert exchange(empty, ['k'], boom, batch_format='pandas').count() == 0
 
     schemaless = ray.data.from_arrow(
         [pa.table({}), pa.table({'k': pa.array([1, 1, 2], pa.int64())})])
@@ -83,19 +84,60 @@ def test_exchange_empty_inputs(ray_session):
     assert got == [(1, 2), (2, 1)]
 
 
-def test_exchange_pandas_empty_result_stays_typed(ray_session):
-    """A pandas ``fn`` that returns an empty frame still yields typed
-    Arrow blocks, without pandas schema metadata."""
+def test_exchange_empty_result_stays_typed(ray_session):
+    """An ``fn`` that returns an empty table yields typed blocks without
+    schema metadata, even when the input blocks are pandas-backed."""
+    import pandas as pd
+    import ray.data
     from python_fastjsonschema_ray.stages.exchange import exchange
 
-    out = _blocks(exchange(_keyed(), ['a'], lambda df: df.iloc[:0],
-                           batch_format='pandas'))
+    ds = ray.data.from_pandas([pd.DataFrame({
+        'a': np.arange(i, 40, 4, dtype=np.int64),
+        'v': np.linspace(0, 1, 10)}) for i in range(4)])
+    out = _blocks(exchange(ds, ['a'], lambda t: t.slice(0, 0)))
     assert out
     for b in out:
         assert b.num_rows == 0
         assert b.schema.field('a').type == pa.int64()
         assert b.schema.field('v').type == pa.float64()
         assert b'pandas' not in (b.schema.metadata or {})
+
+
+def test_one_bucket_exchange_logs_no_schema_change(ray_session):
+    """A one-bucket exchange over several blocks folds every row in one
+    call, and Ray logs no 'different schema' record: the sort's empty
+    range comes before the full one, not after it."""
+    from python_fastjsonschema_ray.stages.exchange import exchange
+
+    def fold(group: pa.Table) -> pa.Table:
+        return pa.table({'n': [group.num_rows]})
+
+    with _ray_warnings() as messages:
+        got = _rows(exchange(_keyed(), [], fold, num_buckets=1), ['n'])
+    assert got == [(200,)]
+    assert not [m for m in messages if 'different schema' in m]
+
+
+def test_runs_cut_null_and_nan_keys_into_one_run():
+    """``runs`` sorts by keys then order, nulls last; an int key's nulls
+    form one run, and a float key's NaN and nulls form one null run."""
+    from python_fastjsonschema_ray.stages.exchange import positions, runs
+
+    t = pa.table({
+        'i': pa.array([2, None, 1, None, 2, 1], pa.int64()),
+        'f': pa.array([0.5, None, np.nan, None, np.nan, 1.5]),
+        'o': pa.array([1, 2, 3, 4, 5, 6], pa.int64())})
+    g, bounds = runs(t, ['i'], [('o', 'descending')])
+    assert bounds.tolist() == [0, 2, 4, 6]
+    assert g.column('i').to_pylist() == [1, 1, 2, 2, None, None]
+    assert g.column('o').to_pylist() == [6, 3, 5, 1, 4, 2]
+    assert positions(bounds).tolist() == [0, 1, 0, 1, 0, 1]
+    g, bounds = runs(t, ['f'], ['o'])
+    assert bounds.tolist() == [0, 1, 2, 6]
+    assert g.column('f').to_pylist() == [0.5, 1.5, None, None, None, None]
+    assert g.column('o').to_pylist() == [1, 6, 2, 3, 4, 5]
+    g, bounds = runs(t.slice(0, 0), ['i'])
+    assert bounds.tolist() == [0] and g.num_rows == 0
 
 
 def test_exchange_bucket_count_does_not_change_the_result(ray_session):
@@ -125,11 +167,11 @@ def test_exchange_multi_key_groups_hold_whole_keys(ray_session):
     want = collections.Counter(
         (a, b) for a, b, _ in _rows(ds, ['a', 'b', 'v']))
 
-    def count(group):
-        return group.groupby(['a', 'b'], as_index=False).size()
+    def count(group: pa.Table) -> pa.Table:
+        return group.group_by(['a', 'b']).aggregate([([], 'count_all')])
 
-    got = _rows(exchange(ds, ['a', 'b'], count, batch_format='pandas',
-                         num_buckets=5), ['a', 'b', 'size'])
+    got = _rows(exchange(ds, ['a', 'b'], count, num_buckets=5),
+                ['a', 'b', 'count_all'])
     assert got == sorted((a, b, n) for (a, b), n in want.items())
 
 
@@ -543,6 +585,23 @@ class _Records(logging.Handler):
         self.messages.append(record.getMessage())
 
 
+@contextlib.contextmanager
+def _ray_warnings():
+    """The WARNING messages Ray Data logs on the driver while the block
+    runs: block-schema hashing and the executor's schema-change check."""
+    handler = _Records()
+    loggers = [logging.getLogger(name) for name in (
+        'ray.data._internal.arrow_ops.transform_pyarrow',
+        'ray.data._internal.execution.streaming_executor_state')]
+    for logger in loggers:
+        logger.addHandler(handler)
+    try:
+        yield handler.messages
+    finally:
+        for logger in loggers:
+            logger.removeHandler(handler)
+
+
 def _operator_outputs():
     import pandas as pd
     import ray.data
@@ -579,7 +638,10 @@ def _operator_outputs():
         'dedup_exact': C.dedup_exact(facts, ['k']),
         'dedup_winner_ids': C.dedup_winner_ids(facts, ['k'], 'id'),
         'grouped_agg': C.grouped_agg(facts, ['k'], {'s': ('v', 'sum')}),
+        'grouped_agg_one_bucket': C.grouped_agg(
+            facts, ['k'], {'s': ('v', 'sum')}, num_buckets=1),
         'grouped_topk': C.grouped_topk(facts, ['g'], ['v', 'id'], 2),
+        'global_topk': C.global_topk(facts, ['v', 'id'], 5),
         'check_referential_large': C.check_referential_large(
             facts, 'k', dims, 'dk'),
         'shuffle_join': join.shuffle_join(facts, dims, 'k', 'dk', ['dv']),
@@ -612,31 +674,31 @@ def test_operators_emit_metadata_free_blocks_without_hash_warnings(
     """No operator built on the exchange leaves pandas schema metadata on
     its blocks, and none makes Ray Data log 'Failed to hash the schemas'
     on the driver (pandas metadata is unhashable in its schema dedup).
-    The size gate is shut, so every gated operator co-groups."""
-    logger = logging.getLogger(
-        'ray.data._internal.arrow_ops.transform_pyarrow')
-    handler = _Records()
-    logger.addHandler(handler)
-    with_metadata, nonempty = [], set()
-    try:
-        for name, ds in _operator_outputs().items():
-            if isinstance(ds, int):
-                assert ds == 9, name
-                continue
+    The one-bucket folds also log no 'different schema' record.  The
+    size gate is shut, so every gated operator co-groups."""
+    with_metadata, nonempty, logged = [], set(), {}
+    for name, ds in _operator_outputs().items():
+        if isinstance(ds, int):
+            assert ds == 9, name
+            continue
+        with _ray_warnings() as messages:
             for b in _blocks(ds):
                 if b'pandas' in (b.schema.metadata or {}):
                     with_metadata.append(name)
                 if b.num_rows:
                     nonempty.add(name)
-    finally:
-        logger.removeHandler(handler)
+        logged[name] = list(messages)
     assert not with_metadata
-    assert not [m for m in handler.messages
+    assert not [(name, m) for name, ms in logged.items() for m in ms
                 if 'Failed to hash the schemas' in m]
+    one_bucket = ('global_topk', 'grouped_agg_one_bucket')
+    assert not [(name, m) for name in one_bucket for m in logged[name]
+                if 'different schema' in m]
     # The metadata check saw real blocks of every operator.
     assert nonempty == {
         'check_unique', 'dedup_exact', 'dedup_winner_ids', 'grouped_agg',
-        'grouped_topk', 'check_referential_large', 'shuffle_join',
+        'grouped_agg_one_bucket', 'grouped_topk', 'global_topk',
+        'check_referential_large', 'shuffle_join',
         'shuffle_join_left', 'semi_join', 'asof_join', 'grouped_quantile',
         'grouped_scan', 'mixture_sample_exact', 'session_windows',
         'connected_components_distributed', 'minhash_duplicate_pairs',
@@ -679,4 +741,37 @@ def test_bucketing_lives_only_in_the_exchange_module():
                 offenders.append('{}:{}: {}'.format(
                     os.path.relpath(path, os.path.dirname(PKG)), line,
                     m.group(0)))
+    assert not offenders, offenders
+
+
+def _calls(src, name):
+    """(line, argument text) of every ``name(...)`` call in ``src``: the
+    call's own arguments, without the text of calls nested in them."""
+    for m in re.finditer(r'\b{}\('.format(re.escape(name)), src):
+        depth, i, args = 1, m.end(), []
+        while depth:
+            depth += {'(': 1, ')': -1}.get(src[i], 0)
+            if depth == 1 and src[i] != ')':
+                args.append(src[i])
+            i += 1
+        yield src.count('\n', 0, m.start()) + 1, ''.join(args)
+
+
+def test_folds_run_as_arrow_exchange_bodies():
+    """No code folds through a ``repartition(1)`` barrier, passes
+    ``combine=`` (``grouped_agg`` has one path: the exchange) or hands
+    ``exchange(`` a ``batch_format=``: every exchange body takes and
+    returns Arrow."""
+    offenders = []
+    for path in _sources():
+        with open(path, encoding='utf-8') as fh:
+            src = fh.read()
+        where = os.path.relpath(path, os.path.dirname(PKG))
+        for pat in (r'\.repartition\(\s*1\s*\)', r'\bcombine\s*='):
+            for m in re.finditer(pat, src):
+                offenders.append('{}:{}: {}'.format(
+                    where, src.count('\n', 0, m.start()) + 1, m.group(0)))
+        for line, call in _calls(src, 'exchange'):
+            if 'batch_format' in call:
+                offenders.append('{}:{}: {}'.format(where, line, call))
     assert not offenders, offenders

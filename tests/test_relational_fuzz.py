@@ -52,7 +52,7 @@ def test_grouped_agg_fuzz(ray_session, fb):
     out = grouped_agg(_ds(df, blocks), ['k'],
                       {'s': ('v', 'sum'), 'n': (None, 'count'),
                        'm': ('v', 'mean'), 'mx': ('v', 'max')},
-                      combine='single').to_pandas()
+                      num_buckets=1).to_pandas()
     exp = df.groupby('k').agg(
         s=('v', 'sum'), n=('v', 'size'), m=('v', 'mean'), mx=('v', 'max'))
     got = out.set_index('k').sort_index()

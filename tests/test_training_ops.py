@@ -3,6 +3,7 @@ over the documents/embeddings testdata."""
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 SF = '/root/testdata/sf0.001'
@@ -138,12 +139,29 @@ def test_shingle_explode_distinct_counts():
     df = pd.DataFrame({
         'doc_id': [1, 2, 3],
         'text': ['abcdefabcdefabcdef', 'hello world hello world', 'xy']})
-    out = ShingleExplodeStage('doc_id', 'text')(df)
+    out = ShingleExplodeStage('doc_id', 'text')(
+        pa.Table.from_pandas(df)).to_pandas()
     for d, t in zip(df['doc_id'], df['text']):
         exp = np.sort(_shingle_hashes(t).view(np.int64))
         sub = out[out['doc_id'] == d]
         assert np.array_equal(np.sort(sub['sh'].to_numpy()), exp)
         assert (sub['n'] == len(exp)).all()
+
+
+def test_shingle_explode_keeps_string_id_type_without_rows():
+    """A batch that yields no shingle rows (no rows, or only null ids)
+    keeps a ``string`` id column, not Arrow's null type.  Texts shorter
+    than ``shingle_k`` are padded to one shingle."""
+    from python_fastjsonschema_ray.stages.dedup import ShingleExplodeStage
+    stage = ShingleExplodeStage('doc_id', 'text', shingle_k=5)
+    batch = pa.table({'doc_id': pa.array([None, 'b'], pa.string()),
+                      'text': pa.array(['hello world', 'xy'])})
+    assert stage(batch).column('doc_id').to_pylist() == ['b']
+    for empty in (batch.slice(0, 0), batch.slice(0, 1)):
+        out = stage(empty)
+        assert out.num_rows == 0
+        assert out.schema.field('doc_id').type == pa.string()
+        assert out.schema.field('sh').type == pa.int64()
 
 
 def test_ngram_jaccard_exact_vs_bruteforce(ray_session, docs):
