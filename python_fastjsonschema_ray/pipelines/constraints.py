@@ -38,7 +38,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.exchange import _arrow_schema, exchange, positions, runs
+from ..stages.exchange import (
+    _arrow_schema, exchange, nan_keys_to_null, positions, runs)
 from ..stages.join import (
     _lookup_table, _shuffle_semi_anti, broadcasts, distinct_keys)
 from ..stages.per_worker import PerWorker
@@ -422,7 +423,8 @@ class _GroupedPartialStage:
         self.partial_names = partial_names
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        grouped = batch.group_by(self.key_columns).aggregate(self.arrow_specs)
+        grouped = nan_keys_to_null(batch, self.key_columns).group_by(
+            self.key_columns).aggregate(self.arrow_specs)
         # Arrow names aggregate outputs '{col}_{op}' / 'count_all'; map them
         # to our stable partial names (selection by name, order-independent).
         arrow_names = [('count_all' if col == [] else f'{col}_{op}')
@@ -448,7 +450,8 @@ def grouped_agg(ds, key_columns, aggs, *, num_buckets=None):
 
     ``aggs`` maps output_name -> (column, op) with op in
     {'sum', 'count', 'min', 'max', 'mean'}; column is ignored for 'count'
-    (row count).  Null keys form one group.  'mean' decomposes into
+    (row count).  Null keys form one group, and NaN float keys join it
+    (as in every ``runs``-based operator).  'mean' decomposes into
     sum+valid-count partials and is finalized after the combine
     (null-skipping, like SQL AVG; null for a group without values).
     A group whose values are all null sums to 0.

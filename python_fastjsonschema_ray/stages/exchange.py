@@ -68,6 +68,18 @@ def _arrow(table: pa.Table) -> pa.Table:
     return table.replace_schema_metadata(None)
 
 
+def nan_keys_to_null(table: pa.Table, keys) -> pa.Table:
+    """``table`` with NaN in its float ``keys`` columns made null, so a
+    NaN key and a null key group, hash and bucket as one key."""
+    for c in keys:
+        col = table.column(c)
+        if pa.types.is_floating(col.type):
+            table = table.set_column(
+                table.schema.get_field_index(c), c,
+                pc.if_else(pc.is_nan(col), pa.scalar(None, col.type), col))
+    return table
+
+
 def runs(group: pa.Table, keys, order=()):
     """``(sorted, bounds)``: ``group`` sorted by ``keys`` then ``order``,
     and the offsets of its runs of equal ``keys``: run ``i`` holds rows
@@ -78,12 +90,7 @@ def runs(group: pa.Table, keys, order=()):
     they did through pandas."""
     if not group.num_rows:
         return group, np.zeros(1, dtype=np.int64)  # may be schemaless
-    for c in keys:
-        col = group.column(c)
-        if pa.types.is_floating(col.type):
-            group = group.set_column(
-                group.schema.get_field_index(c), c,
-                pc.if_else(pc.is_nan(col), pa.scalar(None, col.type), col))
+    group = nan_keys_to_null(group, keys)
     sort_keys = [(c, 'ascending') for c in keys] + [
         o if isinstance(o, tuple) else (o, 'ascending') for o in order]
     if sort_keys:

@@ -12,7 +12,7 @@ deltas, smoothing — expressed Ray-Data-first:
   per-key scan needs — every row's result depends on all earlier rows
   of its key, so the key's rows must co-locate);
 * each bucket handles ALL its keys with ONE stable Arrow sort +
-  run-vectorized numpy kernels (running sum / shift / position in
+  run-vectorized kernels (grouped cumsum / shift / position in
   run) — no per-group Python, so millions of tiny keys cost the same
   as a few big ones;
 * a pathologically hot key (one key ≫ bucket memory) needs the
@@ -77,7 +77,7 @@ def grouped_scan(ds, keys, order_by, value_column,
             .to_numpy(zero_copy_only=False)
         out = srt.select(in_cols)
         if 'cumsum' in ops or 'rolling_mean' in ops:
-            cs = _running_sum(vals, pos)
+            cs = _running_sum(vals, bounds)
         for op in ops:
             if op == 'row_number':
                 col = pos + 1
@@ -105,21 +105,18 @@ def grouped_scan(ds, keys, order_by, value_column,
                     num_buckets=num_buckets)
 
 
-def _running_sum(vals, pos) -> np.ndarray:
-    """Per-run running sum of ``vals`` (runs given by ``pos``, each row's
-    position in its run): NaN rows read NaN and add nothing.  A
-    log-step scan (Hillis-Steele): each pass adds the partial sum ``d``
-    rows back where that row is still in the run, so it costs
-    ``log2(longest run)`` vectorized passes, whatever the number of
-    keys."""
-    cs = np.where(np.isnan(vals), 0.0, vals)
-    d = 1
-    while len(pos) and d <= pos.max():
-        idx = np.flatnonzero(pos >= d)
-        cs[idx] = cs[idx] + cs[idx - d]
-        d *= 2
-    cs[np.isnan(vals)] = np.nan
-    return cs
+def _running_sum(vals, bounds) -> np.ndarray:
+    """Per-run running sum of ``vals`` (runs given by ``bounds``): NaN
+    rows read NaN and add nothing.  One O(n) pandas grouped cumsum over
+    run ids, which sums each run in order with compensation.  A global
+    ``np.cumsum`` minus each run's start offset is not used: it loses
+    the digits of a small key's sums behind the large running total of
+    the keys sorted before it."""
+    import pandas as pd
+
+    run_id = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    return pd.Series(vals).groupby(run_id, sort=False).cumsum() \
+        .to_numpy(dtype=np.float64)
 
 
 def global_rank(ds, order_columns, *, descending=False,

@@ -1,5 +1,4 @@
 import faulthandler
-import os
 import signal
 import sys
 
@@ -11,7 +10,7 @@ REFERENCE_PATH = '/root/reference'
 # driver query against DuckDB) take under a minute on one CPU; a test
 # that runs past the limit fails with the stacks of the driver's threads
 # on stderr, and the rest of the suite still runs.
-TEST_TIME_LIMIT_S = int(os.environ.get('TEST_TIME_LIMIT_S', '600'))
+TEST_TIME_LIMIT_S = 600
 
 
 @pytest.fixture(scope='session')
@@ -25,7 +24,10 @@ def ray_session():
     (``reference_count.cc:581``, "Check failed:
     submitted_task_ref_count > 0").  Ray Data cancels queued tasks
     whenever an execution stops early, so a long session of many small
-    datasets hit it in about half of the full runs, at any commit."""
+    datasets hit it in about half of the full runs, at any commit.  A
+    driver process keeps Ray's defaults; ``tests/test_exchange.py::
+    test_key_operators_under_default_ray_config`` runs the key operators
+    that way in a process of its own."""
     import ray
 
     if not ray.is_initialized():

@@ -265,6 +265,20 @@ def test_grouped_agg_null_keys_and_values(ray_session):
     assert by_key['b'] == (4.0, 1, 4.0)
     assert by_key[None] == (8.0, 2, 4.0)
 
+    # A NaN float key and a null float key are one group, on any bucket
+    # count and across blocks, as in dedup_exact and grouped_topk.
+    f = pa.table({'k': pa.array([1.5, float('nan'), None, 1.5, None,
+                                 float('nan')], type=pa.float64()),
+                  'v': pa.array([1, 2, 3, 4, 5, 6], type=pa.int64())})
+    for buckets in (1, 4):
+        got = grouped_agg(ray.data.from_arrow([f.slice(0, 3), f.slice(3)]),
+                          ['k'], {'s': ('v', 'sum'), 'n': (None, 'count')},
+                          num_buckets=buckets)
+        rows = [r for b in _blocks(got) for r in zip(
+            b['k'].to_pylist(), b['s'].to_pylist(), b['n'].to_pylist())]
+        assert sorted(rows, key=lambda r: (r[0] is None, r)) == \
+            [(1.5, 5, 2), (None, 16, 4)], buckets
+
 
 def test_grouped_agg_all_null_values_mean(ray_session):
     import pyarrow as pa

@@ -6,6 +6,7 @@ metadata-free output of every operator built on them, and a scan that
 keeps the bucketing decision and the Arrow-only exchange surface
 inside the one module."""
 
+import ast
 import contextlib
 import logging
 import os
@@ -705,6 +706,67 @@ def test_operators_emit_metadata_free_blocks_without_hash_warnings(
         'ngram_jaccard_pairs', 'hamming_near_dup'}
 
 
+_DEFAULT_CONFIG_OPERATORS = '''
+import json
+import pyarrow as pa
+import ray
+import ray.data
+ray.init(address='local', num_cpus=1, include_dashboard=False,
+         logging_level='ERROR')
+from python_fastjsonschema_ray.pipelines import constraints as C
+from python_fastjsonschema_ray.stages.scan import grouped_scan
+t = pa.table({'k': pa.array([i % 7 for i in range(700)]),
+              'o': pa.array(range(700)),
+              'v': pa.array([float(i) for i in range(700)])})
+ds = ray.data.from_arrow([t.slice(i, 100) for i in range(0, 700, 100)])
+both = ds.union(ds.limit(3))
+def n(out):
+    return sum(b.num_rows for b in ray.get(out.to_arrow_refs()))
+agg = C.grouped_agg(ds, ['k'], {'s': ('v', 'sum')}, num_buckets=1)
+print(json.dumps({
+    'sums': sorted(v for b in ray.get(agg.to_arrow_refs()) if b.num_rows
+                   for v in b['s'].to_pylist()),
+    'grouped_agg': n(C.grouped_agg(ds, ['k'], {'n': (None, 'count')})),
+    'check_unique': n(C.check_unique(both, ['v'])),
+    'dedup_exact': n(C.dedup_exact(both, ['v'])),
+    'grouped_topk': n(C.grouped_topk(ds, ['k'], ['v'], 2)),
+    'global_topk': C.global_topk(ds, ['v'], 2).to_pandas()['v'].tolist(),
+    'grouped_scan': n(grouped_scan(ds, ['k'], ['o'], 'v').limit(10)),
+}))
+ray.shutdown()
+'''
+
+
+def test_key_operators_under_default_ray_config():
+    """The key operators give their answers in a driver process on Ray's
+    defaults: small task arguments and results inlined, and Ray Data's
+    per-task memory poll on.  The suite's own Ray session turns both
+    off (see ``tests/conftest.py``), so this is the one test of the
+    exchange on the configuration a standalone driver runs."""
+    import json
+    import signal
+    import subprocess
+    import sys
+    root = os.path.dirname(PKG)
+    proc = subprocess.Popen(
+        [sys.executable, '-c', _DEFAULT_CONFIG_OPERATORS],
+        env=dict(os.environ, PYTHONPATH=root), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=180)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail('the operators did not finish in 180 s')
+    assert proc.returncode == 0, err[-3000:]
+    got = json.loads(out.splitlines()[-1])
+    assert got == {
+        'sums': sorted(float(sum(range(k, 700, 7))) for k in range(7)),
+        'grouped_agg': 7, 'check_unique': 3, 'dedup_exact': 700,
+        'grouped_topk': 14, 'global_topk': [699.0, 698.0],
+        'grouped_scan': 10}
+
+
 # ---------------------------------------------------------------------------
 # One owner for the bucketing decision
 
@@ -744,17 +806,15 @@ def test_bucketing_lives_only_in_the_exchange_module():
     assert not offenders, offenders
 
 
-def _calls(src, name):
-    """(line, argument text) of every ``name(...)`` call in ``src``: the
-    call's own arguments, without the text of calls nested in them."""
-    for m in re.finditer(r'\b{}\('.format(re.escape(name)), src):
-        depth, i, args = 1, m.end(), []
-        while depth:
-            depth += {'(': 1, ')': -1}.get(src[i], 0)
-            if depth == 1 and src[i] != ')':
-                args.append(src[i])
-            i += 1
-        yield src.count('\n', 0, m.start()) + 1, ''.join(args)
+def _keywords(src, name):
+    """(line, keyword) of every keyword argument passed to a ``name(...)``
+    call in ``src`` (a bare or attribute call)."""
+    for node in ast.walk(ast.parse(src)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, 'id', getattr(func, 'attr', None)) == name:
+                for kw in node.keywords:
+                    yield node.lineno, kw.arg
 
 
 def test_folds_run_as_arrow_exchange_bodies():
@@ -771,7 +831,8 @@ def test_folds_run_as_arrow_exchange_bodies():
             for m in re.finditer(pat, src):
                 offenders.append('{}:{}: {}'.format(
                     where, src.count('\n', 0, m.start()) + 1, m.group(0)))
-        for line, call in _calls(src, 'exchange'):
-            if 'batch_format' in call:
-                offenders.append('{}:{}: {}'.format(where, line, call))
+        for line, arg in _keywords(src, 'exchange'):
+            if arg == 'batch_format':
+                offenders.append('{}:{}: exchange({}=...)'.format(
+                    where, line, arg))
     assert not offenders, offenders
