@@ -16,15 +16,18 @@ Scale notes (designed for 100 TB / multi-node, tested single-node):
   about 1/P of the partials.  The bucket is a hash of the checked key
   itself — uniform for id-like keys; salt upstream if a hot key is
   expected.
-* **Referential** is one exact operator, ``check_referential``.  The
-  reference collapses to distinct non-null keys per block, cast to the
-  foreign key's type and materialized once; their size picks the plan
+* **Referential** is one exact operator, ``check_referential``: an anti
+  ``stages/join.broadcast_lookup_join`` minus null foreign keys.  The
+  reference collapses to distinct non-null keys per block, materialized
+  once in their own type; their size picks the plan
   (``stages/join.BROADCAST_LIMIT_BYTES``, 64 MiB).  Under it each worker
-  builds one key lookup from the object-store blocks and each batch is
-  one probe — no shuffle.  Above it the rows meet the same keys in one
-  co-group exchange of the uniqueness check's shape, without probing the
-  key side's schema.  ``check_referential_bloom`` broadcasts a Bloom
-  filter of the same keys instead (approximate by contract).
+  builds one key lookup from the object-store blocks, cast to the
+  foreign key's type, and each batch is one probe — no shuffle.  Above
+  it the rows meet the same keys in one co-group exchange, which casts
+  them in its reduce.  Neither path reads a schema on the driver.
+  ``check_referential_bloom`` broadcasts a Bloom filter of the same
+  keys instead (approximate by contract), hashed with the bucketing
+  hash, so it needs no cast.
 * **Drift** uses fixed, driver-chosen bin edges so per-batch histograms are
   mergeable by vector addition; KS and PSI are computed on the merged
   profiles.
@@ -39,9 +42,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..stages.exchange import (
-    _arrow_schema, exchange, nan_keys_to_null, positions, runs)
-from ..stages.join import (
-    _lookup_table, _shuffle_semi_anti, broadcasts, distinct_keys)
+    checked_cast, exchange, key_hash, nan_keys_to_null, positions, runs)
+from ..stages.join import broadcast_lookup_join, distinct_keys
 from ..stages.per_worker import PerWorker
 from ..state.sketches import HyperLogLog, TDigest, hash64_array
 
@@ -261,68 +263,29 @@ def dedup_winner_ids(ds, columns, id_column, num_buckets=None):
 # Referential integrity
 
 
-class _AntiJoinStage:
-    """Keep the rows whose non-null key misses the reference keys.
-
-    Built once per worker process (``PerWorker``): it fetches the key
-    blocks from the object store and builds one ``KeyLookup``; each
-    batch is then one probe of that lookup."""
-
-    def __init__(self, column, ref_column, key_refs):
-        self.column = column
-        built = _lookup_table(key_refs, ref_column)
-        self.lookup = built[1] if built is not None else None
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        col = batch.column(self.column).combine_chunks()
-        # Policy (uniform across all referential variants, matching the
-        # uniqueness check and SQL anti-join semantics): NULL foreign keys
-        # are skipped, never reported as violations.
-        keep = col.is_valid()
-        if self.lookup is not None:
-            keep = pc.and_(keep, pa.array(self.lookup.positions(col) < 0))
-        return batch.filter(keep).replace_schema_metadata(None)
-
-
-def _reference_keys(ds, column, ref_ds, ref_column):
-    """(ds, keys, key type): ``keys`` holds the distinct non-null values
-    of ``ref_ds[ref_column]`` per block, cast to the type of
-    ``ds[column]`` with the checked cast of ``cogroup`` (``TypeError``
-    when a key does not survive it) and materialized once — the step
-    every referential check shares."""
-    ds, schema = _arrow_schema(ds)
-    field = schema.field(column)
-    return ds, distinct_keys(ref_ds, ref_column, field).materialize(), \
-        field.type
-
-
-def check_referential(ds, column, ref_ds, ref_column, num_buckets=None):
+def check_referential(ds, column, ref_ds, ref_column):
     """Anti-join ``ds[column]`` against the keys of ``ref_ds[ref_column]``:
     the rows whose non-null key has no match (NULL foreign keys are
-    skipped, as in SQL).  The one exact referential check.
+    skipped, as in SQL).  The one exact referential check:
+    ``broadcast_lookup_join(how='anti')`` minus the null foreign keys.
 
-    The reference collapses to distinct keys per block, cast to the
-    foreign key's type (a key that does not cast losslessly raises
-    ``TypeError``) and materialized once.  At most
-    ``join.BROADCAST_LIMIT_BYTES`` of them are broadcast: each worker
-    builds one key lookup and probes it per batch.  A lookup holds about
-    5x its keys' Arrow bytes for int64 keys and 8x for short strings,
-    and ``PerWorker`` keeps up to 8 built stages, so a worker's bound is
-    gate x overhead x 8.  Above the gate ``ds`` meets the same keys in
-    one co-group exchange (``num_buckets`` buckets).  Both paths return
-    the same rows."""
-    if ds.schema() is None:
-        return ds              # fully-empty input: nothing to check
-    ds, keys, _ = _reference_keys(ds, column, ref_ds, ref_column)
-    if broadcasts('check_referential', keys, 'distinct-key'):
-        return PerWorker(_AntiJoinStage, column, ref_column,
-                         keys.to_arrow_refs()).map_batches(
-            ds, batch_format='pyarrow')
-    orphans = _shuffle_semi_anti(ds, keys, column, ref_column,
-                                 num_buckets, 'anti')
-    return orphans.map_batches(
-        lambda b: b.filter(pc.is_valid(b.column(column))),
-        batch_format='pyarrow')
+    The reference collapses to distinct keys per block, materialized
+    once; their size picks the path.  At most
+    ``join.BROADCAST_LIMIT_BYTES`` of them are broadcast, and each worker
+    builds one key lookup (about 5x its keys' Arrow bytes for int64 keys,
+    8x for short strings; ``PerWorker`` keeps up to 8 built stages).
+    Above the gate ``ds`` meets the same keys in one co-group exchange.
+    Both paths cast the keys to the foreign key's type with one checked
+    cast (a lossy key or a type of another family raises ``TypeError``)
+    and return the same rows."""
+    def non_null(b: pa.Table) -> pa.Table:
+        if column not in b.column_names:
+            return b                # schemaless empty block
+        return b.filter(pc.is_valid(b.column(column)))
+
+    return broadcast_lookup_join(ds, column, ref_ds, ref_column,
+                                 how='anti').map_batches(
+        non_null, batch_format='pyarrow')
 
 
 # Perfbench's lineitem_constraints workload calls the co-group operator's
@@ -330,28 +293,22 @@ def check_referential(ds, column, ref_ds, ref_column, num_buckets=None):
 check_referential_large = check_referential
 
 
-class _BloomAntiStage:
-    def __init__(self, column, bloom_ref):
-        import ray
-        from ..state.sketches import BloomFilter
-        self.column = column
-        self.bloom = BloomFilter.deserialize(ray.get(bloom_ref))
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        col = batch.column(self.column).combine_chunks()
-        hashes = hash64_array(col)
-        hit = self.bloom.contains_hashes(hashes)
-        # Null FKs are skipped (same policy as _AntiJoinStage).
-        keep = pa.array(~hit)
-        return batch.filter(pc.and_(keep, col.is_valid()))
+def _bloom_filter(bloom_ref):
+    import ray
+    from ..state.sketches import BloomFilter
+    return BloomFilter.deserialize(ray.get(bloom_ref))
 
 
 def check_referential_bloom(ds, column, ref_ds, ref_column,
                             bits_per_key=16):
     """Memory-compact referential check: the reference key set is broadcast
     as a Bloom filter (bits_per_key bits/key vs ~8-100 bytes/key raw), so
-    it stays broadcastable at 10^9+ reference keys.  The keys come from
-    the step ``check_referential`` shares, typed like ``ds[column]``.
+    it stays broadcastable at 10^9+ reference keys.  The driver builds
+    the filter from the reference's distinct keys in their own type,
+    hashed with ``exchange.key_hash`` (int 2 and float 2.0 hash alike),
+    and each batch probes it with the same hash: no cast and no schema
+    probe.  A foreign key of another type family than the keys raises
+    ``TypeError`` when the check executes.
 
     PROBABILISTIC: a Bloom false positive makes an orphan key look present,
     i.e. up to ~fpr of true violations are missed (no false violations).
@@ -359,19 +316,29 @@ def check_referential_bloom(ds, column, ref_ds, ref_column,
     import ray
     from ..state.sketches import BloomFilter
 
-    if ds.schema() is None:
-        return ds, 0.0         # fully-empty input: nothing to check
-    ds, keys, key_type = _reference_keys(ds, column, ref_ds, ref_column)
-    key_arr = pc.unique(pa.chunked_array(
-        [t.column(ref_column) for t in ray.get(keys.to_arrow_refs())
-         if t.num_rows], type=key_type))
-    bloom = BloomFilter(len(key_arr), bits_per_key)
-    bloom.add_hashes(hash64_array(key_arr))
-    fpr = bloom.fpr
-    bloom_ref = ray.put(bloom.serialize())
-    out = PerWorker(_BloomAntiStage, column, bloom_ref).map_batches(
-        ds, batch_format='pyarrow')
-    return out, fpr
+    tables = [t for t in ray.get(
+        distinct_keys(ref_ds, ref_column).materialize().to_arrow_refs())
+        if t.num_rows]
+    keys = pc.unique(pa.concat_tables(
+        tables, promote_options='permissive').column(ref_column)
+        .combine_chunks()) if tables else pa.array([], pa.int64())
+    bloom = BloomFilter(len(keys), bits_per_key)
+    bloom.add_hashes(key_hash(keys))
+    filters = PerWorker(_bloom_filter, ray.put(bloom.serialize()))
+    key_type = keys.type if tables else None
+
+    def bloom_anti(batch: pa.Table) -> pa.Table:
+        batch = batch.replace_schema_metadata(None)
+        if column not in batch.column_names:
+            return batch            # schemaless empty block
+        col = batch.column(column).combine_chunks()
+        if key_type is not None:    # no cast, but families must agree
+            checked_cast(pa.nulls(0, key_type), col.type, ref_column, column)
+        hit = filters.get().contains_hashes(key_hash(col))
+        # Null FKs are skipped, as in check_referential.
+        return batch.filter(pc.and_(pa.array(~hit), col.is_valid()))
+
+    return ds.map_batches(bloom_anti, batch_format='pyarrow'), bloom.fpr
 
 
 def salted_group_agg(ds, key_columns, value_column, num_salts=16):

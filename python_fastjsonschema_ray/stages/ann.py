@@ -119,7 +119,9 @@ def _kmeans(sample: np.ndarray, nlist: int, iters: int = 12, seed: int = 3):
 
 def _assign_clusters(batch: pa.Table, embedding_column,
                      unit_centroids) -> pa.Table:
-    batch = _drop_nulls(batch, embedding_column)
+    # Parquet written by pandas carries b'pandas' schema metadata, which
+    # Ray's block-schema dedup cannot hash; the blocks leave without it.
+    batch = _drop_nulls(batch, embedding_column).replace_schema_metadata(None)
     if batch.num_rows == 0:
         return batch.append_column('ivf_cluster',
                                    pa.array([], type=pa.int64()))
@@ -150,7 +152,7 @@ def build_ivf(ds, embedding_column, nlist=64, sample_rows=10_000,
         # No centroids (empty / all-null corpus): drop null embeddings
         # and tag the rest -1 so downstream probe filters match nothing
         # but the ivf_cluster column always exists.
-        b = _drop_nulls(b, embedding_column)
+        b = _drop_nulls(b, embedding_column).replace_schema_metadata(None)
         return b.append_column(
             'ivf_cluster', pa.array(np.full(b.num_rows, -1), type=pa.int64()))
 
@@ -210,7 +212,7 @@ def topk_cosine_ivf(tagged_ds, centroids, id_column, embedding_column, query,
     def probe_filter(batch: pa.Table) -> pa.Table:
         hit = pc.is_in(batch.column('ivf_cluster').combine_chunks()
                        .cast(pa.int64()), value_set=probe)
-        return batch.filter(hit)
+        return batch.filter(hit).replace_schema_metadata(None)
 
     subset = tagged_ds.map_batches(probe_filter, batch_format='pyarrow')
     return topk_cosine(subset, id_column, embedding_column,

@@ -40,7 +40,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..state.sketches import _hash_bytes_array, _splitmix64
-from .exchange import _arrow_schema, cogroup, exchange, positions, runs
+from .exchange import cogroup, exchange, positions, runs
 from .join import broadcast_lookup_join, broadcasts
 from .per_worker import PerWorker
 
@@ -211,14 +211,6 @@ def _pairs_table(out_a, out_b, id_dtype) -> pa.Table:
                      'id_b': np.concatenate(out_b)})
 
 
-def _id_type(ds, id_column) -> pa.DataType:
-    """The Arrow type of ``ds[id_column]``; string for a fully-empty
-    input, which has no pairs anyway."""
-    if ds.schema() is None:
-        return pa.string()
-    return _arrow_schema(ds)[1].field(id_column).type
-
-
 def jaccard(text_a: str, text_b: str, k: int = 5) -> float:
     a = set(_shingle_hashes(text_a, k).tolist())
     b = set(_shingle_hashes(text_b, k).tolist())
@@ -341,23 +333,12 @@ def _verify_candidate_pairs(ds, candidates, id_column, text_column, *,
     on ``id_a`` and verify against the texts on ``id_b``.  Either way
     the first shuffle is keyed on ``id_a``, which every copy of a pair
     shares, so its per-group dedup is global."""
-    import ray.data
-
-    id_type = _id_type(ds, id_column)
-
     def unique_pairs(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            'id_a': batch.column('id_a').combine_chunks().cast(id_type),
-            'id_b': batch.column('id_b').combine_chunks().cast(id_type),
-        }).group_by(['id_a', 'id_b']).aggregate([])
+        return batch.select(['id_a', 'id_b']).group_by(
+            ['id_a', 'id_b']).aggregate([])
 
     pairs = candidates.map_batches(unique_pairs,
                                    batch_format='pyarrow').materialize()
-    if pairs.count() == 0:
-        return ray.data.from_arrow(pa.table({
-            'id_a': pa.array([], type=id_type),
-            'id_b': pa.array([], type=id_type),
-            'jaccard': pa.array([], type=pa.float64())}))  # schema-stable empty
 
     def candidate_ids(batch: pa.Table) -> pa.Table:
         return pa.table({id_column: pc.unique(pa.concat_arrays([
@@ -396,10 +377,8 @@ def _verify_candidate_pairs(ds, candidates, id_column, text_column, *,
                            t.column(text_column).to_pylist()))
         return _verified(p, text_of, {}, threshold, shingle_k)
 
-    # Materialized (∝ candidate pairs) so the second co-group reads its
-    # schema without re-running the first.
     with_text_a = cogroup(pairs, texts, 'id_a', id_column, join_a,
-                          num_buckets=num_buckets).materialize()
+                          num_buckets=num_buckets)
     return cogroup(with_text_a, texts, 'id_b', id_column, verify,
                    num_buckets=num_buckets)
 
@@ -746,11 +725,6 @@ def embedding_duplicate_pairs(ds, id_column, embedding_column, dim, *,
         HyperplaneLSHStage(embedding_column, dim, n_planes),
         batch_format='pyarrow')
 
-    id_type = _id_type(ds, id_column)
-    empty = pa.table({'id_a': pa.nulls(0, id_type),
-                      'id_b': pa.nulls(0, id_type),
-                      'cosine': pa.nulls(0, pa.float64())})
-
     def verify_bucket(bucket: pa.Table) -> pa.Table:
         from ..functions.arrowutil import embedding_matrix
         ids = bucket.column(id_column).combine_chunks()
@@ -769,7 +743,11 @@ def embedding_duplicate_pairs(ds, id_column, embedding_column, dim, *,
         found = [t for t in (verify_bucket(g.slice(s, e - s))
                              for s, e in zip(bounds[:-1], bounds[1:])
                              if e - s > 1) if t.num_rows]
-        return pa.concat_tables(found) if found else empty
+        if found:
+            return pa.concat_tables(found)
+        ids = group.schema.field(id_column).type
+        return pa.table({'id_a': pa.nulls(0, ids), 'id_b': pa.nulls(0, ids),
+                         'cosine': pa.nulls(0, pa.float64())})
 
     return exchange(bucketed, ['bucket'], verify)
 

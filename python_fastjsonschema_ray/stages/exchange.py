@@ -15,10 +15,10 @@ Buckets are COARSE (:func:`default_buckets`, a few per CPU): a group
 holds many keys, so ``fn`` folds every key of its group in one
 vectorized pass, usually by cutting the group into its runs of equal
 keys with :func:`runs`.  One hash decides the bucket everywhere: each
-key column is hashed with ``hash64_array`` and mixed into a running
-64-bit value, modulo the bucket count.  Equal keys of different types
-hash differently (int 2 vs float 2.0), so ``cogroup`` casts the right
-key to the left key's type first, with Arrow's checked cast.
+key column is hashed with :func:`key_hash` and mixed into a running
+64-bit value, modulo the bucket count.  Equal numbers of any type hash
+alike (int 2, float 2.0), so ``cogroup`` needs no schema on the driver:
+it casts the right key to the left key's type in the reduce.
 
 The bucket range ``[0, num_buckets)`` is known before any row moves, so
 the shuffle is one range-partitioning sort on the bucket column at fixed
@@ -42,10 +42,16 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..state.sketches import hash64_array
+from ..state.sketches import _splitmix64, hash64_array
 
 _BUCKET = '_bucket'
-_SIDE = '_side'          # True on left rows, False on right rows
+_SIDE = '_side'          # True on left slices, False on right slices
+_PROBE = '_probe'        # True on a per-range probe slice (no data rows)
+_ROWS = '_rows'          # one side's rows of one bucket, as Arrow IPC
+_SLICES = pa.schema([pa.field(_BUCKET, pa.int64()),
+                     pa.field(_SIDE, pa.bool_()),
+                     pa.field(_PROBE, pa.bool_()),
+                     pa.field(_ROWS, pa.large_binary())])
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -55,17 +61,31 @@ def default_buckets():
     return max(32, 4 * int(ray.cluster_resources().get('CPU', 8)))
 
 
-def _bucket_of(table: pa.Table, columns, num_buckets) -> pa.Array:
+def key_hash(col: pa.Array) -> np.ndarray:
+    """``hash64_array(col)``, except that an integral float inside the
+    int64 range hashes as that int64: equal numbers of either type
+    share a hash (and a bucket) without being cast first."""
+    h = hash64_array(col)
+    if pa.types.is_floating(col.type):
+        v = np.asarray(col.cast(pa.float64()).fill_null(np.nan),
+                       dtype=np.float64)
+        whole = (v == np.floor(v)) & (v >= -2.0 ** 63) & (v < 2.0 ** 63)
+        h[whole] = _splitmix64(v[whole].astype(np.int64))
+    return h
+
+
+def _bucket_of(table: pa.Table, columns, num_buckets) -> np.ndarray:
     h = np.zeros(table.num_rows, dtype=np.uint64)
     for c in columns:
-        h ^= hash64_array(table.column(c).combine_chunks())
+        h ^= key_hash(table.column(c).combine_chunks())
         with np.errstate(over='ignore'):
             h *= _MIX
-    return pa.array((h % np.uint64(num_buckets)).astype(np.int64))
+    return (h % np.uint64(num_buckets)).astype(np.int64)
 
 
-def _arrow(table: pa.Table) -> pa.Table:
-    return table.replace_schema_metadata(None)
+def _cuts(bucket: np.ndarray) -> list:
+    """Offsets of the runs of equal values in the sorted ``bucket``."""
+    return [0, *(np.flatnonzero(np.diff(bucket)) + 1), len(bucket)]
 
 
 def nan_keys_to_null(table: pa.Table, keys) -> pa.Table:
@@ -127,22 +147,18 @@ def _boundaries(num_buckets):
     return [num_buckets * i // p for i in range(1, p)] or [0]
 
 
-def _reduce(tagged, body, name, num_buckets):
-    """Range-partition ``tagged`` on its bucket column and run ``body``
-    once per run of equal buckets in each sorted block (Arrow, bucket
-    column dropped)."""
-    def per_block(block: pa.Table):
-        if not block.num_rows:
-            return                  # empty partition: no group
-        bucket = block.column(_BUCKET).to_numpy()
-        cuts = [0, *(np.flatnonzero(np.diff(bucket)) + 1), len(bucket)]
-        rows = block.drop_columns([_BUCKET])
-        for start, end in zip(cuts[:-1], cuts[1:]):
-            yield _arrow(body(rows.slice(start, end - start)))
+def _reduce(tagged, per_block, name, num_buckets):
+    """Range-partition ``tagged`` on its bucket column at the fixed
+    boundaries and run ``per_block`` (a generator of Arrow tables) over
+    each sorted, non-empty block."""
+    def reduce(block: pa.Table):
+        if block.num_rows:          # an empty partition holds no group
+            for out in per_block(block):
+                yield out.replace_schema_metadata(None)
 
-    per_block.__name__ = name
+    reduce.__name__ = name
     return tagged.sort(_BUCKET, boundaries=_boundaries(num_buckets)) \
-        .map_batches(per_block, batch_format='pyarrow', batch_size=None)
+        .map_batches(reduce, batch_format='pyarrow', batch_size=None)
 
 
 def exchange(ds, keys, fn, *, num_buckets=None):
@@ -160,35 +176,38 @@ def exchange(ds, keys, fn, *, num_buckets=None):
         if not batch.num_rows and not set(keys) <= set(batch.column_names):
             return batch            # schemaless empty block passthrough
         return batch.append_column(
-            _BUCKET, _bucket_of(batch, keys, num_buckets))
+            _BUCKET, pa.array(_bucket_of(batch, keys, num_buckets)))
+
+    def per_block(block: pa.Table):
+        cuts = _cuts(block.column(_BUCKET).to_numpy())
+        rows = block.drop_columns([_BUCKET])
+        for start, end in zip(cuts[:-1], cuts[1:]):
+            yield fn(rows.slice(start, end - start))
 
     tagged = ds.map_batches(add_bucket, batch_format='pyarrow')
-    return _reduce(tagged, fn, getattr(fn, '__name__', 'exchange'),
+    return _reduce(tagged, per_block, getattr(fn, '__name__', 'exchange'),
                    num_buckets)
 
 
-def _arrow_schema(ds):
-    """(ds, its Arrow schema); pandas-block datasets report some types
-    as None or as a Python type (``object`` for a string column), so
-    those route through an Arrow conversion first."""
-    schema = ds.schema()
-    if schema is None:
-        raise ValueError('cogroup needs a schema on both sides; '
-                         'short-circuit fully-empty inputs first')
-    if not all(isinstance(t, pa.DataType) for t in schema.types):
-        ds = ds.map_batches(_arrow, batch_format='pyarrow')
-        schema = ds.schema()
-    return ds, pa.schema(list(zip(schema.names, schema.types)))
+def _family(t: pa.DataType):
+    if pa.types.is_integer(t) or pa.types.is_floating(t):
+        return 'number'
+    return 'string' if pa.types.is_string(t) or pa.types.is_large_string(t) \
+        else t
 
 
 def checked_cast(col, key_type, right_key, left_key):
     """``col``, the values of ``right_key``, cast to ``key_type``, the
     type of ``left_key``, with Arrow's checked cast.  A value that does
     not survive the cast raises ``TypeError``: a silent truncation
-    (2.5 -> 2, 2**40 -> int32) would fabricate matches."""
+    (2.5 -> 2, 2**40 -> int32) would fabricate matches.  So do types of
+    different families (integers and floats; string and large_string;
+    any other type only with itself), such as string '2' and int 2."""
     if col.type == key_type:
         return col
     try:
+        if _family(col.type) != _family(key_type):
+            raise pa.ArrowInvalid('the types are of different families')
         return col.cast(key_type)
     except (pa.ArrowInvalid, pa.ArrowNotImplementedError) as exc:
         raise TypeError(
@@ -198,75 +217,130 @@ def checked_cast(col, key_type, right_key, left_key):
                                         key_type, exc)) from exc
 
 
-def cogroup(left, right, left_key, right_key, fn, *, right_columns=None,
-            num_buckets=None):
-    """Run ``fn(l, r)`` once per bucket: ``l`` holds exactly ``left``'s
-    columns, ``r`` holds ``right_key`` then ``right_columns`` (default:
-    exactly ``right``'s columns), for the rows whose key
-    (``left[left_key]`` / ``right[right_key]``) hashes to the bucket.
-    Either may be empty; both are Arrow tables typed like their side.
+def _ipc(table: pa.Table) -> bytes:
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, table.schema) as writer:
+        writer.write_table(table)
+    return sink.getvalue().to_pybytes()
 
-    Both sides travel in one union exchange: each row carries a side
-    tag and typed nulls for the other side's columns.  The right key is
-    cast to the left key's type before hashing (equal keys of different
-    types would land in different buckets); a value that does not
-    survive Arrow's checked cast raises ``TypeError``.  With
-    ``right_columns=[]`` the right side is its key alone, typed like the
-    left key, so ``right`` is never probed for a schema: it may be lazy,
-    empty or schemaless."""
+
+def _cast_witnesses(col: pa.ChunkedArray) -> pa.Array:
+    """Positions of the rows of ``col`` that decide a checked cast of all
+    of it: Arrow's numeric casts check the range and, from a float, a
+    fraction or NaN, so the minimum, the maximum and the first
+    non-integral value stand for every value."""
+    at = []
+    if _family(col.type) == 'number' and col.null_count < len(col):
+        lo_hi = pc.min_max(col)
+        at = [pc.index(col, lo_hi['min']), pc.index(col, lo_hi['max'])]
+        if pa.types.is_floating(col.type):
+            at.append(pc.index(pc.not_equal(col, pc.floor(col)), True))
+    # -1: no such row (an all-NaN column has no minimum to find).
+    return pa.array([i.as_py() for i in at if i.as_py() >= 0], pa.int64())
+
+
+def _slicer(key, is_left, num_buckets):
+    """Map side of :func:`cogroup`: one ``_SLICES`` row per bucket the
+    block holds, its rows as one Arrow IPC stream, plus one probe row per
+    reduce range holding the block's :func:`_cast_witnesses`."""
+    starts = sorted({0, *_boundaries(num_buckets)})
+
+    def slices(block: pa.Table) -> pa.Table:
+        block = block.replace_schema_metadata(None)
+        if key not in block.column_names:
+            return _SLICES.empty_table()    # schemaless empty block
+        bucket = _bucket_of(block, [key], num_buckets)
+        order = np.argsort(bucket, kind='stable')
+        bucket, block = bucket[order], block.take(order)
+        cuts = _cuts(bucket)
+        n = len(cuts) - 1
+        probe = _ipc(block.take(_cast_witnesses(block.column(key))))
+        return pa.table([
+            pa.array([*bucket[cuts[:-1]], *starts], pa.int64()),
+            pa.array(np.full(n + len(starts), is_left)),
+            pa.array(np.arange(n + len(starts)) >= n),
+            pa.array([_ipc(block.slice(s, e - s))
+                      for s, e in zip(cuts[:-1], cuts[1:])]
+                     + [probe] * len(starts), pa.large_binary())],
+            schema=_SLICES)
+
+    slices.__name__ = 'cogroup_slices'
+    return slices
+
+
+def _empty_side_schema(ds) -> pa.Schema:
+    """The schema of ``ds`` if it is a materialized dataset without
+    rows, else no columns.  Ray hands a zero-row block to no map task,
+    so such a side's types cannot travel in a slice; its blocks exist,
+    so the read runs no upstream plan.  A lazy side is never asked."""
+    from ray.data.dataset import MaterializedDataset
+
+    schema = ds.schema() if isinstance(ds, MaterializedDataset) \
+        and not ds.count() else None
+    if schema is None or not all(isinstance(t, pa.DataType)
+                                 for t in schema.types):
+        return pa.schema([])
+    return pa.schema(list(zip(schema.names, schema.types)))
+
+
+def cogroup(left, right, left_key, right_key, fn, *, num_buckets=None):
+    """Run ``fn(l, r)`` once per bucket that holds a row of either side:
+    ``l`` holds ``left``'s rows and columns whose key ``left[left_key]``
+    hashes to the bucket, ``r`` likewise for ``right[right_key]``, with
+    that key cast to the left key's type by :func:`checked_cast`.  A
+    lossy value or a type of another family raises ``TypeError`` before
+    any ``fn`` runs.  A side without rows in the bucket is its empty
+    table; a side with no typed block at all is a zero-column table,
+    and ``fn`` must be total on it.
+
+    No plan runs on the driver: each side travels as typed Arrow IPC
+    slices, one per (block, bucket), and the sides need no common
+    schema.  Each map task also sends every reduce range a probe slice:
+    its side's types and the few rows that decide the key cast.  A
+    materialized side without rows, which no map task sees, takes its
+    types from its blocks (:func:`_empty_side_schema`)."""
     num_buckets = num_buckets or default_buckets()
-    left, lschema = _arrow_schema(left)
-    key_type = lschema.field(left_key).type
-    if right_columns == []:
-        rschema = pa.schema([pa.field(right_key, key_type)])
-    else:
-        right, rschema = _arrow_schema(right)
-        if right_columns is not None:
-            rschema = pa.schema([rschema.field(c)
-                                 for c in [right_key] + right_columns])
-        rschema = rschema.set(rschema.get_field_index(right_key),
-                              pa.field(right_key, key_type))
-    lnames = ['l.' + c for c in lschema.names]
-    rnames = ['r.' + c for c in rschema.names]
-    union = pa.schema(
-        [pa.field(_BUCKET, pa.int64()), pa.field(_SIDE, pa.bool_())]
-        + [f.with_name(n) for f, n in zip(lschema, lnames)]
-        + [f.with_name(n) for f, n in zip(rschema, rnames)])
+    held = [_empty_side_schema(left), _empty_side_schema(right)]
+    tagged = left.map_batches(
+        _slicer(left_key, True, num_buckets), batch_format='pyarrow',
+        batch_size=None).union(right.map_batches(
+            _slicer(right_key, False, num_buckets), batch_format='pyarrow',
+            batch_size=None))
 
-    def align(batch: pa.Table) -> pa.Table:
-        return batch.set_column(
-            batch.schema.get_field_index(right_key), right_key,
-            checked_cast(batch.column(right_key), key_type, right_key,
-                         left_key))
+    def per_block(block: pa.Table):
+        is_left = block.column(_SIDE).to_numpy(zero_copy_only=False)
+        probe = block.column(_PROBE).to_numpy(zero_copy_only=False)
+        tables = [pa.ipc.open_stream(v.as_buffer()).read_all()
+                  for v in block.column(_ROWS)]
 
-    def tagger(own, key, is_left):
-        def tag(batch: pa.Table) -> pa.Table:
-            if not batch.num_rows and key not in batch.column_names:
-                return union.empty_table()  # schemaless empty block
-            if not is_left:
-                batch = align(batch)
-            batch = batch.select(own.names).cast(own)
-            n = batch.num_rows
-            side = pa.array(np.full(n, is_left))
-            pads = [pa.nulls(n, type=f.type)
-                    for f in (rschema if is_left else lschema)]
-            cols = batch.columns
-            arrays = ([_bucket_of(batch, [key], num_buckets), side]
-                      + (cols + pads if is_left else pads + cols))
-            return pa.Table.from_arrays(arrays, schema=union)
-        return tag
+        def side(parts, schema):
+            return pa.concat_tables([schema.empty_table(), *parts],
+                                    promote_options='permissive')
 
-    tagged = left.map_batches(tagger(lschema, left_key, True),
-                              batch_format='pyarrow').union(
-        right.map_batches(tagger(rschema, right_key, False),
-                          batch_format='pyarrow'))
+        lschema, rschema = (pa.unify_schemas(
+            [t.schema for t, s in zip(tables, is_left) if s == want],
+            promote_options='permissive') if (is_left == want).any()
+            else schema for want, schema in zip((True, False), held))
 
-    def body(group: pa.Table):
-        is_l = group.column(_SIDE)
-        l = group.filter(is_l).select(lnames).rename_columns(lschema.names)
-        r = group.filter(pc.invert(is_l)).select(rnames) \
-            .rename_columns(rschema.names)
-        return fn(l, r)
+        def cast_key(r: pa.Table) -> pa.Table:
+            if left_key not in lschema.names or \
+                    right_key not in r.column_names:
+                return r
+            return r.set_column(
+                r.schema.get_field_index(right_key), right_key,
+                checked_cast(r.column(right_key),
+                             lschema.field(left_key).type, right_key,
+                             left_key))
 
-    return _reduce(tagged, body, getattr(fn, '__name__', 'cogroup'),
+        cast_key(side([t for t, p, s in zip(tables, probe, is_left)
+                       if p and not s], rschema))
+        data = np.flatnonzero(~probe)
+        cuts = _cuts(block.column(_BUCKET).to_numpy()[data])
+        for start, end in zip(cuts[:-1], cuts[1:]) if len(data) else ():
+            parts = data[start:end]
+            yield fn(side([tables[i] for i in parts if is_left[i]], lschema),
+                     cast_key(side([tables[i] for i in parts
+                                    if not is_left[i]], rschema)))
+
+    return _reduce(tagged, per_block, getattr(fn, '__name__', 'cogroup'),
                    num_buckets)

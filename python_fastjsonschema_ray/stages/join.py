@@ -3,19 +3,26 @@ shipped once through the object store) and a bucketed shuffle join for
 two large sides.
 
 The reference has no joins (it validates one document at a time); the
-north rule's referential checks are the ANTI-join variants in
-``pipelines/constraints.py``.  These are the positive-match
-counterparts a pipeline needs to enrich fact rows with dimension
-attributes (e.g. orders with customer segment) before validation.
+north rule's referential check, ``pipelines/constraints.py``'s
+``check_referential``, is the anti variant of
+:func:`broadcast_lookup_join`.  The positive-match joins enrich fact
+rows with dimension attributes (e.g. orders with customer segment)
+before validation.
 
 Scale notes:
 
 * One size gate decides broadcast or shuffle for every exact key
   operator here, in ``pipelines/constraints.py`` and in the near-dup
   verification of ``stages/dedup.py``: the small side is materialized
-  once and its ``size_bytes()`` compared with
-  :data:`BROADCAST_LIMIT_BYTES`.  Each decision is logged at INFO on the
-  package logger (silent by default).
+  once (for semi/anti only its distinct keys) and its ``size_bytes()``
+  compared with :data:`BROADCAST_LIMIT_BYTES`.  Each decision is logged
+  at INFO on the package logger (silent by default).
+* No equi-join reads a schema on the driver: the broadcast path casts
+  the reference keys in the worker, ``cogroup`` the right key in its
+  reduce, both with ``exchange.checked_cast``.  Errors that need the
+  types (a lossy or cross-family key, a colliding right column) raise
+  when the join executes, and every body is total on an empty or
+  zero-column side, so no fully-empty input has a fork of its own.
 * Near-dup verification broadcasts the candidate TEXTS under the gate
   (each worker builds one id → text map) and co-groups them with the
   candidate pairs above it; its candidate-id filter and
@@ -66,23 +73,17 @@ def broadcasts(operator, small, what) -> bool:
     return ok
 
 
-def distinct_keys(ds, key, like=None):
+def distinct_keys(ds, key):
     """``ds`` collapsed to the distinct non-null values of ``key`` per
-    block, as a one-column Arrow dataset.  Given ``like``, the field of
-    the key they will be matched against, they are cast to its type with
-    the checked cast of ``cogroup`` (``TypeError`` when a value does not
-    survive), and a schemaless empty block becomes a typed empty one."""
+    block, as a one-column Arrow dataset in the key's own type; a
+    schemaless empty block passes through."""
     import pyarrow.compute as pc
 
     def per_block(b: pa.Table) -> pa.Table:
         if key not in b.column_names:
-            if like is None:
-                return b            # schemaless empty block
-            return pa.table({key: pa.array([], like.type)})
-        keys = pc.unique(b.column(key).combine_chunks().drop_null())
-        if like is not None:
-            keys = checked_cast(keys, like.type, key, like.name)
-        return pa.table({key: keys})
+            return b                # schemaless empty block
+        return pa.table({key: pc.unique(
+            b.column(key).combine_chunks().drop_null())})
 
     per_block.__name__ = 'distinct_keys'
     return ds.select_columns([key]).map_batches(per_block,
@@ -129,10 +130,10 @@ class KeyLookup:
         return np.where(at < 0, -1, self.rows[at])
 
 
-def _lookup_table(refs, key, like=None):
+def _lookup_table(refs, key, like):
     """(reference table, ``KeyLookup`` over its ``key``), or None for an
-    empty reference.  Given ``like``, the field of the probe key, the
-    lookup's keys are cast to its type with the checked cast of
+    empty reference.  The lookup's keys are cast to the type of
+    ``like``, the field of the probe key, with the checked cast of
     ``cogroup`` (``TypeError`` when a key does not survive)."""
     import ray
 
@@ -140,9 +141,8 @@ def _lookup_table(refs, key, like=None):
     if not tables:
         return None
     ref = pa.concat_tables(tables).combine_chunks()
-    keys = ref.column(key).combine_chunks()
-    if like is not None:
-        keys = checked_cast(keys, like.type, key, like.name)
+    keys = checked_cast(ref.column(key).combine_chunks(), like.type, key,
+                        like.name)
     return ref, KeyLookup(keys)
 
 
@@ -161,26 +161,33 @@ def broadcast_lookup_join(ds, key, ref_ds, ref_key, ref_columns=None,
     tolerate duplicates.
 
     The ref key is cast to the type of ``ds[key]`` with the checked
-    cast of ``cogroup`` on both paths (a value that does not survive
-    raises ``TypeError``); the broadcast path casts in the worker, so
-    ``ds`` is never probed for a schema.  The ref side is materialized
-    once; above :data:`BROADCAST_LIMIT_BYTES` the join runs
-    :func:`shuffle_join` instead — a ref side that outgrows worker
-    heaps (e.g. a corpus-scale vocabulary table) must exchange, not
-    ship to every task.  Both paths return the same rows when the ref
-    side is unique on ``ref_key`` (pass ``check_unique=True`` to
-    enforce; with duplicate ref keys broadcast takes the first match
-    while shuffle emits the SQL cross product).  Under the gate each worker holds the
-    ref side plus its lookup, for up to 8 cached stages."""
+    cast of ``cogroup`` on both paths (a value that does not survive,
+    or a type of another family, raises ``TypeError``); the broadcast
+    path casts in the worker, so ``ds`` is never probed for a schema.
+    The ref side is materialized once: for inner/left its selected
+    columns, for semi/anti only its :func:`distinct_keys`, and the gate
+    weighs what was materialized.  Above :data:`BROADCAST_LIMIT_BYTES`
+    the join runs :func:`shuffle_join` instead — a ref side that
+    outgrows worker heaps (e.g. a corpus-scale vocabulary table) must
+    exchange, not ship to every task.  Both paths return the same rows
+    when the ref side is unique on ``ref_key`` (pass
+    ``check_unique=True`` to enforce; with duplicate ref keys broadcast
+    takes the first match while shuffle emits the SQL cross product).
+    Under the gate each worker holds the ref side plus its lookup, for
+    up to 8 cached stages."""
     import ray
 
     if how not in ('inner', 'left', 'semi', 'anti'):
         raise ValueError("how must be 'inner', 'left', 'semi' or 'anti'")
     if how in ('semi', 'anti'):
         ref_columns = []
-    ref_columns = [c for c in (ref_columns or []) if c != ref_key]
-    ref_ds = ref_ds.select_columns([ref_key] + ref_columns).materialize()
-    if not broadcasts('broadcast_lookup_join', ref_ds, 'reference'):
+        ref_ds, what = distinct_keys(ref_ds, ref_key).materialize(), \
+            'distinct-key'
+    else:
+        ref_columns = [c for c in (ref_columns or []) if c != ref_key]
+        ref_ds, what = ref_ds.select_columns(
+            [ref_key] + ref_columns).materialize(), 'reference'
+    if not broadcasts('broadcast_lookup_join', ref_ds, what):
         return shuffle_join(ds, ref_ds, key, ref_key, ref_columns, how=how)
     refs = ref_ds.to_arrow_refs()
 
@@ -195,6 +202,9 @@ def broadcast_lookup_join(ds, key, ref_ds, ref_key, ref_columns=None,
                 'dimension (first-match) semantics'.format(ref_key))
 
     def join(batch: pa.Table) -> pa.Table:
+        batch = batch.replace_schema_metadata(None)
+        if key not in batch.column_names:
+            return batch            # schemaless empty block
         k = batch.column(key).combine_chunks()
         # One lookup per worker and probe key type.
         built = PerWorker(_lookup_table, refs, ref_key,
@@ -250,44 +260,45 @@ def shuffle_join(left, right, left_key, right_key, right_columns,
     ``'inner'`` or ``'left'`` — every left row lands in exactly one
     bucket, so unmatched left rows survive the per-bucket left merge
     with typed-null right columns.  Output columns: all of ``left`` plus
-    ``right_columns``.  The right key is cast to the left key's type
-    first; a key that does not cast losslessly raises ``TypeError``."""
+    ``right_columns``.  ``how='semi'`` / ``'anti'`` keep the left rows
+    whose key does / does not occur on the right (null keys never
+    match); the right side moves as its :func:`distinct_keys` only.
+    The co-group casts the right key to the left key's type; a key that
+    does not cast losslessly raises ``TypeError``.  Nothing is probed
+    on the driver, so a right column that collides with a left column
+    name raises ``ValueError`` when the join executes."""
     import pandas as pd
     import pyarrow.compute as pc
 
     if how not in ('inner', 'left', 'semi', 'anti'):
         raise ValueError("how must be 'inner', 'left', 'semi' or 'anti'")
     if how in ('semi', 'anti'):
-        return _shuffle_semi_anti(left, distinct_keys(right, right_key),
-                                  left_key, right_key, num_buckets, how)
+        def exists(l: pa.Table, r: pa.Table) -> pa.Table:
+            if left_key not in l.column_names:
+                return l        # no typed left block: nothing to filter
+            k = l.column(left_key)
+            keys = (r.column(right_key).combine_chunks()
+                    if right_key in r.column_names else pa.array([], k.type))
+            hit = pc.and_(pc.fill_null(pc.is_in(k, value_set=keys), False),
+                          pc.is_valid(k))
+            return l.filter(hit if how == 'semi' else pc.invert(hit))
+
+        return cogroup(left, distinct_keys(right, right_key), left_key,
+                       right_key, exists, num_buckets=num_buckets)
     right_columns = [c for c in right_columns if c != right_key]
-
-    left_schema = left.schema()
-    if left_schema is None:
-        return left            # fully-empty left: nothing to join
-    right = right.select_columns([right_key] + right_columns)
-    if right.schema() is None:
-        # Fully-empty right side (no schema at all): inner yields
-        # nothing; left keeps every left row with null-typed padding
-        # for the requested right columns.
-        if how == 'inner':
-            return left.limit(0)
-        pad = [right_key] + right_columns
-
-        def pad_left(b: pa.Table) -> pa.Table:
-            for c in pad:
-                if c not in b.schema.names:
-                    b = b.append_column(c, pa.nulls(b.num_rows))
-            return b
-
-        return left.map_batches(pad_left, batch_format='pyarrow')
-    overlap = ({right_key} | set(right_columns)) & set(left_schema.names)
-    if overlap:
-        raise ValueError(
-            'right-side columns {} collide with left column names; rename '
-            'before joining'.format(sorted(overlap)))
+    right_names = [right_key] + right_columns
+    right = right.select_columns(right_names)
 
     def merge(l: pa.Table, r: pa.Table) -> pa.Table:
+        if left_key not in l.column_names:
+            return l            # no typed left block: nothing to join
+        overlap = set(right_names) & set(l.column_names)
+        if overlap:
+            raise ValueError(
+                'right-side columns {} collide with left column names; '
+                'rename before joining'.format(sorted(overlap)))
+        if right_key not in r.column_names:   # no typed right block
+            r = pa.table({c: pa.nulls(0) for c in right_names})
         # SQL semantics: null keys never match — but a LEFT join keeps
         # the null-key left rows (pandas would wrongly match NaN keys,
         # so they are split off and re-appended padded below).
@@ -324,34 +335,6 @@ def shuffle_join(left, right, left_key, right_key, right_columns,
         return result
 
     return cogroup(left, right, left_key, right_key, merge,
-                   num_buckets=num_buckets)
-
-
-def _shuffle_semi_anti(left, keys, left_key, right_key, num_buckets, how):
-    """Distributed SQL ``EXISTS`` / ``NOT EXISTS`` filter of ``left``
-    against ``keys``, a :func:`distinct_keys` side too large to
-    broadcast.
-
-    The key side holds at most one row per distinct key per block, so
-    the co-group moves full left rows plus those keys — never right
-    payload columns.  It is never probed for a schema: ``cogroup``
-    types it like the left key, and an empty or schemaless key side
-    simply leaves every bucket's key set empty (semi keeps nothing,
-    anti keeps every row).  Null left keys never match: semi drops
-    them, anti keeps them."""
-    import pyarrow.compute as pc
-
-    if left.schema() is None:
-        return left            # fully-empty left: nothing to filter
-
-    def filt(l: pa.Table, r: pa.Table) -> pa.Table:
-        k = l.column(left_key)
-        rkeys = r.column(right_key).combine_chunks()
-        hit = pc.and_(pc.fill_null(pc.is_in(k, value_set=rkeys), False),
-                      pc.is_valid(k))
-        return l.filter(hit if how == 'semi' else pc.invert(hit))
-
-    return cogroup(left, keys, left_key, right_key, filt, right_columns=[],
                    num_buckets=num_buckets)
 
 
@@ -511,6 +494,11 @@ def asof_join(left, right, left_on, right_on, left_by, right_by,
     * ``tolerance`` bounds the time gap: seconds when ``left_on`` is a
       timestamp, same units as the column otherwise.
 
+    * Output columns: all of ``left`` plus ``right_columns``, each in
+      its own side's type; nothing is probed on the driver, so a right
+      column that collides with a left column name raises
+      ``ValueError`` when the join executes.
+
     Scale: both sides meet in ONE hash co-group on the by-key
     (``stages/exchange.py``: all rows of a key co-locate, and coarse
     buckets keep the sort-aggregate overhead off the per-key
@@ -528,45 +516,27 @@ def asof_join(left, right, left_on, right_on, left_by, right_by,
     right_columns = list(right_columns)
     tiebreak = list(tiebreak if tiebreak is not None else right_columns)
 
-    left_schema = left.schema()
-    if left_schema is None:
-        return left            # fully-empty left: nothing to join
-    right = right.select_columns(list(dict.fromkeys(
-        [right_on, right_by] + right_columns + tiebreak)))
-    if right.schema() is None:
-        # Fully-empty right side: inner yields nothing; left keeps every
-        # left row with null-typed padding for the requested columns.
-        if how == 'inner':
-            return left.limit(0)
-
-        def pad_left(b: pa.Table) -> pa.Table:
-            for c in right_columns:
-                if c not in b.schema.names:
-                    b = b.append_column(c, pa.nulls(b.num_rows))
-            return b
-
-        return left.map_batches(pad_left, batch_format='pyarrow')
-    left_names = list(left_schema.names)
-    overlap = set(right_columns) & set(left_names)
-    if overlap:
-        raise ValueError(
-            'right-side columns {} collide with left column names; rename '
-            'before joining'.format(sorted(overlap)))
-    left_types = dict(zip(left_schema.names, left_schema.types))
-    right_schema = right.schema()
-    right_types = dict(zip(right_schema.names, right_schema.types))
-    out_schema = pa.schema(
-        [pa.field(n, left_types[n]) for n in left_names] +
-        [pa.field(c, right_types[c]) for c in right_columns])
-
-    tol = tolerance
-    if tol is not None and pa.types.is_timestamp(right_types[right_on]):
-        tol = pd.Timedelta(seconds=tolerance)
+    right_names = list(dict.fromkeys(
+        [right_on, right_by] + right_columns + tiebreak))
+    right = right.select_columns(right_names)
     # Internal names for the right on/by inside pandas, so they never
     # collide with the left's (merge_asof suffixing is name-dependent).
     R_ON, R_BY = '__r_on', '__r_by'
 
     def merge(l: pa.Table, r: pa.Table) -> pa.Table:
+        if left_by not in l.column_names:
+            return l            # no typed left block: nothing to join
+        overlap = set(right_columns) & set(l.column_names)
+        if overlap:
+            raise ValueError(
+                'right-side columns {} collide with left column names; '
+                'rename before joining'.format(sorted(overlap)))
+        if right_by not in r.column_names:    # no typed right block
+            r = pa.table({c: pa.nulls(0) for c in right_names})
+        tol = tolerance
+        if tol is not None and pa.types.is_timestamp(
+                r.schema.field(right_on).type):
+            tol = pd.Timedelta(seconds=tolerance)
         l = l.combine_chunks()
         r = r.filter(pc.and_kleene(pc.is_valid(r.column(right_on)),
                                    pc.is_valid(r.column(right_by))))
@@ -612,10 +582,8 @@ def asof_join(left, right, left_on, right_on, left_by, right_by,
                         from_pandas=True)
         result = l.take(lpos)
         for c in right_columns:
-            result = result.append_column(
-                pa.field(c, right_types[c]),
-                r.column(c).take(rpos).cast(right_types[c]))
-        return result.cast(out_schema)
+            result = result.append_column(c, r.column(c).take(rpos))
+        return result
 
     return cogroup(left, right, left_by, right_by, merge,
                    num_buckets=num_buckets)

@@ -83,8 +83,7 @@ def test_check_referential(ray_session, ddb, monkeypatch):
     assert violations.count() == expected
     # Above the size gate the bucketed co-group path must agree.
     monkeypatch.setattr(join, 'BROADCAST_LIMIT_BYTES', -1)
-    large = check_referential_large(orders, 'o_custkey', customer, 'c_custkey',
-                                    num_buckets=8)
+    large = check_referential_large(orders, 'o_custkey', customer, 'c_custkey')
     assert large.count() == expected
 
 
@@ -201,6 +200,24 @@ def test_referential_null_fk_policy(ray_session):
     assert out_b.to_pandas()['id'].tolist() == [3]
     out_l = check_referential_large(left, 'fk', ref, 'k').to_pandas()
     assert sorted(out_l['id'].tolist()) == [3]
+
+
+def test_bloom_refuses_key_type_families(ray_session):
+    """The Bloom check needs no cast (int 2 and float 2.0 hash alike),
+    and a foreign key of another type family raises ``TypeError``."""
+    import pyarrow as pa
+    import ray.data
+    from python_fastjsonschema_ray.pipelines.constraints import (
+        check_referential_bloom)
+    ints = ray.data.from_arrow(pa.table({
+        'fk': pa.array([2, 3, None], pa.int64())}))
+    floats = ray.data.from_arrow(pa.table({'k': pa.array([2.0, 5.0])}))
+    out, _ = check_referential_bloom(ints, 'fk', floats, 'k')
+    assert out.to_pandas()['fk'].tolist() == [3]
+    strings = ray.data.from_arrow(pa.table({'fk': pa.array(['2', '3'])}))
+    out, _ = check_referential_bloom(strings, 'fk', floats, 'k')
+    with pytest.raises(Exception, match='cannot be cast losslessly'):
+        out.materialize()
 
 
 def test_embedding_matrix_sliced_fixed_size_list():
@@ -501,8 +518,7 @@ def test_check_referential_large_key_types(ray_session):
         'payload': pa.array([1, None, 3, 4, None], type=pa.int64())}))
     ref = ray.data.from_arrow(pa.table({
         'k': pa.array([10, 20, 30], type=pa.int64())}))
-    out = _blocks(check_referential_large(left, 'fk', ref, 'k',
-                                          num_buckets=4))
+    out = _blocks(check_referential_large(left, 'fk', ref, 'k'))
     assert _no_pandas_metadata(out)
     assert all(b.schema.names == ['fk', 'payload'] for b in out)
     assert all(b.schema.field('fk').type == pa.int32()
@@ -514,15 +530,13 @@ def test_check_referential_large_key_types(ray_session):
     strings = ray.data.from_arrow(pa.table({
         'name': pa.array(['a', 'b', None, 'zz', 'b'])}))
     names = ray.data.from_arrow(pa.table({'name': pa.array(['b', 'c'])}))
-    got = _blocks(check_referential_large(strings, 'name', names, 'name',
-                                          num_buckets=3))
+    got = _blocks(check_referential_large(strings, 'name', names, 'name'))
     assert sorted(v for b in got for v in b['name'].to_pylist()) == \
         ['a', 'zz']
 
     empty_ref = ray.data.from_arrow(
         pa.table({'k': pa.array([], type=pa.int64())}))
-    all_out = _blocks(check_referential_large(left, 'fk', empty_ref, 'k',
-                                              num_buckets=4))
+    all_out = _blocks(check_referential_large(left, 'fk', empty_ref, 'k'))
     assert _no_pandas_metadata(all_out)
     assert sorted(v for b in all_out for v in b['fk'].to_pylist()) == \
         [10, 20, 98, 99]
@@ -612,6 +626,10 @@ _KEY_TYPE_CASES = {
     # float-converted probe would match 2**53 + 1 to 2**53.
     'int64_above_2_53': (pa.array([2**53, 2**53 + 1, None], pa.int64()),
                          pa.array([2**53], pa.int64()), [2**53 + 1]),
+    # A string FK against an int reference: the key types are of
+    # different families, so '2' is never cast into a match with 2.
+    'string_fk_int_reference': (pa.array(['2', '3']),
+                                pa.array([2, 7], pa.int64()), TypeError),
 }
 
 
@@ -629,7 +647,7 @@ def test_referential_key_types_agree_across_the_gate(ray_session, gate,
     if expected is TypeError:
         # Ray re-raises the worker's TypeError wrapped in its task error.
         with pytest.raises(Exception, match='cannot be cast losslessly'):
-            check_referential(left, 'fk', ref, 'k')
+            check_referential(left, 'fk', ref, 'k').materialize()
     else:
         assert _orphans(check_referential(left, 'fk', ref, 'k'),
                         'fk') == expected
@@ -707,7 +725,7 @@ def test_referential_gate_logs_its_path(ray_session, gate, caplog):
     path = 'broadcast' if gate == 'open' else 'shuffle'
     assert [r.getMessage() for r in caplog.records
             if r.name.startswith('python_fastjsonschema_ray')] == [
-        'check_referential: {} path, 16 distinct-key bytes, limit {}'
+        'broadcast_lookup_join: {} path, 16 distinct-key bytes, limit {}'
         .format(path, join.BROADCAST_LIMIT_BYTES)]
 
 
@@ -729,15 +747,15 @@ log = sys.argv[1] + '/builds.log'
 
 
 def count_builds():
-    from python_fastjsonschema_ray.pipelines import constraints
-    init = constraints._AntiJoinStage.__init__
+    from python_fastjsonschema_ray.stages import join
+    init = join.KeyLookup.__init__
 
     def counted(self, *args, **kwargs):
         with open(log, 'a') as fh:
             fh.write('%d\\n' % os.getpid())
         init(self, *args, **kwargs)
 
-    constraints._AntiJoinStage.__init__ = counted
+    join.KeyLookup.__init__ = counted
 
 
 ray.init(address='local', num_cpus=1, include_dashboard=False,

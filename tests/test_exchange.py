@@ -1,10 +1,10 @@
 """The hash-exchange module (``stages/exchange.py``): ``exchange`` and
 ``cogroup`` semantics, the run-cutting helper, the fixed-boundary
-shuffle on many-block inputs, semi/anti joins that never probe their
-derived key side, key-type alignment in the co-group operators,
-metadata-free output of every operator built on them, and a scan that
-keeps the bucketing decision and the Arrow-only exchange surface
-inside the one module."""
+shuffle on many-block inputs, key operators that run no plan on the
+driver (no schema probes), key-type alignment in the co-group
+operators, metadata-free output of every operator built on them, and
+scans that keep the bucketing decision and the Arrow-only exchange
+surface inside the one module and schema probes out of the package."""
 
 import ast
 import contextlib
@@ -427,8 +427,7 @@ def _probed(monkeypatch):
 def test_semi_anti_do_not_probe_the_key_side(ray_session, monkeypatch,
                                              gate_shut):
     """``check_referential_large`` above its size gate and
-    ``shuffle_join(how='semi'|'anti')`` ask for no schema but the left
-    input's."""
+    ``shuffle_join(how='semi'|'anti')`` ask for no schema at all."""
     from python_fastjsonschema_ray.pipelines.constraints import (
         check_referential_large)
     from python_fastjsonschema_ray.stages.join import shuffle_join
@@ -440,7 +439,7 @@ def test_semi_anti_do_not_probe_the_key_side(ray_session, monkeypatch,
                                                            'rk'),
         'semi': shuffle_join(lds, rds, 'k', 'rk', [], how='semi'),
         'anti': shuffle_join(lds, rds, 'k', 'rk', [], how='anti')}
-    assert probed and all(ds is lds for ds in probed)
+    assert not probed
     monkeypatch.undo()
 
     keys = set(right.column('rk').to_pylist())
@@ -603,37 +602,55 @@ def _ray_warnings():
             logger.removeHandler(handler)
 
 
-def _operator_outputs():
+def _operator_inputs():
+    """The operator inputs as (pandas frames or Arrow tables, one per
+    block), by name."""
     import pandas as pd
+
+    rng = np.random.default_rng(3)
+    n = 120
+    facts = [pd.DataFrame({
+        'k': rng.integers(0, 9, n // 3), 'g': rng.integers(0, 4, n // 3),
+        'v': rng.random(n // 3), 'id': np.arange(i, n, 3)})
+        for i in range(3)]
+    dims = [pa.table({
+        'dk': pa.array(range(0, 9, 2), pa.int64()),
+        'dv': pa.array(['p', 'q', 'r', 's', 't']),
+        'dt': pa.array(rng.random(5))})]
+    ts = pd.Timestamp('2024-01-01')
+    events = [pd.DataFrame({
+        'user': ['u%d' % (i % 5) for i in range(40)],
+        'ts': [ts + pd.Timedelta(minutes=7 * i) for i in range(40)]})]
+    texts = ['the quick brown fox jumps over the lazy dog %d' % (i % 6)
+             for i in range(24)]
+    docs = [pd.DataFrame({
+        'doc_id': np.arange(24, dtype=np.int64), 'text': texts})]
+    pairs = [pa.table({
+        'id_a': pa.array([1, 2, 5, 7], pa.int64()),
+        'id_b': pa.array([2, 3, 6, 8], pa.int64())})]
+    hashes = [pa.table({
+        'id': pa.array(range(8), pa.int64()),
+        'h': pa.array([5, 5, 7, 7, 9, 9, 11, 11], pa.int64())})]
+    return {'facts': facts, 'dims': dims, 'events': events, 'docs': docs,
+            'pairs': pairs, 'hashes': hashes}
+
+
+def _in_memory(blocks):
     import ray.data
+    if isinstance(blocks[0], pa.Table):
+        return ray.data.from_arrow(blocks)
+    return ray.data.from_pandas(blocks)
+
+
+def _operator_outputs(inputs=None):
     from python_fastjsonschema_ray.pipelines import constraints as C
     from python_fastjsonschema_ray.stages import (
         components, dedup, join, quantile, sample, scan, windows)
 
-    rng = np.random.default_rng(3)
-    n = 120
-    facts = ray.data.from_pandas([pd.DataFrame({
-        'k': rng.integers(0, 9, n // 3), 'g': rng.integers(0, 4, n // 3),
-        'v': rng.random(n // 3), 'id': np.arange(i, n, 3)})
-        for i in range(3)])
-    dims = ray.data.from_arrow(pa.table({
-        'dk': pa.array(range(0, 9, 2), pa.int64()),
-        'dv': pa.array(['p', 'q', 'r', 's', 't']),
-        'dt': pa.array(rng.random(5))}))
-    ts = pd.Timestamp('2024-01-01')
-    events = ray.data.from_pandas(pd.DataFrame({
-        'user': ['u%d' % (i % 5) for i in range(40)],
-        'ts': [ts + pd.Timedelta(minutes=7 * i) for i in range(40)]}))
-    texts = ['the quick brown fox jumps over the lazy dog %d' % (i % 6)
-             for i in range(24)]
-    docs = ray.data.from_pandas(pd.DataFrame({
-        'doc_id': np.arange(24, dtype=np.int64), 'text': texts}))
-    pairs = ray.data.from_arrow(pa.table({
-        'id_a': pa.array([1, 2, 5, 7], pa.int64()),
-        'id_b': pa.array([2, 3, 6, 8], pa.int64())}))
-    hashes = ray.data.from_arrow(pa.table({
-        'id': pa.array(range(8), pa.int64()),
-        'h': pa.array([5, 5, 7, 7, 9, 9, 11, 11], pa.int64())}))
+    ds = inputs or {name: _in_memory(blocks)
+                    for name, blocks in _operator_inputs().items()}
+    facts, dims, events = ds['facts'], ds['dims'], ds['events']
+    docs, pairs, hashes = ds['docs'], ds['pairs'], ds['hashes']
     return {
         'check_unique': C.check_unique(facts, ['k']),
         'dedup_exact': C.dedup_exact(facts, ['k']),
@@ -643,8 +660,6 @@ def _operator_outputs():
             facts, ['k'], {'s': ('v', 'sum')}, num_buckets=1),
         'grouped_topk': C.grouped_topk(facts, ['g'], ['v', 'id'], 2),
         'global_topk': C.global_topk(facts, ['v', 'id'], 5),
-        'check_referential_large': C.check_referential_large(
-            facts, 'k', dims, 'dk'),
         'shuffle_join': join.shuffle_join(facts, dims, 'k', 'dk', ['dv']),
         'shuffle_join_left': join.shuffle_join(facts, dims, 'k', 'dk',
                                                ['dv'], how='left'),
@@ -667,18 +682,46 @@ def _operator_outputs():
             docs, 'doc_id', 'text'),
         'hamming_near_dup': dedup.hamming_near_dup(hashes, 'id', 'h'),
         'distinct_count': C.distinct_count(facts, ['k']),
+        **_gated_outputs(facts, dims),
+    }
+
+
+def _gated_outputs(facts, dims):
+    """The operators behind the size gate, and the Bloom check beside
+    them, on the gate's current setting."""
+    from python_fastjsonschema_ray.pipelines import constraints as C
+    from python_fastjsonschema_ray.stages import join
+
+    return {
+        'check_referential_large': C.check_referential_large(
+            facts, 'k', dims, 'dk'),
+        'check_referential_bloom': C.check_referential_bloom(
+            facts, 'k', dims, 'dk')[0],
+        'broadcast_lookup_join': join.broadcast_lookup_join(
+            facts, 'k', dims, 'dk', ['dv']),
+        'broadcast_lookup_join_anti': join.broadcast_lookup_join(
+            facts, 'k', dims, 'dk', how='anti'),
     }
 
 
 def test_operators_emit_metadata_free_blocks_without_hash_warnings(
-        ray_session, gate_shut):
+        ray_session, monkeypatch, gate_shut):
     """No operator built on the exchange leaves pandas schema metadata on
     its blocks, and none makes Ray Data log 'Failed to hash the schemas'
     on the driver (pandas metadata is unhashable in its schema dedup).
-    The one-bucket folds also log no 'different schema' record.  The
-    size gate is shut, so every gated operator co-groups."""
+    The one-bucket folds also log no 'different schema' record.  Every
+    operator runs with the size gate shut (so the gated ones co-group),
+    and the gated ones and the Bloom check again with it open."""
+    from python_fastjsonschema_ray.stages import join
+
+    outputs = _operator_outputs()
+    monkeypatch.setattr(join, 'BROADCAST_LIMIT_BYTES', 64 << 20)
+    facts, dims = (_in_memory(_operator_inputs()[name])
+                   for name in ('facts', 'dims'))
+    outputs.update({name + '_gate_open': ds for name, ds in
+                    _gated_outputs(facts, dims).items()})
     with_metadata, nonempty, logged = [], set(), {}
-    for name, ds in _operator_outputs().items():
+    for name, ds in outputs.items():
         if isinstance(ds, int):
             assert ds == 9, name
             continue
@@ -696,14 +739,57 @@ def test_operators_emit_metadata_free_blocks_without_hash_warnings(
     assert not [(name, m) for name in one_bucket for m in logged[name]
                 if 'different schema' in m]
     # The metadata check saw real blocks of every operator.
+    gated = {'check_referential_large', 'check_referential_bloom',
+             'broadcast_lookup_join', 'broadcast_lookup_join_anti'}
     assert nonempty == {
         'check_unique', 'dedup_exact', 'dedup_winner_ids', 'grouped_agg',
         'grouped_agg_one_bucket', 'grouped_topk', 'global_topk',
-        'check_referential_large', 'shuffle_join',
-        'shuffle_join_left', 'semi_join', 'asof_join', 'grouped_quantile',
-        'grouped_scan', 'mixture_sample_exact', 'session_windows',
-        'connected_components_distributed', 'minhash_duplicate_pairs',
-        'ngram_jaccard_pairs', 'hamming_near_dup'}
+        'shuffle_join', 'shuffle_join_left', 'semi_join', 'asof_join',
+        'grouped_quantile', 'grouped_scan', 'mixture_sample_exact',
+        'session_windows', 'connected_components_distributed',
+        'minhash_duplicate_pairs', 'ngram_jaccard_pairs',
+        'hamming_near_dup'} | gated | {g + '_gate_open' for g in gated}
+
+
+@pytest.mark.parametrize('gate', ['open', 'shut'])
+def test_key_operators_run_no_plan_on_the_driver(ray_session, monkeypatch,
+                                                 tmp_path, gate):
+    """On lazy ``read_parquet(...).map_batches(...)`` inputs, every
+    exchange- and cogroup-based operator, ``check_referential_bloom``
+    and ``broadcast_lookup_join`` build and run without a schema probe
+    that would execute a plan: ``Dataset.schema`` fails unless Ray
+    already holds the schema or the dataset is materialized (its blocks
+    exist, so no upstream plan runs)."""
+    import pyarrow.parquet as pq
+    import ray.data
+    from ray.data.dataset import MaterializedDataset
+    from python_fastjsonschema_ray.stages import join
+
+    if gate == 'shut':
+        monkeypatch.setattr(join, 'BROADCAST_LIMIT_BYTES', -1)
+    lazy = {}
+    for name, blocks in _operator_inputs().items():
+        for i, b in enumerate(blocks):
+            table = b if isinstance(b, pa.Table) else pa.Table.from_pandas(
+                b, preserve_index=False)
+            pq.write_table(table, str(tmp_path / '{}_{}.parquet'.format(
+                name, i)))
+        lazy[name] = ray.data.read_parquet(
+            [str(tmp_path / '{}_{}.parquet'.format(name, i))
+             for i in range(len(blocks))]).map_batches(
+            lambda b: b, batch_format='pyarrow')
+    real = ray.data.Dataset.schema
+
+    def schema(self, fetch_if_missing=True):
+        known = real(self, fetch_if_missing=False)
+        if known is None and not isinstance(self, MaterializedDataset):
+            raise AssertionError('a schema probe executed a plan')
+        return real(self, fetch_if_missing=fetch_if_missing)
+
+    monkeypatch.setattr(ray.data.Dataset, 'schema', schema)
+    for name, ds in _operator_outputs(lazy).items():
+        if not isinstance(ds, int):
+            ds.materialize()
 
 
 _DEFAULT_CONFIG_OPERATORS = '''
@@ -804,6 +890,76 @@ def test_bucketing_lives_only_in_the_exchange_module():
                     os.path.relpath(path, os.path.dirname(PKG)), line,
                     m.group(0)))
     assert not offenders, offenders
+
+
+# Functions that may still read a Dataset's schema on the driver, with
+# the reason each stays.  Every other schema read, ``_arrow_schema`` or
+# ``take_batch(`` in the package is a probe: on a lazy plan it executes
+# a copy of the plan before the operator's own pipeline runs.
+_PROBE_ALLOWLIST = {
+    ('stages/exchange.py', '_empty_side_schema'):
+        'reads only a materialized dataset without rows: its blocks '
+        'exist, so no upstream plan runs, and Ray hands no zero-row '
+        'block to a map task, so such a side\'s types reach cogroup '
+        'only this way',
+    ('stages/join.py', 'broadcast_interval_join'):
+        'not behind the size gate yet; gating it (with a cogroup '
+        'fallback) is its own change',
+    ('stages/cluster.py', 'cluster_balanced_sample'):
+        'its k-means fit executes the input anyway',
+    ('stages/pack.py', 'packing_plan'):
+        'probes a materialized dataset, so the probe costs no execution',
+    ('pipelines/validate.py', 'validate_dataset'):
+        'compiles the validator for the input schema before the pass',
+    ('pipelines/flagship.py', 'validation_pass'):
+        'compiles the validator for the input schema before the pass',
+    ('pipelines/manifest.py', 'run_validation_job'):
+        'compiles the validator for the input schema before the pass',
+    ('pipelines/infer.py', 'profile_columns'):
+        'infers a spec from the input schema; the schema is its answer',
+}
+
+
+def _probes(tree):
+    """(line, top-level function, text) of every Dataset schema read
+    (``x.schema(...)``, not pyarrow's ``pa.schema``), ``_arrow_schema``
+    and ``take_batch(`` in a module."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            name = getattr(top, 'name', '<module>')
+            if isinstance(node, ast.Call) and isinstance(
+                    node.func, ast.Attribute):
+                attr = node.func.attr
+                if attr == 'take_batch' or (attr == 'schema' and getattr(
+                        node.func.value, 'id', None) != 'pa'):
+                    yield node.lineno, name, attr + '('
+            elif isinstance(node, (ast.Name, ast.Attribute)) and \
+                    '_arrow_schema' in (getattr(node, 'id', None),
+                                        getattr(node, 'attr', None)):
+                yield node.lineno, name, '_arrow_schema'
+
+
+def test_no_schema_probes_outside_the_allowlist():
+    """No package code reads a Dataset's schema on the driver, calls
+    ``_arrow_schema`` or ``take_batch(``, except the allowlisted
+    functions (each with its reason); in particular the key operators
+    (exchange, join, dedup, components, windows, sample, scan,
+    quantile, constraints) probe nothing."""
+    offenders, used = [], set()
+    for path in _sources():
+        if path == ENTRY:
+            continue
+        where = os.path.relpath(path, PKG).replace(os.sep, '/')
+        with open(path, encoding='utf-8') as fh:
+            tree = ast.parse(fh.read())
+        for line, name, text in _probes(tree):
+            if (where, name) in _PROBE_ALLOWLIST:
+                used.add((where, name))
+            else:
+                offenders.append('{}:{}: {} in {}'.format(
+                    where, line, text, name))
+    assert not offenders, offenders
+    assert used == set(_PROBE_ALLOWLIST), set(_PROBE_ALLOWLIST) - used
 
 
 def _keywords(src, name):

@@ -375,7 +375,7 @@ def test_asof_join_collision_guard(ray_session):
         lambda b: b.rename_columns(['rts', 'rk', 'ts']),
         batch_format='pyarrow')
     with pytest.raises(ValueError, match='collide'):
-        asof_join(left, bad, 'ts', 'rts', 'k', 'rk', ['ts'])
+        asof_join(left, bad, 'ts', 'rts', 'k', 'rk', ['ts']).materialize()
 
 
 def test_shuffle_join_collision_guard(ray_session):
@@ -386,7 +386,7 @@ def test_shuffle_join_collision_guard(ray_session):
     b = ray.data.from_arrow(pa.table({'k': pa.array([1], pa.int64()),
                                       'v': pa.array(['y'])}))
     with pytest.raises(ValueError, match='collide'):
-        shuffle_join(a, b, 'k', 'k', ['v'])
+        shuffle_join(a, b, 'k', 'k', ['v']).materialize()
 
 
 def test_broadcast_lookup_join_null_ref_key(ray_session):
@@ -584,6 +584,10 @@ _KEY_TYPE_CASES = {
     # A float key against an int reference: 3.0 matches, 2.5 never does.
     'float_key_int_reference': (pa.array([1.0, 2.5, 3.0]),
                                 pa.array([2, 3], pa.int64()), [3.0]),
+    # A string key against an int reference: the key types are of
+    # different families, so '2' is never cast into a match with 2.
+    'string_fk_int_reference': (pa.array(['1', '2', '3']),
+                                pa.array([2, 3], pa.int64()), TypeError),
 }
 
 

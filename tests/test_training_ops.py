@@ -312,6 +312,41 @@ def test_ivf_recall(embeddings):
     assert len(exact & approx) >= 6   # recall ≥ 0.6 with half the lists probed
 
 
+def test_ivf_blocks_drop_pandas_metadata(ray_session, monkeypatch,
+                                         tmp_path):
+    """Over a parquet file written by pandas (its schema carries
+    b'pandas' metadata), neither ``build_ivf``'s tagged blocks nor
+    ``topk_cosine_ivf``'s probe-filtered blocks keep that metadata,
+    which Ray's block-schema dedup cannot hash."""
+    import ray
+    import ray.data
+    from python_fastjsonschema_ray.stages import ann
+
+    rng = np.random.default_rng(4)
+    path = str(tmp_path / 'embeddings.parquet')
+    pd.DataFrame({'vec_id': np.arange(64),
+                  'embedding': list(rng.standard_normal((64, 8)))}) \
+        .to_parquet(path)
+    ds = ray.data.read_parquet(path)
+    assert b'pandas' in ray.get(ds.to_arrow_refs()[0]).schema.metadata
+    tagged, centroids = ann.build_ivf(ds, 'embedding', nlist=4)
+    filtered = []
+    real = ann.topk_cosine
+
+    def keep_input(subset, *args, **kwargs):
+        filtered.append(subset)
+        return real(subset, *args, **kwargs)
+
+    monkeypatch.setattr(ann, 'topk_cosine', keep_input)
+    ann.topk_cosine_ivf(tagged, centroids, 'vec_id', 'embedding',
+                        rng.standard_normal(8), k=5, nprobe=2)
+    for out in (tagged, filtered[0]):
+        blocks = ray.get(out.to_arrow_refs())
+        assert sum(b.num_rows for b in blocks) > 0
+        assert not [b for b in blocks
+                    if b'pandas' in (b.schema.metadata or {})]
+
+
 def test_ivf_full_training_path(embeddings):
     """train='full' refines centroids with distributed spherical Lloyd;
     the index stays exact when every list is probed, and the refined
