@@ -767,9 +767,9 @@ def q_plugin_even_lineitem(sf_dir: str):
         return ValidatorStage(spec, schema, mode='violations',
                               key_column='l_orderkey')
 
-    schema = pa.schema(list(zip(ds.schema().names, ds.schema().types)))
-    return PerWorker(even_qty_stage, schema) \
-        .map_batches(ds, batch_format='pyarrow').select_columns(['key'])
+    stage = PerWorker(even_qty_stage)
+    return ds.map_batches(lambda b: stage.for_schema(b.schema)(b),
+                          batch_format='pyarrow').select_columns(['key'])
 
 
 # -- non-SQL-expressible operators (rows-only driver check) -----------------

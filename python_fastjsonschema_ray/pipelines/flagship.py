@@ -4,8 +4,9 @@
 Stages (all streaming, Arrow batches, plain Ray tasks; stateful steps
 build once per worker process through ``stages/per_worker.PerWorker``):
 
-1. **Schema validation** — IMAGE_TABLE_SPEC compiled once per worker
-   (type / range / enum / pattern / required), violations as structured rows.
+1. **Schema validation** — IMAGE_TABLE_SPEC compiled once per worker and
+   batch schema (type / range / enum / pattern / required), violations as
+   structured rows.
 2. **Decode + integrity** — decode bytes per fmt; verify declared dims and
    phash against decoded pixels (content-level checks the schema cannot see).
 3. **Uniqueness** — duplicate (phash, image_id) detection via pre-aggregated
@@ -68,14 +69,10 @@ def validation_pass(ds, *, fast_fail=True, batch_size=2048):
     pay that overhead fewer times.  The trade: a small table gets fewer
     tasks than a many-CPU host could run at once (120k rows make 8 tasks),
     while a 2.4M-row table still gets about 147."""
-    arrow_schema = pa.schema(
-        [pa.field(n, t) for n, t in
-         zip(ds.schema().names, ds.schema().types)])
-    built = PerWorker(ValidateAndDecodeStage, arrow_schema,
-                      fast_fail=fast_fail)
+    built = PerWorker(ValidateAndDecodeStage, fast_fail=fast_fail)
 
     def run_batch(batch: pa.Table) -> pa.Table:
-        stage = built.get()
+        stage = built.for_schema(batch.schema)
         n = batch.num_rows
         step = batch_size or n
         if n <= step:

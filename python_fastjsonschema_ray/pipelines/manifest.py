@@ -246,14 +246,11 @@ def run_validation_job(input_files, definition, out_dir, *, key_column=None,
         with construct_lock:
             from ..sources.reader import read_table
             ds = read_table(path)
-            arrow_schema = pa.schema(
-                [pa.field(n, t) for n, t in
-                 zip(ds.schema().names, ds.schema().types)])
-        built = PerWorker(TableValidator, definition, arrow_schema,
+        built = PerWorker(TableValidator, definition,
                           key_column=key_column, **flags)
 
         def run_batch(batch: pa.Table) -> pa.Table:
-            validator = built.get()
+            validator = built.for_schema(batch.schema)
             result = validator.validate_batch(batch)
             violations = validator.violations_table(batch, result)
             if violations.num_rows:

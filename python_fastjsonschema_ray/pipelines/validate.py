@@ -1,19 +1,20 @@
 """Table-level compiled validator + Ray Data validation stages.
 
 ``TableValidator`` is the engine's analog of the reference's compiled
-validator closure (``fastjsonschema/__init__.py:284-290``): compile once on
-the driver, then call ``validate_batch`` on every Arrow batch.  The whole
-batch is validated as ONE struct array (zero-copy wrapper over the columns),
-so cross-column keywords (required / dependencies / if-then-else / allOf at
-the root) work exactly like the reference's object traversal.
+validator closure (``fastjsonschema/__init__.py:284-290``): compile once
+for an Arrow schema, then call ``validate_batch`` on every batch of it.
+The whole batch is validated as ONE struct array (zero-copy wrapper over
+the columns), so cross-column keywords (required / dependencies /
+if-then-else / allOf at the root) work exactly like the reference's object
+traversal.
 
 Ray Data integration: :func:`validate_dataset` runs a
 :class:`ValidatorStage` as plain Ray tasks through
 :class:`~python_fastjsonschema_ray.stages.per_worker.PerWorker`, so the
-plan compiles once per worker process (the engine's "compile once,
-validate many"), each batch is validated vectorized, and output is
-selected per stage mode (annotated rows / violation rows / transformed
-rows).
+plan compiles once per worker process and batch schema (the engine's
+"compile once, validate many"; the types come with the batch, never from
+the driver), each batch is validated vectorized, and output is selected
+per stage mode (annotated rows / violation rows / transformed rows).
 """
 
 from __future__ import annotations
@@ -394,21 +395,6 @@ class TableValidator:
             'valid', pa.array(result.valid, type=pa.bool_()))
 
 
-def _empty_violations_table() -> pa.Table:
-    """Zero-row table with the violations-mode output schema (matches
-    ``BatchValidator.violations_table`` column-for-column)."""
-    return pa.table({
-        'row': pa.array([], type=pa.int64()),
-        'key': pa.array([], type=pa.string()),
-        'name': pa.array([], type=pa.string()),
-        'message': pa.array([], type=pa.string()),
-        'rule': pa.array([], type=pa.string()),
-        'value': pa.array([], type=pa.string()),
-        'definition': pa.array([], type=pa.string()),
-        'rule_definition': pa.array([], type=pa.string()),
-    })
-
-
 # ---------------------------------------------------------------------------
 # Ray Data stages
 
@@ -461,38 +447,19 @@ def validate_dataset(ds, definition, *, mode='annotate', key_column=None,
                      batch_size=None, **flags):
     """Attach a validation stage to a Ray Data dataset.
 
-    Streaming, zero-copy Arrow batches as plain Ray tasks; the schema
-    compiles once per WORKER (``PerWorker``), whatever the spec and flags
-    hold (callable ``formats``, ``$ref`` handlers).  ``ds.schema()``
-    provides the Arrow schema for compile-time specialization."""
-    import ray.data
-
-    schema = ds.schema()
-    if schema is None:
-        # A fully-empty mapped dataset (zero rows survive the upstream
-        # stages) reports no schema at all — routine at scale when a
-        # shard's filter drops every row.  There is nothing to compile
-        # against and nothing to validate; return a correctly-typed
-        # empty result instead of crashing: violations mode has a fixed
-        # output schema, the annotating modes pass the empty input
-        # through unchanged.
-        if mode == 'violations':
-            return ray.data.from_arrow(_empty_violations_table())
-        return ds
-    names, types = schema.names, schema.types
-    if all(isinstance(t, pa.DataType) for t in types):
-        arrow_schema = pa.schema(
-            [pa.field(n, t) for n, t in zip(names, types)])
-    else:
-        # Pandas-backed datasets report numpy dtypes / Python types; pull
-        # one Arrow batch to get a real schema for compile-time
-        # specialization.
-        arrow_schema = ds.take_batch(1, batch_format='pyarrow').schema
-
+    Streaming, zero-copy Arrow batches as plain Ray tasks.  Each worker
+    compiles a ``ValidatorStage`` once per batch schema it meets
+    (``PerWorker.for_schema``), whatever the spec and flags hold
+    (callable ``formats``, ``$ref`` handlers), so nothing is read on the
+    driver before the pass runs.  A fully-empty input gives zero rows."""
     kwargs = {}
     if batch_size is not None:
         kwargs['batch_size'] = batch_size
-    stage = PerWorker(ValidatorStage, definition, arrow_schema, mode=mode,
+    stage = PerWorker(ValidatorStage, definition, mode=mode,
                       key_column=key_column, **flags)
-    return stage.map_batches(ds, batch_format='pyarrow',
-                             zero_copy_batch=True, **kwargs)
+
+    def validate(batch: pa.Table) -> pa.Table:
+        return stage.for_schema(batch.schema)(batch)
+
+    return ds.map_batches(validate, batch_format='pyarrow',
+                          zero_copy_batch=True, **kwargs)

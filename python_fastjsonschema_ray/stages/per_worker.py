@@ -16,7 +16,13 @@ formats or ``$ref`` handlers need no second path.  The cache key is a
 digest of ``(build, args, kwargs)`` taken once on the driver: equal
 arguments reuse one built stage across calls (a warm-up pass fills the
 cache a later pass reads), and an ``ObjectRef`` argument is keyed by its
-id, never fetched to the driver."""
+id, never fetched to the driver.
+
+A stage compiled for an Arrow schema (the validators) is built on the
+worker for the schema of the batch it holds: ``for_schema(batch.schema)``
+adds that schema, without its metadata, to the same cache key, so no
+schema is read on the driver and blocks of different types each get a
+stage of their own."""
 
 from __future__ import annotations
 
@@ -58,13 +64,25 @@ class PerWorker:
 
     def get(self):
         """The built stage of this process (built on first use)."""
+        return self._cached(self.digest, self.kwargs)
+
+    def for_schema(self, schema):
+        """``build(*args, schema=schema, **kwargs)`` of this process, for
+        batches of Arrow ``schema``.  The key drops the schema's metadata:
+        it does not change the types, and pandas metadata makes a schema
+        unhashable."""
+        schema = schema.remove_metadata()
+        return self._cached((self.digest, schema),
+                            dict(self.kwargs, schema=schema))
+
+    def _cached(self, key, kwargs):
         try:
-            _STAGES.move_to_end(self.digest)
+            _STAGES.move_to_end(key)
         except KeyError:
-            _STAGES[self.digest] = self.build(*self.args, **self.kwargs)
+            _STAGES[key] = self.build(*self.args, **kwargs)
             if len(_STAGES) > _MAX_STAGES:
                 _STAGES.popitem(last=False)
-        return _STAGES[self.digest]
+        return _STAGES[key]
 
     def map_batches(self, ds, **map_kwargs):
         """``ds.map_batches`` calling the built stage on every batch, as

@@ -82,3 +82,21 @@ def reference():
         sys.path.insert(0, REFERENCE_PATH)
     import fastjsonschema
     return fastjsonschema
+
+
+@pytest.fixture
+def no_driver_plans(monkeypatch):
+    """``Dataset.schema`` fails where it would execute a plan on the
+    driver: unless Ray already holds the schema or the dataset is
+    materialized (its blocks exist, so no upstream plan runs)."""
+    import ray.data
+    from ray.data.dataset import MaterializedDataset
+    real = ray.data.Dataset.schema
+
+    def schema(self, fetch_if_missing=True):
+        known = real(self, fetch_if_missing=False)
+        if known is None and not isinstance(self, MaterializedDataset):
+            raise AssertionError('a schema probe executed a plan')
+        return real(self, fetch_if_missing=fetch_if_missing)
+
+    monkeypatch.setattr(ray.data.Dataset, 'schema', schema)

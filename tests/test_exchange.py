@@ -753,7 +753,8 @@ def test_operators_emit_metadata_free_blocks_without_hash_warnings(
 
 @pytest.mark.parametrize('gate', ['open', 'shut'])
 def test_key_operators_run_no_plan_on_the_driver(ray_session, monkeypatch,
-                                                 tmp_path, gate):
+                                                 tmp_path, gate,
+                                                 no_driver_plans):
     """On lazy ``read_parquet(...).map_batches(...)`` inputs, every
     exchange- and cogroup-based operator, ``check_referential_bloom``
     and ``broadcast_lookup_join`` build and run without a schema probe
@@ -762,7 +763,6 @@ def test_key_operators_run_no_plan_on_the_driver(ray_session, monkeypatch,
     exist, so no upstream plan runs)."""
     import pyarrow.parquet as pq
     import ray.data
-    from ray.data.dataset import MaterializedDataset
     from python_fastjsonschema_ray.stages import join
 
     if gate == 'shut':
@@ -778,15 +778,6 @@ def test_key_operators_run_no_plan_on_the_driver(ray_session, monkeypatch,
             [str(tmp_path / '{}_{}.parquet'.format(name, i))
              for i in range(len(blocks))]).map_batches(
             lambda b: b, batch_format='pyarrow')
-    real = ray.data.Dataset.schema
-
-    def schema(self, fetch_if_missing=True):
-        known = real(self, fetch_if_missing=False)
-        if known is None and not isinstance(self, MaterializedDataset):
-            raise AssertionError('a schema probe executed a plan')
-        return real(self, fetch_if_missing=fetch_if_missing)
-
-    monkeypatch.setattr(ray.data.Dataset, 'schema', schema)
     for name, ds in _operator_outputs(lazy).items():
         if not isinstance(ds, int):
             ds.materialize()
@@ -894,7 +885,7 @@ def test_bucketing_lives_only_in_the_exchange_module():
 
 # Functions that may still read a Dataset's schema on the driver, with
 # the reason each stays.  Every other schema read, ``_arrow_schema`` or
-# ``take_batch(`` in the package is a probe: on a lazy plan it executes
+# ``take_batch(`` in the package or the entry module is a probe: on a lazy plan it executes
 # a copy of the plan before the operator's own pipeline runs.
 _PROBE_ALLOWLIST = {
     ('stages/exchange.py', '_empty_side_schema'):
@@ -909,12 +900,6 @@ _PROBE_ALLOWLIST = {
         'its k-means fit executes the input anyway',
     ('stages/pack.py', 'packing_plan'):
         'probes a materialized dataset, so the probe costs no execution',
-    ('pipelines/validate.py', 'validate_dataset'):
-        'compiles the validator for the input schema before the pass',
-    ('pipelines/flagship.py', 'validation_pass'):
-        'compiles the validator for the input schema before the pass',
-    ('pipelines/manifest.py', 'run_validation_job'):
-        'compiles the validator for the input schema before the pass',
     ('pipelines/infer.py', 'profile_columns'):
         'infers a spec from the input schema; the schema is its answer',
 }
@@ -940,15 +925,14 @@ def _probes(tree):
 
 
 def test_no_schema_probes_outside_the_allowlist():
-    """No package code reads a Dataset's schema on the driver, calls
-    ``_arrow_schema`` or ``take_batch(``, except the allowlisted
-    functions (each with its reason); in particular the key operators
-    (exchange, join, dedup, components, windows, sample, scan,
-    quantile, constraints) probe nothing."""
+    """No code of the package or of ``__ray_entry__.py`` reads a
+    Dataset's schema on the driver, calls ``_arrow_schema`` or
+    ``take_batch(``, except the allowlisted functions (each with its
+    reason); in particular the key operators (exchange, join, dedup,
+    components, windows, sample, scan, quantile, constraints) and the
+    validation passes probe nothing."""
     offenders, used = [], set()
     for path in _sources():
-        if path == ENTRY:
-            continue
         where = os.path.relpath(path, PKG).replace(os.sep, '/')
         with open(path, encoding='utf-8') as fh:
             tree = ast.parse(fh.read())

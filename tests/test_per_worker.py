@@ -53,6 +53,32 @@ def test_cache_is_bounded_least_recently_used_first():
     assert len(BUILDS) == 1 + per_worker._MAX_STAGES
 
 
+def test_batch_schema_is_part_of_the_key():
+    """``for_schema`` builds ``build(*args, schema=..., **kwargs)`` once per
+    batch schema: pandas metadata (which makes a schema unhashable) does
+    not split the key, different types do, and the one cache stays
+    bounded."""
+    import pandas as pd
+
+    from python_fastjsonschema_ray.stages import per_worker
+    BUILDS.clear()
+    stage = per_worker.PerWorker(_Stage, 'spec', mode='violations')
+    plain = pa.schema([('a', pa.int64())])
+    tagged = pa.Schema.from_pandas(pd.DataFrame({'a': [1]}),
+                                   preserve_index=False)
+    assert b'pandas' in tagged.metadata and tagged.equals(plain)
+    first = stage.for_schema(plain)
+    assert stage.for_schema(tagged) is first
+    assert BUILDS == [(('spec',), {'mode': 'violations', 'schema': plain})]
+    assert BUILDS[0][1]['schema'].metadata is None
+    assert stage.for_schema(pa.schema([('a', pa.float64())])) is not first
+    assert len(BUILDS) == 2
+    for i in range(per_worker._MAX_STAGES + 3):
+        stage.for_schema(pa.schema([('c%d' % i, pa.int64())]))
+    assert len(per_worker._STAGES) == per_worker._MAX_STAGES
+    assert len(BUILDS) == 2 + per_worker._MAX_STAGES + 3
+
+
 def test_object_refs_are_keyed_by_id(ray_session):
     import ray
 

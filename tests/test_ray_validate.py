@@ -167,3 +167,160 @@ def test_validate_dataset_callable_format_single_cpu(tmp_path):
         pytest.fail('validate_dataset did not finish in 60 s at num_cpus=1')
     # v = i % 7 over i in 0..4999: the odd residues 1, 3, 5 fail.
     assert 'violations 2143 True' in out.splitlines()
+
+
+# ---------------------------------------------------------------------------
+# The validator compiles on the worker, for the schema of the batch it holds
+
+_KV_SPEC = {'properties': {'v': {'type': 'integer', 'minimum': 0},
+                           's': {'type': 'string', 'maxLength': 2}}}
+_VIOLATION_COLUMNS = ['key', 'name', 'message', 'rule', 'value',
+                      'definition', 'rule_definition']
+
+
+def _rows(table, columns):
+    return sorted(zip(*(table.column(c).to_pylist() for c in columns)),
+                  key=repr)
+
+
+def _lazy_parquet(tmp_path, name, table, how):
+    """``table`` written as two parquet files, read back lazily and then
+    projected or mapped: Ray holds no schema for it until it runs."""
+    import pyarrow.parquet as pq
+    import ray.data
+    half = table.num_rows // 2
+    paths = []
+    for i, part in enumerate((table.slice(0, half), table.slice(half))):
+        paths.append(str(tmp_path / '{}_{}.parquet'.format(name, i)))
+        pq.write_table(part, paths[-1])
+    ds = ray.data.read_parquet(paths)
+    if how == 'select_columns':
+        return ds.select_columns(table.column_names)
+    return ds.map_batches(lambda b: b, batch_format='pyarrow')
+
+
+@pytest.mark.parametrize('how', ['select_columns', 'map_batches'])
+def test_validation_runs_no_plan_on_the_driver(ray_session, tmp_path,
+                                               no_driver_plans, how):
+    """``validate_dataset`` in every mode and the flagship's
+    ``validation_pass`` run on lazy projected or mapped parquet inputs
+    without a driver-side schema probe (which would execute the plan),
+    and give the in-process validator's answer."""
+    from python_fastjsonschema_ray.pipelines.flagship import (
+        ValidateAndDecodeStage, validation_pass)
+    from python_fastjsonschema_ray.pipelines.validate import (
+        TableValidator, validate_dataset)
+    from python_fastjsonschema_ray.sources.images import image_batch
+
+    table = pa.table({'k': pa.array(range(40), type=pa.int64()),
+                      'v': pa.array([i - 5 for i in range(40)],
+                                    type=pa.int64()),
+                      's': pa.array(['x' * (i % 4) for i in range(40)])})
+    ds = _lazy_parquet(tmp_path, 'kv', table, how)
+    tv = TableValidator(_KV_SPEC, table.schema, key_column='k',
+                        fast_fail=False)
+    result = tv.validate_batch(table)
+    want = tv.violations_table(table, result)
+
+    def run(mode):
+        out = validate_dataset(ds, _KV_SPEC, mode=mode, key_column='k',
+                               fast_fail=False)
+        return pa.concat_tables(out.iter_batches(batch_format='pyarrow',
+                                                 batch_size=None))
+
+    assert _rows(run('violations'), _VIOLATION_COLUMNS) == \
+        _rows(want, _VIOLATION_COLUMNS)
+    assert _rows(run('invalid_keys'), ['key', 'rule']) == \
+        _rows(want, ['key', 'rule'])
+    annotated = run('annotate')
+    assert annotated.sort_by('k').equals(
+        table.append_column('valid', pa.array(result.valid)))
+
+    images = image_batch(0, 200, seed=7, violation_rate=0.05)
+    stage_rows = _rows(ValidateAndDecodeStage(images.schema)(images),
+                       ['key', 'source', 'rule', 'message'])
+    assert stage_rows
+    got = validation_pass(_lazy_parquet(tmp_path, 'images', images, how),
+                          batch_size=64)
+    got = pa.concat_tables(got.iter_batches(batch_format='pyarrow',
+                                            batch_size=None))
+    assert _rows(got, ['key', 'source', 'rule', 'message']) == stage_rows
+
+
+def test_validation_job_runs_no_plan_on_the_driver(ray_session, tmp_path,
+                                                   no_driver_plans):
+    """``run_validation_job`` over JSONL shards, whose schema Ray knows
+    only by reading them, runs no plan on the driver before its pass."""
+    import json
+    import os
+
+    import pyarrow.parquet as pq
+
+    from python_fastjsonschema_ray.pipelines.manifest import (
+        run_validation_job)
+    shards = []
+    for i in range(2):
+        path = tmp_path / 'in_{}.jsonl'.format(i)
+        path.write_text('\n'.join(json.dumps({'k': i * 10 + j, 'v': j - 1})
+                                  for j in range(6)))
+        shards.append(str(path))
+    out = str(tmp_path / 'out')
+    summary = run_validation_job(shards, _KV_SPEC, out, key_column='k',
+                                 flags={'fast_fail': False})
+    assert (summary['rows'], summary['violations']) == (12, 2)
+    keys = sorted(k for d in os.listdir(out) if not d.startswith('_')
+                  for k in pq.read_table(os.path.join(out, d, 'violations'))
+                  .column('key').to_pylist())
+    assert keys == ['0', '10']
+
+
+def _blocks_of_three_schemas():
+    """Blocks whose column types differ: int64 beside float64, string
+    beside large_string, and a column of nulls typed null."""
+    def block(ids, v, s, n):
+        return pa.table({'k': pa.array(ids, type=pa.int64()), 'v': v,
+                         's': s, 'n': n})
+
+    return [
+        block([0, 1, 2], pa.array([1, -2, 3], type=pa.int64()),
+              pa.array(['a', 'bbb', None]), pa.array([1, None, 3])),
+        block([3, 4, 5], pa.array([1.5, -2.0, 4.0]),
+              pa.array(['cc', 'dddd', 'e'], type=pa.large_string()),
+              pa.nulls(3)),
+        block([6, 7, 8], pa.array([None, 7, -1], type=pa.int64()),
+              pa.array(['ff', 'g', 'hhhhh'], type=pa.large_string()),
+              pa.array([-4, 5, 6])),
+    ]
+
+
+@pytest.mark.parametrize('mode', ['violations', 'annotate'])
+def test_blocks_of_different_schemas_validate_as_each_alone(ray_session,
+                                                            mode):
+    """Each block is validated by a stage compiled for its own schema, so
+    the output equals ``TableValidator`` run on each block alone."""
+    import ray
+    import ray.data
+
+    from python_fastjsonschema_ray.pipelines.validate import (
+        TableValidator, validate_dataset)
+    spec = {'properties': {'v': {'type': 'integer', 'minimum': 0},
+                           's': {'type': 'string', 'maxLength': 2},
+                           'n': {'type': ['integer', 'null'],
+                                 'minimum': 0}}}
+    blocks = _blocks_of_three_schemas()
+    types = {(b.schema.field('v').type, b.schema.field('s').type,
+              b.schema.field('n').type) for b in blocks}
+    assert len(types) == 3
+    want = []
+    for b in blocks:
+        tv = TableValidator(spec, b.schema, key_column='k', fast_fail=False)
+        want.append(tv.violations_table(b, tv.validate_batch(b))
+                    if mode == 'violations' else tv.annotate_batch(b))
+    out = validate_dataset(ray.data.from_arrow(blocks), spec, mode=mode,
+                           key_column='k', fast_fail=False, batch_size=3)
+    first = 'key' if mode == 'violations' else 'k'
+    got = sorted((b for b in ray.get(out.to_arrow_refs()) if b.num_rows),
+                 key=lambda b: int(b.column(first)[0].as_py()))
+    assert all(w.num_rows for w in want) and len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.equals(w), (g, w)
