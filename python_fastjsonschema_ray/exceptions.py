@@ -6,6 +6,10 @@ engine carry the same information a ``JsonSchemaValueException`` would:
 ``message``, ``value``, ``name``, derived ``path``, ``definition``, ``rule`` and
 derived ``rule_definition``.  The class names are kept API-compatible so code
 written against the reference keeps working after switching engines.
+
+``compile_to_code`` artifacts carry this module's source (less this
+docstring) as their fallback when the package is missing, so it imports
+nothing from the package.
 """
 
 from __future__ import annotations

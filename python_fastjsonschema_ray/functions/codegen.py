@@ -22,23 +22,32 @@ errors leak into the enclosing list as they do in the reference.
 Schema content reaches the source only as names or as ``repr`` literals
 of ``str``, ``int``, ``bool``, ``None`` and finite floats.  Every other
 constant (expanded definitions at raise sites, regexes, callable formats,
-plugin callables, enum/const/default values) is referred to by name:
+plugin callables, enum/const/default values) is referred to by name.
+Besides its constants, emitted code uses the four exception classes, the
+helpers :func:`~.scalar.enum_value_match` (as ``_enum_match``) and
+:func:`~.scalar._freeze`, and a few standard modules; nothing of them is
+compiled per validator:
 
 * :func:`compile` binds the names to the objects themselves (parameters
   of a factory around the functions) and ``exec``s the functions against
-  a prologue (exception classes, ``_enum_match``, ``_freeze``) that runs
-  once per process;
-* :func:`compile_to_code` writes the same names as ``repr`` literals after
-  an inline prologue, so the artifact imports with no dependency.
-  Callable formats cannot be serialized: the artifact looks them up in
-  its ``CUSTOM_FORMATS`` when it validates.  Plugin keywords are looked
-  up in the installed package's registry.
+  ``_GLOBALS``, which holds the package's classes and helpers;
+* :func:`compile_to_code` writes the same names as ``repr`` literals
+  (importing ``inf`` and ``nan`` from :mod:`math` for non-finite floats)
+  and imports the classes and helpers from the package.  Without the
+  package it ``exec``s a string holding the source of the same
+  definitions, read from the package, so the artifact imports with no
+  dependency.  Callable formats cannot be serialized: the artifact looks
+  them up in its ``CUSTOM_FORMATS`` when it validates.  Plugin keywords
+  are looked up in the installed package's registry.
 """
 
 from __future__ import annotations
 
+import base64
 import builtins
+import copy
 import functools
+import json
 import math
 import re
 from decimal import Decimal
@@ -50,122 +59,67 @@ from .scalar import (
     _MISSING,
     ScalarCompiler,
     _embed_in_source,
+    _freeze,
     _strip_key,
+    enum_value_match,
 )
 
-_PROLOGUE = '''\
+_EXCEPTIONS = ('JsonSchemaException', 'JsonSchemaValueException',
+               'JsonSchemaValuesException', 'JsonSchemaDefinitionException')
+
+# Every name emitted functions use besides their own constants and
+# builtins: compile() binds them as objects, the artifact imports them.
+_GLOBALS = {
+    'base64': base64, 'json': json, 're': re, 'deepcopy': copy.deepcopy,
+    'Decimal': Decimal, '_enum_match': enum_value_match, '_freeze': _freeze,
+    **{name: getattr(_exceptions, name) for name in _EXCEPTIONS},
+}
+
+_IMPORTS = '''\
 import base64
 import json
 import re
 from copy import deepcopy
 from decimal import Decimal
+from math import inf, nan  # names for repr() of non-finite floats
+'''
 
+_PROLOGUE = '''\
 try:
-    # Prefer the installed engine's exception classes so artifact
-    # violations are caught by code written against the package.
+    # The installed engine's classes and helpers, so artifact violations
+    # are caught by code written against the package.
     from python_fastjsonschema_ray.exceptions import (
         JsonSchemaException,
         JsonSchemaValueException,
         JsonSchemaValuesException,
         JsonSchemaDefinitionException,
     )
+    from python_fastjsonschema_ray.functions.scalar import (
+        enum_value_match as _enum_match,
+        _freeze,
+    )
 except ImportError:
-    class JsonSchemaException(ValueError):
-        pass
-
-    class JsonSchemaValueException(JsonSchemaException):
-        def __init__(self, message, value=None, name=None, definition=None,
-                     rule=None):
-            super().__init__(message)
-            self.message = message
-            self.value = value
-            self.name = name
-            self.definition = definition
-            self.rule = rule
-
-        @property
-        def path(self):
-            return [p for p in re.split(r"[\\.\\[\\]]+", self.name) if p]
-
-        @property
-        def rule_definition(self):
-            if not self.rule or not self.definition:
-                return None
-            return self.definition.get(self.rule)
-
-    class JsonSchemaValuesException(JsonSchemaException):
-        def __init__(self, errors):
-            super().__init__()
-            self.errors = errors
-
-    class JsonSchemaDefinitionException(JsonSchemaException):
-        pass
+    # The same definitions, for a process without the package.
 '''
-
-_HELPERS = {
-    '_enum_match': '''\
-def _enum_match(value, target):
-    """Type-strict deep equality for enum/const (bool is not 1/0;
-    int and float cross-match; containers compare element-wise)."""
-    if isinstance(target, bool):
-        return isinstance(value, bool) and value is target
-    if isinstance(target, (int, float)):
-        return (isinstance(value, (int, float))
-                and not isinstance(value, bool) and value == target)
-    if target is None:
-        return value is None
-    if isinstance(target, str):
-        return isinstance(value, str) and value == target
-    if isinstance(target, dict):
-        if not isinstance(value, dict):
-            return False
-        if not target:
-            return not value
-        if len(value) != len(target):
-            return False
-        return all(k in value and _enum_match(value[k], v)
-                   for k, v in target.items())
-    if isinstance(target, (list, tuple)):
-        if not isinstance(value, (list, tuple)):
-            return False
-        if not target:
-            return not value
-        if len(value) != len(target):
-            return False
-        return all(_enum_match(value[i], v) for i, v in enumerate(target))
-    return value == target
-''',
-    '_freeze': '''\
-def _freeze(var):
-    """Deep-hashable form for uniqueItems; bools stringified so True is
-    distinct from 1."""
-    if hasattr(var, 'items'):
-        return frozenset({k: _freeze(v) for k, v in var.items()}.items())
-    if isinstance(var, (dict, list)):
-        return tuple(_freeze(v) for v in var)
-    if isinstance(var, bool):
-        return str(var)
-    return var
-''',
-}
 
 _LITERAL_TYPES = (str, int, bool, type(None))
 
 
 @functools.lru_cache(maxsize=None)
-def _base_namespace():
-    """The prologue and helpers, run once per process.  The package's own
-    exception classes are bound over the prologue's import so validators
-    raise exactly the classes callers catch."""
-    ns = {}
-    source = '\n\n'.join([_PROLOGUE] + list(_HELPERS.values()))
-    exec(builtins.compile(source, '<validator prologue>', 'exec'), ns)
-    for cls in (_exceptions.JsonSchemaException,
-                _exceptions.JsonSchemaValueException,
-                _exceptions.JsonSchemaValuesException,
-                _exceptions.JsonSchemaDefinitionException):
-        ns[cls.__name__] = cls
-    return ns
+def _standalone():
+    """Artifact source defining the prologue's names without the package:
+    the package's own definitions, read from its source.  The exceptions
+    module imports nothing from the package; its docstring is left out so
+    it does not replace the artifact's."""
+    import ast
+    import inspect
+    module = inspect.getsource(_exceptions)
+    docstring_end = ast.parse(module).body[0].end_lineno
+    return ''.join(
+        module.splitlines(keepends=True)[docstring_end:]
+        + ['\n\n', inspect.getsource(enum_value_match), '\n\n',
+           inspect.getsource(_freeze), '\n\n',
+           '_enum_match = enum_value_match\n'])
 
 
 class SourceEmitter:
@@ -914,8 +868,7 @@ def compile_validator(compiler: ScalarCompiler):
         ', '.join(emitter.constants),
         ''.join('    ' + line for line in body.splitlines(keepends=True)))
     factory = {}
-    exec(builtins.compile(source, '<validator>', 'exec'), _base_namespace(),
-         factory)
+    exec(builtins.compile(source, '<validator>', 'exec'), _GLOBALS, factory)
     return factory['make'](*emitter.constants.values())
 
 
@@ -961,6 +914,7 @@ def compile_to_code(definition, handlers=None, formats=None, use_default=True,
     formats = formats or {}
     header = [
         '"""Validator generated by python_fastjsonschema_ray.compile_to_code."""',
+        _IMPORTS,
         'VERSION = {!r}'.format(VERSION),
         'SCHEMA = {!r}'.format(definition),
         'CUSTOM_FORMATS = {!r}'.format(
@@ -971,8 +925,11 @@ def compile_to_code(definition, handlers=None, formats=None, use_default=True,
         header.append('# Callable formats {!r} must be bound in '
                       'CUSTOM_FORMATS before validate() runs.'.format(
                           callables))
-    parts = header + [_PROLOGUE]
-    parts += [src for name, src in _HELPERS.items() if name + '(' in body]
+    # Inert unless the package is missing: compiling a string literal costs
+    # next to nothing, compiling the classes and helpers themselves does.
+    # Bound to no name, the text is freed with the module's code object.
+    # It holds no triple quote and no trailing backslash.
+    parts = header + [_PROLOGUE + "    exec(r'''" + _standalone() + "''')"]
     parts += emitter.constant_sources()
     parts.append(body)
     return '\n\n'.join(parts)

@@ -421,7 +421,8 @@ def grouped_agg(ds, key_columns, aggs, *, num_buckets=None):
     (as in every ``runs``-based operator).  'mean' decomposes into
     sum+valid-count partials and is finalized after the combine
     (null-skipping, like SQL AVG; null for a group without values).
-    A group whose values are all null sums to 0.
+    'sum', 'min' and 'max' of a group whose values are all null are null,
+    as in SQL.
     """
     key_columns = list(key_columns)
     # Decompose outputs into deduplicated partial specs.
@@ -457,10 +458,8 @@ def grouped_agg(ds, key_columns, aggs, *, num_buckets=None):
     fold_ops = {p: partial_specs[p][1] for p in pnames}
 
     def fold(group: pa.Table) -> pa.Table:
-        sum_all = pc.ScalarAggregateOptions(min_count=0)  # not picklable
         merged = group.group_by(key_columns).aggregate(
-            [(p, op, sum_all if op == 'sum' else None)
-             for p, op in fold_ops.items()])
+            list(fold_ops.items()))
 
         def folded(p):
             return merged.column('{}_{}'.format(p, fold_ops[p]))

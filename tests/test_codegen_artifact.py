@@ -8,12 +8,15 @@ content decode) AND the full exception payload (message, value, name,
 definition, rule)."""
 
 import copy
+import re
 import types
+from decimal import Decimal
 
 import pytest
 
 import python_fastjsonschema_ray as engine
 from python_fastjsonschema_ray.exceptions import JsonSchemaValueException
+from python_fastjsonschema_ray.functions import scalar
 
 from . import test_scalar_golden as golden
 
@@ -156,3 +159,48 @@ def test_recursive_ref_artifact():
         mod.validate({'v': 1, 'next': {'v': 'x'}})
     assert e.value.name == 'data.next.v'
     assert e.value.rule == 'type'
+
+
+INF, NAN = float('inf'), float('nan')
+
+
+@pytest.mark.parametrize('fast_fail', (True, False),
+                         ids=('fast_fail', 'collect'))
+@pytest.mark.parametrize('schema', (
+    {'maximum': INF},
+    {'$schema': 'http://json-schema.org/draft-07/schema',
+     'exclusiveMaximum': INF, 'minimum': -INF},
+    {'const': INF},
+    {'enum': [NAN, 1]},
+    {'maximum': Decimal('1.5'), 'multipleOf': Decimal('0.5')},
+), ids=('maximum', 'exclusiveMaximum', 'const', 'enum', 'decimal'))
+def test_artifact_constants_whose_repr_is_a_name(schema, fast_fail):
+    """inf, nan and Decimal in a schema (in its SCHEMA header and its
+    constants), whose reprs are names, give an importable artifact that
+    agrees with compile()."""
+    mod = _load(engine.compile_to_code(schema, fast_fail=fast_fail))
+    assert repr(mod.SCHEMA) == repr(schema)
+    compiled = engine.compile(schema, fast_fail=fast_fail)
+    # repr(): NaN is not equal to itself, its repr is.
+    outcomes = [[repr(golden._outcome(engine, v, d, None))
+                 for d in (5, 1, INF, NAN, 'x')]
+                for v in (mod.validate, compiled)]
+    assert outcomes[0] == outcomes[1]
+
+
+def test_artifact_compiles_only_its_validator_functions():
+    """The prologue's classes and helpers are imported from the package
+    (their standalone copy is a string, run only without it), so the
+    module's code holds no code object but the emitted functions."""
+    code = engine.compile_to_code({
+        'properties': {'e': {'enum': [1, True]}, 'c': {'const': [True]},
+                       'u': {'uniqueItems': True}}})
+    names = [c.co_name for c in compile(code, '<artifact>', 'exec').co_consts
+             if isinstance(c, types.CodeType)]
+    assert 'validate' in names
+    assert all(n == 'validate' or re.fullmatch(r'v\d+_\w+', n)
+               for n in names), names
+    mod = _load(code)
+    assert mod._enum_match is scalar.enum_value_match
+    assert mod._freeze is scalar._freeze
+    assert mod.JsonSchemaValueException is JsonSchemaValueException

@@ -48,11 +48,40 @@ def test_bad_schema_fails_at_generation():
         engine.compile_to_code({'type': 'frobnicate'})
 
 
+# enum/const/uniqueItems over values where bool and int must differ.
+HELPER_SCHEMA = {'properties': {'e': {'enum': [1, True, [0, False]]},
+                                'c': {'const': [True, 1.0]},
+                                'u': {'uniqueItems': True}}}
+HELPER_DOCS = [
+    {'e': True, 'c': [True, 1], 'u': [1, True, [1], [True], {'a': 0},
+                                      {'a': False}]},
+    {'e': 1.0, 'c': [True, 1.0], 'u': [False, 0]},
+    {'e': False}, {'e': [0, 0]}, {'e': [False, False]}, {'c': [1, 1]},
+    {'c': [True, True]}, {'u': [1, 1.0]}, {'u': [[True], [True]]},
+    {'e': False, 'c': [1, 1], 'u': [0, 0]},
+]
+# Shared by the subprocess and the test: each document's output, or its
+# violations' (name, rule).
+_OUTCOMES_SOURCE = '''
+def _outcomes(validate, docs):
+    out = []
+    for doc in docs:
+        try:
+            out.append(['ok', validate(doc)])
+        except validate.__globals__['JsonSchemaException'] as e:
+            errors = getattr(e, 'errors', [e])
+            out.append([[x.name, x.rule] for x in errors])
+    return out
+'''
+
+
 def test_artifact_standalone_without_package(tmp_path):
     """The artifact is fully self-contained, in fast-fail and collect
     mode: a subprocess with the package stripped from sys.path imports
     it and validates.  The reference's artifact still imports
-    fastjsonschema for its exception classes; this one defines them."""
+    fastjsonschema for its exception classes; this one runs its inert
+    standalone copy of them and of the enum/const and uniqueItems
+    helpers, whose bool-vs-int outcomes must equal compile()'s."""
     import subprocess
 
     schema = {'type': 'object',
@@ -66,8 +95,11 @@ def test_artifact_standalone_without_package(tmp_path):
     (tmp_path / 'standalone_validator.py').write_text(code)
     (tmp_path / 'standalone_collect.py').write_text(
         engine.compile_to_code(schema, fast_fail=False))
+    for mode, fast_fail in (('fast', True), ('collect', False)):
+        (tmp_path / 'helpers_{}.py'.format(mode)).write_text(
+            engine.compile_to_code(HELPER_SCHEMA, fast_fail=fast_fail))
     driver = tmp_path / 'drive.py'
-    driver.write_text('''
+    driver.write_text(_OUTCOMES_SOURCE + '''
 import sys
 # Strip the repo/package from every import path.
 sys.path = [p for p in sys.path if 'repo' not in p]
@@ -106,9 +138,27 @@ except c.JsonSchemaValuesException as e:
     assert isinstance(e.errors[0], c.JsonSchemaValueException)
 else:
     raise SystemExit('expected violations')
+import json
+import helpers_fast, helpers_collect
+for mod in (helpers_fast, helpers_collect):
+    # The fallback ran: the classes are the artifact's own.
+    assert mod.JsonSchemaValueException.__module__ == mod.__name__
+print('OUTCOMES', json.dumps([_outcomes(helpers_fast.validate, {docs!r}),
+                              _outcomes(helpers_collect.validate, {docs!r})]))
 print('STANDALONE-OK')
-'''.format(tmp=str(tmp_path)))
+'''.format(tmp=str(tmp_path), docs=HELPER_DOCS))
     out = subprocess.run([sys.executable, str(driver)], cwd=str(tmp_path),
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert 'STANDALONE-OK' in out.stdout
+    got = json.loads(next(line for line in out.stdout.splitlines()
+                          if line.startswith('OUTCOMES '))[len('OUTCOMES '):])
+    namespace = {}
+    exec(_OUTCOMES_SOURCE, namespace)
+    want = [namespace['_outcomes'](engine.compile(HELPER_SCHEMA,
+                                                  fast_fail=fast_fail),
+                                   HELPER_DOCS)
+            for fast_fail in (True, False)]
+    assert got == json.loads(json.dumps(want))
+    assert want[1][-1] == [['data.e', 'enum'], ['data.c', 'const'],
+                           ['data.u', 'uniqueItems']]

@@ -310,6 +310,35 @@ def test_grouped_agg_all_null_values_mean(ray_session):
     assert np.isnan(out['m'].iloc[0])
 
 
+@pytest.mark.parametrize('num_buckets', [1, 4])
+def test_grouped_agg_null_groups_vs_duckdb(ray_session, num_buckets):
+    """Groups whose values are all null, in one block or spread over
+    several (so the fold sees only null partials), agree with DuckDB:
+    sum, min, max and avg are NULL, count(*) counts the rows."""
+    import ray.data
+    from python_fastjsonschema_ray.pipelines.constraints import grouped_agg
+    t = pa.table({
+        'k': pa.array(['a', 'a', 'b', 'b', 'c', None, 'a', 'd'],
+                      type=pa.string()),
+        'v': pa.array([None, None, 1.5, None, 2.0, None, None, None],
+                      type=pa.float64())})
+    out = grouped_agg(ray.data.from_arrow([t.slice(0, 3), t.slice(3)]),
+                      ['k'], {'s': ('v', 'sum'), 'mn': ('v', 'min'),
+                              'mx': ('v', 'max'), 'm': ('v', 'mean'),
+                              'n': (None, 'count')},
+                      num_buckets=num_buckets)
+    got = sorted((r for b in _blocks(out) for r in zip(
+        *(b[c].to_pylist() for c in ('k', 's', 'mn', 'mx', 'm', 'n')))),
+        key=lambda r: (r[0] is None, r))
+    con = duckdb.connect()
+    con.register('t', t)
+    want = con.execute(
+        'SELECT k, sum(v), min(v), max(v), avg(v), count(*) FROM t '
+        'GROUP BY k ORDER BY k NULLS LAST').fetchall()
+    assert got == want
+    assert got[0] == ('a', None, None, None, None, 3)
+
+
 def test_dedup_exact_winner_deterministic(ray_session):
     """Pre-aggregated dedup_exact keeps the lowest-sort-order full row per
     key, regardless of block layout."""

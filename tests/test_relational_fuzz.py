@@ -53,8 +53,10 @@ def test_grouped_agg_fuzz(ray_session, fb):
                       {'s': ('v', 'sum'), 'n': (None, 'count'),
                        'm': ('v', 'mean'), 'mx': ('v', 'max')},
                       num_buckets=1).to_pandas()
+    # SQL's SUM: NULL (NaN here) for a group without values.
     exp = df.groupby('k').agg(
-        s=('v', 'sum'), n=('v', 'size'), m=('v', 'mean'), mx=('v', 'max'))
+        s=('v', lambda v: v.sum(min_count=1)), n=('v', 'size'),
+        m=('v', 'mean'), mx=('v', 'max'))
     got = out.set_index('k').sort_index()
     assert got.index.tolist() == exp.index.tolist()
     for c in ('s', 'n', 'm', 'mx'):
