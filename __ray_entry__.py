@@ -96,13 +96,14 @@ def q_range_violations_lineitem(sf_dir: str):
 
 def q_enum_orders(sf_dir: str):
     """Enum keyword over o_orderstatus; violating rows grouped by value."""
+    from python_fastjsonschema_ray.pipelines.constraints import grouped_agg
     from python_fastjsonschema_ray.pipelines.validate import validate_dataset
-    from ray.data.aggregate import Count
     ds = _read(sf_dir, 'orders', ['o_orderkey', 'o_orderstatus'])
     spec = {'properties': {'o_orderstatus': {'enum': ['O', 'F']}}}
     annotated = validate_dataset(ds, spec, mode='annotate')
     bad = annotated.filter(expr='valid == False')
-    return bad.groupby('o_orderstatus').aggregate(Count(alias_name='n'))
+    return grouped_agg(bad, ['o_orderstatus'], {'n': (None, 'count')},
+                       num_buckets=1)
 
 
 def q_minlength_documents(sf_dir: str):
@@ -693,11 +694,12 @@ def q_referential_large_orders(sf_dir: str):
 
 
 def q_salted_group_events(sf_dir: str):
-    """Skew-safe salted grouped sum (salt spread + fold-back groupby)."""
-    from python_fastjsonschema_ray.pipelines.constraints import (
-        salted_group_agg)
+    """Grouped sum and count over a skewed key: each block sends the hot
+    key as one partial row, so the fold needs no salt."""
+    from python_fastjsonschema_ray.pipelines.constraints import grouped_agg
     ds = _read(sf_dir, 'events', ['event_type', 'value'])
-    out = salted_group_agg(ds, ['event_type'], 'value')
+    out = grouped_agg(ds, ['event_type'], {'sum_value': ('value', 'sum'),
+                                           'n': ('value', 'count')})
 
     def round_sum(batch: pd.DataFrame) -> pd.DataFrame:
         batch['sum_value'] = batch['sum_value'].round(2)
@@ -709,7 +711,7 @@ def q_salted_group_events(sf_dir: str):
 def q_violation_examples_lineitem(sf_dir: str):
     """top_violation_examples triage view: first-k per rule; the driver
     checks the deterministic part (per-rule example COUNT, capped at k)."""
-    from ray.data.aggregate import Count
+    from python_fastjsonschema_ray.pipelines.constraints import grouped_agg
     from python_fastjsonschema_ray.pipelines.validate import (
         top_violation_examples, validate_dataset)
     ds = _read(sf_dir, 'lineitem', ['l_orderkey', 'l_quantity', 'l_discount'])
@@ -720,7 +722,8 @@ def q_violation_examples_lineitem(sf_dir: str):
     violations = validate_dataset(ds, spec, mode='violations',
                                   key_column='l_orderkey', fast_fail=False)
     examples = top_violation_examples(violations, k=5)
-    return examples.groupby('rule').aggregate(Count(alias_name='n_examples'))
+    return grouped_agg(examples, ['rule'], {'n_examples': (None, 'count')},
+                       num_buckets=1)
 
 
 def q_histogram_lineitem(sf_dir: str):

@@ -1098,13 +1098,12 @@ class VectorCompiler:
     Shares draft config, registry, flags and row-kernel semantics with a
     :class:`ScalarCompiler`."""
 
-    def __init__(self, scalar: ScalarCompiler, allow_fallback_rules=True):
+    def __init__(self, scalar: ScalarCompiler):
         self.scalar = scalar
         self.draft = scalar.draft
         self.registry = scalar.registry
         self.order = keyword_order(self.draft)
         self.format_regexs = FORMAT_REGEXS_BY_DRAFT[4 if self.draft <= 4 else self.draft]
-        self.allow_fallback_rules = allow_fallback_rules
         self._ref_depth = 0
         self.content_sites = []     # (path, keyword, definition, ContentSiteRule)
         self._path = ()
@@ -1119,7 +1118,13 @@ class VectorCompiler:
     # -- node compilation ------------------------------------------------
 
     def compile_root(self, definition, dtype) -> NodePlan:
-        plan = self.compile_node(definition, dtype)
+        try:
+            plan = self.compile_node(definition, dtype)
+        except Unsupported:
+            # The root defeats the model as a whole (a $ref chain past the
+            # inlining depth, such as a pure cycle): it goes scalar, like a
+            # node with an UnsupportedNode keyword.
+            plan = NodePlan([self._fallback_rule(definition)])
         plan.set_offset(0)
         return plan
 
@@ -1163,13 +1168,9 @@ class VectorCompiler:
             try:
                 rule = method(definition, dtype)
             except UnsupportedNode:
-                if not self.allow_fallback_rules:
-                    raise
                 # Sibling-dependent keyword: the whole node goes scalar.
                 return NodePlan([self._fallback_rule(definition)])
             except Unsupported:
-                if not self.allow_fallback_rules:
-                    raise
                 rule = self._fallback_rule({keyword: definition[keyword]})
             if rule is not None:
                 # A keyword may compile to several ordered rules (e.g.
@@ -1186,7 +1187,11 @@ class VectorCompiler:
                 continue
             rule = None
             if plugin.vector is not None:
-                rule = plugin.vector(definition, dtype, self)
+                try:
+                    rule = plugin.vector(definition, dtype, self)
+                except Unsupported:
+                    rule = self._fallback_rule(
+                        {plug_name: definition[plug_name]})
             if rule is None and plugin.check_value is not None:
                 rule = self._plugin_row_rule(plugin, definition)
             if rule is not None:
@@ -1802,8 +1807,6 @@ class VectorCompiler:
                         prop_definition, dtype.field(names[key]).type,
                         content_ok=(len(self._path) == 1))
                 except Unsupported:
-                    if not self.allow_fallback_rules:
-                        raise
                     # Per-column scalar fallback keeps the rest of the table
                     # vectorized when one column's schema defeats the model.
                     plan = NodePlan([self._fallback_rule(prop_definition)])

@@ -14,8 +14,8 @@ Scale notes (designed for 100 TB / multi-node, tested single-node):
   input block, a fixed number P of reduce tasks (``default_buckets() //
   8``), no sample tasks and no repartition barrier; each reduce block holds
   about 1/P of the partials.  The bucket is a hash of the checked key
-  itself — uniform for id-like keys; salt upstream if a hot key is
-  expected.
+  itself; a hot key needs no salt, because each block sends it at most
+  one partial row.
 * **Referential** is one exact operator, ``check_referential``: an anti
   ``stages/join.broadcast_lookup_join`` minus null foreign keys.  The
   reference collapses to distinct non-null keys per block, materialized
@@ -174,8 +174,8 @@ class _KeyCountStage:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         sub = batch.select(self.columns)
-        # Null keys break Ray's sort-based groupby partitioning and are the
-        # schema checks' business anyway: uniqueness applies to non-null keys.
+        # Null keys are the schema checks' business: uniqueness applies to
+        # non-null keys.
         mask = None
         for c in self.columns:
             valid = sub.column(c).is_valid()
@@ -187,7 +187,7 @@ class _KeyCountStage:
         return grouped.rename_columns(list(self.columns) + ['partial_n'])
 
 
-def check_unique(ds, columns, num_buckets=None):
+def check_unique(ds, columns):
     """Duplicate-key detection.
 
     Two-level structure chosen for scale: (1) per-batch pre-aggregation
@@ -212,10 +212,10 @@ def check_unique(ds, columns, num_buckets=None):
         return totals.select(columns + ['partial_n_sum']) \
             .rename_columns(columns + ['n']).cast(out_schema)
 
-    return exchange(partials, columns, dups, num_buckets=num_buckets)
+    return exchange(partials, columns, dups)
 
 
-def dedup_exact(ds, columns, num_buckets=None):
+def dedup_exact(ds, columns):
     """Exact first-wins dedup: keep one row per distinct key, winner =
     lowest full-row sort order within the group (deterministic).
 
@@ -235,20 +235,22 @@ def dedup_exact(ds, columns, num_buckets=None):
         return srt.take(bounds[:-1])
 
     partials = ds.map_batches(first, batch_format='pyarrow')
-    return exchange(partials, columns, first, num_buckets=num_buckets)
+    return exchange(partials, columns, first)
 
 
-def dedup_winner_ids(ds, columns, id_column, num_buckets=None):
+def dedup_winner_ids(ds, columns, id_column):
     """Winner ids of an exact dedup (min id per distinct key): per-batch
     pre-aggregation (local min id per distinct key) then the bucketed
     aggregation (see check_unique) — the shuffle moves at most one row per
-    distinct key per block, never the raw rows.  Rows with a null key or
-    a null id have no winner.  At scale, filter the full rows by
-    broadcasting these ids (or semi-joining)."""
+    distinct key per block, never the raw rows.  Null keys form one key,
+    and NaN float keys join it, as in ``dedup_exact``; a row with a null
+    id is no candidate.  At scale, filter the full rows by broadcasting
+    these ids (or semi-joining)."""
     columns = list(columns)
 
     def local_winners(batch: pa.Table) -> pa.Table:
-        sub = batch.select(columns + [id_column]).drop_null()
+        sub = nan_keys_to_null(batch.select(columns + [id_column]), columns)
+        sub = sub.filter(sub.column(id_column).is_valid())
         grouped = sub.group_by(columns).aggregate([(id_column, 'min')])
         return grouped.rename_columns(columns + [id_column])
 
@@ -256,7 +258,7 @@ def dedup_winner_ids(ds, columns, id_column, num_buckets=None):
         return local_winners(group).select([id_column])
 
     partials = ds.map_batches(local_winners, batch_format='pyarrow')
-    return exchange(partials, columns, winners, num_buckets=num_buckets)
+    return exchange(partials, columns, winners)
 
 
 # ---------------------------------------------------------------------------
@@ -341,45 +343,6 @@ def check_referential_bloom(ds, column, ref_ds, ref_column,
     return ds.map_batches(bloom_anti, batch_format='pyarrow'), bloom.fpr
 
 
-def salted_group_agg(ds, key_columns, value_column, num_salts=16):
-    """Skew-safe grouped sum/count: salt the key into ``num_salts``
-    sub-keys so one hot key (e.g. the dominant ``fmt`` value) spreads over
-    many reducers, then fold the salt back out with a second, tiny groupby.
-
-    Use when per-group *row* volume is skewed AND the downstream is a
-    simple algebraic aggregate; the per-batch combiner in _KeyCountStage
-    already de-skews the pure-count case."""
-    from ray.data.aggregate import Sum
-
-    key_columns = list(key_columns)
-
-    def add_salt(batch: pa.Table) -> pa.Table:
-        sub = batch.select(key_columns + [value_column])
-        # Null keys break Ray's sort-based groupby partitioning and are
-        # dropped, matching the engine-wide grouped-aggregate policy.
-        mask = None
-        for c in key_columns:
-            valid = sub.column(c).is_valid()
-            mask = valid if mask is None else pc.and_(mask, valid)
-        if mask is not None:
-            sub = sub.filter(mask)
-        salt = np.arange(sub.num_rows, dtype=np.int64) % num_salts
-        sub = sub.append_column('_salt', pa.array(salt))
-        grouped = sub.group_by(key_columns + ['_salt']).aggregate(
-            [(value_column, 'sum'), (value_column, 'count')])
-        return grouped.rename_columns(
-            key_columns + ['_salt', 'partial_sum', 'partial_n'])
-
-    partials = ds.map_batches(add_salt, batch_format='pyarrow')
-    salted = partials.groupby(key_columns + ['_salt']).aggregate(
-        Sum('partial_sum', alias_name='salted_sum'),
-        Sum('partial_n', alias_name='salted_n'))
-    final = salted.groupby(key_columns).aggregate(
-        Sum('salted_sum', alias_name='sum_value'),
-        Sum('salted_n', alias_name='n'))
-    return final
-
-
 class _GroupedPartialStage:
     """Per-batch Arrow group_by combiner: one partial row per distinct key
     per block, never the raw rows."""
@@ -416,8 +379,9 @@ def grouped_agg(ds, key_columns, aggs, *, num_buckets=None):
     in one task.
 
     ``aggs`` maps output_name -> (column, op) with op in
-    {'sum', 'count', 'min', 'max', 'mean'}; column is ignored for 'count'
-    (row count).  Null keys form one group, and NaN float keys join it
+    {'sum', 'count', 'min', 'max', 'mean'}; 'count' counts the column's
+    non-null values, or every row when column is None (SQL
+    ``count(column)`` / ``count(*)``).  Null keys form one group, and NaN float keys join it
     (as in every ``runs``-based operator).  'mean' decomposes into
     sum+valid-count partials and is finalized after the combine
     (null-skipping, like SQL AVG; null for a group without values).
@@ -444,7 +408,7 @@ def grouped_agg(ds, key_columns, aggs, *, num_buckets=None):
         if op == 'mean':
             finalize[name] = ('div', need(col, 'sum'), need(col, 'count'))
         elif op == 'count':
-            finalize[name] = ('direct', need(None, 'count'))
+            finalize[name] = ('direct', need(col, 'count'))
         elif op in ('sum', 'min', 'max'):
             finalize[name] = ('direct', need(col, op))
         else:
@@ -479,8 +443,7 @@ def grouped_agg(ds, key_columns, aggs, *, num_buckets=None):
     return exchange(partials, key_columns, fold, num_buckets=num_buckets)
 
 
-def grouped_topk(ds, group_columns, order_columns, k, descending=None,
-                 num_buckets=None):
+def grouped_topk(ds, group_columns, order_columns, k, descending=None):
     """Top-k rows per group — the grouped sibling of ``sort().limit()``.
 
     Same two-level shape as dedup_exact: each block keeps its local
@@ -497,7 +460,7 @@ def grouped_topk(ds, group_columns, order_columns, k, descending=None,
         return srt.take(np.flatnonzero(positions(bounds) < k))
 
     partials = ds.map_batches(topk, batch_format='pyarrow')
-    return exchange(partials, group_columns, topk, num_buckets=num_buckets)
+    return exchange(partials, group_columns, topk)
 
 
 def _sort_order(order_columns, descending):
@@ -529,7 +492,7 @@ def global_topk(ds, order_columns, k, descending=None):
     return exchange(partials, [], local_topk, num_buckets=1)
 
 
-def distinct_count(ds, columns, num_buckets=None) -> int:
+def distinct_count(ds, columns) -> int:
     """EXACT distinct count of a key tuple (HyperLogLog in column_stats
     is the approximate sibling).  Same shuffle discipline as
     check_unique: per-block Arrow group_by collapses to ≤1 row per
@@ -546,16 +509,18 @@ def distinct_count(ds, columns, num_buckets=None) -> int:
     def count_bucket(group: pa.Table) -> pa.Table:
         return pa.table({'n': [len(runs(group, columns)[1]) - 1]})
 
-    counts = exchange(partials, columns, count_bucket,
-                      num_buckets=num_buckets)
+    counts = exchange(partials, columns, count_bucket)
     return int(counts.sum('n') or 0)
 
 
 def heavy_hitters(ds, column, fraction):
     """EXACT heavy hitters: every non-null value with count strictly
     greater than ``fraction * n`` where n is the TOTAL row count (the
-    skew-detection primitive — feed the result to ``salted_group_agg``
-    / bucket salting before a grouped shuffle).
+    skew-detection primitive).  A hot key matters to an operator that
+    moves raw rows per key, such as ``grouped_quantile`` or
+    ``shuffle_join``: all its rows land in one bucket.  The
+    pre-aggregating folds (``grouped_agg``, ``check_unique``) send it as
+    one partial row per block and need no salt.
 
     Two streaming passes, zero shuffle:
 

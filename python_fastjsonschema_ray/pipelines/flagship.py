@@ -31,6 +31,7 @@ from .constraints import (
     check_unique,
     column_stats,
     drift_check,
+    grouped_agg,
     histogram_profile,
 )
 from .validate import validate_dataset
@@ -169,13 +170,14 @@ def run_flagship(ds, *, reference_phashes=None, width_profile=None,
     # 1+2. Schema validation + decode/integrity in ONE streaming pass
     # (pixels stay in workers; only violation rows leave).
     violations = validation_pass(ds)
-    vdf = violations.groupby(['source', 'rule']).count().to_pandas()
+    vdf = grouped_agg(violations, ['source', 'rule'], {'n': (None, 'count')},
+                      num_buckets=1).to_pandas()
     report['schema_violations'] = {
         r: int(n) for s, r, n in
-        zip(vdf['source'], vdf['rule'], vdf['count()']) if s == 'schema'}
+        zip(vdf['source'], vdf['rule'], vdf['n']) if s == 'schema'}
     report['content_violations'] = {
         r: int(n) for s, r, n in
-        zip(vdf['source'], vdf['rule'], vdf['count()']) if s == 'content'}
+        zip(vdf['source'], vdf['rule'], vdf['n']) if s == 'content'}
     schema_violations = violations
 
     # 3. Uniqueness on (phash, image_id).

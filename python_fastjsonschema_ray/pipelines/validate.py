@@ -27,16 +27,9 @@ import re as _re
 import numpy as np
 import pyarrow as pa
 
-from ..exceptions import (
-    JsonSchemaValueException,
-    JsonSchemaValuesException,
-)
-from ..functions.codegen import compile_validator
-from ..functions.scalar import ScalarCompiler, _MISSING
+from ..functions.scalar import ScalarCompiler
 from ..functions.vector import (
     Emit,
-    Records,
-    Unsupported,
     VectorCompiler,
     View,
     collect_violations,
@@ -186,20 +179,13 @@ class TableValidator:
         self.struct_type = pa.struct(
             [pa.field(f.name, f.type) for f in self.schema])
 
-        self.fallback_root = None
         self.compiler = VectorCompiler(self.scalar)
-        try:
-            self.plan = self.compiler.compile_root(self.scalar.definition,
-                                                   self.struct_type)
-            self.content_sites = [
-                (path[0], keyword, defn, site)
-                for path, keyword, defn, site in self.compiler.content_sites
-            ]
-        except Unsupported:
-            # Whole-table scalar fallback: exact semantics, row at a time.
-            self.plan = None
-            self.content_sites = []
-            self.fallback_root = compile_validator(self.scalar)
+        self.plan = self.compiler.compile_root(self.scalar.definition,
+                                               self.struct_type)
+        self.content_sites = [
+            (path[0], keyword, defn, site)
+            for path, keyword, defn, site in self.compiler.content_sites
+        ]
 
     # -- batch validation ------------------------------------------------
 
@@ -209,9 +195,6 @@ class TableValidator:
         for name, default in self.default_columns:
             col = pa.array([default] * n)
             table = table.append_column(name, col)
-
-        if self.plan is None:
-            return self._fallback_batch(table)
 
         arrays = [table.column(f.name).combine_chunks()
                   for f in self.schema]
@@ -312,35 +295,6 @@ class TableValidator:
                 output.schema.get_field_index(col), col, new_col)
         return output, emits, fail
 
-    def _fallback_batch(self, table: pa.Table) -> BatchResult:
-        n = table.num_rows
-        rows = table.to_pylist()
-        valid = np.ones(n, dtype=bool)
-        err_rows, errors = [], []
-        out_rows = []
-        for i, row in enumerate(rows):
-            try:
-                out_rows.append(self.fallback_root(row))
-            except JsonSchemaValueException as exc:
-                valid[i] = False
-                out_rows.append(row)
-                err_rows.append(i)
-                errors.append(exc)
-            except JsonSchemaValuesException as exc:
-                valid[i] = False
-                out_rows.append(row)
-                err_rows.extend([i] * len(exc.errors))
-                errors.extend(exc.errors)
-        try:
-            output = pa.Table.from_pylist(out_rows)
-        except Exception:
-            output = table
-        records = Records.from_entries(
-            err_rows, [e.name for e in errors], [e.message for e in errors],
-            [e.value for e in errors], [e.rule for e in errors],
-            [e.definition for e in errors])
-        return BatchResult(valid, records, output)
-
     # -- output builders -------------------------------------------------
 
     def violations_table(self, table: pa.Table, result: BatchResult) -> pa.Table:
@@ -405,7 +359,6 @@ class ValidatorStage:
     ``mode``:
       * ``'annotate'`` — all (transformed) input columns + ``valid`` bool.
       * ``'violations'`` — one output row per violation (VIOLATIONS_SCHEMA).
-      * ``'invalid_keys'`` — minimal (key, rule) pairs for shuffles/joins.
 
     The compiled plan is built once in ``__init__``, mirroring the
     reference's compile-once design at the worker level."""
@@ -424,23 +377,15 @@ class ValidatorStage:
         violations = self.validator.violations_table(batch, result)
         if self.mode == 'violations':
             return violations
-        if self.mode == 'invalid_keys':
-            return violations.select(['key', 'rule'])
         raise ValueError('unknown mode {}'.format(self.mode))
 
 
 def top_violation_examples(violations_ds, k=5):
-    """First-k violation examples per rule (triage view): one exchange on
-    ``rule`` brings each rule's rows into one group, which keeps the
-    first ``k`` of every rule it holds."""
-    from ..stages.exchange import exchange
-
-    def head(group: pa.Table) -> pa.Table:
-        rule = group.column('rule').to_pandas()
-        rank = rule.groupby(rule, sort=False, dropna=False).cumcount()
-        return group.filter(pa.array(rank.to_numpy() < k))
-
-    return exchange(violations_ds, ['rule'], head)
+    """At most ``k`` violation examples per rule (triage view):
+    ``grouped_topk`` over ``rule`` with no order columns, so each rule
+    keeps its first ``k`` rows in the order they reach it."""
+    from .constraints import grouped_topk
+    return grouped_topk(violations_ds, ['rule'], [], k)
 
 
 def validate_dataset(ds, definition, *, mode='annotate', key_column=None,

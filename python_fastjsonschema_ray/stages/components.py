@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .exchange import cogroup, default_buckets, exchange
+from .exchange import cogroup, exchange
 
 
 def _components_numpy(ea: np.ndarray, eb: np.ndarray,
@@ -103,7 +103,7 @@ def connected_components(pairs, id_a='id_a', id_b='id_b', *,
 
 
 def connected_components_distributed(pairs, id_a='id_a', id_b='id_b', *,
-                                     num_buckets=None, max_rounds=50):
+                                     max_rounds=50):
     """Hash-to-min connected components as Ray Data rounds.
 
     Per round, each node's current label is sent across every incident
@@ -120,8 +120,6 @@ def connected_components_distributed(pairs, id_a='id_a', id_b='id_b', *,
     corpus-sized); every exchange emits a fixed number of blocks, so
     each round's shuffle runs the same number of tasks."""
     import pyarrow.compute as pc
-
-    num_buckets = num_buckets or default_buckets()
 
     def symmetrize(batch: pa.Table) -> pa.Table:
         a = batch.column(id_a).combine_chunks()
@@ -141,7 +139,7 @@ def connected_components_distributed(pairs, id_a='id_a', id_b='id_b', *,
 
     # Local min per block, then bucketed min fold — partials only.
     labels = edges.map_batches(init_labels, batch_format='pyarrow')
-    labels = _min_fold(labels, 'node', 'label', num_buckets).materialize()
+    labels = _min_fold(labels, 'node', 'label').materialize()
 
     def forward(edge: pa.Table, lab: pa.Table) -> pa.Table:
         # Messages: each edge (u, v) forwards its source's label to the
@@ -181,23 +179,21 @@ def connected_components_distributed(pairs, id_a='id_a', id_b='id_b', *,
                          .cast(pa.int64())})
 
     for _ in range(max_rounds):
-        msgs = cogroup(edges, labels, 'u', 'node', forward,
-                       num_buckets=num_buckets)
+        msgs = cogroup(edges, labels, 'u', 'node', forward)
         folded = msgs.map_batches(local_fold, batch_format='pyarrow')
-        new_state = exchange(folded, ['node'], final_fold,
-                             num_buckets=num_buckets).materialize()
+        new_state = exchange(folded, ['node'], final_fold).materialize()
         n_changed = new_state.sum('changed') or 0
         labels = new_state.drop_columns(['changed'])
         if not n_changed:
             labels = labels.materialize()
             break
-        labels = _pointer_jump(labels, num_buckets).materialize()
+        labels = _pointer_jump(labels).materialize()
     return labels.map_batches(
         lambda b: b.rename_columns(['id', 'component_id']),
         batch_format='pyarrow')
 
 
-def _pointer_jump(labels, num_buckets):
+def _pointer_jump(labels):
     """One label <- label[label] step: co-group each (node, label) row
     keyed on its LABEL with the label rows themselves keyed on node,
     and rewrite through the lookup.  Labels always point at real nodes
@@ -212,11 +208,10 @@ def _pointer_jump(labels, num_buckets):
         jumped = src.column('label').combine_chunks().take(idx)
         return pa.table({'node': ref.column('node'), 'label': jumped})
 
-    return cogroup(labels, labels, 'label', 'node', rewrite,
-                   num_buckets=num_buckets)
+    return cogroup(labels, labels, 'label', 'node', rewrite)
 
 
-def _min_fold(partials, key, value, num_buckets):
+def _min_fold(partials, key, value):
     """Distributed min: partials (≤1 row per key per block) meet in one
     hash exchange; Arrow-native fold per bucket."""
     def fold(group: pa.Table) -> pa.Table:
@@ -224,7 +219,7 @@ def _min_fold(partials, key, value, num_buckets):
             .aggregate([(value, 'min')])
         return sub.rename_columns([key, value])
 
-    return exchange(partials, [key], fold, num_buckets=num_buckets)
+    return exchange(partials, [key], fold)
 
 
 def _join_old(g: pa.Table, og: pa.Table) -> pa.Table:

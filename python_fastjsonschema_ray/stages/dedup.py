@@ -268,8 +268,7 @@ def _textmap_from_refs(refs, id_column, text_column):
 
 
 def minhash_duplicate_pairs(ds, id_column, text_column, *, threshold=0.8,
-                            num_perm=128, bands=16, shingle_k=5,
-                            num_buckets=None):
+                            num_perm=128, bands=16, shingle_k=5):
     """Near-duplicate pairs via MinHash-LSH: returns a Dataset of
     (id_a, id_b, jaccard) with id_a < id_b and exact shingle-Jaccard ≥
     threshold.
@@ -309,15 +308,14 @@ def minhash_duplicate_pairs(ds, id_column, text_column, *, threshold=0.8,
             out_b.append(bucket[jj])
         return _pairs_table(out_a, out_b, ids.dtype)
 
-    candidates = exchange(banded, ['band', 'band_hash'], band_pairs,
-                          num_buckets=num_buckets)
+    candidates = exchange(banded, ['band', 'band_hash'], band_pairs)
     return _verify_candidate_pairs(
         ds, candidates, id_column, text_column, threshold=threshold,
-        shingle_k=shingle_k, num_buckets=num_buckets)
+        shingle_k=shingle_k)
 
 
 def _verify_candidate_pairs(ds, candidates, id_column, text_column, *,
-                            threshold, shingle_k, num_buckets):
+                            threshold, shingle_k):
     """Exact-Jaccard verification of candidate (id_a, id_b) pairs against
     the corpus ``ds``: returns (id_a, id_b, jaccard) for the distinct
     candidates whose exact shingle Jaccard ≥ ``threshold``.
@@ -359,8 +357,7 @@ def _verify_candidate_pairs(ds, candidates, id_column, text_column, *,
             return _verified(unique_pairs(group), text_of, cache, threshold,
                              shingle_k)
 
-        return exchange(pairs, ['id_a'], broadcast_verify,
-                        num_buckets=num_buckets)
+        return exchange(pairs, ['id_a'], broadcast_verify)
 
     def join_a(p: pa.Table, t: pa.Table) -> pa.Table:
         p = unique_pairs(p)
@@ -377,10 +374,8 @@ def _verify_candidate_pairs(ds, candidates, id_column, text_column, *,
                            t.column(text_column).to_pylist()))
         return _verified(p, text_of, {}, threshold, shingle_k)
 
-    with_text_a = cogroup(pairs, texts, 'id_a', id_column, join_a,
-                          num_buckets=num_buckets)
-    return cogroup(with_text_a, texts, 'id_b', id_column, verify,
-                   num_buckets=num_buckets)
+    with_text_a = cogroup(pairs, texts, 'id_a', id_column, join_a)
+    return cogroup(with_text_a, texts, 'id_b', id_column, verify)
 
 
 class ShingleExplodeStage:
@@ -423,7 +418,7 @@ class ShingleExplodeStage:
 
 
 def ngram_jaccard_pairs(ds, id_column, text_column, *, threshold=0.8,
-                        shingle_k=5, num_buckets=None):
+                        shingle_k=5):
     """EXACT character-n-gram Jaccard near-duplicate pairs: every
     (id_a, id_b, jaccard) with id_a < id_b and distinct-shingle Jaccard
     ≥ ``threshold`` — no LSH approximation, exact recall.
@@ -457,7 +452,7 @@ def ngram_jaccard_pairs(ds, id_column, text_column, *, threshold=0.8,
         return g.select([id_column, 'sh', 'n']).append_column(
             'df', pa.array(np.repeat(size, size)))
 
-    withdf = exchange(exploded, ['sh'], with_df, num_buckets=num_buckets)
+    withdf = exchange(exploded, ['sh'], with_df)
 
     def prefixes(group: pa.Table) -> pa.Table:
         g, bounds = runs(group, [id_column], ['df', 'sh'])
@@ -470,8 +465,7 @@ def ngram_jaccard_pairs(ds, id_column, text_column, *, threshold=0.8,
         return g.select([id_column, 'sh', 'n']).filter(keep) \
             .append_column('rank', pa.array(rank[keep]))
 
-    prefix_rows = exchange(withdf, [id_column], prefixes,
-                           num_buckets=num_buckets)
+    prefix_rows = exchange(withdf, [id_column], prefixes)
 
     def token_pairs(group: pa.Table) -> pa.Table:
         # One group = one bucket of prefix tokens: runs of equal sh give
@@ -504,11 +498,10 @@ def ngram_jaccard_pairs(ds, id_column, text_column, *, threshold=0.8,
                 out_b.append(ids[s:e][jj[keep]])
         return _pairs_table(out_a, out_b, ids.dtype)
 
-    candidates = exchange(prefix_rows, ['sh'], token_pairs,
-                          num_buckets=num_buckets)
+    candidates = exchange(prefix_rows, ['sh'], token_pairs)
     return _verify_candidate_pairs(
         ds, candidates, id_column, text_column, threshold=threshold,
-        shingle_k=shingle_k, num_buckets=num_buckets)
+        shingle_k=shingle_k)
 
 
 def dedup_minhash(ds, id_column, text_column, transitive=False, **kwargs):

@@ -14,7 +14,10 @@ two calls:
 Buckets are COARSE (:func:`default_buckets`, a few per CPU): a group
 holds many keys, so ``fn`` folds every key of its group in one
 vectorized pass, usually by cutting the group into its runs of equal
-keys with :func:`runs`.  One hash decides the bucket everywhere: each
+keys with :func:`runs`.  :func:`default_buckets` is the one place the
+package picks a bucket count; only :func:`exchange` and
+``constraints.grouped_agg`` take ``num_buckets=`` (1 folds a handful of
+groups in one task).  One hash decides the bucket everywhere: each
 key column is hashed with :func:`key_hash` and mixed into a running
 64-bit value, modulo the bucket count.  Equal numbers of any type hash
 alike (int 2, float 2.0), so ``cogroup`` needs no schema on the driver:
@@ -283,7 +286,7 @@ def _empty_side_schema(ds) -> pa.Schema:
     return pa.schema(list(zip(schema.names, schema.types)))
 
 
-def cogroup(left, right, left_key, right_key, fn, *, num_buckets=None):
+def cogroup(left, right, left_key, right_key, fn):
     """Run ``fn(l, r)`` once per bucket that holds a row of either side:
     ``l`` holds ``left``'s rows and columns whose key ``left[left_key]``
     hashes to the bucket, ``r`` likewise for ``right[right_key]``, with
@@ -299,7 +302,7 @@ def cogroup(left, right, left_key, right_key, fn, *, num_buckets=None):
     its side's types and the few rows that decide the key cast.  A
     materialized side without rows, which no map task sees, takes its
     types from its blocks (:func:`_empty_side_schema`)."""
-    num_buckets = num_buckets or default_buckets()
+    num_buckets = default_buckets()
     held = [_empty_side_schema(left), _empty_side_schema(right)]
     tagged = left.map_batches(
         _slicer(left_key, True, num_buckets), batch_format='pyarrow',

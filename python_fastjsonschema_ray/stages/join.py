@@ -253,7 +253,7 @@ def _aligned(a, b):
 
 
 def shuffle_join(left, right, left_key, right_key, right_columns,
-                 num_buckets=None, how='inner'):
+                 how='inner'):
     """Equi-join of two large Datasets via one hash co-group
     (``stages/exchange.py``); per-bucket vectorized pandas merge (full
     SQL semantics including duplicate-key cross products).  ``how`` is
@@ -284,7 +284,7 @@ def shuffle_join(left, right, left_key, right_key, right_columns,
             return l.filter(hit if how == 'semi' else pc.invert(hit))
 
         return cogroup(left, distinct_keys(right, right_key), left_key,
-                       right_key, exists, num_buckets=num_buckets)
+                       right_key, exists)
     right_columns = [c for c in right_columns if c != right_key]
     right_names = [right_key] + right_columns
     right = right.select_columns(right_names)
@@ -334,8 +334,7 @@ def shuffle_join(left, right, left_key, right_key, right_columns,
             result = pa.concat_tables([result, pad])
         return result
 
-    return cogroup(left, right, left_key, right_key, merge,
-                   num_buckets=num_buckets)
+    return cogroup(left, right, left_key, right_key, merge)
 
 
 def broadcast_interval_join(ds, point_column, intervals, start_column,
@@ -470,7 +469,7 @@ def broadcast_interval_join(ds, point_column, intervals, start_column,
 
 def asof_join(left, right, left_on, right_on, left_by, right_by,
               right_columns, *, direction='backward', tolerance=None,
-              how='left', tiebreak=None, num_buckets=None):
+              how='left', tiebreak=None):
     """Per-key as-of join: match each left row to the single right row of
     the same by-key whose ``right_on`` is nearest ``left_on`` in the given
     ``direction`` ('backward' = greatest right_on <= left_on, 'forward' =
@@ -585,5 +584,4 @@ def asof_join(left, right, left_on, right_on, left_by, right_by,
             result = result.append_column(c, r.column(c).take(rpos))
         return result
 
-    return cogroup(left, right, left_by, right_by, merge,
-                   num_buckets=num_buckets)
+    return cogroup(left, right, left_by, right_by, merge)

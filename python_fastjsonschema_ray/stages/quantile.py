@@ -219,8 +219,7 @@ def exact_quantile(ds, column, q, **kwargs):
     return exact_quantiles(ds, column, [q], **kwargs)[0]
 
 
-def grouped_quantile(ds, keys, value_column, qs, *, num_buckets=None,
-                     out_column='value'):
+def grouped_quantile(ds, keys, value_column, qs, *, out_column='value'):
     """Exact per-group discrete quantiles (``quantile_disc`` rank rule:
     0-indexed ``max(ceil(n*q)-1, 0)`` among each group's sorted non-null
     values).  Output: one row per (group, q) with columns
@@ -268,4 +267,4 @@ def grouped_quantile(ds, keys, value_column, qs, *, num_buckets=None,
             .append_column(out_column, value)
 
     return exchange(ds.select_columns(keys + [value_column]), keys,
-                    bucket_quantiles, num_buckets=num_buckets)
+                    bucket_quantiles)

@@ -85,7 +85,7 @@ def mixture_quotas(weights, total):
 
 
 def mixture_sample_exact(ds, group_column, key_column, quotas, *, salt=0,
-                         modulus=1_000_000_000, num_buckets=None):
+                         modulus=1_000_000_000):
     """Domain-mixture resampling: exactly ``quotas[g]`` rows from each
     group ``g`` (fewer when the group is smaller), deterministically
     chosen by hash order of the key — the curation step that rebalances
@@ -122,7 +122,7 @@ def mixture_sample_exact(ds, group_column, key_column, quotas, *, salt=0,
 
     partials = ds.map_batches(rank, batch_format='pyarrow') \
         .map_batches(cut, batch_format='pyarrow')
-    out = exchange(partials, [group_column], cut, num_buckets=num_buckets)
+    out = exchange(partials, [group_column], cut)
     return out.drop_columns(['_sample_rank'])
 
 

@@ -38,8 +38,7 @@ SCAN_OPS = ('row_number', 'cumsum', 'lag', 'delta', 'rolling_mean')
 
 
 def grouped_scan(ds, keys, order_by, value_column,
-                 ops=('row_number', 'cumsum'), *, window=None,
-                 num_buckets=None):
+                 ops=('row_number', 'cumsum'), *, window=None):
     """Per-key ordered scans over ``value_column``.
 
     Output: the input rows (columns ``keys + order_by + [value_column]``)
@@ -101,8 +100,7 @@ def grouped_scan(ds, keys, order_by, value_column,
             out = out.append_column(op, pa.array(col, from_pandas=True))
         return out
 
-    return exchange(ds.select_columns(in_cols), keys, bucket_scan,
-                    num_buckets=num_buckets)
+    return exchange(ds.select_columns(in_cols), keys, bucket_scan)
 
 
 def _running_sum(vals, bounds) -> np.ndarray:

@@ -97,8 +97,7 @@ def sliding_window_agg(ds, ts_column, key_column, value_column, window_s,
                         'sum_value': ('partial_sum', 'sum')})
 
 
-def session_windows(ds, ts_column, key_column, gap_s, num_buckets=None,
-                    time_block_s=None):
+def session_windows(ds, ts_column, key_column, gap_s, time_block_s=None):
     """Session windows (gap-based).  Returns
     (key, session_start, session_end, n).
 
@@ -174,7 +173,7 @@ def session_windows(ds, ts_column, key_column, gap_s, num_buckets=None,
 
     block_sessions = exchange(
         ds.map_batches(add_time_block, batch_format='pyarrow'),
-        [key_column, '_tblock'], per_bucket, num_buckets=num_buckets)
+        [key_column, '_tblock'], per_bucket)
 
     # Merge pass over SESSION rows (∝ sessions, not events): re-bucket
     # on the key alone and stitch block-boundary sessions.
@@ -184,5 +183,4 @@ def session_windows(ds, ts_column, key_column, gap_s, num_buckets=None,
                       srt.column('session_end').to_numpy(),
                       srt.column('n').to_numpy())
 
-    return exchange(block_sessions, [key_column], merge_sessions,
-                    num_buckets=num_buckets)
+    return exchange(block_sessions, [key_column], merge_sessions)

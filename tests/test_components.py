@@ -27,11 +27,12 @@ def test_connected_components_driver(ray_session):
     assert dict(zip(out['id'], out['component_id'])) == EXPECTED
 
 
-def test_connected_components_distributed(ray_session):
+def test_connected_components_distributed(ray_session, monkeypatch):
+    from python_fastjsonschema_ray.stages import exchange
     from python_fastjsonschema_ray.stages.components import (
         connected_components_distributed)
-    out = connected_components_distributed(
-        _pairs_ds(EDGES), num_buckets=8).to_pandas()
+    monkeypatch.setattr(exchange, 'default_buckets', lambda: 8)
+    out = connected_components_distributed(_pairs_ds(EDGES)).to_pandas()
     assert dict(zip(out['id'], out['component_id'])) == EXPECTED
 
 
@@ -46,16 +47,18 @@ def test_connected_components_long_chain_driver(ray_session):
     assert dict(zip(out['id'], out['component_id'])) == exp
 
 
-def test_connected_components_chain_distributed(ray_session):
+def test_connected_components_chain_distributed(ray_session, monkeypatch):
     """A 17-node chain converges in ~log2(d) distributed rounds thanks to
     the pointer-jump step (each Ray round costs seconds of fixed shuffle
     overhead locally, so the test chain stays short)."""
+    from python_fastjsonschema_ray.stages import exchange
     from python_fastjsonschema_ray.stages.components import (
         connected_components_distributed)
+    monkeypatch.setattr(exchange, 'default_buckets', lambda: 8)
     chain = [(i, i + 1) for i in range(100, 116)]
     exp = {i: 100 for i in range(100, 117)}
     out2 = connected_components_distributed(
-        _pairs_ds(chain, blocks=5), num_buckets=8).to_pandas()
+        _pairs_ds(chain, blocks=5)).to_pandas()
     assert dict(zip(out2['id'], out2['component_id'])) == exp
 
 

@@ -354,6 +354,28 @@ def test_dedup_exact_winner_deterministic(ray_session):
     assert list(zip(out['k'], out['v'])) == [('x', 1), ('y', 8), ('z', 5)]
 
 
+def test_dedup_winner_ids_keep_the_null_key_group(ray_session):
+    """The null key is a group, as in ``dedup_exact`` and SQL: winner ids
+    equal DuckDB's ``min(id) ... GROUP BY k``, over one block and over
+    several; a row with a null id is no candidate."""
+    import ray.data
+    from python_fastjsonschema_ray.pipelines.constraints import (
+        dedup_winner_ids)
+    t = pa.table({'k': pa.array(['a', 'a', 'b', None, None, 'b'],
+                                pa.string()),
+                  'id': pa.array([4, 2, 7, 9, 5, None], pa.int64())})
+    con = duckdb.connect()
+    for rows in (4, 6):
+        part = t.slice(0, rows)
+        con.register('t', part)
+        want = sorted(i for (i,) in con.execute(
+            'SELECT min(id) FROM t GROUP BY k').fetchall())
+        for ds in (ray.data.from_arrow(part),
+                   ray.data.from_arrow([part.slice(0, 2), part.slice(2)])):
+            got = dedup_winner_ids(ds, ['k'], 'id').to_pandas()
+            assert sorted(got['id'].tolist()) == want, rows
+
+
 def test_grouped_topk_vs_duckdb(ray_session, ddb):
     import ray.data
     from python_fastjsonschema_ray.pipelines.constraints import grouped_topk
@@ -510,25 +532,27 @@ def _no_pandas_metadata(tables):
     return all(b'pandas' not in (t.schema.metadata or {}) for t in tables)
 
 
-def test_check_unique_key_types_and_nulls(ray_session):
+def test_check_unique_key_types_and_nulls(ray_session, monkeypatch):
     """Null keys are skipped, a nullable int64 key stays int64, string keys
     group exactly, and the output carries no pandas metadata."""
     import pyarrow as pa
     import ray.data
     from python_fastjsonschema_ray.pipelines.constraints import check_unique
+    from python_fastjsonschema_ray.stages import exchange
+    monkeypatch.setattr(exchange, 'default_buckets', lambda: 4)
     t = pa.table({
         'k': pa.array([1, 1, None, None, 2, 3, 3, 3], type=pa.int64()),
         's': pa.array(['a', 'a', 'x', 'x', 'b', 'c', 'c', None])})
     ds = ray.data.from_arrow([t.slice(0, 4), t.slice(4)])
-    out = _blocks(check_unique(ds, ['k', 's'], num_buckets=4))
+    out = _blocks(check_unique(ds, ['k', 's']))
     assert out and _no_pandas_metadata(out)
     assert all(b.schema.field('k').type == pa.int64() for b in out)
     assert all(b.schema.field('s').type == pa.string() for b in out)
     got = sorted(row for b in out for row in zip(
         b['k'].to_pylist(), b['s'].to_pylist(), b['n'].to_pylist()))
     assert got == [(1, 'a', 2), (3, 'c', 2)]
-    single = _blocks(check_unique(ds.select_columns(['s']), ['s'],
-                                  num_buckets=2))
+    monkeypatch.setattr(exchange, 'default_buckets', lambda: 2)
+    single = _blocks(check_unique(ds.select_columns(['s']), ['s']))
     assert sorted(r for b in single for r in zip(
         b['s'].to_pylist(), b['n'].to_pylist())) == \
         [('a', 2), ('c', 2), ('x', 2)]

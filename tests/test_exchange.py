@@ -188,11 +188,15 @@ def _bucket_report(l: pa.Table, r: pa.Table) -> pa.Table:
         'r_keys': [sorted(r.column('rk').to_pylist())]})
 
 
-def test_cogroup_one_sided_buckets_keep_both_schemas(ray_session):
+def test_cogroup_one_sided_buckets_keep_both_schemas(ray_session,
+                                                    monkeypatch):
     """Buckets that hold only one side still hand ``fn`` both sides with
     exactly their own columns and types; equal keys share a bucket."""
     import ray.data
+    from python_fastjsonschema_ray.stages import exchange
     from python_fastjsonschema_ray.stages.exchange import cogroup
+
+    monkeypatch.setattr(exchange, 'default_buckets', lambda: 64)
 
     left_t = pa.table({'k': pa.array([1, 2, 3, 4], pa.int64()),
                        'lv': pa.array(['a', 'b', 'c', 'd'])})
@@ -200,7 +204,7 @@ def test_cogroup_one_sided_buckets_keep_both_schemas(ray_session):
                         'rv': pa.array([0.5, 1.5, 2.5, 3.5])})
     out = _blocks(cogroup(ray.data.from_arrow(left_t),
                           ray.data.from_arrow(right_t), 'k', 'rk',
-                          _bucket_report, num_buckets=64))
+                          _bucket_report))
     rows = [r for b in out for r in b.to_pylist()]
     assert sum(r['l_rows'] for r in rows) == 4
     assert sum(r['r_rows'] for r in rows) == 4
@@ -382,9 +386,10 @@ def test_exchange_sorts_at_fixed_boundaries(ray_session, monkeypatch,
             assert ds.count() >= 128, name     # the planted near copies
 
 
-def test_fewer_buckets_than_partitions(ray_session):
-    """``num_buckets`` of 1 and 2, below the partition count: ``fn``
-    runs once per non-empty bucket and every row comes out once."""
+def test_fewer_buckets_than_partitions(ray_session, monkeypatch):
+    """1 and 2 buckets, below the partition count: ``fn`` runs once per
+    non-empty bucket and every row comes out once."""
+    from python_fastjsonschema_ray.stages import exchange as ex
     from python_fastjsonschema_ray.stages.exchange import cogroup, exchange
 
     left, right, lds, rds = _many_blocks(n=1280)
@@ -398,8 +403,8 @@ def test_fewer_buckets_than_partitions(ray_session):
     for n in (1, 2):
         got = _rows(exchange(lds, ['k'], size, num_buckets=n), ['n'])
         assert 1 <= len(got) <= n and sum(r[0] for r in got) == left.num_rows
-        got = [r for b in _blocks(cogroup(lds, rds, 'k', 'rk', sizes,
-                                          num_buckets=n))
+        monkeypatch.setattr(ex, 'default_buckets', lambda: n)
+        got = [r for b in _blocks(cogroup(lds, rds, 'k', 'rk', sizes))
                for r in b.to_pylist()]
         assert 1 <= len(got) <= n
         assert sum(r['n'] for r in got) == left.num_rows
@@ -881,6 +886,62 @@ def test_bucketing_lives_only_in_the_exchange_module():
                     os.path.relpath(path, os.path.dirname(PKG)), line,
                     m.group(0)))
     assert not offenders, offenders
+
+
+# Functions that may call ``.groupby(`` because it is pandas' in-memory
+# groupby on one batch or on the driver's tiny partials, never Ray's
+# Dataset shuffle, with what each groups.
+_PANDAS_GROUPBY = {
+    ('stages/ann.py', 'topk_cosine'):
+        'merges the k-row per-batch partials of each query on the driver',
+    ('stages/scan.py', '_running_sum'):
+        "a per-run cumsum inside one exchange group's numpy arrays",
+    ('stages/chunk.py', 'RepetitionStage'):
+        'counts repeated segments inside one batch',
+}
+
+# Public functions that may take ``num_buckets=``: the exchange itself,
+# and ``grouped_agg``, whose callers fold a handful of groups in one
+# task (``num_buckets=1``) or many over the default count.
+_BUCKET_COUNT_OWNERS = {'exchange', 'grouped_agg'}
+
+
+def test_every_keyed_fold_goes_through_the_exchange():
+    """No code of the package or of ``__ray_entry__.py`` imports
+    ``ray.data.aggregate``, calls a Ray Dataset ``.groupby(`` (only the
+    allowlisted pandas groupbys remain) or names ``salted_group_agg``;
+    and no public function but ``exchange`` and ``grouped_agg`` takes
+    ``num_buckets``, so ``default_buckets()`` alone picks the bucket
+    count of every other operator."""
+    offenders, used = [], set()
+    for path in _sources():
+        where = os.path.relpath(path, PKG).replace(os.sep, '/')
+        with open(path, encoding='utf-8') as fh:
+            src = fh.read()
+        for pat in (r'ray\.data\.aggregate', r'\bsalted_group_agg\b'):
+            for m in re.finditer(pat, src):
+                offenders.append('{}:{}: {}'.format(
+                    where, src.count('\n', 0, m.start()) + 1, m.group(0)))
+        tree = ast.parse(src)
+        for top in tree.body:
+            for node in ast.walk(top):
+                name = getattr(top, 'name', '<module>')
+                if isinstance(node, ast.Call) and getattr(
+                        node.func, 'attr', None) == 'groupby':
+                    if (where, name) in _PANDAS_GROUPBY:
+                        used.add((where, name))
+                    else:
+                        offenders.append('{}:{}: .groupby( in {}'.format(
+                            where, node.lineno, name))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    args = node.args.args + node.args.kwonlyargs
+                    if any(a.arg == 'num_buckets' for a in args) and not (
+                            node.name.startswith('_')
+                            or node.name in _BUCKET_COUNT_OWNERS):
+                        offenders.append('{}:{}: num_buckets on {}'.format(
+                            where, node.lineno, node.name))
+    assert not offenders, offenders
+    assert used == set(_PANDAS_GROUPBY), set(_PANDAS_GROUPBY) - used
 
 
 # Functions that may still read a Dataset's schema on the driver, with

@@ -71,6 +71,47 @@ def test_vector_plugin_vectorized():
         unregister_keyword('isEven')
 
 
+def test_root_plugin_vector_unsupported_falls_back_per_keyword():
+    """A plugin ``vector`` builder that raises ``Unsupported`` on the root
+    falls back to the scalar path for its keyword alone, like a built-in
+    keyword: every row's verdict and message equal ``compile()``'s, and
+    the root's built-in keywords stay vectorized."""
+    from python_fastjsonschema_ray.functions.vector import (
+        RowFallbackRule, Unsupported)
+
+    def check_sum(value, definition):
+        if isinstance(value, dict) and (value['a'] + value['b']) % 2:
+            return ' must have an even sum'
+        return None
+
+    def vector_sum(definition, dtype, compiler):
+        raise Unsupported('sums over struct rows')
+
+    register_keyword('evenSum', check_value=check_sum, vector=vector_sum)
+    try:
+        definition = {'required': ['a'], 'evenSum': True,
+                      'properties': {'a': {'maximum': 5}}}
+        table = pa.table({'a': pa.array([1, 2, 7, 8], pa.int64()),
+                          'b': pa.array([1, 2, 2, 1], pa.int64())})
+        tv = TableValidator(definition, table.schema)
+        result = tv.validate_batch(table)
+        fallbacks = [r for r in tv.plan.rules
+                     if isinstance(r, RowFallbackRule)]
+        assert len(fallbacks) == 1 and len(tv.plan.rules) > 1
+        validate = engine.compile(definition)
+        for i, row in enumerate(table.to_pylist()):
+            try:
+                validate(row)
+                want = None
+            except engine.JsonSchemaValueException as exc:
+                want = exc.message
+            got = [rec[1] for r, rec in result.records if r == i]
+            assert bool(result.valid[i]) == (want is None), row
+            assert got == ([] if want is None else [want]), row
+    finally:
+        unregister_keyword('evenSum')
+
+
 def test_reader_parquet_fallback(ray_session):
     from python_fastjsonschema_ray.sources.reader import read_table
     ds = read_table('/root/testdata/sf0.001/region.parquet',

@@ -230,8 +230,6 @@ def test_validation_runs_no_plan_on_the_driver(ray_session, tmp_path,
 
     assert _rows(run('violations'), _VIOLATION_COLUMNS) == \
         _rows(want, _VIOLATION_COLUMNS)
-    assert _rows(run('invalid_keys'), ['key', 'rule']) == \
-        _rows(want, ['key', 'rule'])
     annotated = run('annotate')
     assert annotated.sort_by('k').equals(
         table.append_column('valid', pa.array(result.valid)))

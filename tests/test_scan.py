@@ -41,6 +41,12 @@ def _events_df(n=4000, n_keys=37, seed=11):
     })
 
 
+def _buckets(monkeypatch, n):
+    """Every exchange of the test runs on ``n`` buckets."""
+    from python_fastjsonschema_ray.stages import exchange
+    monkeypatch.setattr(exchange, 'default_buckets', lambda: n)
+
+
 def _sorted(df, keys, order_by):
     return (df.sort_values(keys + order_by, kind='mergesort')
             .reset_index(drop=True))
@@ -51,11 +57,12 @@ def _sorted(df, keys, order_by):
     (('lag', 'delta', 'rolling_mean'), 4),
     (('row_number', 'cumsum', 'lag', 'delta', 'rolling_mean'), 7),
 ])
-def test_grouped_scan_randomized(ray_session, ops, window):
+def test_grouped_scan_randomized(ray_session, monkeypatch, ops, window):
     from python_fastjsonschema_ray.stages.scan import grouped_scan
+    _buckets(monkeypatch, 8)
     df = _events_df()
     got = grouped_scan(_ds(df), ['k'], ['t'], 'v', ops=ops,
-                       window=window, num_buckets=8).to_pandas()
+                       window=window).to_pandas()
     exp = _reference(df, ['k'], ['t'], 'v', ops, window)
     got = _sorted(got, ['k'], ['t'])
     exp = _sorted(exp[got.columns], ['k'], ['t'])
@@ -63,10 +70,11 @@ def test_grouped_scan_randomized(ray_session, ops, window):
                                   atol=1e-9, rtol=1e-9)
 
 
-def test_grouped_scan_multi_key_and_tiebreak(ray_session):
+def test_grouped_scan_multi_key_and_tiebreak(ray_session, monkeypatch):
     """Composite keys; ties on the first order column broken by the
     second, so results are deterministic."""
     from python_fastjsonschema_ray.stages.scan import grouped_scan
+    _buckets(monkeypatch, 8)
     rng = np.random.default_rng(5)
     n = 2000
     df = pd.DataFrame({
@@ -77,8 +85,7 @@ def test_grouped_scan_multi_key_and_tiebreak(ray_session):
         'v': rng.integers(0, 100, n).astype('float64'),
     })
     got = grouped_scan(_ds(df), ['a', 'b'], ['t', 'i'], 'v',
-                       ops=('row_number', 'cumsum', 'lag'),
-                       num_buckets=8).to_pandas()
+                       ops=('row_number', 'cumsum', 'lag')).to_pandas()
     exp = _reference(df, ['a', 'b'], ['t', 'i'], 'v',
                      ('row_number', 'cumsum', 'lag'))
     got = _sorted(got, ['a', 'b'], ['t', 'i'])
@@ -86,25 +93,27 @@ def test_grouped_scan_multi_key_and_tiebreak(ray_session):
     pd.testing.assert_frame_equal(got, exp, check_dtype=False)
 
 
-def test_grouped_scan_single_row_groups(ray_session):
+def test_grouped_scan_single_row_groups(ray_session, monkeypatch):
     from python_fastjsonschema_ray.stages.scan import grouped_scan
+    _buckets(monkeypatch, 4)
     df = pd.DataFrame({'k': [1, 2, 3], 't': [0, 0, 0],
                        'v': [5.0, 6.0, 7.0]})
     got = _sorted(grouped_scan(_ds(df, blocks=2), ['k'], ['t'], 'v',
                                ops=('row_number', 'lag', 'rolling_mean'),
-                               window=3, num_buckets=4).to_pandas(),
+                               window=3).to_pandas(),
                   ['k'], ['t'])
     assert got['row_number'].tolist() == [1, 1, 1]
     assert got['lag'].isna().all()
     assert got['rolling_mean'].tolist() == [5.0, 6.0, 7.0]
 
 
-def test_grouped_scan_window_larger_than_groups(ray_session):
+def test_grouped_scan_window_larger_than_groups(ray_session, monkeypatch):
     """window > every group size: rolling mean equals the running mean."""
     from python_fastjsonschema_ray.stages.scan import grouped_scan
+    _buckets(monkeypatch, 4)
     df = _events_df(n=300, n_keys=40)
     got = grouped_scan(_ds(df), ['k'], ['t'], 'v', ops=('rolling_mean',),
-                       window=1000, num_buckets=4).to_pandas()
+                       window=1000).to_pandas()
     exp = _reference(df, ['k'], ['t'], 'v', ('rolling_mean',), 1000)
     got = _sorted(got, ['k'], ['t'])
     exp = _sorted(exp[got.columns], ['k'], ['t'])

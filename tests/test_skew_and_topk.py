@@ -1,22 +1,49 @@
-"""Skew-salted aggregation + top-k violation examples."""
+"""A hot key needs no salt; top-k violation examples; pivots."""
 
+import duckdb
 import numpy as np
-import pytest
+import pyarrow as pa
 
 
-def test_salted_group_agg_matches_plain(ray_session):
+def test_grouped_agg_hot_key_moves_partials_only(ray_session, monkeypatch):
+    """Why ``grouped_agg`` needs no salt: over a 90%-hot key on 16
+    blocks, the rows entering the exchange are the per-block partials
+    (at most blocks x distinct keys, whatever the key's row count), and
+    the result equals DuckDB's ``sum(v)``, ``count(v)`` and ``count(*)``
+    per key (null values and a null key included)."""
     import ray.data
-    from python_fastjsonschema_ray.pipelines.constraints import salted_group_agg
-    ds = ray.data.read_parquet('/root/testdata/sf0.001/lineitem.parquet',
-                               columns=['l_returnflag', 'l_quantity'])
-    out = salted_group_agg(ds, ['l_returnflag'], 'l_quantity').to_pandas()
-    df = ds.to_pandas()
-    expected = df.groupby('l_returnflag').agg(
-        sum_value=('l_quantity', 'sum'), n=('l_quantity', 'size'))
-    for _, row in out.iterrows():
-        exp = expected.loc[row['l_returnflag']]
-        assert row['n'] == exp['n']
-        assert np.isclose(row['sum_value'], exp['sum_value'])
+    from python_fastjsonschema_ray.pipelines import constraints
+
+    rng = np.random.default_rng(90)
+    n, blocks = 32_000, 16
+    cold = rng.choice(['c{}'.format(i) for i in range(8)] + [None], n)
+    k = np.where(rng.random(n) < 0.9, 'hot', cold)
+    v = rng.integers(0, 1000, n)
+    t = pa.table({'k': pa.array(k, pa.string()),
+                  'v': pa.array(v, pa.int64(), mask=rng.random(n) < 0.05)})
+    distinct = len(set(t.column('k').to_pylist()))
+    m = n // blocks
+    ds = ray.data.from_arrow([t.slice(i * m, m) for i in range(blocks)])
+
+    entering = []
+    real = constraints.exchange
+
+    def counting_exchange(partials, keys, fn, **kwargs):
+        entering.append(partials.count())
+        return real(partials, keys, fn, **kwargs)
+
+    monkeypatch.setattr(constraints, 'exchange', counting_exchange)
+    out = constraints.grouped_agg(ds, ['k'], {'s': ('v', 'sum'),
+                                              'nv': ('v', 'count'),
+                                              'n': (None, 'count')})
+    got = sorted(out.to_pandas().itertuples(index=False, name=None),
+                 key=lambda r: (r[0] is None, r))
+    assert len(entering) == 1 and entering[0] <= blocks * distinct
+    con = duckdb.connect()
+    con.register('t', t)
+    want = con.execute('SELECT k, sum(v), count(v), count(*) FROM t '
+                       'GROUP BY k').fetchall()
+    assert got == sorted(want, key=lambda r: (r[0] is None, r))
 
 
 def test_top_violation_examples(ray_session):

@@ -11,6 +11,7 @@ fallbacks without the reference.
 """
 
 import pyarrow as pa
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -77,3 +78,23 @@ def test_table_validator_matches_compile(cs):
     for fast_fail in (True, False):
         assert_table_parity(engine, spec, table, fast_fail=fast_fail,
                             check_transform=True)
+
+
+@pytest.mark.parametrize('definition', [
+    {'$ref': '#'},
+    {'definitions': {'x': {'$ref': '#/definitions/y'},
+                     'y': {'$ref': '#/definitions/x'}},
+     '$ref': '#/definitions/x'},
+])
+def test_pure_ref_cycle_raises_like_compile(definition):
+    """A pure ``$ref`` cycle has no vector plan; the root falls back to
+    the scalar validator, which raises what ``compile()`` raises on its
+    first document."""
+    from python_fastjsonschema_ray.pipelines.validate import TableValidator
+    table = pa.table({'a': pa.array([1, 2], pa.int64())})
+    with pytest.raises(Exception) as scalar:
+        engine.compile(definition)(table.to_pylist()[0])
+    assert scalar.type is RecursionError
+    tv = TableValidator(definition, table.schema)
+    with pytest.raises(scalar.type):
+        tv.validate_batch(table)
