@@ -1570,13 +1570,14 @@ def q_pca_embeddings(sf_dir: str):
         return pa.table({'n': pa.array([batch.num_rows], pa.int64()),
                          'ss': pa.array([(m * m).sum(axis=0).tolist()])})
 
-    import ray as _ray
-    n, ss = 0, np.zeros(4)
-    for t in _ray.get(proj.select_columns(['pca']).map_batches(
-            var_partial, batch_format='pyarrow').to_arrow_refs()):
-        for row in range(t.num_rows):
-            n += int(t.column('n')[row].as_py())
-            ss += np.asarray(t.column('ss')[row].as_py())
+    import pyarrow.compute as pc
+    from python_fastjsonschema_ray.functions.arrowutil import embedding_matrix
+    from python_fastjsonschema_ray.stages.exchange import gather
+    t = gather(proj.select_columns(['pca']).map_batches(
+        var_partial, batch_format='pyarrow'))
+    n, ss = pc.sum(t.column('n')).as_py(), np.zeros(4)
+    for block_ss in embedding_matrix(t.column('ss')):
+        ss += block_ss
     return pd.DataFrame({
         'component': np.arange(4, dtype=np.int64),
         'explained_variance_ratio':

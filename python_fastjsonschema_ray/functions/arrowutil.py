@@ -86,3 +86,11 @@ def embedding_matrix(column) -> np.ndarray:
         return flat.reshape(len(arr), -1)
     return np.stack([np.asarray(v, dtype=np.float64)
                      for v in arr.to_pylist()])
+
+
+def count_matrix(column) -> np.ndarray:
+    """(n, width) int64 matrix from a ``list<int64>`` column whose rows
+    all hold ``width`` counts (per-block count vectors)."""
+    arr = column.combine_chunks() if isinstance(column, pa.ChunkedArray) \
+        else column
+    return np.asarray(arr.flatten(), dtype=np.int64).reshape(len(arr), -1)

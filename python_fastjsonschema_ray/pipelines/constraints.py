@@ -41,8 +41,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.arrowutil import count_matrix
 from ..stages.exchange import (
-    checked_cast, exchange, key_hash, nan_keys_to_null, positions, runs)
+    checked_cast, exchange, gather, key_hash, nan_keys_to_null, positions,
+    runs)
 from ..stages.join import broadcast_lookup_join, distinct_keys
 from ..stages.per_worker import PerWorker
 from ..state.sketches import HyperLogLog, TDigest, hash64_array
@@ -109,8 +111,9 @@ class ColumnStatsStage:
 def column_stats(ds, columns, quantiles=(0.5, 0.9, 0.99), batch_size=65536):
     """Streaming per-column statistics: returns {column: stats dict}.
 
-    Partials stream back to the driver (tiny rows), merged incrementally —
-    the input dataset is never materialized."""
+    The partials (one tiny row per column per batch) reach the driver in
+    one ``gather`` and merge there — the input dataset is never
+    materialized."""
     stage_ds = ds.map_batches(
         ColumnStatsStage(columns), batch_format='pyarrow',
         batch_size=batch_size)
@@ -121,28 +124,19 @@ def column_stats(ds, columns, quantiles=(0.5, 0.9, 0.99), batch_size=65536):
         'sum': 0.0, 'has_sum': False,
         'hll': HyperLogLog(), 'tdigest': TDigest(),
     } for c in columns}
-    for part in stage_ds.iter_batches(batch_size=1024,
-                                      batch_format='pyarrow'):
-        for row in part.to_pylist():
-            col = row['column']
-            if col not in merged:
-                merged[col] = {
-                    'count': 0, 'nulls': 0, 'min': None, 'max': None,
-                    'sum': 0.0, 'has_sum': False,
-                    'hll': HyperLogLog(), 'tdigest': TDigest(),
-                }
-            m = merged[col]
-            m['count'] += row['count']
-            m['nulls'] += row['nulls']
-            if row['minmax'] is not None:
-                mn, mx = pickle.loads(row['minmax'])
-                m['min'] = mn if m['min'] is None else min(m['min'], mn)
-                m['max'] = mx if m['max'] is None else max(m['max'], mx)
-            if row['sum'] is not None:
-                m['sum'] += row['sum']
-                m['has_sum'] = True
-            m['hll'].merge(HyperLogLog.deserialize(row['hll']))
-            m['tdigest'].merge(TDigest.deserialize(row['tdigest']))
+    for row in gather(stage_ds).to_pylist():
+        m = merged[row['column']]
+        m['count'] += row['count']
+        m['nulls'] += row['nulls']
+        if row['minmax'] is not None:
+            mn, mx = pickle.loads(row['minmax'])
+            m['min'] = mn if m['min'] is None else min(m['min'], mn)
+            m['max'] = mx if m['max'] is None else max(m['max'], mx)
+        if row['sum'] is not None:
+            m['sum'] += row['sum']
+            m['has_sum'] = True
+        m['hll'].merge(HyperLogLog.deserialize(row['hll']))
+        m['tdigest'].merge(TDigest.deserialize(row['tdigest']))
     out = {}
     for col, m in merged.items():
         stats = {
@@ -318,16 +312,13 @@ def check_referential_bloom(ds, column, ref_ds, ref_column,
     import ray
     from ..state.sketches import BloomFilter
 
-    tables = [t for t in ray.get(
-        distinct_keys(ref_ds, ref_column).materialize().to_arrow_refs())
-        if t.num_rows]
-    keys = pc.unique(pa.concat_tables(
-        tables, promote_options='permissive').column(ref_column)
-        .combine_chunks()) if tables else pa.array([], pa.int64())
+    ref = gather(distinct_keys(ref_ds, ref_column))
+    keys = pc.unique(ref.column(ref_column).combine_chunks()) \
+        if ref.num_rows else pa.array([], pa.int64())
     bloom = BloomFilter(len(keys), bits_per_key)
     bloom.add_hashes(key_hash(keys))
     filters = PerWorker(_bloom_filter, ray.put(bloom.serialize()))
-    key_type = keys.type if tables else None
+    key_type = keys.type if ref.num_rows else None
 
     def bloom_anti(batch: pa.Table) -> pa.Table:
         batch = batch.replace_schema_metadata(None)
@@ -522,66 +513,49 @@ def heavy_hitters(ds, column, fraction):
     pre-aggregating folds (``grouped_agg``, ``check_unique``) send it as
     one partial row per block and need no salt.
 
-    Two streaming passes, zero shuffle:
+    Two streaming passes (two executions of ``ds``), zero shuffle:
 
     1. Per-block candidates: values whose BLOCK count exceeds
-       ``fraction`` of the block (vectorized ``value_counts``; ≤
-       1/fraction values per block).  Any global heavy hitter must clear
-       the block-relative threshold in at least one block (else its
-       total ≤ fraction·n), so the union of block candidates is a
-       superset of the answer.
+       ``fraction`` of the block's non-null values (vectorized
+       ``value_counts``; ≤ 1/fraction values per block).  Any global
+       heavy hitter must clear the block-relative threshold in at least
+       one block (else its total ≤ fraction·n), so the union of block
+       candidates is a superset of the answer.  Each block's partial
+       also carries its row count, so n needs no count pass.
     2. Exact counts of the (tiny) candidate set: broadcast the
        candidates, one vectorized is_in + value_counts partial per
        block, fold on the driver, keep counts > fraction·n.
     """
-    import ray
-    import pyarrow.compute as pc
-
     def block_candidates(batch: pa.Table) -> pa.Table:
         col = batch.column(column).combine_chunks().drop_null()
-        n = len(col)
-        if not n:
-            return pa.table({'value': col.slice(0, 0)})
         vc = pc.value_counts(col)
-        counts = np.asarray(vc.field('counts'))
-        keep = counts > fraction * n
-        return pa.table({'value': vc.field('values').filter(pa.array(keep))})
+        keep = np.asarray(vc.field('counts')) > fraction * len(col)
+        values = vc.field('values').filter(pa.array(keep))
+        return pa.table({
+            'values': pa.ListArray.from_arrays([0, len(values)], values),
+            'rows': pa.array([batch.num_rows], pa.int64())})
 
-    cand_tables = [t if isinstance(t, pa.Table) else pa.Table.from_pandas(t)
-                   for t in ray.get(
-                       ds.map_batches(block_candidates,
-                                      batch_format='pyarrow')
-                       .to_arrow_refs())]
-    candidates = [t.column('value') for t in cand_tables if t.num_rows]
-    if not candidates:
-        empty = pa.table({'value': pa.array([], pa.string()),
-                          'n': pa.array([], pa.int64())})
-        return empty
-    cand = pc.unique(pa.concat_arrays(
-        [c.combine_chunks() for c in candidates]))
-    n_total = ds.count()
+    blocks = gather(ds.map_batches(block_candidates, batch_format='pyarrow'))
+    cand = pc.unique(blocks.column('values').combine_chunks().flatten()) \
+        if blocks.num_rows else pa.array([])
+    if not len(cand):
+        return pa.table({'value': pa.array([], pa.string()),
+                         'n': pa.array([], pa.int64())})
+    # Every row counts, null keys included.
+    n_total = pc.sum(blocks.column('rows')).as_py()
 
     def exact_counts(batch: pa.Table) -> pa.Table:
         col = batch.column(column).combine_chunks().drop_null()
-        hit = col.filter(pc.is_in(col, value_set=cand))
-        if not len(hit):
-            return pa.table({'value': cand.slice(0, 0),
-                             'partial_n': pa.array([], pa.int64())})
-        vc = pc.value_counts(hit)
+        vc = pc.value_counts(col.filter(pc.is_in(col, value_set=cand)))
         return pa.table({'value': vc.field('values'),
                          'partial_n': vc.field('counts').cast(pa.int64())})
 
-    totals = {}
-    for t in ray.get(ds.map_batches(exact_counts, batch_format='pyarrow')
-                     .to_arrow_refs()):
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t)
-        for v, c in zip(t.column('value').to_pylist(),
-                        t.column('partial_n').to_pylist()):
-            totals[v] = totals.get(v, 0) + int(c)
-    rows = sorted(((v, c) for v, c in totals.items()
-                   if c > fraction * n_total),
-                  key=lambda x: (-x[1], str(x[0])))
+    totals = gather(ds.map_batches(exact_counts, batch_format='pyarrow')) \
+        .group_by('value').aggregate([('partial_n', 'sum')])
+    rows = sorted(((v, c) for v, c in zip(
+        totals.column('value').to_pylist(),
+        totals.column('partial_n_sum').to_pylist())
+        if c > fraction * n_total), key=lambda x: (-x[1], str(x[0])))
     return pa.table({'value': pa.array([v for v, _ in rows]),
                      'n': pa.array([c for _, c in rows], pa.int64())})
 
@@ -601,19 +575,16 @@ class _HistogramStage:
             .cast(pa.float64()).fill_null(np.nan))
         vals = vals[~np.isnan(vals)]
         counts, _ = np.histogram(vals, bins=self.edges)
-        return pa.table({'counts': pa.array([pickle.dumps(counts)],
-                                            type=pa.binary())})
+        return pa.table({'counts': pa.array([counts], pa.list_(pa.int64()))})
 
 
 def histogram_profile(ds, column, edges):
     """Fixed-edge histogram via mergeable per-batch partials (no shuffle)."""
-    parts = ds.map_batches(_HistogramStage(column, edges),
-                           batch_format='pyarrow')
-    total = np.zeros(len(edges) - 1, dtype=np.int64)
-    for part in parts.iter_batches(batch_size=1024, batch_format='pyarrow'):
-        for blob in part.column('counts').to_pylist():
-            total += pickle.loads(blob)
-    return total
+    parts = gather(ds.map_batches(_HistogramStage(column, edges),
+                                  batch_format='pyarrow'))
+    if not parts.num_rows:
+        return np.zeros(len(edges) - 1, dtype=np.int64)
+    return count_matrix(parts.column('counts')).sum(axis=0)
 
 
 def psi(expected_counts, actual_counts, eps=1e-3) -> float:
@@ -668,8 +639,7 @@ class _GroupHistogramStage:
                            minlength=len(labels) * nbins)             .reshape(len(labels), nbins)
         return pa.table({
             'group': pa.array(labels, type=pa.string()),
-            'counts': pa.array([pickle.dumps(row) for row in flat],
-                               type=pa.binary())})
+            'counts': pa.array(list(flat), pa.list_(pa.int64()))})
 
 
 def drift_by_group(ds, column, group_column, edges, *, psi_threshold=0.2,
@@ -679,22 +649,19 @@ def drift_by_group(ds, column, group_column, edges, *, psi_threshold=0.2,
     against the GLOBAL distribution.  The group key can be arbitrarily
     skewed (e.g. the hot ``fmt`` values): partials bound the exchange to
     one row per (group, block)."""
-    parts = ds.map_batches(
+    parts = gather(ds.map_batches(
         _GroupHistogramStage(column, group_column, edges),
-        batch_format='pyarrow')
-    merged = {}
-    for part in parts.iter_batches(batch_size=1024, batch_format='pyarrow'):
-        for row in part.to_pylist():
-            counts = pickle.loads(row['counts'])
-            if row['group'] in merged:
-                merged[row['group']] += counts
-            else:
-                merged[row['group']] = counts.astype(np.int64)
-    if not merged:
+        batch_format='pyarrow'))
+    if not parts.num_rows:
         return []
-    total = np.sum(list(merged.values()), axis=0)
+    groups, at = np.unique(
+        parts.column('group').to_numpy(zero_copy_only=False),
+        return_inverse=True)
+    merged = np.zeros((len(groups), len(edges) - 1), dtype=np.int64)
+    np.add.at(merged, at, count_matrix(parts.column('counts')))
+    total = merged.sum(axis=0)
     reports = []
-    for group, counts in sorted(merged.items()):
+    for group, counts in zip(groups, merged):
         p = psi(total, counts)
         k = ks_statistic(total, counts)
         reports.append({

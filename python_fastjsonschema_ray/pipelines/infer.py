@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pyarrow as pa
 
 
@@ -40,7 +39,7 @@ def profile_columns(ds, columns=None):
     """Per-column profile rows: (column, type, nullable, min, max,
     min_length, max_length).  min/max cover numeric columns; the length
     bounds cover string columns (characters)."""
-    import ray
+    from ..stages.exchange import gather
 
     schema = ds.schema()
     names = list(columns or schema.names)
@@ -48,13 +47,12 @@ def profile_columns(ds, columns=None):
 
     def partial(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
-        rows = {'column': [], 'n': [], 'nulls': [], 'vmin': [], 'vmax': [],
+        rows = {'column': [], 'nulls': [], 'vmin': [], 'vmax': [],
                 'lmin': [], 'lmax': []}
         for name in names:
             col = batch.column(name)
             t = types[name]
             rows['column'].append(name)
-            rows['n'].append(batch.num_rows)
             rows['nulls'].append(col.null_count)
             vmin = vmax = lmin = lmax = None
             if (pa.types.is_integer(t) or pa.types.is_floating(t)) \
@@ -74,7 +72,6 @@ def profile_columns(ds, columns=None):
             rows['lmax'].append(lmax)
         return pa.table({
             'column': pa.array(rows['column'], pa.string()),
-            'n': pa.array(rows['n'], pa.int64()),
             'nulls': pa.array(rows['nulls'], pa.int64()),
             'vmin': pa.array(rows['vmin'], pa.float64()),
             'vmax': pa.array(rows['vmax'], pa.float64()),
@@ -82,35 +79,27 @@ def profile_columns(ds, columns=None):
             'lmax': pa.array(rows['lmax'], pa.int64()),
         })
 
-    folded = {name: {'n': 0, 'nulls': 0, 'vmin': math.inf, 'vmax': -math.inf,
-                     'lmin': None, 'lmax': None} for name in names}
-    partials = ds.map_batches(partial, batch_format='pyarrow')
-    for t in ray.get(partials.to_arrow_refs()):
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t)
-        for row in t.to_pylist():
-            f = folded[row['column']]
-            f['n'] += row['n']
-            f['nulls'] += row['nulls']
-            if row['vmin'] is not None:
-                f['vmin'] = min(f['vmin'], row['vmin'])
-                f['vmax'] = max(f['vmax'], row['vmax'])
-            if row['lmin'] is not None:
-                f['lmin'] = (row['lmin'] if f['lmin'] is None
-                             else min(f['lmin'], row['lmin']))
-                f['lmax'] = (row['lmax'] if f['lmax'] is None
-                             else max(f['lmax'], row['lmax']))
+    partials = gather(ds.map_batches(partial, batch_format='pyarrow'))
+    folded = {}
+    if partials.num_rows:
+        folded = {f['column']: f for f in partials.group_by('column')
+                  .aggregate([('nulls', 'sum'), ('vmin', 'min'),
+                              ('vmax', 'max'), ('lmin', 'min'),
+                              ('lmax', 'max')]).to_pylist()}
     out = []
     for name in names:
-        f = folded[name]
+        f = folded.get(name, {})
         out.append({
             'column': name,
             'type': _json_type(types[name]),
-            'nullable': f['nulls'] > 0,
-            'min': None if f['vmin'] == math.inf else f['vmin'],
-            'max': None if f['vmax'] == -math.inf else f['vmax'],
-            'min_length': f['lmin'],
-            'max_length': f['lmax'],
+            'nullable': f.get('nulls_sum', 0) > 0,
+            # An all-NaN column folds to (inf, -inf): no bounds.
+            'min': None if f.get('vmin_min') == math.inf
+            else f.get('vmin_min'),
+            'max': None if f.get('vmax_max') == -math.inf
+            else f.get('vmax_max'),
+            'min_length': f.get('lmin_min'),
+            'max_length': f.get('lmax_max'),
         })
     return out
 

@@ -18,6 +18,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .exchange import gather, positions, runs
 from .per_worker import PerWorker
 
 
@@ -83,22 +84,16 @@ def topk_cosine(ds, id_column, embedding_column, query, k=10,
             'sim': pa.array(out_sim, type=pa.float64()),
         })
 
-    partials = ds.select_columns([id_column, embedding_column]).map_batches(
-        local_topk, batch_format='pyarrow', batch_size=batch_size)
     # Partials are tiny (k rows per batch): merge on the driver.
-    df = partials.to_pandas()
-    if df.empty:
-        # Empty corpus: a Ray empty->pandas conversion drops columns;
-        # rebuild the declared result schema.
-        return pd.DataFrame({'query': pd.Series(dtype='int64'),
-                             id_column: pd.Series(dtype='object'),
-                             'sim': pd.Series(dtype='float64')})
-    out = []
-    for qi, group in df.groupby('query'):
-        top = group.sort_values(['sim', id_column],
-                                ascending=[False, True]).head(k)
-        out.append(top)
-    return pd.concat(out, ignore_index=True) if out else df
+    partials = gather(ds.select_columns([id_column, embedding_column])
+                      .map_batches(local_topk, batch_format='pyarrow',
+                                   batch_size=batch_size))
+    if not partials.num_rows:       # empty corpus: no partial has a type
+        partials = pa.table({'query': pa.array([], pa.int64()),
+                             id_column: pa.array([]),
+                             'sim': pa.array([], pa.float64())})
+    top, bounds = runs(partials, ['query'], [('sim', 'descending'), id_column])
+    return top.filter(positions(bounds) < k).to_pandas()
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..functions.arrowutil import count_matrix, embedding_matrix
+from .exchange import gather
+
 
 def _matrix(batch: pa.Table, column: str) -> np.ndarray:
     arr = batch.column(column)
@@ -83,19 +86,19 @@ def _kmeans_pp_init(sample: np.ndarray, k: int, seed: int) -> np.ndarray:
 
 
 def _fold_partials(ds_out, k: int, dim: int):
-    import ray
+    """(counts, sums, inertia) over the per-block partials, the float
+    sums added block by block in gather order."""
     counts = np.zeros(k, dtype=np.int64)
     sums = np.zeros((k, dim), dtype=np.float64)
     inertia = 0.0
-    for t in ray.get(ds_out.to_arrow_refs()):
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t)
-        for row in range(t.num_rows):
-            counts += np.asarray(t.column('count')[row].as_py(),
-                                 dtype=np.int64)
-            sums += np.asarray(t.column('sums')[row].as_py(),
-                               dtype=np.float64).reshape(k, dim)
-            inertia += float(t.column('inertia')[row].as_py())
+    t = gather(ds_out)
+    if not t.num_rows:
+        return counts, sums, inertia
+    counts += count_matrix(t.column('count')).sum(axis=0)
+    for block_sums, block_inertia in zip(embedding_matrix(t.column('sums')),
+                                         t.column('inertia').to_pylist()):
+        sums += block_sums.reshape(k, dim)
+        inertia += block_inertia
     return counts, sums, inertia
 
 
@@ -219,23 +222,16 @@ def kmeans_assign(ds, embedding_column, centroids, *,
 def cluster_sizes(tagged_ds, k, *, cluster_column='cluster'):
     """Per-cluster row counts as a k-long vector — one bincount partial
     per block, driver folds k ints per block (no shuffle)."""
-    import ray
-
     def partial(batch: pa.Table) -> pa.Table:
         a = np.asarray(batch.column(cluster_column), dtype=np.int64)
         return pa.table({'count': pa.array([np.bincount(
             a, minlength=k).tolist()])})
 
-    counts = np.zeros(k, dtype=np.int64)
-    out = tagged_ds.select_columns([cluster_column]).map_batches(
-        partial, batch_format='pyarrow')
-    for t in ray.get(out.to_arrow_refs()):
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t)
-        for row in range(t.num_rows):
-            counts += np.asarray(t.column('count')[row].as_py(),
-                                 dtype=np.int64)
-    return counts
+    t = gather(tagged_ds.select_columns([cluster_column]).map_batches(
+        partial, batch_format='pyarrow'))
+    if not t.num_rows:
+        return np.zeros(k, dtype=np.int64)
+    return count_matrix(t.column('count')).sum(axis=0)
 
 
 def cluster_balanced_sample(ds, id_column, embedding_column, k, n_per_cluster,

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .exchange import cogroup, exchange
+from .exchange import cogroup, exchange, gather
 
 
 def _components_numpy(ea: np.ndarray, eb: np.ndarray,
@@ -65,18 +65,13 @@ def connected_components(pairs, id_a='id_a', id_b='id_b', *,
     switch to :func:`connected_components_distributed` past the gate.
     Only the two id columns are ever collected — never texts or payload
     columns."""
-    import ray
     import ray.data
 
-    refs = pairs.select_columns([id_a, id_b]).to_arrow_refs()
-    tables = [t if isinstance(t, pa.Table) else pa.Table.from_pandas(t)
-              for t in ray.get(refs)]
-    tables = [t for t in tables if t.num_rows]
-    if not tables:
+    edges = gather(pairs.select_columns([id_a, id_b]))
+    if not edges.num_rows:
         return ray.data.from_arrow(pa.table({
             'id': pa.array([], type=pa.int64()),
             'component_id': pa.array([], type=pa.int64())}))
-    edges = pa.concat_tables(t.select([id_a, id_b]) for t in tables)
     if edges.num_rows > driver_pair_limit:
         raise ValueError(
             'pair list has {} edges > driver_pair_limit={}; use '

@@ -443,41 +443,6 @@ class ExternalImageDecodeStage:
             'DecodeCheckStage with the synthetic ppm/raw/lossy codecs')
 
 
-class ResizeStage:
-    """Multimodal transform stub with real plumbing: decode → resize (nearest
-    neighbour, pure numpy) → re-encode as 'raw'.  Demonstrates the decoded-
-    payload memory discipline (small batch_size, binary in/binary out)."""
-
-    def __init__(self, target_w: int = 16, target_h: int = 16):
-        self.tw = target_w
-        self.th = target_h
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        blobs = batch.column('bytes').to_pylist()
-        fmts = batch.column('fmt').to_pylist()
-        ws = batch.column('w').to_pylist()
-        hs = batch.column('h').to_pylist()
-        out = []
-        for i in range(batch.num_rows):
-            try:
-                pixels = decode_image(blobs[i], fmts[i], ws[i], hs[i])
-            except Exception:
-                out.append(None)
-                continue
-            h, w = pixels.shape[:2]
-            ys = (np.arange(self.th) * h) // self.th
-            xs = (np.arange(self.tw) * w) // self.tw
-            resized = pixels[ys][:, xs]
-            out.append(resized.tobytes())
-        return pa.table({
-            'image_id': batch.column('image_id'),
-            'bytes': pa.array(out, type=pa.binary()),
-            'w': pa.array([self.tw] * batch.num_rows, type=pa.int32()),
-            'h': pa.array([self.th] * batch.num_rows, type=pa.int32()),
-            'fmt': pa.array(['raw'] * batch.num_rows, type=pa.string()),
-        })
-
-
 def decode_check(ds, *, batch_size=1024):
     """Attach the decode/integrity stage as plain Ray tasks, the stage
     built once per worker process (``PerWorker``); decoded pixels never

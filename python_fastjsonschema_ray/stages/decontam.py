@@ -29,6 +29,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..state.sketches import _hash_bytes_array, _splitmix64
+from .exchange import gather
 
 
 def _word_ngram_hashes(texts, n):
@@ -77,25 +78,18 @@ def benchmark_ngrams(bench_ds, text_column, *, n=8) -> np.ndarray:
     """Fold the benchmark set's DISTINCT word n-gram hashes into one
     sorted uint64 array (per-block unique partials, driver merge —
     benchmark sets are result-sized by definition)."""
-    import ray
-
     def partial(batch: pa.Table) -> pa.Table:
         texts = batch.column(text_column).to_pylist()
         hashes, _ = _word_ngram_hashes(texts, n)
         return pa.table({'h': pa.array(
             np.unique(hashes).view(np.int64))})
 
-    parts = []
-    out = bench_ds.select_columns([text_column]).map_batches(
-        partial, batch_format='pyarrow')
-    for t in ray.get(out.to_arrow_refs()):
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t)
-        if t.num_rows:
-            parts.append(np.asarray(t.column('h'), dtype=np.int64))
-    if not parts:
+    t = gather(bench_ds.select_columns([text_column]).map_batches(
+        partial, batch_format='pyarrow'))
+    if not t.num_rows:
         return np.zeros(0, dtype=np.uint64)
-    return np.unique(np.concatenate(parts)).view(np.uint64)
+    return np.unique(np.asarray(t.column('h'), dtype=np.int64)) \
+        .view(np.uint64)
 
 
 def decontaminate(ds, id_column, text_column, bench_hashes, *, n=8,

@@ -2,7 +2,8 @@
 
 Every engine-level key operator (uniqueness, dedup, grouped folds and
 scans, top-k, joins, connected components) moves rows through one of
-two calls:
+two calls, and every driver-side fold of per-block partials collects
+them through a third:
 
 * :func:`exchange` runs ``fn`` once per bucket group of one Dataset;
   rows with equal key tuples share a group.  With ``num_buckets=1``
@@ -10,6 +11,8 @@ two calls:
 * :func:`cogroup` runs ``fn(l, r)`` once per bucket over two Datasets
   keyed on one column each; ``l`` and ``r`` hold the rows of each side
   that landed in the bucket.
+* :func:`gather` runs a Dataset's plan once and returns its rows to the
+  driver as one Arrow table; each caller merges the partials itself.
 
 Buckets are COARSE (:func:`default_buckets`, a few per CPU): a group
 holds many keys, so ``fn`` folds every key of its group in one
@@ -190,6 +193,19 @@ def exchange(ds, keys, fn, *, num_buckets=None):
     tagged = ds.map_batches(add_bucket, batch_format='pyarrow')
     return _reduce(tagged, per_block, getattr(fn, '__name__', 'exchange'),
                    num_buckets)
+
+
+def gather(ds) -> pa.Table:
+    """The rows of ``ds`` on the driver as one Arrow table, from ONE
+    execution of its plan (``to_arrow_refs()`` runs a second, limit-1
+    execution for the schema).  Zero-row blocks are dropped; with no
+    rows at all the result has zero rows and may have no columns, so
+    the caller gives its own empty answer."""
+    tables = [t for t in ds.iter_batches(batch_size=None,
+                                         batch_format='pyarrow')
+              if t.num_rows]
+    return pa.concat_tables(tables, promote_options='permissive') \
+        if tables else pa.table({})
 
 
 def _family(t: pa.DataType):

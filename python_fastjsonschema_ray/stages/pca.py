@@ -21,8 +21,11 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
+from ..functions.arrowutil import embedding_matrix
 from .cluster import _drop_nulls, _matrix
+from .exchange import gather
 
 
 def _flip_signs(components: np.ndarray) -> np.ndarray:
@@ -37,15 +40,13 @@ def pca_fit(ds, embedding_column, n_components):
     (n_components x dim) row-eigenvector matrix (descending variance);
     ``info`` has ``mean``, ``explained_variance`` (eigenvalues, ddof=1)
     and ``explained_variance_ratio``."""
-    import ray
-
     def partial(batch: pa.Table) -> pa.Table:
         batch = _drop_nulls(batch, embedding_column)
-        if batch.num_rows == 0:
+        if batch.num_rows == 0:     # all-null batch: no partial row
             return pa.table({
-                'n': pa.array([0], pa.int64()),
-                'sum': pa.array([[]], pa.list_(pa.float64())),
-                'outer': pa.array([[]], pa.list_(pa.float64())),
+                'n': pa.array([], pa.int64()),
+                'sum': pa.array([], pa.list_(pa.float64())),
+                'outer': pa.array([], pa.list_(pa.float64())),
             })
         mat = _matrix(batch, embedding_column)
         return pa.table({
@@ -54,20 +55,14 @@ def pca_fit(ds, embedding_column, n_components):
             'outer': pa.array([(mat.T @ mat).ravel().tolist()]),
         })
 
-    out = ds.select_columns([embedding_column]).map_batches(
-        partial, batch_format='pyarrow')
+    t = gather(ds.select_columns([embedding_column]).map_batches(
+        partial, batch_format='pyarrow'))
     n, s, outer = 0, None, None
-    for t in ray.get(out.to_arrow_refs()):
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t)
-        for row in range(t.num_rows):
-            rn = int(t.column('n')[row].as_py())
-            if rn == 0:         # empty / all-null block partial
-                continue
-            n += rn
-            ps = np.asarray(t.column('sum')[row].as_py(), dtype=np.float64)
-            po = np.asarray(t.column('outer')[row].as_py(),
-                            dtype=np.float64)
+    if t.num_rows:
+        n = pc.sum(t.column('n')).as_py()
+        # The float sums add block by block, in gather order.
+        for ps, po in zip(embedding_matrix(t.column('sum')),
+                          embedding_matrix(t.column('outer'))):
             s = ps if s is None else s + ps
             outer = po if outer is None else outer + po
     if n < 2:

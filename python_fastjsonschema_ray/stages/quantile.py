@@ -28,19 +28,10 @@ import math
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-
-def _fold_refs(ds_out):
-    """Collect tiny per-block partial rows without driver-side Dataset
-    materialization helpers (ObjectRefs → list of arrow tables)."""
-    import ray
-    tables = []
-    for t in ray.get(ds_out.to_arrow_refs()):
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t)
-        if t.num_rows:
-            tables.append(t)
-    return tables
+from ..functions.arrowutil import count_matrix
+from .exchange import gather
 
 
 def _count_min_max(ds, column):
@@ -51,25 +42,19 @@ def _count_min_max(ds, column):
         # left in, it poisons min/max and is invisible to the range
         # masks of every later narrowing pass, stalling the search.
         vals = vals[~np.isnan(vals)]
-        if not len(vals):
-            return pa.table({'n': pa.array([0], pa.int64()),
-                             'lo': pa.array([None], pa.float64()),
-                             'hi': pa.array([None], pa.float64())})
+        if not len(vals):           # no partial row
+            return pa.table({'n': pa.array([], pa.int64()),
+                             'lo': pa.array([], pa.float64()),
+                             'hi': pa.array([], pa.float64())})
         return pa.table({'n': pa.array([len(vals)], pa.int64()),
                          'lo': pa.array([float(vals.min())], pa.float64()),
                          'hi': pa.array([float(vals.max())], pa.float64())})
 
-    tables = _fold_refs(ds.map_batches(partial, batch_format='pyarrow'))
-    n, lo, hi = 0, math.inf, -math.inf
-    for t in tables:
-        n += int(np.asarray(t.column('n')).sum())
-        los = np.asarray(t.column('lo').drop_null(), dtype=np.float64)
-        his = np.asarray(t.column('hi').drop_null(), dtype=np.float64)
-        if len(los):
-            lo = min(lo, float(los.min()))
-        if len(his):
-            hi = max(hi, float(his.max()))
-    return n, lo, hi
+    t = gather(ds.map_batches(partial, batch_format='pyarrow'))
+    if not t.num_rows:
+        return 0, math.inf, -math.inf
+    return (pc.sum(t.column('n')).as_py(), pc.min(t.column('lo')).as_py(),
+            pc.max(t.column('hi')).as_py())
 
 
 def select_ranks(ds, column, ranks, *, bins=4096, collect_limit=500_000,
@@ -81,8 +66,6 @@ def select_ranks(ds, column, ranks, *, bins=4096, collect_limit=500_000,
     count vectors per block instead of k full re-scans), and one final
     collect pass gathers every still-open range at once.  Asking for
     p05 and p95 together costs the same scans as asking for one."""
-    import ray  # noqa: F401  (parallelism comes from ds.map_batches)
-
     ranks = list(ranks)
     n, lo0, hi0 = _stats if _stats is not None else _count_min_max(ds, column)
     if n == 0:
@@ -121,11 +104,9 @@ def select_ranks(ds, column, ranks, *, bins=4096, collect_limit=500_000,
                                         minlength=len(edges) - 1).tolist())
             return pa.table({'counts': pa.array([rows])})
 
-        folded = [np.zeros(bins, dtype=np.int64) for _ in active]
-        for t in _fold_refs(ds.map_batches(hist, batch_format='pyarrow')):
-            for block_rows in t.column('counts').to_pylist():
-                for i, row in enumerate(block_rows):
-                    folded[i] += np.asarray(row, dtype=np.int64)
+        t = gather(ds.map_batches(hist, batch_format='pyarrow'))
+        folded = count_matrix(t.column('counts').combine_chunks().flatten()) \
+            .reshape(t.num_rows, len(active), bins).sum(axis=0)
         for s, edges, counts in zip(active, edges_list, folded):
             cum = np.cumsum(counts)
             b = int(np.searchsorted(cum, s['r'] + 1))
@@ -171,21 +152,14 @@ def select_ranks(ds, column, ranks, *, bins=4096, collect_limit=500_000,
                     for k, v in cols.items()}
             return pa.table(cols)
 
-        parts = _fold_refs(ds.map_batches(collect, batch_format='pyarrow'))
+        t = gather(ds.map_batches(collect, batch_format='pyarrow'))
         for i, s in enumerate(pending):
-            us, cs = [], []
-            for t in parts:
-                # v/c columns share one validity layout (padded from
-                # equal unpadded lengths), so independent drop_null
-                # stays aligned.
-                us.append(np.asarray(
-                    t.column('v{}'.format(i)).drop_null(),
-                    dtype=np.float64))
-                cs.append(np.asarray(
-                    t.column('c{}'.format(i)).drop_null(),
-                    dtype=np.int64))
-            u_all = np.concatenate(us) if us else np.empty(0)
-            c_all = np.concatenate(cs) if cs else np.empty(0, np.int64)
+            # v/c columns share one validity layout (padded from equal
+            # unpadded lengths), so independent drop_null stays aligned.
+            u_all = np.asarray(t.column('v{}'.format(i)).drop_null(),
+                               dtype=np.float64)
+            c_all = np.asarray(t.column('c{}'.format(i)).drop_null(),
+                               dtype=np.int64)
             u, inv = np.unique(u_all, return_inverse=True)
             cnt = np.bincount(inv, weights=c_all.astype(np.float64),
                               minlength=len(u)).astype(np.int64)

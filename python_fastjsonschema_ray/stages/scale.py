@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from .exchange import gather
 
 
 def column_moments(ds, columns):
     """Fold per-column (count, mean, sample std) over the dataset."""
-    import ray
-
     columns = list(columns)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -35,26 +36,21 @@ def column_moments(ds, columns):
             cols['q_' + c] = pa.array([float((v * v).sum())], pa.float64())
         return pa.table(cols)
 
-    n = {c: 0 for c in columns}
-    s = {c: 0.0 for c in columns}
-    q = {c: 0.0 for c in columns}
-    out = ds.select_columns(columns).map_batches(
-        partial, batch_format='pyarrow')
-    for t in ray.get(out.to_arrow_refs()):
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t)
-        for row in range(t.num_rows):
-            for c in columns:
-                n[c] += int(t.column('n_' + c)[row].as_py())
-                s[c] += float(t.column('s_' + c)[row].as_py())
-                q[c] += float(t.column('q_' + c)[row].as_py())
+    t = gather(ds.select_columns(columns).map_batches(
+        partial, batch_format='pyarrow'))
     stats = {}
     for c in columns:
-        mean = s[c] / n[c] if n[c] else float('nan')
+        n, s, q = 0, 0.0, 0.0
+        if t.num_rows:
+            n = pc.sum(t.column('n_' + c)).as_py()
+            for bs, bq in zip(t.column('s_' + c).to_pylist(),
+                              t.column('q_' + c).to_pylist()):
+                s += bs         # block by block, in gather order
+                q += bq
+        mean = s / n if n else float('nan')
         # Sample variance via the folded moments (ddof=1).
-        var = ((q[c] - n[c] * mean * mean) / (n[c] - 1)
-               if n[c] > 1 else 0.0)
-        stats[c] = (n[c], mean, float(np.sqrt(max(var, 0.0))))
+        var = (q - n * mean * mean) / (n - 1) if n > 1 else 0.0
+        stats[c] = (n, mean, float(np.sqrt(max(var, 0.0))))
     return stats
 
 

@@ -181,3 +181,98 @@ def test_global_rank_pandas_blocks_carry_no_pandas_metadata(ray_session):
                    for t in tables)
     got = global_rank(ray.data.from_pandas(df), ['x']).take_all()
     assert [(r['x'], r['rank']) for r in got] == [(1, 1), (2, 2), (3, 3)]
+
+
+# Every fold that gathers its partials on the driver
+# (``stages/exchange.gather``), on a lazy input whose blocks all lose
+# their rows in a map: Ray hands no zero-row block to the fold's map,
+# so no partial and no type reaches the driver.
+
+
+def _lazy_empty():
+    import ray.data
+    t = pa.table({'k': pa.array(range(40), pa.int64()),
+                  'v': pa.array([float(i) for i in range(40)]),
+                  'g': pa.array(['a', 'b'] * 20),
+                  's': pa.array(['x y z w'] * 40),
+                  'e': pa.array([[1.0, 0.0]] * 40, pa.list_(pa.float64()))})
+    return ray.data.from_arrow([t.slice(i, 10) for i in range(0, 40, 10)]) \
+        .map_batches(lambda b: b.slice(0, 0), batch_format='pyarrow',
+                     batch_size=None)
+
+
+def _empty_answers():
+    import math
+
+    import numpy as np
+    import ray.data
+    from python_fastjsonschema_ray.pipelines import constraints as C
+    from python_fastjsonschema_ray.pipelines.infer import profile_columns
+    from python_fastjsonschema_ray.stages import (
+        ann, cluster, components, decontam, pca, quantile, scale)
+
+    edges = [0.0, 10.0, 20.0, 40.0]
+    seats = np.array([[1.0, 0.0], [0.0, 1.0]])
+    full = ray.data.from_arrow(pa.table({'k': pa.array([1, None, 3])}))
+    return {
+        'column_stats': (lambda ds: C.column_stats(ds, ['v']),
+                         lambda got: got == {'v': {
+                             'count': 0, 'nulls': 0, 'min': None,
+                             'max': None, 'approx_distinct': 0}}),
+        'heavy_hitters': (lambda ds: C.heavy_hitters(ds, 'k', 0.2),
+                          lambda got: got.num_rows == 0
+                          and got.column_names == ['value', 'n']),
+        'histogram_profile': (
+            lambda ds: C.histogram_profile(ds, 'v', edges),
+            lambda got: got.tolist() == [0, 0, 0]),
+        'drift_by_group': (lambda ds: C.drift_by_group(ds, 'v', 'g', edges),
+                           lambda got: got == []),
+        'profile_columns': (
+            lambda ds: profile_columns(ds, ['v', 'g']),
+            lambda got: [(r['column'], r['nullable'], r['min'],
+                          r['min_length']) for r in got]
+            == [('v', False, None, None), ('g', False, None, None)]),
+        'kmeans_fit': (
+            lambda ds: cluster.kmeans_fit(ds, 'e', 2, init_centroids=seats),
+            lambda got: (got[0] == seats).all()
+            and got[1]['inertia'] == 0.0),
+        'cluster_sizes': (
+            lambda ds: cluster.cluster_sizes(ds, 3, cluster_column='k'),
+            lambda got: got.tolist() == [0, 0, 0]),
+        'pca_fit': (lambda ds: pca.pca_fit(ds, 'e', 1),
+                    ValueError('PCA needs at least 2 rows, got 0')),
+        'column_moments': (lambda ds: scale.column_moments(ds, ['v']),
+                           lambda got: got['v'][0] == 0
+                           and math.isnan(got['v'][1])
+                           and got['v'][2] == 0.0),
+        'benchmark_ngrams': (
+            lambda ds: decontam.benchmark_ngrams(ds, 's', n=2),
+            lambda got: len(got) == 0 and got.dtype == np.uint64),
+        'exact_quantile': (lambda ds: quantile.exact_quantile(ds, 'v', 0.5),
+                           lambda got: got is None),
+        'topk_cosine': (
+            lambda ds: ann.topk_cosine(ds, 'k', 'e', [1.0, 0.0], k=2),
+            lambda got: got.empty
+            and list(got.columns) == ['query', 'k', 'sim']),
+        'connected_components': (
+            lambda ds: components.connected_components(
+                ds.select_columns(['k', 'v']), 'k', 'v'),
+            lambda got: got.count() == 0),
+        'check_referential_bloom': (
+            lambda ds: C.check_referential_bloom(full, 'k', ds, 'k')[0],
+            lambda got: sorted(got.to_pandas()['k']) == [1, 3]),
+    }
+
+
+@pytest.mark.parametrize('name', [
+    'column_stats', 'heavy_hitters', 'histogram_profile', 'drift_by_group',
+    'profile_columns', 'kmeans_fit', 'cluster_sizes', 'pca_fit',
+    'column_moments', 'benchmark_ngrams', 'exact_quantile', 'topk_cosine',
+    'connected_components', 'check_referential_bloom'])
+def test_gathered_folds_on_a_lazy_empty_input(ray_session, name):
+    call, want = _empty_answers()[name]
+    if isinstance(want, Exception):
+        with pytest.raises(type(want), match=str(want)):
+            call(_lazy_empty())
+    else:
+        assert want(call(_lazy_empty()))

@@ -814,17 +814,22 @@ print(json.dumps({
     'grouped_topk': n(C.grouped_topk(ds, ['k'], ['v'], 2)),
     'global_topk': C.global_topk(ds, ['v'], 2).to_pandas()['v'].tolist(),
     'grouped_scan': n(grouped_scan(ds, ['k'], ['o'], 'v').limit(10)),
+    'column_stats': [C.column_stats(ds, ['v'])['v'][s]
+                     for s in ('count', 'min', 'max', 'sum')],
+    'heavy_hitters': C.heavy_hitters(ds, 'k', 0.1).to_pydict(),
 }))
 ray.shutdown()
 '''
 
 
 def test_key_operators_under_default_ray_config():
-    """The key operators give their answers in a driver process on Ray's
-    defaults: small task arguments and results inlined, and Ray Data's
-    per-task memory poll on.  The suite's own Ray session turns both
-    off (see ``tests/conftest.py``), so this is the one test of the
-    exchange on the configuration a standalone driver runs."""
+    """The key operators, ``column_stats`` and ``heavy_hitters`` give
+    their answers in a driver process on Ray's defaults: small task
+    arguments and results inlined, and Ray Data's per-task memory poll
+    on.  The suite's own Ray session turns both off (see
+    ``tests/conftest.py``), so this is the one test of the exchange and
+    of the driver gather on the configuration a standalone driver
+    runs."""
     import json
     import signal
     import subprocess
@@ -846,7 +851,9 @@ def test_key_operators_under_default_ray_config():
         'sums': sorted(float(sum(range(k, 700, 7))) for k in range(7)),
         'grouped_agg': 7, 'check_unique': 3, 'dedup_exact': 700,
         'grouped_topk': 14, 'global_topk': [699.0, 698.0],
-        'grouped_scan': 10}
+        'grouped_scan': 10,
+        'column_stats': [700, '0.0', '699.0', float(sum(range(700)))],
+        'heavy_hitters': {'value': list(range(7)), 'n': [100] * 7}}
 
 
 # ---------------------------------------------------------------------------
@@ -892,8 +899,6 @@ def test_bucketing_lives_only_in_the_exchange_module():
 # groupby on one batch or on the driver's tiny partials, never Ray's
 # Dataset shuffle, with what each groups.
 _PANDAS_GROUPBY = {
-    ('stages/ann.py', 'topk_cosine'):
-        'merges the k-row per-batch partials of each query on the driver',
     ('stages/scan.py', '_running_sum'):
         "a per-run cumsum inside one exchange group's numpy arrays",
     ('stages/chunk.py', 'RepetitionStage'):
