@@ -11,6 +11,11 @@ cell, one that validates an element or property gets a fresh cell, so
 ``default`` insertion and ``contentEncoding``/``contentMediaType``
 replacement land exactly where the reference's temp variables put them.
 
+The root's checks sit in ``validate(data, name='data')`` itself, as in
+the reference's root function, so a validator compiles one code object
+per subschema and no more.  Only when a ``$ref`` resolves to the root
+does the root keep its own function, which ``validate`` calls.
+
 Collect mode appends to ``errors`` instead of raising.  Every ``$ref``
 scope (and the root) owns its own list and raises
 :class:`JsonSchemaValuesException` when it is not empty, as the
@@ -23,19 +28,27 @@ Schema content reaches the source only as names or as ``repr`` literals
 of ``str``, ``int``, ``bool``, ``None`` and finite floats.  Every other
 constant (expanded definitions at raise sites, regexes, callable formats,
 plugin callables, enum/const/default values) is referred to by name.
-Besides its constants, emitted code uses the four exception classes, the
-helpers :func:`~.scalar.enum_value_match` (as ``_enum_match``) and
-:func:`~.scalar._freeze`, and a few standard modules; nothing of them is
+Besides its constants, emitted code uses the names :mod:`.runtime`
+exports (the four exception classes and the helpers
+:func:`~.scalar.enum_value_match`, as ``_enum_match``, and
+:func:`~.scalar._freeze`) and a few standard modules; nothing of them is
 compiled per validator:
 
 * :func:`compile` binds the names to the objects themselves (parameters
   of a factory around the functions) and ``exec``s the functions against
-  ``_GLOBALS``, which holds the package's classes and helpers;
-* :func:`compile_to_code` writes the same names as ``repr`` literals
-  (importing ``inf`` and ``nan`` from :mod:`math` for non-finite floats)
-  and imports the classes and helpers from the package.  Without the
-  package it ``exec``s a string holding the source of the same
-  definitions, read from the package, so the artifact imports with no
+  ``_GLOBALS``, which holds the standard modules and :mod:`.runtime`'s
+  names.  The factory's code object depends on its source text alone, so
+  it is cached, keyed on that text, in a module-level LRU cache of
+  ``_FACTORY_CACHE_SIZE`` (256) entries: schemas that emit the same
+  source (the same schema under another draft, say) compile it once.
+  The bound is fixed, not an option.  The vector tier's scalar fallbacks
+  compile through the same cache.
+* :func:`compile_to_code` writes the same names as ``repr`` literals,
+  imports only the standard names its text uses (``inf`` and ``nan``
+  from :mod:`math` for non-finite floats) and binds :mod:`.runtime`'s
+  names with one star-import.  Without the package it ``exec``s a string
+  holding the source of the same definitions, read from the package
+  without docstrings or comments, so the artifact imports with no
   dependency.  Callable formats cannot be serialized: the artifact looks
   them up in its ``CUSTOM_FORMATS`` when it validates.  Plugin keywords
   are looked up in the installed package's registry.
@@ -45,6 +58,7 @@ from __future__ import annotations
 
 import base64
 import builtins
+import collections
 import copy
 import functools
 import json
@@ -54,6 +68,7 @@ from decimal import Decimal
 
 from .. import exceptions as _exceptions
 from ..exceptions import JsonSchemaDefinitionException
+from . import runtime as _runtime
 from .scalar import (
     _JSON_TYPES,
     _MISSING,
@@ -64,62 +79,67 @@ from .scalar import (
     enum_value_match,
 )
 
-_EXCEPTIONS = ('JsonSchemaException', 'JsonSchemaValueException',
-               'JsonSchemaValuesException', 'JsonSchemaDefinitionException')
-
 # Every name emitted functions use besides their own constants and
 # builtins: compile() binds them as objects, the artifact imports them.
 _GLOBALS = {
     'base64': base64, 'json': json, 're': re, 'deepcopy': copy.deepcopy,
-    'Decimal': Decimal, '_enum_match': enum_value_match, '_freeze': _freeze,
-    **{name: getattr(_exceptions, name) for name in _EXCEPTIONS},
+    'Decimal': Decimal,
+    **{name: getattr(_runtime, name) for name in _runtime.__all__},
 }
 
-_IMPORTS = '''\
-import base64
-import json
-import re
-from copy import deepcopy
-from decimal import Decimal
-from math import inf, nan  # names for repr() of non-finite floats
-'''
+# The artifact's standard imports, each written only when the text holds
+# one of its needles.  Every use of a name contains its needle; a needle
+# found elsewhere (a schema string, say) costs only an unused import.
+# ``inf`` and ``nan`` are what repr() writes for non-finite floats.
+_STD_IMPORTS = (
+    (('base64',), 'import base64'),
+    (('json.',), 'import json'),
+    (('re.',), 'import re'),
+    (('deepcopy',), 'from copy import deepcopy'),
+    (('Decimal',), 'from decimal import Decimal'),
+    (('inf', 'nan'), 'from math import inf, nan'),
+)
 
+# The package's names in one line; without the package, the same
+# definitions from an inert string (see _standalone).
 _PROLOGUE = '''\
 try:
-    # The installed engine's classes and helpers, so artifact violations
-    # are caught by code written against the package.
-    from python_fastjsonschema_ray.exceptions import (
-        JsonSchemaException,
-        JsonSchemaValueException,
-        JsonSchemaValuesException,
-        JsonSchemaDefinitionException,
-    )
-    from python_fastjsonschema_ray.functions.scalar import (
-        enum_value_match as _enum_match,
-        _freeze,
-    )
+    from python_fastjsonschema_ray.functions.runtime import *
 except ImportError:
-    # The same definitions, for a process without the package.
 '''
 
 _LITERAL_TYPES = (str, int, bool, type(None))
+
+# Distinct factory sources whose code objects compile_validator keeps.
+_FACTORY_CACHE_SIZE = 256
 
 
 @functools.lru_cache(maxsize=None)
 def _standalone():
     """Artifact source defining the prologue's names without the package:
-    the package's own definitions, read from its source.  The exceptions
-    module imports nothing from the package; its docstring is left out so
-    it does not replace the artifact's."""
+    the package's own definitions (the exceptions module imports nothing
+    from the package, the helpers nothing at all), read from its source
+    and written back without docstrings or comments."""
     import ast
     import inspect
-    module = inspect.getsource(_exceptions)
-    docstring_end = ast.parse(module).body[0].end_lineno
-    return ''.join(
-        module.splitlines(keepends=True)[docstring_end:]
-        + ['\n\n', inspect.getsource(enum_value_match), '\n\n',
-           inspect.getsource(_freeze), '\n\n',
-           '_enum_match = enum_value_match\n'])
+    tree = ast.parse('\n'.join(inspect.getsource(obj) for obj in (
+        _exceptions, enum_value_match, _freeze)))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            first = node.body[0]
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                node.body = node.body[1:] or [ast.Pass()]
+    return ast.unparse(tree) + '\n_enum_match = enum_value_match\n'
+
+
+@functools.lru_cache(maxsize=_FACTORY_CACHE_SIZE)
+def _factory_code(source):
+    """The code object of one factory source.  It depends on the text
+    alone: the constants reach the functions as arguments of ``make``, so
+    every call of the factory gets its own closure cells."""
+    return builtins.compile(source, '<validator>', 'exec')
 
 
 class SourceEmitter:
@@ -140,12 +160,13 @@ class SourceEmitter:
                         if p.check_value is not None]
         # Trailing argument of every call to an emitted function.
         self.tail = '' if self.fast else ', errors'
-        self.functions = []         # emitted function sources, in order
+        self.functions = []         # (name, scope, keys, body), in order
         self.constants = {}         # name -> object
         self._templates = {}        # name -> artifact source template
         self._const_by_key = {}
         self._expanded_by_key = {}
         self._fn_by_uri = {}        # resolved $ref uri -> function name
+        self._uri_calls = collections.Counter()  # function name -> calls
         self._ref_worklist = []
         self._counter = 0
 
@@ -227,6 +248,7 @@ class SourceEmitter:
         if name is None:
             name = self._fn_by_uri[uri] = self._new_fn('ref')
             self._ref_worklist.append(uri)
+        self._uri_calls[name] += 1
         return name
 
     def _ref_fn(self, ref):
@@ -272,19 +294,32 @@ class SourceEmitter:
                 if plug_name in definition:
                     body.append('# keyword {!r}'.format(plug_name))
                     body.extend(self._plugin_block(plugin, definition))
-        src = ['def {}(cell, name{}):'.format(fn, self.tail)]
+        self.functions.append((fn, scope, state['keys'], body))
+        return fn
+
+    def _define(self, fn, scope, keys, body):
+        """Source of one emitted function.  ``validate`` starts from the
+        document and returns it; it owns an error list in collect mode,
+        as a ``$ref`` scope does."""
+        if fn == 'validate':
+            src = ["def validate(data, name='data'):", '    cell = [data]']
+        else:
+            src = ['def {}(cell, name{}):'.format(fn, self.tail)]
         if scope is not None:
             src.append('    # schema scope: {!r}'.format(scope))
-            if not self.fast:
-                src.append('    errors = []')
-        if state['keys']:
+        owns_errors = not self.fast and (scope is not None
+                                         or fn == 'validate')
+        if owns_errors:
+            src.append('    errors = []')
+        if keys:
             src.append('    keys = None')
         src.extend('    ' + line for line in body or ['pass'])
-        if scope is not None and not self.fast:
+        if owns_errors:
             src.extend(['    if errors:',
                         '        raise JsonSchemaValuesException(errors)'])
-        self.functions.append('\n'.join(src))
-        return fn
+        if fn == 'validate':
+            src.append('    return cell[0]')
+        return '\n'.join(src)
 
     def _plugin_block(self, plugin, definition):
         fn = self._const('P', id(plugin), plugin.check_value, (
@@ -825,7 +860,9 @@ class SourceEmitter:
 
     def emit(self):
         """Source of every function, ending with ``validate(data,
-        name='data')``."""
+        name='data')``.  ``validate`` holds the root's checks itself, as
+        the reference's root function does, unless a ``$ref`` resolves to
+        the root: then it calls the root's function."""
         if self.c.inline_root:
             root = self._sub_fn(self.c.definition, 'data')
         else:
@@ -834,17 +871,13 @@ class SourceEmitter:
             uri = self._ref_worklist.pop()
             with self.registry.resolving(uri) as target:
                 self._sub_fn(target, 'data', self._fn_by_uri[uri], uri)
-        if self.fast:
-            run = ['    {}(cell, name)'.format(root)]
+        functions = self.functions
+        if self._uri_calls[root] > 1:     # a $ref resolves to the root
+            functions.append(('validate', None, False, [self._call(root)]))
         else:
-            run = ['    errors = []',
-                   '    {}(cell, name, errors)'.format(root),
-                   '    if errors:',
-                   '        raise JsonSchemaValuesException(errors)']
-        self.functions.append('\n'.join(
-            ["def validate(data, name='data'):", '    cell = [data]']
-            + run + ['    return cell[0]']))
-        return '\n\n\n'.join(self.functions) + '\n'
+            at = next(i for i, f in enumerate(functions) if f[0] == root)
+            functions.append(('validate',) + functions.pop(at)[1:])
+        return '\n\n\n'.join(self._define(*f) for f in functions) + '\n'
 
     def constant_sources(self):
         # The first '{name}' is the placeholder; repr()s follow it.
@@ -861,14 +894,15 @@ def compile_validator(compiler: ScalarCompiler):
     constants, so they reach each other and the constants through closure
     cells and share the prologue's globals.  Module-level functions would
     form a cycle through their own namespace, which only the cyclic
-    garbage collector frees."""
+    garbage collector frees.  The factory's code object comes from the
+    bounded cache of :func:`_factory_code`."""
     emitter = SourceEmitter(compiler)
     body = emitter.emit()
     source = 'def make({}):\n{}    return validate\n'.format(
         ', '.join(emitter.constants),
         ''.join('    ' + line for line in body.splitlines(keepends=True)))
     factory = {}
-    exec(builtins.compile(source, '<validator>', 'exec'), _GLOBALS, factory)
+    exec(_factory_code(source), _GLOBALS, factory)
     return factory['make'](*emitter.constants.values())
 
 
@@ -913,8 +947,6 @@ def compile_to_code(definition, handlers=None, formats=None, use_default=True,
     body = emitter.emit()
     formats = formats or {}
     header = [
-        '"""Validator generated by python_fastjsonschema_ray.compile_to_code."""',
-        _IMPORTS,
         'VERSION = {!r}'.format(VERSION),
         'SCHEMA = {!r}'.format(definition),
         'CUSTOM_FORMATS = {!r}'.format(
@@ -925,11 +957,16 @@ def compile_to_code(definition, handlers=None, formats=None, use_default=True,
         header.append('# Callable formats {!r} must be bound in '
                       'CUSTOM_FORMATS before validate() runs.'.format(
                           callables))
+    emitted = '\n\n'.join(header + emitter.constant_sources() + [body])
+    imports = '\n'.join(line for needles, line in _STD_IMPORTS
+                        if any(n in emitted for n in needles))
     # Inert unless the package is missing: compiling a string literal costs
     # next to nothing, compiling the classes and helpers themselves does.
     # Bound to no name, the text is freed with the module's code object.
     # It holds no triple quote and no trailing backslash.
-    parts = header + [_PROLOGUE + "    exec(r'''" + _standalone() + "''')"]
-    parts += emitter.constant_sources()
-    parts.append(body)
+    parts = ['"""Validator generated by '
+             'python_fastjsonschema_ray.compile_to_code."""']
+    if imports:
+        parts.append(imports)
+    parts += [_PROLOGUE + "    exec(r'''" + _standalone() + "''')", emitted]
     return '\n\n'.join(parts)

@@ -188,19 +188,46 @@ def test_artifact_constants_whose_repr_is_a_name(schema, fast_fail):
     assert outcomes[0] == outcomes[1]
 
 
+def _function_names(code):
+    return [c.co_name for c in compile(code, '<artifact>', 'exec').co_consts
+            if isinstance(c, types.CodeType)]
+
+
 def test_artifact_compiles_only_its_validator_functions():
     """The prologue's classes and helpers are imported from the package
     (their standalone copy is a string, run only without it), so the
-    module's code holds no code object but the emitted functions."""
+    module's code holds no code object but the emitted functions.  No
+    ``$ref`` resolves to the root, so ``validate`` holds the root's checks
+    and there is one function per property besides it."""
     code = engine.compile_to_code({
         'properties': {'e': {'enum': [1, True]}, 'c': {'const': [True]},
                        'u': {'uniqueItems': True}}})
-    names = [c.co_name for c in compile(code, '<artifact>', 'exec').co_consts
-             if isinstance(c, types.CodeType)]
-    assert 'validate' in names
-    assert all(n == 'validate' or re.fullmatch(r'v\d+_\w+', n)
-               for n in names), names
+    names = _function_names(code)
+    assert names[-1] == 'validate'
+    assert len(names) == 4
+    assert all(re.fullmatch(r'v\d+_data[ecu]', n)
+               for n in names[:-1]), names
     mod = _load(code)
     assert mod._enum_match is scalar.enum_value_match
     assert mod._freeze is scalar._freeze
     assert mod.JsonSchemaValueException is JsonSchemaValueException
+
+
+@pytest.mark.parametrize('fast_fail', (True, False),
+                         ids=('fast_fail', 'collect'))
+def test_recursive_root_keeps_its_function(fast_fail):
+    """A ``$ref`` to the root calls the root's function, so ``validate``
+    stays a wrapper around it; nested input validates in both routes."""
+    schema = {'properties': {'c': {'$ref': '#'}}, 'type': 'object'}
+    code = engine.compile_to_code(schema, fast_fail=fast_fail)
+    names = _function_names(code)
+    assert names[-1] == 'validate' and len(names) == 2, names
+    ok = {'c': {'c': {'c': {}}}}
+    bad = {'c': {'c': {'c': 1}}}
+    for validate in (_load(code).validate,
+                     engine.compile(schema, fast_fail=fast_fail)):
+        assert validate(copy.deepcopy(ok)) == ok
+        with pytest.raises(engine.JsonSchemaException) as e:
+            validate(bad)
+        errors = getattr(e.value, 'errors', [e.value])
+        assert [(x.name, x.rule) for x in errors] == [('data.c.c.c', 'type')]

@@ -60,6 +60,24 @@ HELPER_DOCS = [
     {'c': [True, True]}, {'u': [1, 1.0]}, {'u': [[True], [True]]},
     {'e': False, 'c': [1, 1], 'u': [0, 0]},
 ]
+# Every standard name an artifact may import: base64 (contentEncoding),
+# json (contentMediaType), re (pattern), deepcopy (default), Decimal
+# (multipleOf) and inf (maximum).
+STDLIB_SCHEMA = {'$schema': 'http://json-schema.org/draft-07/schema',
+                 'properties': {'b': {'contentEncoding': 'base64'},
+                                'j': {'contentMediaType': 'application/json'},
+                                'p': {'pattern': '^x'},
+                                'd': {'default': [1]},
+                                'm': {'multipleOf': 0.5},
+                                'x': {'maximum': float('inf')}}}
+STDLIB_DOCS = [
+    {'b': 'eHl6', 'j': '{"a": 1}', 'p': 'xy', 'm': 1.5, 'x': 3},
+    {'b': 'abc', 'j': '{bad', 'p': 'y', 'm': 0.3, 'x': 1e308, 'd': 0},
+    {'m': 2, 'x': -1.5}, {'b': 1, 'j': None, 'p': 5, 'm': 'x'},
+]
+STDLIB_IMPORTS = ('import base64', 'import json', 'import re',
+                  'from copy import deepcopy', 'from decimal import Decimal',
+                  'from math import inf, nan')
 # Shared by the subprocess and the test: each document's output, or its
 # violations' (name, rule).
 _OUTCOMES_SOURCE = '''
@@ -98,6 +116,11 @@ def test_artifact_standalone_without_package(tmp_path):
     for mode, fast_fail in (('fast', True), ('collect', False)):
         (tmp_path / 'helpers_{}.py'.format(mode)).write_text(
             engine.compile_to_code(HELPER_SCHEMA, fast_fail=fast_fail))
+        stdlib_code = engine.compile_to_code(STDLIB_SCHEMA,
+                                             fast_fail=fast_fail)
+        assert all(line in stdlib_code[:stdlib_code.index('try:')]
+                   .splitlines() for line in STDLIB_IMPORTS)
+        (tmp_path / 'stdlib_{}.py'.format(mode)).write_text(stdlib_code)
     driver = tmp_path / 'drive.py'
     driver.write_text(_OUTCOMES_SOURCE + '''
 import sys
@@ -145,20 +168,43 @@ for mod in (helpers_fast, helpers_collect):
     assert mod.JsonSchemaValueException.__module__ == mod.__name__
 print('OUTCOMES', json.dumps([_outcomes(helpers_fast.validate, {docs!r}),
                               _outcomes(helpers_collect.validate, {docs!r})]))
+import stdlib_fast, stdlib_collect
+print('STDLIB', json.dumps([_outcomes(stdlib_fast.validate, {stdlib_docs!r}),
+                            _outcomes(stdlib_collect.validate,
+                                      {stdlib_docs!r})]))
 print('STANDALONE-OK')
-'''.format(tmp=str(tmp_path), docs=HELPER_DOCS))
+'''.format(tmp=str(tmp_path), docs=HELPER_DOCS, stdlib_docs=STDLIB_DOCS))
     out = subprocess.run([sys.executable, str(driver)], cwd=str(tmp_path),
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert 'STANDALONE-OK' in out.stdout
-    got = json.loads(next(line for line in out.stdout.splitlines()
-                          if line.startswith('OUTCOMES '))[len('OUTCOMES '):])
+    printed = {line.split(' ', 1)[0]: json.loads(line.split(' ', 1)[1])
+               for line in out.stdout.splitlines()
+               if line.startswith(('OUTCOMES ', 'STDLIB '))}
     namespace = {}
     exec(_OUTCOMES_SOURCE, namespace)
-    want = [namespace['_outcomes'](engine.compile(HELPER_SCHEMA,
-                                                  fast_fail=fast_fail),
-                                   HELPER_DOCS)
+    want = {}
+    for label, schema, docs in (('OUTCOMES', HELPER_SCHEMA, HELPER_DOCS),
+                                ('STDLIB', STDLIB_SCHEMA, STDLIB_DOCS)):
+        want[label] = [
+            namespace['_outcomes'](engine.compile(schema,
+                                                  fast_fail=fast_fail), docs)
             for fast_fail in (True, False)]
-    assert got == json.loads(json.dumps(want))
-    assert want[1][-1] == [['data.e', 'enum'], ['data.c', 'const'],
-                           ['data.u', 'uniqueItems']]
+        assert printed[label] == json.loads(json.dumps(want[label])), label
+    assert want['OUTCOMES'][1][-1] == [
+        ['data.e', 'enum'], ['data.c', 'const'], ['data.u', 'uniqueItems']]
+    assert want['STDLIB'][1][1] == [
+        ['data.b', None], ['data.j', None], ['data.p', 'pattern'],
+        ['data.m', 'multipleOf']]
+
+
+def test_artifact_imports_only_what_it_uses():
+    """A schema that needs no standard name imports none of them: the
+    module's own code names only the prologue's and its own."""
+    code = engine.compile_to_code({'type': 'string'})
+    # The inert standalone string, after 'try:', has imports of its own.
+    assert not [line for line in code[:code.index('try:')].splitlines()
+                if line in STDLIB_IMPORTS]
+    names = set(compile(code, '<artifact>', 'exec').co_names)
+    assert not names & {'base64', 'json', 're', 'deepcopy', 'Decimal',
+                        'inf', 'nan'}, names
