@@ -1126,12 +1126,20 @@ class SourceEmitter:
         name='data')``.  ``validate`` holds the root's checks itself, as
         the reference's root function does.  When a ``$ref`` resolves to
         the root, the root is emitted again as a function of its own,
-        which ``validate`` calls."""
+        which ``validate`` calls.
+
+        The emitter recurses a few frames per schema level, so a chain the
+        schema walk admits (``refs.MAX_SCHEMA_WALK_DEPTH``) can still
+        exhaust the interpreter's stack; that is a definition error too."""
         try:
-            return self._emit()
-        except _RootReferenced:
-            self._reset(root_function=True)
-            return self._emit()
+            try:
+                return self._emit()
+            except _RootReferenced:
+                self._reset(root_function=True)
+                return self._emit()
+        except RecursionError:
+            raise JsonSchemaDefinitionException(
+                'Schema is too deeply nested to compile') from None
 
     def _emit(self):
         if self.root_function:

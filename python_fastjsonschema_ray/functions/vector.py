@@ -57,10 +57,16 @@ and ``records(sel)`` a frozen closure producing the payload *columns*
 ``rows``/``key`` only, filters slice them, and payload generation stays
 bound to the view that produced it.  A view whose elements share one
 display name carries it as ``const_name`` (the root ``'data'``, and
-``parent + '.' + key`` for struct children below it), so names and the
-common ``<name><tail>`` messages are built by list multiplication.
-:func:`collect_violations` orders the entries with one ``np.lexsort`` and
-returns columnar :class:`Records`.
+``parent + '.' + key`` for struct children below it).  There a
+:class:`TailMessage` (the common ``<name><tail>`` message) makes the name
+and the message one ``str`` each, and every view-bound emit's values are
+the Arrow elements the view holds, so building a payload runs no Python
+per entry.  Per-element names (list items, struct children under a list),
+custom message functions, scalar fallbacks and content decodes keep
+per-entry lists.  :func:`collect_violations` orders the entries with one
+``np.lexsort`` and returns :class:`Records`, which keeps the payload in
+per-emit chunks; ``TableValidator.violations_table`` dumps each distinct
+scalar value once and gathers every string column with one Arrow take.
 """
 
 from __future__ import annotations
@@ -156,13 +162,18 @@ class View:
             self.arr.take(pa.array(np.asarray(idx), type=pa.int64())))
 
 
-def tail_message(tail):
-    """message_fn for the common ``<name><tail>`` message."""
-    def message_fn(view, idx):
-        if view.const_name is not None:
-            return [view.const_name + tail] * len(idx)
-        return [name + tail for name in view.names(idx)]
-    return message_fn
+class TailMessage:
+    """message_fn for the common ``<name><tail>`` message.  On a view with
+    a ``const_name`` the message is one constant, which :func:`make_emit`
+    stores once instead of calling this per emit."""
+
+    __slots__ = ('tail',)
+
+    def __init__(self, tail):
+        self.tail = tail
+
+    def __call__(self, view, idx):
+        return [name + self.tail for name in view.names(idx)]
 
 
 class Emit:
@@ -191,18 +202,31 @@ class Emit:
 
 
 def make_emit(view: View, idx: np.ndarray, key, rule, definition, message_fn):
-    """Standard emit: names/values pulled lazily from the view.
+    """Standard emit: names, messages and values pulled lazily from the
+    view.  The values are the view's Arrow elements (``view.arr.take``);
+    on a ``const_name`` view with a :class:`TailMessage` the name and the
+    message are single strings, so no payload Python runs per entry.
 
     Order keys are TUPLES compared lexicographically: a plain site emits
     ``(site_offset,)``; list wrappers prepend ``(list_offset, position)``
     so element-major traversal order holds at any nesting depth without a
     numeric key range overflowing into sibling sites."""
     idx = np.asarray(idx, dtype=np.int64)
+    name = view.const_name
 
-    def records(sel):
-        picked = idx[sel]
-        return (view.names(picked), message_fn(view, picked),
-                view.values_at(picked), None, None)
+    def values(sel):
+        return view.arr.take(pa.array(idx[sel], type=pa.int64()))
+
+    if name is not None and type(message_fn) is TailMessage:
+        message = name + message_fn.tail
+
+        def records(sel):
+            return name, message, values(sel), None, None
+    else:
+        def records(sel):
+            picked = idx[sel]
+            return (view.names(picked), message_fn(view, picked),
+                    values(sel), None, None)
 
     return Emit(idx.copy(), (int(key),), np.arange(len(idx), dtype=np.int64),
                 records, (rule, definition))
@@ -355,7 +379,7 @@ class SimpleRule(Rule):
         self.definition = definition
         self.mask_fn = mask_fn
         if message_fn is None:
-            message_fn = tail_message(message_tail)
+            message_fn = TailMessage(message_tail)
         self.message_fn = message_fn
 
     def evaluate(self, view, collect):
@@ -380,7 +404,7 @@ class ConstantRule(Rule):
         self.fails = fails
         self.applies_to_null = applies_to_null
         if message_fn is None:
-            message_fn = tail_message(message_tail)
+            message_fn = TailMessage(message_tail)
         self.message_fn = message_fn
 
     def evaluate(self, view, collect):
@@ -504,7 +528,7 @@ class AnyOfRule(Rule):
     def _own(self, view, fail):
         idx = np.nonzero(fail)[0]
         return make_emit(view, idx, self._own_off, 'anyOf', self.definition,
-                         tail_message(' cannot be validated by any definition'))
+                         TailMessage(' cannot be validated by any definition'))
 
 
 class OneOfRule(Rule):
@@ -596,7 +620,7 @@ class NotRule(Rule):
     def _own(self, view, fail, tail):
         idx = np.nonzero(fail)[0]
         return make_emit(view, idx, self._own_off, 'not', self.definition,
-                         tail_message(tail))
+                         TailMessage(tail))
 
 
 class IfThenElseRule(Rule):
@@ -762,7 +786,7 @@ class TupleItemsRule(Rule):
                 idx = np.nonzero(over)[0]
                 emits.append(make_emit(
                     view, idx, self._forbid_off, 'items', self.defn,
-                    tail_message(' must contain only specified items')))
+                    TailMessage(' must contain only specified items')))
                 fail = _or(fail, over)
         elif self.add_plan is not None:
             extra = np.maximum(lens - self.n_tuple, 0)
@@ -829,7 +853,7 @@ class ContainsRule(Rule):
         idx = np.nonzero(fail)[0]
         return NodeResult(fail, [make_emit(
             view, idx, self._own_off, 'contains', self.definition,
-            tail_message(' must contain one of contains definition'))])
+            TailMessage(' must contain one of contains definition'))])
 
     def _evaluate_collect(self, view):
         # Reference collect-mode quirk (draft06.py:167-178): the per-element
@@ -864,7 +888,7 @@ class ContainsRule(Rule):
             idx = np.nonzero(empty)[0]
             emits.append(make_emit(
                 view, idx, self._own_off, 'contains', self.definition,
-                tail_message(' must contain one of contains definition')))
+                TailMessage(' must contain one of contains definition')))
             fail = _or(fail, empty)
         return NodeResult(fail, emits)
 
@@ -928,7 +952,7 @@ class ForbidExtraColumnsRule(Rule):
         idx = np.nonzero(fail)[0]
         return NodeResult(fail, [make_emit(
             view, idx, self.offset, 'additionalProperties', self.definition,
-            tail_message(' must not contain {} properties'.format(
+            TailMessage(' must not contain {} properties'.format(
                 self.leftover)))])
 
 
@@ -1000,7 +1024,7 @@ class PropertyNamesRule(Rule):
         idx = np.nonzero(fail)[0]
         return NodeResult(fail, [make_emit(
             view, idx, self.offset, 'propertyNames', self.definition,
-            tail_message(' must be named by propertyName definition'))])
+            TailMessage(' must be named by propertyName definition'))])
 
 
 class ContentSiteRule(Rule):
@@ -1085,7 +1109,7 @@ class AlwaysFailRule(Rule):
         idx = np.arange(view.n, dtype=np.int64)
         return NodeResult(fail, [make_emit(view, idx, self.offset, None,
                                            self.definition,
-                                           tail_message(' must not be there'))])
+                                           TailMessage(' must not be there'))])
 
 
 # ---------------------------------------------------------------------------
@@ -1997,37 +2021,54 @@ class VectorCompiler:
 class Records:
     """Columnar violation records of one batch, in document-traversal
     order.  ``rows`` and ``site`` are int64 arrays, ``site`` indexing
-    ``sites`` (the distinct ``(rule, definition)`` pairs); ``names``,
-    ``messages`` and ``values`` are lists.  Entry ``i`` reads as
-    ``(row, (name, message, rule, definition, value))``."""
+    ``sites`` (the distinct ``(rule, definition)`` pairs).
 
-    __slots__ = ('rows', 'names', 'messages', 'values', 'site', 'sites')
+    The payload stays as the emits produced it, one ``(names, messages,
+    values)`` chunk per emit: a name or message column is one ``str``
+    shared by the chunk's entries (a constant-name site) or a list, and
+    ``values`` is the view's Arrow elements or a list of Python values
+    (scalar fallbacks, content decodes, leaked ``propertyNames`` errors).
+    ``perm[i]`` is entry ``i``'s position in the chunks laid end to end.
+    Entry ``i`` reads as ``(row, (name, message, rule, definition,
+    value))`` with Python values, each chunk's Arrow values decoded on the
+    first read."""
 
-    def __init__(self, rows, names, messages, values, site, sites):
+    __slots__ = ('rows', 'site', 'sites', 'chunks', 'perm', '_starts',
+                 '_decoded')
+
+    def __init__(self, rows, site, sites, chunks, perm):
         self.rows = rows
-        self.names = names
-        self.messages = messages
-        self.values = values
         self.site = site
         self.sites = sites
-
-    @classmethod
-    def from_entries(cls, rows, names, messages, values, rules, definitions):
-        """Records from per-entry columns already in order."""
-        sites = _Sites()
-        site = np.fromiter(
-            (sites.index(r, d) for r, d in zip(rules, definitions)),
-            dtype=np.int64, count=len(rules))
-        return cls(np.asarray(rows, dtype=np.int64), names, messages, values,
-                   site, sites.pairs)
+        self.chunks = chunks
+        self.perm = perm
+        sizes = [len(values) for _, _, values in chunks]
+        self._starts = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+        self._decoded = {}
 
     def __len__(self):
         return len(self.rows)
 
+    def _values(self, c):
+        values = self.chunks[c][2]
+        if isinstance(values, list):
+            return values
+        decoded = self._decoded.get(c)
+        if decoded is None:
+            from .arrowutil import pylist_json
+            decoded = self._decoded[c] = pylist_json(values)
+        return decoded
+
     def __getitem__(self, i):
+        j = int(self.perm[i])
+        c = int(np.searchsorted(self._starts, j, side='right')) - 1
+        k = j - int(self._starts[c])
+        names, messages, _ = self.chunks[c]
         rule, definition = self.sites[self.site[i]]
-        return (int(self.rows[i]), (self.names[i], self.messages[i], rule,
-                                    definition, self.values[i]))
+        return (int(self.rows[i]), (
+            names if type(names) is str else names[k],
+            messages if type(messages) is str else messages[k],
+            rule, definition, self._values(c)[k]))
 
     def __iter__(self):
         return (self[i] for i in range(len(self.rows)))
@@ -2049,10 +2090,6 @@ class _Sites:
         return i
 
 
-def _permute(items: list, perm: np.ndarray) -> list:
-    return [items[i] for i in perm.tolist()]
-
-
 def collect_violations(result: NodeResult, n_rows: int, fast_fail: bool):
     """Turn a root NodeResult into per-row first/all violation records.
 
@@ -2061,13 +2098,16 @@ def collect_violations(result: NodeResult, n_rows: int, fast_fail: bool):
     distinct order-key tuples are ranked by Python tuple order, so one
     ``np.lexsort`` over (row, rank, emit) gives that sort; in fast-fail mode
     each row keeps the entries of its smallest key in the first emit holding
-    it.  Payloads are built only for the entries kept."""
+    it.  Payloads are built only for the entries kept, one chunk per emit
+    (see :class:`Records`), plus the permutation from record order to
+    chunk order."""
     valid = np.ones(n_rows, dtype=bool)
     if result.fail is not None:
         valid &= ~result.fail
     emits = [e for e in result.emits if len(e.rows)]
     if not emits:
-        return valid, Records.from_entries([], [], [], [], [], [])
+        empty = np.empty(0, dtype=np.int64)
+        return valid, Records(empty, empty, [], [], empty)
     distinct = set()
     for e in emits:
         if type(e.key) is tuple:
@@ -2095,7 +2135,7 @@ def collect_violations(result: NodeResult, n_rows: int, fast_fail: bool):
 
     needed = np.zeros(len(rows), dtype=bool)
     needed[order] = True
-    names, messages, values, site = [], [], [], []
+    chunks, site = [], []
     sites = _Sites()
     start = 0
     for e, n in zip(emits, sizes):
@@ -2104,10 +2144,8 @@ def collect_violations(result: NodeResult, n_rows: int, fast_fail: bool):
         if not local.any():
             continue
         sel = e.sel if local.all() else e.sel[local]
-        e_names, e_messages, e_values, rules, definitions = e.records(sel)
-        names.extend(e_names)
-        messages.extend(e_messages)
-        values.extend(e_values)
+        names, messages, values, rules, definitions = e.records(sel)
+        chunks.append((names, messages, values))
         if e.site is not None:
             site.append(np.full(len(sel), sites.index(*e.site),
                                 dtype=np.int64))
@@ -2115,8 +2153,7 @@ def collect_violations(result: NodeResult, n_rows: int, fast_fail: bool):
             site.append(np.fromiter(
                 (sites.index(r, d) for r, d in zip(rules, definitions)),
                 dtype=np.int64, count=len(sel)))
-    # Entry -> position in the payload lists, which hold kept entries only.
+    # Entry -> position in the chunks, which hold kept entries only.
     perm = (np.cumsum(needed) - 1)[order]
-    return valid, Records(rows[order], _permute(names, perm),
-                          _permute(messages, perm), _permute(values, perm),
-                          np.concatenate(site)[perm], sites.pairs)
+    return valid, Records(rows[order], np.concatenate(site)[perm],
+                          sites.pairs, chunks, perm)

@@ -27,6 +27,7 @@ import re as _re
 import numpy as np
 import pyarrow as pa
 
+from ..functions.arrowutil import pylist_json
 from ..functions.scalar import ScalarCompiler
 from ..functions.vector import (
     Emit,
@@ -113,6 +114,63 @@ def _dump_values(values) -> list:
             d = _scalar_dump(v)
         append(d)
     return out
+
+
+def _distinct_dumpable(dt) -> bool:
+    """Scalar Arrow types whose ``dictionary_encode`` tells values apart
+    exactly as their JSON text does (floats by bit pattern, so ``0.0`` and
+    ``-0.0`` stay apart); half floats cannot be dictionary-encoded."""
+    return (pa.types.is_string(dt) or pa.types.is_large_string(dt)
+            or pa.types.is_binary(dt) or pa.types.is_large_binary(dt)
+            or pa.types.is_integer(dt) or pa.types.is_boolean(dt)
+            or pa.types.is_float32(dt) or pa.types.is_float64(dt)
+            or pa.types.is_decimal(dt) or pa.types.is_timestamp(dt)
+            or pa.types.is_date(dt) or pa.types.is_time(dt)
+            or pa.types.is_duration(dt))
+
+
+def _value_strings(values):
+    """(strings, codes) of one chunk's ``value`` column: an Arrow chunk of
+    a scalar type dumps each distinct value once (``codes`` index the
+    dumps, nulls the trailing ``'null'``); nested Arrow values and Python
+    values dump one string per entry (``codes`` None)."""
+    if isinstance(values, list):
+        return _dump_values(values), None
+    if not _distinct_dumpable(values.type):
+        return _dump_values(pylist_json(values)), None
+    enc = values.dictionary_encode()
+    strings = [_scalar_dump(v) for v in enc.dictionary.to_pylist()]
+    codes = enc.indices
+    if codes.null_count:
+        codes = codes.fill_null(len(strings))
+        strings.append('null')
+    return strings, np.asarray(codes, dtype=np.int64)
+
+
+def _string_column(parts, perm) -> pa.Array:
+    """One payload column in record order.  ``parts`` holds per chunk a
+    str shared by its ``n`` entries, a list of one string per entry, or
+    ``(strings, codes)``; the strings are laid end to end and one Arrow
+    ``take`` through ``perm`` gathers them."""
+    strings, codes, base = [], [], 0
+    for part, n in parts:
+        if type(part) is str:
+            strings.append(part)
+            codes.append(np.full(n, base, dtype=np.int64))
+        else:
+            if type(part) is tuple:
+                part, part_codes = part
+            else:
+                part_codes = None
+            strings.extend(part)
+            codes.append(np.arange(base, base + n, dtype=np.int64)
+                         if part_codes is None else part_codes + base)
+        base = len(strings)
+    if not codes:
+        return pa.array([], type=pa.string())
+    index = np.concatenate(codes)[perm]
+    return pa.array(strings, type=pa.string()).take(
+        pa.array(index, type=pa.int64()))
 
 
 def _key_strings(keys: pa.Array) -> pa.Array:
@@ -331,13 +389,20 @@ class TableValidator:
         def per_site(items):
             return pa.array(items, type=pa.string()).take(site)
 
+        sizes = [len(values) for _, _, values in recs.chunks]
         return pa.table({
             'row': rows,
             'key': keys,
-            'name': pa.array(recs.names, type=pa.string()),
-            'message': pa.array(recs.messages, type=pa.string()),
+            'name': _string_column(
+                [(names, n) for (names, _, _), n in zip(recs.chunks, sizes)],
+                recs.perm),
+            'message': _string_column(
+                [(messages, n) for (_, messages, _), n
+                 in zip(recs.chunks, sizes)], recs.perm),
             'rule': per_site([rule for rule, _ in recs.sites]),
-            'value': pa.array(_dump_values(recs.values), type=pa.string()),
+            'value': _string_column(
+                [(_value_strings(values), n) for (_, _, values), n
+                 in zip(recs.chunks, sizes)], recs.perm),
             'definition': per_site(definitions),
             'rule_definition': per_site(rule_defs),
         })

@@ -27,7 +27,7 @@ import numpy as np
 
 # -- 64-bit hashing ----------------------------------------------------------
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+_MASK32 = np.uint64(0xFFFFFFFF)
 
 
 _SM_GOLDEN = np.int64(-7046029254386353131)
@@ -179,21 +179,17 @@ class HyperLogLog:
             return
         p = np.uint64(self.p)
         idx = (hashes >> (np.uint64(64) - p)).astype(np.int64)
-        w = (hashes << p) & _MASK64
-        # rho = leading zeros of w within 64-p bits, + 1.  bit_length is
-        # computed with integer shifts (6 vectorized passes): float log2
-        # rounds UP near power-of-two boundaries above 2^53, which would
-        # bias rho low for large w.
-        nz = w > 0
-        v = w[nz].copy()
-        bits_nz = np.zeros(len(v), dtype=np.int64)
-        for shift in (32, 16, 8, 4, 2, 1):
-            big = v >= (np.uint64(1) << np.uint64(shift))
-            bits_nz[big] += shift
-            v[big] >>= np.uint64(shift)
-        rho = np.empty(len(w), dtype=np.uint8)
-        rho[nz] = np.minimum(63 - bits_nz + 1, 64 - self.p + 1).astype(np.uint8)
-        rho[~nz] = np.uint8(64 - self.p + 1)
+        w = hashes << p
+        # rho = leading zeros of w within 64-p bits, + 1: 65 - bit_length(w),
+        # capped at 64-p+1 for w == 0 (w's low p bits are zero, so only
+        # w == 0 reaches the cap).  The bit length is the frexp exponent of
+        # w's high 32-bit half (plus 32) or, when that is zero, of its low
+        # half; both halves are exact in float64, where a float log2 of the
+        # whole word would round up near powers of two above 2^53.
+        hi = np.frexp((w >> np.uint64(32)).astype(np.float64))[1]
+        lo = np.frexp((w & _MASK32).astype(np.float64))[1]
+        bits = np.where(hi > 0, hi + 32, lo)
+        rho = np.minimum(65 - bits, 65 - self.p).astype(np.uint8)
         np.maximum.at(self.registers, idx, rho)
 
     def merge(self, other: 'HyperLogLog'):
@@ -253,12 +249,22 @@ class TDigest:
         values = np.sort(values)
         self._min = min(self._min, float(values[0]))
         self._max = max(self._max, float(values[-1]))
-        # Pre-cluster the batch into ≤ 2*compression equal-count chunks.
-        k = min(len(values), 2 * self.compression)
-        splits = np.array_split(values, k)
-        means = np.array([c.mean() for c in splits])
-        weights = np.array([len(c) for c in splits], dtype=np.float64)
-        self._merge_centroids(means, weights)
+        # Pre-cluster the batch into k ≤ 2*compression equal-count chunks,
+        # sized as np.array_split sizes them: the first n % k hold one
+        # value more.  Each chunk is led by a 0.0 so that np.add.reduceat
+        # sums it as chunk.mean() does (0 + pairwise sum of the chunk);
+        # without it reduceat adds the first value to the pairwise sum of
+        # the rest, which rounds differently in the last bit.
+        n = len(values)
+        k = min(n, 2 * self.compression)
+        q, r = divmod(n, k)
+        weights = np.full(k, float(q))
+        weights[:r] += 1
+        starts = np.zeros(k, dtype=np.int64)
+        np.cumsum(weights[:-1], out=starts[1:], dtype=np.int64)
+        sums = np.add.reduceat(np.insert(values, starts, 0.0),
+                               starts + np.arange(k))
+        self._merge_centroids(sums / weights, weights)
 
     def _merge_centroids(self, means, weights):
         all_means = np.concatenate([self.means, means])

@@ -81,6 +81,18 @@ def test_deep_chains_agree_across_routes(kind, depth, path, fast_fail):
         assert _outcome(validators[0], _doc(kind, depth, 1))[0] == 'ok'
 
 
+@pytest.mark.parametrize('route', (engine.compile, engine.compile_to_code),
+                         ids=('compile', 'compile_to_code'))
+def test_chain_too_deep_for_the_emitter_is_a_definition_error(route):
+    """The schema walk admits chains up to ``MAX_SCHEMA_WALK_DEPTH`` (500)
+    levels, but the emitter's recursion runs out of stack first; such a
+    chain raises the walk's exception type, not a bare RecursionError."""
+    route(_chain('items', 400))
+    for depth in (466, 496):
+        with pytest.raises(engine.JsonSchemaDefinitionException):
+            route(_chain('items', depth))
+
+
 def _names(code):
     return [c.co_name for c in compile(code, '<artifact>', 'exec').co_consts
             if isinstance(c, types.CodeType)]

@@ -129,3 +129,64 @@ def test_format_callable_called_once_per_distinct_value_per_batch():
                                   {'format': 'even'}, 'a'))
     tv.validate_batch(t.slice(0, 6))
     assert len(calls) == 6
+
+
+def test_const_name_payloads_dump_each_distinct_value_once(monkeypatch):
+    """Collect mode over 100k rows whose three top-level rules fail on 3
+    distinct values each: ``violations_table`` dumps every distinct
+    failing value once per emit, and no name or message Python runs per
+    entry at a constant-name site."""
+    from python_fastjsonschema_ray.functions import vector
+    from python_fastjsonschema_ray.pipelines import validate
+
+    n = 100_000
+    pick = np.arange(n) % 4
+    t = pa.table({
+        'q': pa.array(np.array([50, 60, 70, 5])[pick]),
+        'f': pa.array(np.array([0.01, -0.0, 0.0, 0.5])[pick]),
+        's': pa.array(np.array(['x"', 'y', 'zé', 'A'], dtype=object)[pick]),
+    })
+    spec = {'properties': {'q': {'maximum': 48},
+                           'f': {'minimum': 0.05},
+                           's': {'enum': ['A', 'N', 'R']}}}
+    tv = TableValidator(spec, t.schema, fast_fail=False)
+
+    def per_entry(*args):
+        raise AssertionError('per-entry payload call at a const-name site')
+
+    monkeypatch.setattr(vector.View, 'names', per_entry)
+    monkeypatch.setattr(vector.View, 'values_at', per_entry)
+    monkeypatch.setattr(vector.TailMessage, '__call__', per_entry)
+    dumped = []
+    real_dump = validate._scalar_dump
+
+    def counting_dump(value):
+        dumped.append(value)
+        return real_dump(value)
+
+    monkeypatch.setattr(validate, '_scalar_dump', counting_dump)
+    res = tv.validate_batch(t)
+    vt = tv.violations_table(t, res)
+
+    assert vt.num_rows == len(res.records) == 3 * 3 * n // 4
+    assert sorted(map(repr, dumped)) == sorted(map(repr, [
+        50, 60, 70, 0.01, -0.0, 0.0, 'x"', 'y', 'zé']))
+    assert vt.slice(0, 3).to_pylist() == [
+        {'row': 0, 'key': None, 'name': 'data.q',
+         'message': 'data.q must be smaller than or equal to 48',
+         'rule': 'maximum', 'value': '50', 'definition':
+         '{"maximum": 48}', 'rule_definition': '48'},
+        {'row': 0, 'key': None, 'name': 'data.f',
+         'message': 'data.f must be bigger than or equal to 0.05',
+         'rule': 'minimum', 'value': '0.01', 'definition':
+         '{"minimum": 0.05}', 'rule_definition': '0.05'},
+        {'row': 0, 'key': None, 'name': 'data.s',
+         'message': "data.s must be one of ['A', 'N', 'R']",
+         'rule': 'enum', 'value': '"x\\""', 'definition':
+         '{"enum": ["A", "N", "R"]}', 'rule_definition': '["A", "N", "R"]'}]
+    assert vt.column('value').slice(3, 3).to_pylist() == [
+        '60', '-0.0', '"y"']
+    # The records still read as Python payloads, decoded on demand.
+    assert res.records[4] == (1, ('data.f',
+                                  'data.f must be bigger than or equal to 0.05',
+                                  'minimum', {'minimum': 0.05}, -0.0))
