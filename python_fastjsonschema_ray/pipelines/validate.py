@@ -94,28 +94,6 @@ def _scalar_dump(value) -> str:
     return json_dump(value)
 
 
-def _dump_values(values) -> list:
-    """``_scalar_dump`` of every value, memoized per distinct str, int and
-    nonzero float (0.0 and -0.0 compare equal but dump differently)."""
-    memo, float_memo = {}, {}
-    out = []
-    append = out.append
-    for v in values:
-        t = type(v)
-        if t is str or t is int:
-            d = memo.get(v)
-            if d is None:
-                d = memo[v] = _scalar_dump(v)
-        elif t is float and v != 0.0:
-            d = float_memo.get(v)
-            if d is None:
-                d = float_memo[v] = _scalar_dump(v)
-        else:
-            d = _scalar_dump(v)
-        append(d)
-    return out
-
-
 def _distinct_dumpable(dt) -> bool:
     """Scalar Arrow types whose ``dictionary_encode`` tells values apart
     exactly as their JSON text does (floats by bit pattern, so ``0.0`` and
@@ -129,48 +107,47 @@ def _distinct_dumpable(dt) -> bool:
             or pa.types.is_duration(dt))
 
 
-def _value_strings(values):
+def _text_codes(texts, n):
+    """(strings, codes) of one chunk's ``name`` or ``message`` column: a
+    str shared by its ``n`` entries, or one string per entry (``codes``
+    None)."""
+    if type(texts) is str:
+        return [texts], np.zeros(n, dtype=np.int64)
+    return texts, None
+
+
+def _value_codes(values):
     """(strings, codes) of one chunk's ``value`` column: an Arrow chunk of
     a scalar type dumps each distinct value once (``codes`` index the
     dumps, nulls the trailing ``'null'``); nested Arrow values and Python
     values dump one string per entry (``codes`` None)."""
-    if isinstance(values, list):
-        return _dump_values(values), None
-    if not _distinct_dumpable(values.type):
-        return _dump_values(pylist_json(values)), None
-    enc = values.dictionary_encode()
-    strings = [_scalar_dump(v) for v in enc.dictionary.to_pylist()]
-    codes = enc.indices
-    if codes.null_count:
-        codes = codes.fill_null(len(strings))
-        strings.append('null')
-    return strings, np.asarray(codes, dtype=np.int64)
+    if not isinstance(values, list):
+        if _distinct_dumpable(values.type):
+            enc = values.dictionary_encode()
+            strings = [_scalar_dump(v) for v in enc.dictionary.to_pylist()]
+            codes = enc.indices
+            if codes.null_count:
+                codes = codes.fill_null(len(strings))
+                strings.append('null')
+            return strings, np.asarray(codes, dtype=np.int64)
+        values = pylist_json(values)
+    return [_scalar_dump(v) for v in values], None
 
 
 def _string_column(parts, perm) -> pa.Array:
-    """One payload column in record order.  ``parts`` holds per chunk a
-    str shared by its ``n`` entries, a list of one string per entry, or
-    ``(strings, codes)``; the strings are laid end to end and one Arrow
-    ``take`` through ``perm`` gathers them."""
-    strings, codes, base = [], [], 0
-    for part, n in parts:
-        if type(part) is str:
-            strings.append(part)
-            codes.append(np.full(n, base, dtype=np.int64))
-        else:
-            if type(part) is tuple:
-                part, part_codes = part
-            else:
-                part_codes = None
-            strings.extend(part)
-            codes.append(np.arange(base, base + n, dtype=np.int64)
-                         if part_codes is None else part_codes + base)
+    """One payload column in record order: the chunks' ``(strings,
+    codes)`` laid end to end, gathered through ``perm`` by one Arrow
+    ``take``."""
+    strings, codes = [], []
+    for part, part_codes in parts:
         base = len(strings)
+        strings.extend(part)
+        codes.append(np.arange(base, len(strings), dtype=np.int64)
+                     if part_codes is None else part_codes + base)
     if not codes:
         return pa.array([], type=pa.string())
-    index = np.concatenate(codes)[perm]
     return pa.array(strings, type=pa.string()).take(
-        pa.array(index, type=pa.int64()))
+        pa.array(np.concatenate(codes)[perm], type=pa.int64()))
 
 
 def _key_strings(keys: pa.Array) -> pa.Array:
@@ -389,20 +366,19 @@ class TableValidator:
         def per_site(items):
             return pa.array(items, type=pa.string()).take(site)
 
-        sizes = [len(values) for _, _, values in recs.chunks]
+        chunks = recs.chunks
         return pa.table({
             'row': rows,
             'key': keys,
-            'name': _string_column(
-                [(names, n) for (names, _, _), n in zip(recs.chunks, sizes)],
-                recs.perm),
-            'message': _string_column(
-                [(messages, n) for (_, messages, _), n
-                 in zip(recs.chunks, sizes)], recs.perm),
+            'name': _string_column([_text_codes(names, len(values))
+                                    for names, _, values in chunks],
+                                   recs.perm),
+            'message': _string_column([_text_codes(messages, len(values))
+                                       for _, messages, values in chunks],
+                                      recs.perm),
             'rule': per_site([rule for rule, _ in recs.sites]),
-            'value': _string_column(
-                [(_value_strings(values), n) for (_, _, values), n
-                 in zip(recs.chunks, sizes)], recs.perm),
+            'value': _string_column([_value_codes(values)
+                                     for _, _, values in chunks], recs.perm),
             'definition': per_site(definitions),
             'rule_definition': per_site(rule_defs),
         })
